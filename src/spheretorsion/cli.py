@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import experiments
 from .gram import gram, gram_canonical_closed, gram_fs_closed
 from .metrics import (
@@ -87,10 +89,10 @@ def _verify_block(checks: dict) -> dict:
 def _cmd_torsion(args, cfg):
     p = parse_spec(args.metric)
     w = parse_volume(args.volume)
-    res = torsion(p, w, route=args.route, cfg=cfg.quad())
+    res = torsion(p, w, cfg=cfg.quad())
     payload = {
         "command": "torsion",
-        "inputs": {"metric": args.metric, "volume": args.volume, "route": args.route},
+        "inputs": {"metric": args.metric, "volume": args.volume},
         "results": res.as_dict(),
     }
     if args.verify:
@@ -106,10 +108,10 @@ def _cmd_torsion(args, cfg):
 def _cmd_quillen(args, cfg):
     p = parse_spec(args.metric)
     w = parse_volume(args.volume)
-    res = quillen(p, w, route=args.route, cfg=cfg.quad())
+    res = quillen(p, w, cfg=cfg.quad())
     payload = {
         "command": "quillen",
-        "inputs": {"metric": args.metric, "volume": args.volume, "route": args.route},
+        "inputs": {"metric": args.metric, "volume": args.volume},
         "results": res.as_dict(),
     }
     if args.verify:
@@ -137,17 +139,11 @@ def _cmd_gram(args, cfg):
     }
     if args.verify:
         checks = {"entries_positive": bool((g.entries > 0).all())}
-        if args.metric.startswith("fs:") and args.volume == "fs":
-            import numpy as np
-
+        # decided on the parsed data, so every spelling of a spec is checked
+        closed = {"fs": gram_fs_closed, "canonical": gram_canonical_closed}.get(w.label)
+        if closed is not None and p.label == f"{w.label}:{p.degree}":
             checks["matches_closed_form_1e-10"] = bool(
-                np.max(np.abs(g.entries - gram_fs_closed(p.degree))) <= 1e-10
-            )
-        if args.metric.startswith("canonical:") and args.volume == "canonical":
-            import numpy as np
-
-            checks["matches_closed_form_1e-10"] = bool(
-                np.max(np.abs(g.entries - gram_canonical_closed(p.degree))) <= 1e-10
+                np.max(np.abs(g.entries - closed(p.degree))) <= 1e-10
             )
         payload["verify"] = _verify_block(checks)
     return payload
@@ -214,9 +210,10 @@ def _cmd_zhang(args, cfg):
 
 
 def _cmd_counterexample(args, cfg):
+    cs = [float(x) for x in args.c.split(",")]
     deltas = [float(x) for x in args.deltas.split(",")]
     res = experiments.run_counterexample(
-        cs=(args.c,), deltas=deltas, eps=args.eps, gamma=args.gamma, jobs=cfg.jobs
+        cs=cs, deltas=deltas, eps=args.eps, gamma=args.gamma, jobs=cfg.jobs
     )
     if args.verify:
         res["verify"] = _verify_block(
@@ -280,14 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("torsion", help="analytic torsion of (metric, volume)")
     sp.add_argument("--metric", required=True)
     sp.add_argument("--volume", default="fs")
-    sp.add_argument("--route", default="auto")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_torsion)
 
     sp = sub.add_parser("quillen", help="log Quillen metric on det H^0")
     sp.add_argument("--metric", required=True)
     sp.add_argument("--volume", default="fs")
-    sp.add_argument("--route", default="auto")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_quillen)
 
@@ -314,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_zhang)
 
     sp = sub.add_parser("counterexample", help="ridge family study")
-    sp.add_argument("--c", type=float, default=1.0)
+    sp.add_argument("--c", default="1.0")
     sp.add_argument("--deltas", default="1e-2,1e-3,1e-4")
     sp.add_argument("--eps", type=float, default=0.2)
     sp.add_argument("--gamma", type=float, default=None)

@@ -23,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from . import __version__
 from .gram import gram, log_det_canonical_closed
 from .metrics import (
     canonical,
@@ -42,6 +43,7 @@ from .radial import (
 )
 from .torsion import (
     SPECTRUM_SCALE,
+    ZETA_PRIME_MINUS1,
     bundle_anomaly,
     generalized_quillen_limit,
     generalized_torsion_curve,
@@ -69,13 +71,6 @@ __all__ = [
 GS_SCALE = 0.5
 
 
-def _zeta_prime_m1() -> float:
-    from mpmath import mp, zeta
-
-    with mp.workdps(25):
-        return float(zeta(-1, 1, 1))
-
-
 def _scale_transport(m: int) -> float:
     """T at SPECTRUM_SCALE minus T at GS_SCALE, by the exact scale law."""
     return -math.log(SPECTRUM_SCALE / GS_SCALE) * zeta_zero(m)
@@ -88,7 +83,7 @@ def canonical_quillen_law(m: int) -> float:
     all arithmetic intersection numbers of the canonical metrics vanish, so
     nothing depending on m survives but the spectrum-scale transport.
     """
-    return 4.0 * _zeta_prime_m1() - 1.0 / 6.0 + _scale_transport(m)
+    return 4.0 * ZETA_PRIME_MINUS1 - 1.0 / 6.0 + _scale_transport(m)
 
 
 def closed_form_target(m: int) -> float:
@@ -121,7 +116,7 @@ def _round15(x):
 def _meta():
     return {
         "tool": "spheretorsion",
-        "version": "0.1.0",
+        "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
@@ -219,7 +214,6 @@ def run_counterexample(
     sup_ok = all(r["sup_over_scale"] <= 2.0 + 1e-12 for r in rows)
     dir_ok = all(r["dirichlet_abs_err"] <= 1e-6 for r in rows)
     bound_ok = all(r["torsion_gap"] <= r["gap_bound"] + 1e-9 for r in rows)
-    bounded = all(r["torsion_gap"] <= (max(x["M_delta"] for x in rows)) ** 2 / 8.0 for r in rows)
     # the whole point: metric distance vanishes, torsion gap does not
     by_c = {}
     for r in rows:
@@ -245,7 +239,6 @@ def run_counterexample(
             "sup_within_2_scale": sup_ok,
             "dirichlet_matches_oracle_1e-6": dir_ok,
             "gap_bound_holds": bound_ok,
-            "torsion_bounded_by_M2_over_8": bounded,
             "l2_converges": l2_converges,
             "torsion_gap_persists": persists,
             "continuity_fails": sup_ok and persists and l2_converges,

@@ -3,8 +3,9 @@
 The only spectrum ever used is the reference one: the Dolbeault Laplacian
 of (O(m), round metric) over the round sphere of area 2 has nonzero
 eigenvalues pi k (k+m+1) with multiplicity m + 2k + 1, k >= 1. Its zeta
-function continues through a Hurwitz expansion and gives the reference
-torsion T_fs(m). Everything else is reached by the two anomaly terms:
+function has an elementary closed form at s = 0 (CONVENTIONS.md section 4)
+and gives the reference torsion T_fs(m). Everything else is reached by one
+chain through the two anomaly terms:
 
     T(p, w) = T_fs(m) - K(p, fs_m; omega_fs) - V(p; w, omega_fs)
               + log det G(fs_m, omega_fs) - log det G(p, w)
@@ -24,8 +25,8 @@ monomial basis of record; the basis constant cancels from every identity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,10 +43,11 @@ from .radial import (
     volume_fs,
 )
 
-ROUTES = ("spectral", "anomaly-transfer", "generalized-limit", "direct-integrable")
-
 # spectrum scale: eigenvalues are SPECTRUM_SCALE * k(k+m+1) on the area-2 sphere
 SPECTRUM_SCALE = math.pi
+
+# zeta'(-1) of the Riemann zeta function, 1/12 - log A (Glaisher's constant A)
+ZETA_PRIME_MINUS1 = -0.16542114370045092921
 
 
 # --- zeta machinery ---
@@ -81,79 +83,49 @@ def zeta_prime_minus1_em(N: int = 60, K: int = 6) -> float:
     return val
 
 
-@lru_cache(maxsize=None)
-def _zeta_prime_zero_unit(m: int) -> float:
-    """zeta'(0) of the spectrum k(k+m+1), mult m+2k+1, k >= 1 (unit scale).
-
-    Hurwitz split: with q = (m+3)/2, b = ((m+1)/2)^2,
-    k(k+m+1) = (k+q-1/2... shifted square) gives
-
-      Z_m(s) = 2 sum_j (s)_j b^j / j! zeta_H(2s+2j-1, q),
-
-    whose s-derivative at 0 collapses to the three groups below. Verified
-    against direct eigenvalue sums and a heat-trace Mellin split.
-    """
-    from mpmath import mp, mpf, zeta as mpzeta, digamma
-
-    with mp.workdps(30):
-        q = mpf(m + 3) / 2
-        b = mpf((m + 1) ** 2) / 4
-        val = 4 * mpzeta(-1, q, 1) - 2 * b * digamma(q)
-        j = 2
-        while True:
-            term = (b**j / j) * mpzeta(2 * j - 1, q)
-            val += 2 * term
-            if abs(term) < mpf(10) ** (-32):
-                break
-            j += 1
-        return float(val)
-
-
 @dataclass
 class TorsionResult:
     value: float
-    route: str
     components: dict
     err: float
 
     def as_dict(self):
         return {
             "value": self.value,
-            "route": self.route,
             "components": {k: float(v) for k, v in self.components.items()},
             "err": self.err,
         }
 
 
-@lru_cache(maxsize=None)
-def _fs_reference_cached(m: int, scale: float) -> tuple:
-    z0 = zeta_zero(m)
-    zp = _zeta_prime_zero_unit(m)
-    corr = -math.log(scale) * z0
-    return zp, corr
-
-
 def fs_reference_torsion(m: int, scale: float = SPECTRUM_SCALE) -> TorsionResult:
     """Reference torsion of (O(m), round) over the round area-2 sphere.
 
-    T = zeta'(0) of the Dolbeault spectrum; under lambda -> c lambda the
-    value shifts by -log(c) zeta(0), which is how the scale enters. The
-    same routine serves every m with no per-m adjustments.
+    T = zeta'(0) of the Dolbeault spectrum. At unit scale the spectrum is
+    k(k+m+1) with multiplicity m+2k+1, k >= 1; with n = k + (m+1)/2 the
+    eigenvalue splits as (n - a)(n + a), a = (m+1)/2, and two shifted
+    Riemann zeta sums plus the multiplicative anomaly -2 a^2 give
+
+        Z'_m(0) = 4 zeta'(-1) - (m+1)^2/2 + sum_{j<=m+1} (2j - m - 1) log j.
+
+    Under lambda -> c lambda the value shifts by -log(c) zeta(0), which is
+    how the scale enters. err bounds the rounding of the sum.
     """
     m = int(m)
     if m < 0:
         raise ValueError(f"reference torsion needs m >= 0, got {m}")
-    zp, corr = _fs_reference_cached(m, float(scale))
+    terms = [4.0 * ZETA_PRIME_MINUS1, -(m + 1) ** 2 / 2.0]
+    terms += [(2 * j - m - 1) * math.log(j) for j in range(2, m + 2)]
+    zp = math.fsum(terms)
+    corr = -math.log(scale) * zeta_zero(m)
     return TorsionResult(
         value=zp + corr,
-        route="spectral",
         components={
             "zeta_prime_unit_scale": zp,
             "zeta_zero": zeta_zero(m),
             "scale": scale,
             "scale_correction": corr,
         },
-        err=1e-13,
+        err=math.fsum(map(abs, terms)) * sys.float_info.epsilon,
     )
 
 
@@ -283,43 +255,27 @@ def volume_anomaly(
 # --- the transfer chain ---
 
 
-def _auto_route(p: RadialPotential, w: VolumeForm) -> str:
-    if p.label == f"fs:{p.degree}" and w.label == "fs":
-        return "spectral"
-    if p.curvature_atoms or p.regularity != "smooth" or w.rho.splits:
-        return "direct-integrable"
-    return "anomaly-transfer"
-
-
 def torsion(
     p: RadialPotential,
     w: VolumeForm,
-    route: str = "auto",
     cfg: QuadConfig = DEFAULT_QUAD,
     _gram: Optional[GramData] = None,
 ) -> TorsionResult:
     """Analytic torsion of (O(m), e^{-phi}) over the sphere with volume w.
 
-    Smooth data goes through the anomaly transfer from the spectral
-    reference; integrable non-smooth data (atoms, kinks) evaluates the same
-    chain with generalized pairings, which is exactly the regularized value
-    the approximation theorem assigns. The generalized-limit route is
-    available through generalized_quillen_limit with an explicit family.
+    Every input, smooth or integrable (atoms, kinks), runs the same chain
+    from the spectral reference; for non-smooth data the pairings are the
+    generalized ones, which is exactly the regularized value the
+    approximation theorem assigns. The reference pair (fs_m, omega_fs)
+    itself returns the reference exactly, which the chain reproduces only
+    to rounding. Limits along explicit approximating families are
+    generalized_quillen_limit and generalized_torsion_curve.
     """
     m = p.degree
     if m < 0:
         raise ValueError(f"torsion needs a degree >= 0 bundle, got {m}")
-    if route == "auto":
-        route = _auto_route(p, w)
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}, expected one of {ROUTES}")
-    if route == "generalized-limit":
-        raise ValueError(
-            "generalized-limit is driven by generalized_quillen_limit with an "
-            "explicit approximating family"
-        )
     ref = fs_reference_torsion(m)
-    if route == "spectral":
+    if p.label == f"fs:{m}" and w.label == "fs":
         return ref
     p_ref = fubini_study(m)
     w_ref = volume_fs()
@@ -330,7 +286,6 @@ def torsion(
     value = ref.value - K.value - V.value + lg_ref - gd.log_det
     return TorsionResult(
         value=value,
-        route=route,
         components={
             "reference": ref.value,
             "bundle_anomaly": K.value,
@@ -361,18 +316,17 @@ class QuillenResult:
 def quillen(
     p: RadialPotential,
     w: VolumeForm,
-    route: str = "auto",
     cfg: QuadConfig = DEFAULT_QUAD,
 ) -> QuillenResult:
     """log of the Quillen metric on det H^0: log det Gram plus torsion."""
     gd = gram(p, w, cfg=cfg)
-    T = torsion(p, w, route=route, cfg=cfg, _gram=gd)
+    T = torsion(p, w, cfg=cfg, _gram=gd)
     return QuillenResult(
         log_quillen=gd.log_det + T.value, log_l2=gd.log_det, torsion=T, gram=gd
     )
 
 
-# --- generalized (limit) routes ---
+# --- limits along approximating families ---
 
 
 @dataclass
@@ -418,24 +372,21 @@ def generalized_quillen_limit(
     small grid documents joint behavior; the diagonal carries the limit,
     with a Cauchy verdict over the last `tail` entries.
     """
-    for i in grid_indices:
-        _require_positive(bundle_family(i), "bundle family", i)
-        _require_positive(volume_family(i).psi, "volume family", i)
-    for i in indices:
-        _require_positive(bundle_family(i), "bundle family", i)
-        _require_positive(volume_family(i).psi, "volume family", i)
+    bundles, volumes = {}, {}
+    for i in sorted(set(indices) | set(grid_indices)):
+        bundles[i] = bundle_family(i)
+        _require_positive(bundles[i], "bundle family", i)
+        volumes[i] = volume_family(i)
+        _require_positive(volumes[i].psi, "volume family", i)
     grid = None
     if grid_indices:
         grid = np.array(
             [
-                [
-                    quillen(bundle_family(i), volume_family(j), cfg=cfg).log_quillen
-                    for j in grid_indices
-                ]
+                [quillen(bundles[i], volumes[j], cfg=cfg).log_quillen for j in grid_indices]
                 for i in grid_indices
             ]
         )
-    diag = [quillen(bundle_family(n), volume_family(n), cfg=cfg).log_quillen for n in indices]
+    diag = [quillen(bundles[n], volumes[n], cfg=cfg).log_quillen for n in indices]
     last = diag[-1]
     gaps = [abs(d - last) for d in diag]
     # declaration rule: max pairwise gap over the last `tail` diagonal values

@@ -32,10 +32,10 @@ def run_json(capsys, *argv):
 def test_torsion_smoke(capsys):
     doc = run_json(capsys, "torsion", "--metric", "fs:1", "--no-meta")
     assert doc["command"] == "torsion"
-    assert doc["inputs"] == {"metric": "fs:1", "volume": "fs", "route": "auto"}
+    assert doc["inputs"] == {"metric": "fs:1", "volume": "fs"}
     want = ZPRIME_UNIT[1] + (7.0 / 6.0) * math.log(math.pi)
     assert doc["results"]["value"] == pytest.approx(want, abs=1e-10)
-    assert doc["results"]["route"] == "spectral"
+    assert "route" not in doc["results"]
     assert "meta" not in doc
 
 
@@ -47,7 +47,6 @@ def test_torsion_verify_singular(capsys):
     # T_fs(1) + 11/6 - (5/6) log 2 - 2 log(3/2)
     #   = 4 zeta'(-1) - 1/6 + (7/6) log(2 pi) - 2 log(3/2)
     assert doc["results"]["value"] == pytest.approx(0.5049084531261039, abs=1e-9)
-    assert doc["results"]["route"] == "direct-integrable"
 
 
 def test_quillen_verify(capsys):
@@ -68,6 +67,20 @@ def test_gram_verify_closed_forms(capsys):
     )
     assert doc["verify"]["checks"]["matches_closed_form_1e-10"] is True
     assert doc["results"]["entries"][0] == pytest.approx(1.0 + 1.0 / 3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "metric,volume",
+    [("zero", "fs"), ("fs:3", "fubini-study"), ("canonical:2", "inf"), ("canonical:2", "singular")],
+)
+def test_gram_verify_alternate_spellings(capsys, metric, volume):
+    doc = run_json(capsys, "gram", "--metric", metric, "--volume", volume, "--verify")
+    assert doc["verify"]["checks"]["matches_closed_form_1e-10"] is True
+
+
+def test_gram_verify_without_closed_form(capsys):
+    doc = run_json(capsys, "gram", "--metric", "lse:m=2,a=9", "--volume", "canonical", "--verify")
+    assert doc["verify"]["checks"] == {"entries_positive": True}
 
 
 def test_anomaly_bundle(capsys):
@@ -100,6 +113,13 @@ def test_counterexample(capsys):
     doc = run_json(capsys, "counterexample", "--deltas", "1e-2,1e-3", "--verify")
     assert doc["verify"]["passed"] is True
     assert doc["verdicts"]["continuity_fails"] is True
+
+
+def test_counterexample_c_list(capsys):
+    doc = run_json(capsys, "counterexample", "--c", "1.0,0.5", "--deltas", "1e-2", "--verify")
+    assert doc["verify"]["passed"] is True
+    assert doc["inputs"]["cs"] == [1.0, 0.5]
+    assert [r["c"] for r in doc["rows"]] == [1.0, 0.5]
 
 
 def test_closed_form_verify(capsys):
@@ -149,8 +169,9 @@ def test_exit_2_on_missing_pair_argument(capsys):
 
 
 def test_exit_2_on_bad_route(capsys):
-    rc, _, err = run(capsys, "torsion", "--metric", "fs:1", "--route", "bogus")
-    assert rc == 2 and "route" in err
+    # no such option: one chain serves every input
+    rc, _, err = run(capsys, "torsion", "--metric", "fs:1", "--route", "auto")
+    assert rc == 2 and "--route" in err
 
 
 def test_exit_3_on_impossible_budget(capsys):

@@ -77,7 +77,6 @@ def test_run_counterexample():
         "sup_within_2_scale": True,
         "dirichlet_matches_oracle_1e-6": True,
         "gap_bound_holds": True,
-        "torsion_bounded_by_M2_over_8": True,
         "l2_converges": True,
         "torsion_gap_persists": True,
         "continuity_fails": True,
