@@ -52,16 +52,14 @@ def gram(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> G
     if p.degree < 0:
         raise ValueError(f"Gram data needs degree >= 0, got {p.degree}")
     m = p.degree
-    phi = p.phi
-    dens = w.rho.density
-    splits = tuple(p.kinks) + tuple(w.rho.splits)
-    entries = np.empty(m + 1)
-    err = 0.0
-    for k in range(m + 1):
-        f = lambda t, _k=k: math.exp(_k * t - float(phi(t))) * float(dens(t))
-        v, e = integrate_line(f, splits=splits, support=w.rho.support, cfg=cfg)
-        entries[k] = v
-        err += e
+    phi, dens = p.phi, w.rho.density
+    ks = np.arange(m + 1.0)[:, None]
+    entries, err = integrate_line(
+        lambda t: np.exp(ks * t - phi(t)) * dens(t),
+        splits=tuple(p.kinks) + tuple(w.rho.splits),
+        support=w.rho.support,
+        cfg=cfg,
+    )
     if np.any(entries <= 0):
         raise ValueError("Gram entry came out nonpositive; potential invalid")
     return GramData(m=m, entries=entries, log_det=float(np.sum(np.log(entries))), err=err)

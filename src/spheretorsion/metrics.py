@@ -27,7 +27,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .radial import (
     RadialPotential,
@@ -44,12 +43,6 @@ class SpecError(ValueError):
 
 
 _RANK = {"smooth": 0, "continuous-piecewise": 1, "continuous": 2}
-
-
-def _scalar_guard(x):
-    # QUADPACK hands us plain floats; boolean masking needs 1-d arrays
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return arr, np.ndim(x) == 0
 
 
 # --- catalog ---
@@ -181,13 +174,8 @@ def mollified_max(m: int, eps: float) -> RadialPotential:
         return _m * np.where(t >= _e, t, np.where(t <= -_e, 0.0, mid))
 
     def dens(t, _m=m, _e=eps):
-        t, scalar = _scalar_guard(t)
-        u = t / _e
-        inside = np.abs(u) < 1.0
-        out = np.zeros_like(t)
-        out[inside] = (15.0 / 16.0) * (1.0 - u[inside] ** 2) ** 2 / _e
-        out *= _m
-        return float(out[0]) if scalar else out
+        u = np.clip(np.asarray(t, dtype=float) / _e, -1.0, 1.0)
+        return _m * (15.0 / 16.0) * (1.0 - u * u) ** 2 / _e
 
     return RadialPotential(
         degree=m,
@@ -355,36 +343,23 @@ class PiecewiseRadial:
         idx = np.searchsorted(self.breaks, r, side="right") - 1
         return np.clip(idx, 0, len(self.pieces) - 1)
 
-    def __call__(self, r):
-        r, scalar = _scalar_guard(r)
-        out = np.zeros_like(r)
-        inside = (r >= self.r_lo) & (r <= self.r_hi)
-        if np.any(inside):
-            ri = r[inside]
-            vals = np.empty_like(ri)
-            for k in self._unique_idx(ri):
-                a, w, q = self.pieces[k]
-                sel = self._locate(ri) == k
-                vals[sel] = q((ri[sel] - a) / w)
-            out[inside] = vals
-        return float(out[0]) if scalar else out
+    def _eval(self, r, order, inside):
+        # zero outside; each piece evaluates its own nodes
+        out = np.zeros(r.shape)
+        idx = self._locate(r)
+        for k, (a, w, q) in enumerate(self.pieces):
+            sel = inside & (idx == k)
+            if np.any(sel):
+                out[sel] = q.deriv(order)((r[sel] - a) / w) / w**order
+        return out[()]
 
-    def _unique_idx(self, r):
-        return np.unique(self._locate(r))
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        return self._eval(r, 0, (r >= self.r_lo) & (r <= self.r_hi))
 
     def deriv(self, r, order=1):
-        r, scalar = _scalar_guard(r)
-        out = np.zeros_like(r)
-        inside = (r > self.r_lo) & (r < self.r_hi)
-        if np.any(inside):
-            ri = r[inside]
-            vals = np.empty_like(ri)
-            for k in self._unique_idx(ri):
-                a, w, q = self.pieces[k]
-                sel = self._locate(ri) == k
-                vals[sel] = q.deriv(order)((ri[sel] - a) / w) / w**order
-            out[inside] = vals
-        return float(out[0]) if scalar else out
+        r = np.asarray(r, dtype=float)
+        return self._eval(r, order, (r > self.r_lo) & (r < self.r_hi))
 
     def weighted_dirichlet(self):
         """Exact int r f'(r)^2 dr, per piece and total."""
@@ -502,8 +477,8 @@ def load_grid(path: str) -> RadialPotential:
     boundary slopes, which are validated against the declared degree.
 
     The interpolant fails to be C^2 at every grid knot, so all knots ride
-    along as quadrature splits; each panel between knots is a polynomial
-    and costs the integrator a single Kronrod pass.
+    along as quadrature splits; each panel between knots is a polynomial,
+    settled by the first batched Kronrod pass.
     """
     ts, vs = [], []
     with open(path, newline="") as fh:
@@ -528,6 +503,8 @@ def load_grid(path: str) -> RadialPotential:
     v = np.asarray(vs, dtype=float)
     if len(t) < 4 or np.any(np.diff(t) <= 0):
         raise SpecError("grid needs at least 4 strictly increasing t values")
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(t, v, extrapolate=False)
     d1 = interp.derivative(1)
     s_lo, s_hi = float(d1(t[0])), float(d1(t[-1]))
@@ -540,24 +517,18 @@ def load_grid(path: str) -> RadialPotential:
     v_lo, v_hi = float(v[0]), float(v[-1])
 
     def phi(x, _i=interp):
-        x, scalar = _scalar_guard(x)
-        out = np.where(
-            x < lo, v_lo + s_lo * (x - lo), np.where(x > hi, v_hi + s_hi * (x - hi), 0.0)
+        x = np.asarray(x, dtype=float)
+        return np.where(
+            x < lo,
+            v_lo + s_lo * (x - lo),
+            np.where(x > hi, v_hi + s_hi * (x - hi), _i(np.clip(x, lo, hi))),
         )
-        inside = (x >= lo) & (x <= hi)
-        if np.any(inside):
-            out = np.array(out, dtype=float)
-            out[inside] = _i(x[inside])
-        return float(out[0]) if scalar else out
 
     d2 = interp.derivative(2)
 
     def dens(x, _d2=d2):
-        x, scalar = _scalar_guard(x)
-        out = np.zeros_like(x)
-        inside = (x > lo) & (x < hi)
-        out[inside] = _d2(x[inside])
-        return float(out[0]) if scalar else out
+        x = np.asarray(x, dtype=float)
+        return np.where((x > lo) & (x < hi), _d2(np.clip(x, lo, hi)), 0.0)
 
     kinks = tuple(float(k) for k in meta.get("kinks", ())) + tuple(float(x) for x in t)
     return RadialPotential(

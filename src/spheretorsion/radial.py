@@ -81,14 +81,14 @@ class RadialMeasure:
     total_mass: float = 0.0
 
     def integrate(self, f, cfg: QuadConfig = DEFAULT_QUAD, extra_splits=(), return_err=False):
-        """int f dmu for a scalar/vectorized callable f."""
+        """int f dmu for a callable f of numpy arrays."""
         acc, err = 0.0, 0.0
         for loc, mass in self.atoms:
             acc += mass * float(f(loc))
         if self.density is not None:
             g = self.density
             val, err = integrate_line(
-                lambda t: float(f(t)) * float(g(t)),
+                lambda t: f(t) * g(t),
                 splits=tuple(self.splits) + tuple(extra_splits),
                 support=self.support,
                 cfg=cfg,
@@ -203,9 +203,7 @@ def volume_from_potential(
     if psi.degree != 2:
         raise ValueError(f"volume potential must have degree 2, got {psi.degree}")
     ph = psi.phi
-    norm, _ = integrate_line(
-        lambda t: math.exp(t - float(ph(t))), splits=psi.kinks, cfg=cfg
-    )
+    norm, _ = integrate_line(lambda t: np.exp(t - ph(t)), splits=psi.kinks, cfg=cfg)
     if norm <= 0 or not math.isfinite(norm):
         raise NumericalError(f"volume normalization failed: int e^(t-psi) = {norm}")
     dens = lambda t, _n=norm: 2.0 * np.exp(t - ph(t)) / _n

@@ -378,15 +378,18 @@ def generalized_quillen_limit(
         _require_positive(bundles[i], "bundle family", i)
         volumes[i] = volume_family(i)
         _require_positive(volumes[i].psi, "volume family", i)
+    vals = {
+        (i, j): quillen(bundles[i], volumes[j], cfg=cfg).log_quillen
+        for i in grid_indices
+        for j in grid_indices
+    }
     grid = None
     if grid_indices:
-        grid = np.array(
-            [
-                [quillen(bundles[i], volumes[j], cfg=cfg).log_quillen for j in grid_indices]
-                for i in grid_indices
-            ]
-        )
-    diag = [quillen(bundles[n], volumes[n], cfg=cfg).log_quillen for n in indices]
+        grid = np.array([[vals[i, j] for j in grid_indices] for i in grid_indices])
+    diag = [
+        vals[n, n] if (n, n) in vals else quillen(bundles[n], volumes[n], cfg=cfg).log_quillen
+        for n in indices
+    ]
     last = diag[-1]
     gaps = [abs(d - last) for d in diag]
     # declaration rule: max pairwise gap over the last `tail` diagonal values

@@ -9,12 +9,21 @@ with math.lgamma rather than imported back from the module under test.
 """
 
 import csv
+import importlib
 import json
 import math
 
 import pytest
 
-from spheretorsion import canonical, quillen, volume_canonical
+from spheretorsion import (
+    canonical,
+    experiments,
+    fubini_study,
+    quillen,
+    volume_canonical,
+    volume_from_potential,
+    zhang_iterate,
+)
 from spheretorsion.experiments import (
     _map,
     _round15,
@@ -124,6 +133,27 @@ def test_run_closed_form():
     assert abs(targets[2] - targets[0]) > 1.0
 
 
+def _counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_run_closed_form_builds_each_dilation_volume_once(monkeypatch):
+    builds = []
+    monkeypatch.setattr(
+        experiments, "volume_from_potential", _counting(builds, experiments.volume_from_potential)
+    )
+    experiments._dilation_volume.cache_clear()
+    out = run_closed_form()
+    experiments._dilation_volume.cache_clear()
+    assert len(out["rows"]) == 6 and all(out["verdicts"].values())
+    # n = 0..32 step 2, shared by m = 0..5
+    assert len(builds) == 17
+
+
 # --- double limit and weak convergence ---
 
 
@@ -138,6 +168,20 @@ def test_run_double_limit_study():
     assert res["quillen_gap"] <= 1e-5
     assert res["decomposition_agreement"] <= 1e-5
     assert len(res["grid"]) == 6 and len(res["grid"][0]) == 6
+
+
+def test_double_limit_reuses_grid_diagonal(monkeypatch):
+    torsion_mod = importlib.import_module("spheretorsion.torsion")
+    calls = []
+    monkeypatch.setattr(torsion_mod, "quillen", _counting(calls, torsion_mod.quillen))
+    res = run_double_limit_study()["results"]
+    # 6 x 6 grid plus the 17 diagonal indices 0..32, of which 0, 2, 4 are on the grid
+    assert len(calls) == 50
+    monkeypatch.undo()
+    fam = lambda n: zhang_iterate(fubini_study(1), 2, n)
+    vol = lambda n: volume_from_potential(zhang_iterate(fubini_study(2), 2, n))
+    for k, n in enumerate((0, 2, 4)):
+        assert res["diagonal"][k] == res["grid"][n][n] == quillen(fam(n), vol(n)).log_quillen
 
 
 def test_run_bt_suite():

@@ -23,8 +23,10 @@ from spheretorsion import (
     pair,
     parse_spec,
     parse_volume,
+    quillen,
     sup_distance,
     tensor,
+    volume_fs,
     write_grid,
     zhang_iterate,
 )
@@ -237,6 +239,20 @@ def test_grid_round_trip(tmp_path):
     # interpolated curvature still carries exact total mass: the density
     # integrates to the boundary slope difference knot by knot
     assert abs(measure_mass(q, cfg=QUAD) - 2.0) < 1e-9
+
+
+def test_grid_at_default_knots_is_sandwiched(tmp_path):
+    # write_grid's default 2001 knots, every knot a split. log h_Q moves by
+    # -K, a pairing of dphi against curvatures of total mass m + 1
+    p = fubini_study(2)
+    path = str(tmp_path / "fs2.csv")
+    write_grid(p, path)
+    g = load_grid(path)
+    assert len(g.kinks) == 2001
+    w = volume_fs()
+    gap = quillen(g, w, cfg=QUAD).log_quillen - quillen(p, w, cfg=QUAD).log_quillen
+    assert abs(gap) <= (p.degree + 1) * sup_distance(g, p)
+    assert abs(measure_mass(g, cfg=QUAD) - 2.0) < 1e-9
 
 
 def test_grid_slope_validation(tmp_path):

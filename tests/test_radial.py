@@ -23,6 +23,7 @@ from spheretorsion import (
     fubini_study,
     integrate_line,
     integrate_volume,
+    logistic_density,
     lse,
     measure_mass,
     mollified_max,
@@ -33,6 +34,7 @@ from spheretorsion import (
     volume_fs,
     zhang_iterate,
 )
+from spheretorsion.metrics import _concentration_splits
 from spheretorsion.radial import RadialPotential, sequence_verdict
 
 from conftest import QUAD
@@ -139,7 +141,7 @@ def test_pair_accepts_degree_zero_potentials_and_uses_their_kinks():
     f = tensor(mollified_max(2, 0.7), dual(fubini_study(2)))
     assert f.degree == 0
     got = pair(f, fubini_study(1), cfg=QUAD)
-    want = pair(lambda t: float(f.phi(t)), fubini_study(1), cfg=QUAD)
+    want = pair(lambda t: np.asarray(f.phi(t), dtype=float), fubini_study(1), cfg=QUAD)
     assert abs(got - want) < 1e-10
 
 
@@ -242,7 +244,7 @@ def test_integrate_volume_fs_oracle():
 
 
 def test_integrate_line_splits_and_error_budget():
-    val, err = integrate_line(lambda t: math.exp(-abs(t)), splits=(0.0,), cfg=QUAD)
+    val, err = integrate_line(lambda t: np.exp(-np.abs(t)), splits=(0.0,), cfg=QUAD)
     assert abs(val - 2.0) < 1e-12
     assert err < QUAD.fail_tol
 
@@ -250,11 +252,78 @@ def test_integrate_line_splits_and_error_budget():
 def test_integrate_line_fails_loudly_on_impossible_budget():
     strict = QuadConfig(fail_tol=1e-18)
     with pytest.raises(NumericalError, match="error estimate"):
-        integrate_line(lambda t: math.exp(-abs(t)), splits=(0.0,), cfg=strict)
+        integrate_line(lambda t: np.exp(-np.abs(t)), splits=(0.0,), cfg=strict)
 
 
 def test_integrate_line_empty_support():
     assert integrate_line(lambda t: 1.0, support=(1.0, 1.0), cfg=QUAD) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "f, support",
+    [
+        (lambda t: np.exp(-0.5 * t * t) / (1.0 + t * t), None),
+        (lambda t: np.cos(3.0 * t) * np.exp(-np.abs(t - 0.5)), (-np.inf, np.inf)),
+        (lambda t: np.exp(-t) * np.sqrt(t), (0.0, np.inf)),
+        (lambda t: np.exp(t) / (1.0 + t * t), (-np.inf, 1.5)),
+        (lambda t: np.sqrt(t) * np.cos(t), (0.0, 3.0)),
+        (lambda t: np.log(1.0 + t * t), (-2.0, 5.0)),
+    ],
+)
+def test_integrate_line_matches_quadpack(f, support):
+    # [DERIVED] against scipy's QUADPACK on the same support
+    lo, hi = support if support is not None else (-np.inf, np.inf)
+    want, _ = sciquad(lambda t: float(f(t)), lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
+    got, err = integrate_line(f, support=support, cfg=QUAD)
+    assert abs(got - want) < 1e-11
+    assert err < QUAD.fail_tol
+
+
+def test_integrate_line_finds_bracketed_bump():
+    # [DERIVED] mass 1 logistic bump of width 2^-30 times e^t; with s = lam t
+    # the integral is int logistic(s) e^{s/lam} ds, done by scipy unscaled
+    lam = 2.0**30
+    f = lambda t: lam * logistic_density(lam * t) * np.exp(t)
+    want, _ = sciquad(
+        lambda s: float(logistic_density(s)) * math.exp(s / lam),
+        -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13,
+    )
+    got, _ = integrate_line(f, splits=_concentration_splits(lam), cfg=QUAD)
+    assert abs(got - want) < 1e-11
+
+
+def test_integrate_line_vector_integrand_matches_components():
+    fs = [
+        lambda t: np.exp(-np.abs(t)),
+        lambda t: np.exp(-t * t) * t * t,
+        lambda t: 4.0 * logistic_density(2.0 * t),  # sech^2
+    ]
+    vec, err = integrate_line(lambda t: np.array([f(t) for f in fs]), splits=(0.0,), cfg=QUAD)
+    assert vec.shape == (3,) and err < QUAD.fail_tol
+    for got, f in zip(vec, fs):
+        want, _ = integrate_line(f, splits=(0.0,), cfg=QUAD)
+        assert abs(got - want) < 1e-11
+    assert abs(vec[2] - 2.0) < 1e-11
+
+
+def test_integrate_line_caps_subintervals_per_panel():
+    # an endpoint singularity keeps asking for bisection; every round
+    # evaluates 21 nodes per new subinterval, so the node count gives the
+    # number of subintervals reached
+    nodes = []
+
+    def f(t):
+        nodes.append(t.size)
+        return 1.0 / np.sqrt(t)
+
+    with pytest.raises(NumericalError, match="error estimate"):
+        integrate_line(f, support=(0.0, 1.0), cfg=QuadConfig(limit=10))
+    assert 1 + (sum(nodes) // 21 - 1) // 2 == 10
+
+
+def test_integrate_line_fails_loudly_on_nan():
+    with pytest.raises(NumericalError, match="diverged"):
+        integrate_line(lambda t: np.where(t > 1.0, np.nan, np.exp(-t * t)), cfg=QUAD)
 
 
 # --- weak convergence battery ---

@@ -151,6 +151,20 @@ def test_evaluation_chain_does_not_load_mpmath():
     assert res.returncode == 0, res.stderr
 
 
+def test_import_does_not_load_scipy():
+    code = (
+        "import sys\n"
+        "import spheretorsion as st\n"
+        "from spheretorsion import cli\n"
+        "st.quillen(st.lse(3, 5.0), st.volume_canonical())\n"
+        "assert cli.main(['torsion', '--metric', 'fs:20', '--no-meta']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
 def test_reference_scale_law():
     # zeta'(0; c lambda) = zeta'(0; lambda) - log(c) zeta(0)
     for m in (0, 1, 4):
