@@ -34,14 +34,11 @@ from .metrics import (
     lse,
     mollified_max,
     sup_distance,
+    volume_canonical,
+    volume_fs,
     zhang_iterate,
 )
-from .radial import (
-    bedford_taylor_check,
-    volume_canonical,
-    volume_from_potential,
-    volume_fs,
-)
+from .radial import bedford_taylor_check, volume_from_potential
 from .torsion import (
     SPECTRUM_SCALE,
     ZETA_PRIME_MINUS1,
@@ -315,10 +312,9 @@ def run_double_limit_study(m: int = 1, n_max: int = 32, tol: float = 1e-6) -> di
     coincide within tol, and the diagonal must be Cauchy at tol.
     """
     bundle_fam = lambda n: zhang_iterate(fubini_study(m), 2, n)
-    vol_fam = lambda n: volume_from_potential(zhang_iterate(fubini_study(2), 2, n))
     lim = generalized_quillen_limit(
         bundle_fam,
-        vol_fam,
+        _dilation_volume,
         indices=tuple(range(0, n_max + 1, 2)),
         grid_indices=tuple(range(0, 6)),
         tol=tol,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUAD, QuadConfig, integrate_line
+from .quadrature import DEFAULT_QUAD, QuadConfig
 from .radial import ConvergenceReport, RadialPotential, VolumeForm, sequence_verdict
 
 
@@ -51,23 +51,13 @@ def gram(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> G
     """Diagonal Gram entries of the monomial basis, by quadrature."""
     if p.degree < 0:
         raise ValueError(f"Gram data needs degree >= 0, got {p.degree}")
-    m = p.degree
-    phi, dens = p.phi, w.rho.density
-    ks = np.arange(m + 1.0)[:, None]
-    entries, err = integrate_line(
-        lambda t: np.exp(ks * t - phi(t)) * dens(t),
-        splits=tuple(p.kinks) + tuple(w.rho.splits),
-        support=w.rho.support,
-        cfg=cfg,
+    ks = np.arange(p.degree + 1.0)[:, None]
+    entries, err = w.rho.integrate(
+        lambda t: np.exp(ks * t - p.phi(t)), cfg=cfg, extra_splits=p.kinks
     )
     if np.any(entries <= 0):
         raise ValueError("Gram entry came out nonpositive; potential invalid")
-    return GramData(m=m, entries=entries, log_det=float(np.sum(np.log(entries))), err=err)
-
-
-def l2_det_metric(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """log of the L^2 determinant metric on det H^0 in the basis of record."""
-    return gram(p, w, cfg=cfg).log_det
+    return GramData(m=p.degree, entries=entries, log_det=float(np.sum(np.log(entries))), err=err)
 
 
 # --- closed forms (used as engine constants and as test oracles) ---

@@ -28,14 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import (
-    RadialPotential,
-    VolumeForm,
-    logistic_density,
-    volume_canonical,
-    volume_from_potential,
-    volume_fs,
-)
+from .radial import RadialPotential, VolumeForm, logistic_density, volume_from_potential
 
 
 class SpecError(ValueError):
@@ -80,6 +73,16 @@ def canonical(m: int) -> RadialPotential:
         curvature_density=None,
         label=f"canonical:{m}",
     )
+
+
+def volume_fs() -> VolumeForm:
+    """The Fubini-Study volume form: psi = fs_2, density 2 e^t / (1+e^t)^2."""
+    return VolumeForm(fubini_study(2), 1.0, "fs")
+
+
+def volume_canonical() -> VolumeForm:
+    """The singular limit volume form: psi = canonical_2, density e^{-|t|}."""
+    return VolumeForm(canonical(2), 2.0, "canonical")
 
 
 def _concentration_splits(scale: float) -> tuple:

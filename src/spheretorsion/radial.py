@@ -10,9 +10,9 @@ current dd^c phi pushes forward to a measure on the t-line:
 normalized so that dd^c max(0, t) is the unit Dirac at t = 0 (Lelong units).
 Consequently mass(mu_phi) = degree, with no 2*pi anywhere.
 
-Volume forms on the sphere are the degree: 2 case, carried together with
-their area measure rho (total mass 2, the degree of the tangent bundle).
-For a degree-2 potential psi the area density is
+Volume forms on the sphere are the degree 2 case: a potential psi and its
+norm, from which the area measure rho follows (total mass 2, the degree of
+the tangent bundle):
 
     rho_psi(t) = 2 e^{t - psi(t)} / int e^{t - psi} dt,
 
@@ -72,16 +72,20 @@ class RadialPotential:
 
 @dataclass(frozen=True, eq=False)
 class RadialMeasure:
-    """A signed measure on the t-line: atoms plus an absolutely continuous part."""
+    """A signed measure on the t-line: atoms plus an absolutely continuous part.
+
+    This is the one place a function is paired with a measure. A stacked
+    measure (see _stack) has (K,) atom masses and a (K, N) density, one row
+    per measure; an integrand returning (K, N) pairs K functions at once.
+    """
 
     atoms: tuple = ()
     density: Optional[Callable] = None
     splits: tuple = ()
     support: Optional[tuple] = None
-    total_mass: float = 0.0
 
-    def integrate(self, f, cfg: QuadConfig = DEFAULT_QUAD, extra_splits=(), return_err=False):
-        """int f dmu for a callable f of numpy arrays."""
+    def integrate(self, f, cfg: QuadConfig = DEFAULT_QUAD, extra_splits=()):
+        """(int f dmu, err) for a callable f of numpy arrays, err as in integrate_line."""
         acc, err = 0.0, 0.0
         for loc, mass in self.atoms:
             acc += mass * float(f(loc))
@@ -94,21 +98,56 @@ class RadialMeasure:
                 cfg=cfg,
             )
             acc += val
-        return (acc, err) if return_err else acc
+        return acc, err
+
+
+def _stack(*measures: RadialMeasure) -> RadialMeasure:
+    """One measure with a row per argument, so K pairings share one kernel call.
+
+    Row i has the atoms and the density of measures[i], the density cut to
+    that measure's own support. Every row's splits and support ends are
+    splits of the stack.
+    """
+    k = len(measures)
+    rows = np.eye(k)
+    atoms = tuple((loc, m * rows[i]) for i, mu in enumerate(measures) for loc, m in mu.atoms)
+    dense = [(i, mu) for i, mu in enumerate(measures) if mu.density is not None]
+    ends = [mu.support for _, mu in dense]
+    hull = None
+    if ends and None not in ends:
+        hull = (min(e[0] for e in ends), max(e[1] for e in ends))
+
+    def density(t):
+        out = np.zeros((k, len(t)))
+        for i, mu in dense:
+            lo, hi = mu.support or (-math.inf, math.inf)
+            inside = (lo <= t) & (t <= hi)
+            out[i, inside] = mu.density(t[inside])
+        return out
+
+    splits = tuple(s for mu in measures for s in tuple(mu.splits) + tuple(mu.support or ()))
+    return RadialMeasure(atoms, density if dense else None, splits, hull)
 
 
 @dataclass(frozen=True, eq=False)
 class VolumeForm:
-    """A volume form on the sphere: degree-2 potential plus area measure.
+    """A volume form on the sphere: a degree-2 potential and its norm.
 
-    rho has total mass 2 by construction. norm records int e^{t-psi} dt,
-    the only place a normalization constant can hide.
+    norm records int e^{t-psi} dt, the only place a normalization constant
+    can hide; the area measure rho follows from the two (total mass 2).
     """
 
     psi: RadialPotential
-    rho: RadialMeasure
     norm: float
     label: str = ""
+
+    @property
+    def rho(self) -> RadialMeasure:
+        """Area measure 2 e^{t - psi(t)} / norm dt, split at the kinks of psi."""
+        ph, n = self.psi.phi, self.norm
+        return RadialMeasure(
+            density=lambda t: 2.0 * np.exp(t - ph(t)) / n, splits=tuple(self.psi.kinks)
+        )
 
 
 @dataclass
@@ -149,7 +188,6 @@ def c1_measure(p: RadialPotential) -> RadialMeasure:
         density=p.curvature_density,
         splits=tuple(p.kinks),
         support=p.curvature_support,
-        total_mass=float(p.degree),
     )
 
 
@@ -173,18 +211,18 @@ def pair(f, p: RadialPotential, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     pair(1, p) = degree(p) in these units.
     """
     fc, fk = _as_callable(f)
-    return c1_measure(p).integrate(fc, cfg=cfg, extra_splits=fk)
+    return c1_measure(p).integrate(fc, cfg=cfg, extra_splits=fk)[0]
 
 
 def integrate_volume(f, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """int f drho_w over the sphere (rho_w has total mass 2)."""
     fc, fk = _as_callable(f)
-    return w.rho.integrate(fc, cfg=cfg, extra_splits=fk)
+    return w.rho.integrate(fc, cfg=cfg, extra_splits=fk)[0]
 
 
 def measure_mass(p: RadialPotential, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Total curvature mass, which must equal the degree (Lelong units)."""
-    return c1_measure(p).integrate(lambda t: 1.0, cfg=cfg)
+    return c1_measure(p).integrate(lambda t: 1.0, cfg=cfg)[0]
 
 
 # --- volume form constructors ---
@@ -199,52 +237,13 @@ def logistic_density(t):
 def volume_from_potential(
     psi: RadialPotential, cfg: QuadConfig = DEFAULT_QUAD, label: str = ""
 ) -> VolumeForm:
-    """Build the mass-2 area measure attached to a degree-2 potential."""
+    """The volume form of a degree-2 potential: psi and its norm int e^{t-psi} dt."""
     if psi.degree != 2:
         raise ValueError(f"volume potential must have degree 2, got {psi.degree}")
-    ph = psi.phi
-    norm, _ = integrate_line(lambda t: np.exp(t - ph(t)), splits=psi.kinks, cfg=cfg)
+    norm, _ = integrate_line(lambda t: np.exp(t - psi.phi(t)), splits=psi.kinks, cfg=cfg)
     if norm <= 0 or not math.isfinite(norm):
         raise NumericalError(f"volume normalization failed: int e^(t-psi) = {norm}")
-    dens = lambda t, _n=norm: 2.0 * np.exp(t - ph(t)) / _n
-    rho = RadialMeasure(
-        atoms=(), density=dens, splits=tuple(psi.kinks), support=None, total_mass=2.0
-    )
-    return VolumeForm(psi=psi, rho=rho, norm=norm, label=label or psi.label)
-
-
-def volume_fs() -> VolumeForm:
-    """The Fubini-Study volume form, area 2, with exact density."""
-    dens = lambda t: 2.0 * logistic_density(t)
-    psi = RadialPotential(
-        degree=2,
-        phi=lambda t: 2.0 * np.logaddexp(0.0, t),
-        regularity="smooth",
-        positive=True,
-        kinks=(),
-        curvature_atoms=(),
-        curvature_density=dens,
-        label="fs-volume",
-    )
-    rho = RadialMeasure(atoms=(), density=dens, splits=(), total_mass=2.0)
-    return VolumeForm(psi=psi, rho=rho, norm=1.0, label="fs")
-
-
-def volume_canonical() -> VolumeForm:
-    """The singular limit volume form: psi = 2 max(0,t), density e^{-|t|}."""
-    psi = RadialPotential(
-        degree=2,
-        phi=lambda t: 2.0 * np.maximum(t, 0.0),
-        regularity="continuous",
-        positive=True,
-        kinks=(0.0,),
-        curvature_atoms=((0.0, 2.0),),
-        curvature_density=None,
-        label="canonical-volume",
-    )
-    dens = lambda t: np.exp(-np.abs(t))
-    rho = RadialMeasure(atoms=(), density=dens, splits=(0.0,), total_mass=2.0)
-    return VolumeForm(psi=psi, rho=rho, norm=2.0, label="canonical")
+    return VolumeForm(psi=psi, norm=norm, label=label or psi.label)
 
 
 # --- weak convergence checks ---

@@ -32,16 +32,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gram import GramData, gram, log_det_fs_closed
-from .metrics import fubini_study
+from .metrics import fubini_study, volume_fs
 from .quadrature import DEFAULT_QUAD, QuadConfig
-from .radial import (
-    ConvergenceReport,
-    RadialPotential,
-    VolumeForm,
-    _fit_rate,
-    c1_measure,
-    volume_fs,
-)
+from .radial import ConvergenceReport, RadialPotential, VolumeForm, _fit_rate, _stack, c1_measure
 
 # spectrum scale: eigenvalues are SPECTRUM_SCALE * k(k+m+1) on the area-2 sphere
 SPECTRUM_SCALE = math.pi
@@ -60,27 +53,6 @@ def zeta_zero(m: int) -> float:
     sphere (zeta(0) = const_coeff - dim ker with the kernel removed).
     """
     return -(m + 1) / 2.0 - 1.0 / 6.0
-
-
-_BERN = {2: 1.0 / 6, 4: -1.0 / 30, 6: 1.0 / 42, 8: -1.0 / 30, 10: 5.0 / 66, 12: -691.0 / 2730}
-
-
-def zeta_prime_minus1_em(N: int = 60, K: int = 6) -> float:
-    """zeta'(-1) by direct Euler-Maclaurin, independent of any library zeta.
-
-    Differentiating the Euler-Maclaurin form of zeta(s) termwise at s = -1:
-    the rising factorials (s)_{2k-1} vanish there for k >= 2 and only their
-    derivative -(2k-3)! survives. Used as the from-scratch oracle against
-    the Glaisher constant identity.
-    """
-    n = np.arange(2, N)
-    val = -float(np.sum(n * np.log(n)))
-    val += -N * math.log(N) / 2.0
-    val += N * N * math.log(N) / 2.0 - N * N / 4.0
-    val += (math.log(N) + 1.0) / 12.0
-    for k in range(2, K + 1):
-        val -= _BERN[2 * k] * math.factorial(2 * k - 3) / math.factorial(2 * k) * N ** (2 - 2 * k)
-    return val
 
 
 @dataclass
@@ -182,11 +154,9 @@ def bundle_anomaly(
             f"bundle anomaly needs equal degrees, got {p1.degree} and {p2.degree}"
         )
     dphi, kinks = _diff_callable(p1, p2)
-    mu1, mu2 = c1_measure(p1), c1_measure(p2)
-    muw = c1_measure(w.psi)
-    d1, e1 = mu1.integrate(dphi, cfg=cfg, extra_splits=kinks, return_err=True)
-    d2, e2 = mu2.integrate(dphi, cfg=cfg, extra_splits=kinks, return_err=True)
-    tw, e3 = muw.integrate(dphi, cfg=cfg, extra_splits=kinks, return_err=True)
+    stack = _stack(c1_measure(p1), c1_measure(p2), c1_measure(w.psi))
+    vals, err = stack.integrate(dphi, cfg=cfg, extra_splits=kinks)
+    d1, d2, tw = map(float, vals)
     dirichlet = 0.5 * (d1 + d2)
     todd = 0.5 * tw
     return AnomalyTerm(
@@ -199,7 +169,7 @@ def bundle_anomaly(
             "pair_mu2": d2,
             "pair_todd": tw,
         },
-        err=0.5 * (e1 + e2 + e3),
+        err=0.5 * err,
     )
 
 
@@ -231,9 +201,9 @@ def volume_anomaly(
     anomaly, which the mixed-change consistency identity forces.
     """
     dpsi, kinks = _diff_callable(w1.psi, w2.psi)
-    mu, em = c1_measure(p).integrate(dpsi, cfg=cfg, extra_splits=kinks, return_err=True)
-    r1, e1 = c1_measure(w1.psi).integrate(dpsi, cfg=cfg, extra_splits=kinks, return_err=True)
-    r2, e2 = c1_measure(w2.psi).integrate(dpsi, cfg=cfg, extra_splits=kinks, return_err=True)
+    stack = _stack(c1_measure(p), c1_measure(w1.psi), c1_measure(w2.psi))
+    vals, err = stack.integrate(dpsi, cfg=cfg, extra_splits=kinks)
+    mu, r1, r2 = map(float, vals)
     gauge = math.log(w1.norm) - math.log(w2.norm)
     curv = 0.5 * (mu + gauge * p.degree)
     todd = (r1 + r2 + gauge * (w1.psi.degree + w2.psi.degree)) / 12.0
@@ -248,7 +218,7 @@ def volume_anomaly(
             "pair_todd2": r2,
             "gauge": gauge,
         },
-        err=0.5 * em + (e1 + e2) / 12.0,
+        err=0.5 * err,
     )
 
 

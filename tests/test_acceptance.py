@@ -27,7 +27,6 @@ from spheretorsion import (
     volume_anomaly,
     volume_canonical,
     volume_fs,
-    zeta_prime_minus1_em,
     zeta_zero,
     zhang_iterate,
 )
@@ -40,6 +39,7 @@ from spheretorsion.experiments import (
 )
 
 from conftest import QUAD, ZETA_PRIME_M1
+from zeta_oracle import zeta_prime_minus1_em
 
 T0 = time.monotonic()
 WFS = volume_fs()

@@ -16,7 +16,6 @@ from spheretorsion import (
     gram_canonical_closed,
     gram_convergence,
     gram_fs_closed,
-    l2_det_metric,
     log_det_canonical_closed,
     log_det_fs_closed,
     lse,
@@ -109,7 +108,7 @@ def test_log_det_lipschitz_sandwich():
     # |log det G(p1) - log det G(p2)| <= (m+1) sup|phi1 - phi2|
     m = 2
     w = volume_fs()
-    lhs = abs(l2_det_metric(fubini_study(m), w, cfg=QUAD) - l2_det_metric(canonical(m), w, cfg=QUAD))
+    lhs = abs(gram(fubini_study(m), w, cfg=QUAD).log_det - gram(canonical(m), w, cfg=QUAD).log_det)
     assert lhs <= (m + 1) * m * math.log(2.0) + 1e-12
 
 

@@ -35,7 +35,7 @@ from spheretorsion import (
     zhang_iterate,
 )
 from spheretorsion.metrics import _concentration_splits
-from spheretorsion.radial import RadialPotential, sequence_verdict
+from spheretorsion.radial import RadialPotential, _stack, sequence_verdict
 
 from conftest import QUAD
 
@@ -190,6 +190,44 @@ def test_pair_symmetric_slot_matches_dirichlet_oracle():
         points=[-0.7, 0.0, 0.7], epsabs=1e-12, epsrel=1e-12, limit=400,
     )
     assert abs(pair(f, g, cfg=QUAD) - want) < 1e-6
+
+
+# --- stacked measures: one kernel call for several pairings ---
+
+
+def smooth_test_fn(t):
+    return 1.0 / (1.0 + (np.asarray(t, dtype=float) - 0.3) ** 2)
+
+
+def test_stack_pairs_each_row_like_its_measure_alone():
+    # atoms, a density cut to a support, and a density on the whole line
+    measures = [
+        c1_measure(canonical(2)),
+        c1_measure(mollified_max(1, 0.3)),
+        c1_measure(fubini_study(3)),
+    ]
+    vals, err = _stack(*measures).integrate(smooth_test_fn, cfg=QUAD)
+    assert vals.shape == (3,) and err <= QUAD.fail_tol
+    for row, mu in zip(vals, measures):
+        assert abs(row - mu.integrate(smooth_test_fn, cfg=QUAD)[0]) < 1e-13
+
+
+def test_stack_cuts_each_density_to_its_own_support():
+    # the density is nonzero off the declared support, which must still win
+    p = RadialPotential(
+        degree=1,
+        phi=lambda t: np.logaddexp(0.0, t),
+        regularity="smooth",
+        positive=True,
+        curvature_density=logistic_density,
+        curvature_support=(-1.0, 2.0),
+    )
+    alone = c1_measure(p).integrate(smooth_test_fn, cfg=QUAD)[0]
+    stack = _stack(c1_measure(p), c1_measure(fubini_study(2)))
+    stacked = stack.integrate(smooth_test_fn, cfg=QUAD)[0]
+    assert abs(stacked[0] - alone) < 1e-13
+    whole_line = c1_measure(fubini_study(1)).integrate(smooth_test_fn, cfg=QUAD)[0]
+    assert abs(whole_line - alone) > 1e-2
 
 
 # --- volume forms ---

@@ -22,6 +22,7 @@ Polyakov formula.
 """
 
 import dataclasses
+import importlib
 import math
 import subprocess
 import sys
@@ -41,6 +42,7 @@ from spheretorsion import (
     generalized_quillen_limit,
     generalized_torsion_curve,
     gram,
+    integrate_line,
     lse,
     mollified_max,
     parse_spec,
@@ -52,13 +54,13 @@ from spheretorsion import (
     volume_canonical,
     volume_from_potential,
     volume_fs,
-    zeta_prime_minus1_em,
     zeta_zero,
     zhang_iterate,
 )
 from spheretorsion.torsion import ZETA_PRIME_MINUS1
 
 from conftest import LOG2, LOGPI, QUAD, ZETA_PRIME_M1, ZPRIME_UNIT
+from zeta_oracle import zeta_prime_minus1_em
 
 WFS = volume_fs()
 WCAN = volume_canonical()
@@ -343,6 +345,27 @@ def test_torsion_deterministic():
     a = torsion(canonical(1), WCAN, cfg=QUAD).value
     b = torsion(canonical(1), WCAN, cfg=QUAD).value
     assert a == b
+
+
+def test_each_anomaly_term_is_one_kernel_call(monkeypatch):
+    radial = importlib.import_module("spheretorsion.radial")
+    p, w = lse(2, 9.0), volume_from_potential(lse(2, 4.0), cfg=QUAD)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate_line(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "integrate_line", counting)
+    for run, want in (
+        (lambda: bundle_anomaly(p, fubini_study(2), w, cfg=QUAD), 1),
+        (lambda: volume_anomaly(p, w, WFS, cfg=QUAD), 1),
+        # the Gram and the two anomaly terms
+        (lambda: quillen(p, w, cfg=QUAD), 3),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == want
 
 
 # --- invariance identities that hold independently of this code ---
