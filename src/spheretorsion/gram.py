@@ -55,9 +55,14 @@ def gram(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> G
     entries, err = w.rho.integrate(
         lambda t: np.exp(ks * t - p.phi(t)), cfg=cfg, extra_splits=p.kinks
     )
+    return _gram_data(entries, float(err))
+
+
+def _gram_data(entries: np.ndarray, err: float) -> GramData:
     if np.any(entries <= 0):
         raise ValueError("Gram entry came out nonpositive; potential invalid")
-    return GramData(m=p.degree, entries=entries, log_det=float(np.sum(np.log(entries))), err=err)
+    m = len(entries) - 1
+    return GramData(m=m, entries=entries, log_det=float(np.sum(np.log(entries))), err=err)
 
 
 # --- closed forms (used as engine constants and as test oracles) ---

@@ -25,6 +25,21 @@ class NumericalError(RuntimeError):
     """Quadrature (or a downstream numeric step) failed its own error budget."""
 
 
+class ErrorEstimate(float):
+    """The summed error estimate of an integral, with its parts per component.
+
+    It is the float every budget check reads; `parts` holds the estimate of
+    each component of a vector integral, shaped like its value, so rows
+    sharing one call can still be charged their own error.
+    """
+
+    def __new__(cls, parts):
+        parts = np.asarray(parts, dtype=float)
+        self = super().__new__(cls, parts.sum())
+        self.parts = parts
+        return self
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     epsabs: float = 1e-12
@@ -116,8 +131,10 @@ def quad(f, iv):
     y = np.asarray(f(t.ravel()), dtype=float)
     y = np.broadcast_to(y, y.shape[:-1] + (t.size,)).reshape(y.shape[:-1] + t.shape) * jac
     resk = y @ _WK
-    resasc = (np.abs(y - 0.5 * resk[..., None]) @ _WK) * h
-    floor = 50.0 * _EPS * (np.abs(y) @ _WK) * h
+    # one scratch array for both absolute values keeps a K-row call lean
+    buf = y - 0.5 * resk[..., None]
+    resasc = (np.abs(buf, out=buf) @ _WK) * h
+    floor = 50.0 * _EPS * (np.abs(y, out=buf) @ _WK) * h
     err = np.abs(resk - y @ _WG10) * h
     ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=resasc > 0)
     err = np.where(resasc > 0, resasc * np.minimum(ratio, 1.0) ** 1.5, err)
@@ -162,16 +179,18 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
     splits holds cfg.limit subintervals. A whole line with no splits is
     cut at 0.
 
-    Returns (value, err), err the summed estimate over all panels and
-    components. Raises NumericalError when err exceeds cfg.fail_tol or the
-    value is not finite.
+    Returns (value, err), err an ErrorEstimate: the estimate summed over all
+    panels, with err.parts the sum per component. Raises NumericalError
+    when err exceeds cfg.fail_tol or the value is not finite. An empty
+    support gives zeros shaped like f(np.empty(0)) without its last axis.
     """
     if support is None:
         lo, hi = -math.inf, math.inf
     else:
         lo, hi = float(support[0]), float(support[1])
         if not lo < hi:
-            return 0.0, 0.0
+            zero = np.zeros(np.shape(f(np.empty(0)))[:-1])
+            return (float(zero) if zero.ndim == 0 else zero), ErrorEstimate(zero)
     pts = _clean_splits(splits, lo, hi)
     if not pts and lo == -math.inf and hi == math.inf:
         pts = [0.0]
@@ -200,7 +219,7 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
         val = np.concatenate([val[..., keep], v], axis=-1)
         err = np.concatenate([err[..., keep], e], axis=-1)
         floor = np.concatenate([floor[..., keep], fl], axis=-1)
-    err = float(np.sum(est))
+    err = ErrorEstimate(est)
     if not np.all(np.isfinite(total)):
         raise NumericalError(f"integral diverged: value={total}")
     if not err <= cfg.fail_tol:

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUAD, NumericalError, QuadConfig, integrate_line
+from .quadrature import DEFAULT_QUAD, ErrorEstimate, NumericalError, QuadConfig, integrate_line
 
 REGULARITIES = ("smooth", "continuous-piecewise", "continuous")
 
@@ -86,9 +86,11 @@ class RadialMeasure:
 
     def integrate(self, f, cfg: QuadConfig = DEFAULT_QUAD, extra_splits=()):
         """(int f dmu, err) for a callable f of numpy arrays, err as in integrate_line."""
-        acc, err = 0.0, 0.0
-        for loc, mass in self.atoms:
-            acc += mass * float(f(loc))
+        acc, err = 0.0, ErrorEstimate(0.0)
+        if self.atoms:
+            masses = np.array([m for _, m in self.atoms]).T
+            acc = np.sum(masses * f(np.array([loc for loc, _ in self.atoms])), axis=-1)
+            err = ErrorEstimate(np.zeros(np.shape(acc)))
         if self.density is not None:
             g = self.density
             val, err = integrate_line(
@@ -97,35 +99,40 @@ class RadialMeasure:
                 support=self.support,
                 cfg=cfg,
             )
-            acc += val
-        return acc, err
+            acc = acc + val
+        return (float(acc) if np.ndim(acc) == 0 else acc), err
 
 
 def _stack(*measures: RadialMeasure) -> RadialMeasure:
     """One measure with a row per argument, so K pairings share one kernel call.
 
     Row i has the atoms and the density of measures[i], the density cut to
-    that measure's own support. Every row's splits and support ends are
-    splits of the stack.
+    that measure's own support. A measure passed more than once (the same
+    object) is evaluated once and its row repeated. Every row's splits and
+    support ends are splits of the stack.
     """
-    k = len(measures)
-    rows = np.eye(k)
-    atoms = tuple((loc, m * rows[i]) for i, mu in enumerate(measures) for loc, m in mu.atoms)
-    dense = [(i, mu) for i, mu in enumerate(measures) if mu.density is not None]
+    distinct = list({id(mu): mu for mu in measures}.values())
+    row = {id(mu): j for j, mu in enumerate(distinct)}
+    idx = np.array([row[id(mu)] for mu in measures])
+    atoms = tuple((loc, m * (idx == j)) for j, mu in enumerate(distinct) for loc, m in mu.atoms)
+    dense = [(j, mu) for j, mu in enumerate(distinct) if mu.density is not None]
     ends = [mu.support for _, mu in dense]
     hull = None
     if ends and None not in ends:
         hull = (min(e[0] for e in ends), max(e[1] for e in ends))
 
     def density(t):
-        out = np.zeros((k, len(t)))
-        for i, mu in dense:
-            lo, hi = mu.support or (-math.inf, math.inf)
+        out = np.zeros((len(distinct), len(t)))
+        for j, mu in dense:
+            if mu.support is None:
+                out[j] = mu.density(t)
+                continue
+            lo, hi = mu.support
             inside = (lo <= t) & (t <= hi)
-            out[i, inside] = mu.density(t[inside])
-        return out
+            out[j, inside] = mu.density(t[inside])
+        return out[idx]
 
-    splits = tuple(s for mu in measures for s in tuple(mu.splits) + tuple(mu.support or ()))
+    splits = tuple(s for mu in distinct for s in tuple(mu.splits) + tuple(mu.support or ()))
     return RadialMeasure(atoms, density if dense else None, splits, hull)
 
 

@@ -31,10 +31,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gram import GramData, gram, log_det_fs_closed
+from .gram import GramData, _gram_data, gram, log_det_fs_closed
 from .metrics import fubini_study, volume_fs
-from .quadrature import DEFAULT_QUAD, QuadConfig
-from .radial import ConvergenceReport, RadialPotential, VolumeForm, _fit_rate, _stack, c1_measure
+from .quadrature import DEFAULT_QUAD, NumericalError, QuadConfig
+from .radial import (
+    ConvergenceReport,
+    RadialMeasure,
+    RadialPotential,
+    VolumeForm,
+    _fit_rate,
+    _stack,
+    c1_measure,
+)
 
 # spectrum scale: eigenvalues are SPECTRUM_SCALE * k(k+m+1) on the area-2 sphere
 SPECTRUM_SCALE = math.pi
@@ -156,6 +164,11 @@ def bundle_anomaly(
     dphi, kinks = _diff_callable(p1, p2)
     stack = _stack(c1_measure(p1), c1_measure(p2), c1_measure(w.psi))
     vals, err = stack.integrate(dphi, cfg=cfg, extra_splits=kinks)
+    return _bundle_term(vals, err)
+
+
+def _bundle_term(vals, err: float) -> AnomalyTerm:
+    # vals: dphi against mu_1, mu_2 and mu_{psi_w}; err their summed estimate
     d1, d2, tw = map(float, vals)
     dirichlet = 0.5 * (d1 + d2)
     todd = 0.5 * tw
@@ -169,7 +182,7 @@ def bundle_anomaly(
             "pair_mu2": d2,
             "pair_todd": tw,
         },
-        err=0.5 * err,
+        err=0.5 * float(err),
     )
 
 
@@ -203,6 +216,13 @@ def volume_anomaly(
     dpsi, kinks = _diff_callable(w1.psi, w2.psi)
     stack = _stack(c1_measure(p), c1_measure(w1.psi), c1_measure(w2.psi))
     vals, err = stack.integrate(dpsi, cfg=cfg, extra_splits=kinks)
+    return _volume_term(vals, err, p, w1, w2)
+
+
+def _volume_term(
+    vals, err: float, p: RadialPotential, w1: VolumeForm, w2: VolumeForm
+) -> AnomalyTerm:
+    # vals: psi_1 - psi_2 against mu_p, mu_{psi_1} and mu_{psi_2}; err their summed estimate
     mu, r1, r2 = map(float, vals)
     gauge = math.log(w1.norm) - math.log(w2.norm)
     curv = 0.5 * (mu + gauge * p.degree)
@@ -218,18 +238,99 @@ def volume_anomaly(
             "pair_todd2": r2,
             "gauge": gauge,
         },
-        err=0.5 * err,
+        err=0.5 * float(err),
     )
 
 
 # --- the transfer chain ---
 
 
+def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
+    """Gram data and both anomaly terms of T(p, w), from one kernel call.
+
+    One stacked pairing holds every component integral of the chain:
+
+    - the m + 1 Gram weights e^{kt - phi} rho_w, against dt;
+    - dphi = phi - phi_fs,m against mu_p, mu_fs,m and mu_fs,2 (bundle);
+    - dpsi = psi_w - psi_fs against mu_p, mu_w and mu_fs,2 (volume);
+    - 1 against the curvature of each distinct positive potential.
+
+    The last rows guard the curvature mass: one that misses its degree by
+    more than ten times its own estimate (plus 1e-10 max(1, degree)) lost
+    mass between quadrature nodes, and NumericalError is raised. Each
+    distinct measure, and each of phi and psi_w, is evaluated once per
+    node array.
+    """
+    m = p.degree
+    p_ref, w_ref = fubini_study(m), volume_fs()
+    pots = {id(q): q for q in (p, p_ref, w_ref.psi, w.psi)}
+    mu = {key: c1_measure(q) for key, q in pots.items()}
+    mu_p, mu_ref, mu_fs, mu_w = (mu[id(q)] for q in (p, p_ref, w_ref.psi, w.psi))
+    guarded = [q for q in pots.values() if q.positive]
+    # Lebesgue dt: rho_w is folded into the Gram rows, so psi_w runs once
+    dt = RadialMeasure(density=np.ones_like)
+    stack = _stack(
+        *[dt] * (m + 1),
+        mu_p, mu_ref, mu_fs,
+        mu_p, mu_w, mu_fs,
+        *(mu[id(q)] for q in guarded),
+    )
+    ks = np.arange(m + 1.0)[:, None]
+    g, k, v = m + 1, m + 4, m + 7  # ends of the Gram, bundle and volume rows
+
+    def rows(t):
+        phi, psi = p.phi(t), w.psi.phi(t)
+        out = np.empty((v + len(guarded), len(t)))
+        out[:g] = np.exp(ks * t - phi) * (2.0 * np.exp(t - psi) / w.norm)
+        out[g:k] = phi - p_ref.phi(t)
+        out[k:v] = psi - w_ref.psi.phi(t)
+        out[v:] = 1.0
+        return out
+
+    vals, err = stack.integrate(rows, cfg=cfg)
+    est = err.parts
+    for i, q in enumerate(guarded, start=v):
+        if abs(vals[i] - q.degree) > 10.0 * est[i] + 1e-10 * max(1, q.degree):
+            raise NumericalError(
+                f"curvature mass of {q.label or 'anonymous'} is {vals[i]:.15g}, not its "
+                f"degree {q.degree}: a bump fell between quadrature nodes (brackets "
+                "missing from its kinks?) or its curvature data is wrong"
+            )
+    gd = _gram_data(vals[:g], float(est[:g].sum()))
+    K = _bundle_term(vals[g:k], est[g:k].sum())
+    V = _volume_term(vals[k:v], est[k:v].sum(), p, w, w_ref)
+    return gd, K, V
+
+
+def _transfer(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
+    """(T, Gram data) of (p, w); the Gram is None for the reference pair."""
+    m = p.degree
+    if m < 0:
+        raise ValueError(f"torsion needs a degree >= 0 bundle, got {m}")
+    ref = fs_reference_torsion(m)
+    if p.label == f"fs:{m}" and w.label == "fs":
+        return ref, None
+    gd, K, V = _chain(p, w, cfg)
+    lg_ref = log_det_fs_closed(m)
+    value = ref.value - K.value - V.value + lg_ref - gd.log_det
+    T = TorsionResult(
+        value=value,
+        components={
+            "reference": ref.value,
+            "bundle_anomaly": K.value,
+            "volume_anomaly": V.value,
+            "log_gram_ref": lg_ref,
+            "log_gram": gd.log_det,
+        },
+        err=ref.err + K.err + V.err + gd.err,
+    )
+    return T, gd
+
+
 def torsion(
     p: RadialPotential,
     w: VolumeForm,
     cfg: QuadConfig = DEFAULT_QUAD,
-    _gram: Optional[GramData] = None,
 ) -> TorsionResult:
     """Analytic torsion of (O(m), e^{-phi}) over the sphere with volume w.
 
@@ -241,30 +342,7 @@ def torsion(
     to rounding. Limits along explicit approximating families are
     generalized_quillen_limit and generalized_torsion_curve.
     """
-    m = p.degree
-    if m < 0:
-        raise ValueError(f"torsion needs a degree >= 0 bundle, got {m}")
-    ref = fs_reference_torsion(m)
-    if p.label == f"fs:{m}" and w.label == "fs":
-        return ref
-    p_ref = fubini_study(m)
-    w_ref = volume_fs()
-    K = bundle_anomaly(p, p_ref, w_ref, cfg=cfg)
-    V = volume_anomaly(p, w, w_ref, cfg=cfg)
-    lg_ref = log_det_fs_closed(m)
-    gd = _gram if _gram is not None else gram(p, w, cfg=cfg)
-    value = ref.value - K.value - V.value + lg_ref - gd.log_det
-    return TorsionResult(
-        value=value,
-        components={
-            "reference": ref.value,
-            "bundle_anomaly": K.value,
-            "volume_anomaly": V.value,
-            "log_gram_ref": lg_ref,
-            "log_gram": gd.log_det,
-        },
-        err=ref.err + K.err + V.err + gd.err,
-    )
+    return _transfer(p, w, cfg)[0]
 
 
 @dataclass
@@ -289,8 +367,9 @@ def quillen(
     cfg: QuadConfig = DEFAULT_QUAD,
 ) -> QuillenResult:
     """log of the Quillen metric on det H^0: log det Gram plus torsion."""
-    gd = gram(p, w, cfg=cfg)
-    T = torsion(p, w, cfg=cfg, _gram=gd)
+    T, gd = _transfer(p, w, cfg)
+    if gd is None:
+        gd = gram(p, w, cfg=cfg)
     return QuillenResult(
         log_quillen=gd.log_det + T.value, log_l2=gd.log_det, torsion=T, gram=gd
     )

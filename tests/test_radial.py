@@ -297,6 +297,31 @@ def test_integrate_line_empty_support():
     assert integrate_line(lambda t: 1.0, support=(1.0, 1.0), cfg=QUAD) == (0.0, 0.0)
 
 
+def test_integrate_line_empty_support_keeps_the_row_shape():
+    val, err = integrate_line(lambda t: np.ones((3, t.size)), support=(1.0, 1.0), cfg=QUAD)
+    assert val.shape == (3,) and not val.any()
+    assert err == 0.0 and err.parts.shape == (3,) and not err.parts.any()
+
+
+def test_stack_of_empty_supports_pairs_to_zero_rows():
+    # three degree-0 measures whose densities all live on the empty support [1, 1]
+    def empty():
+        return c1_measure(
+            RadialPotential(
+                degree=0,
+                phi=lambda t: 0.0 * t,
+                regularity="smooth",
+                positive=False,
+                curvature_density=logistic_density,
+                curvature_support=(1.0, 1.0),
+            )
+        )
+
+    vals, err = _stack(empty(), empty(), empty()).integrate(smooth_test_fn, cfg=QUAD)
+    assert vals.shape == (3,) and not vals.any()
+    assert err.parts.shape == (3,) and err == 0.0
+
+
 @pytest.mark.parametrize(
     "f, support",
     [
@@ -342,6 +367,18 @@ def test_integrate_line_vector_integrand_matches_components():
         want, _ = integrate_line(f, splits=(0.0,), cfg=QUAD)
         assert abs(got - want) < 1e-11
     assert abs(vec[2] - 2.0) < 1e-11
+
+
+def test_integrate_line_err_parts_sum_to_the_summed_estimate():
+    # err is the summed estimate the budget reads; its parts split it by row
+    fs = (lambda t: np.exp(-np.abs(t)), lambda t: np.exp(-t * t) * np.cos(5.0 * t))
+    vec, err = integrate_line(lambda t: np.array([f(t) for f in fs]), splits=(0.0,), cfg=QUAD)
+    assert isinstance(err, float) and err < QUAD.fail_tol
+    assert err.parts.shape == vec.shape == (2,)
+    assert np.all(err.parts >= 0.0)
+    assert float(err) == pytest.approx(float(np.sum(err.parts)), rel=1e-15)
+    _, scalar = integrate_line(fs[0], splits=(0.0,), cfg=QUAD)
+    assert isinstance(scalar, float) and scalar.parts.shape == ()
 
 
 def test_integrate_line_caps_subintervals_per_panel():

@@ -34,8 +34,11 @@ from mpmath import zeta as mpzeta
 
 from spheretorsion import (
     SPECTRUM_SCALE,
+    NumericalError,
+    RadialPotential,
     bundle_anomaly,
     canonical,
+    counterexample_potential,
     dual,
     fs_reference_torsion,
     fubini_study,
@@ -43,6 +46,8 @@ from spheretorsion import (
     generalized_torsion_curve,
     gram,
     integrate_line,
+    load_grid,
+    logistic_density,
     lse,
     mollified_max,
     parse_spec,
@@ -54,10 +59,11 @@ from spheretorsion import (
     volume_canonical,
     volume_from_potential,
     volume_fs,
+    write_grid,
     zeta_zero,
     zhang_iterate,
 )
-from spheretorsion.torsion import ZETA_PRIME_MINUS1
+from spheretorsion.torsion import ZETA_PRIME_MINUS1, _chain
 
 from conftest import LOG2, LOGPI, QUAD, ZETA_PRIME_M1, ZPRIME_UNIT
 from zeta_oracle import zeta_prime_minus1_em
@@ -360,12 +366,90 @@ def test_each_anomaly_term_is_one_kernel_call(monkeypatch):
     for run, want in (
         (lambda: bundle_anomaly(p, fubini_study(2), w, cfg=QUAD), 1),
         (lambda: volume_anomaly(p, w, WFS, cfg=QUAD), 1),
-        # the Gram and the two anomaly terms
-        (lambda: quillen(p, w, cfg=QUAD), 3),
+        # the Gram and the two anomaly terms share one stacked pairing
+        (lambda: quillen(p, w, cfg=QUAD), 1),
+        (lambda: torsion(p, w, cfg=QUAD), 1),
     ):
         calls.clear()
         run()
         assert len(calls) == want
+
+
+def _grid(tmp_path, p, n):
+    path = str(tmp_path / f"{p.label.replace(':', '_')}.csv")
+    write_grid(p, path, n=n)
+    return load_grid(path)
+
+
+def _fused_cases(tmp_path):
+    twins = (
+        lambda m: zhang_iterate(lse(m, 1.5), 2, 28),
+        lambda m: lse(m, 1.5 * 3.0**20),
+        lambda m: mollified_max(m, 1.5 * 2.0**-30),
+    )
+    yield lse(2, 9.0), volume_from_potential(lse(2, 4.0), cfg=QUAD)
+    for fam in twins:
+        yield fam(1), volume_from_potential(fam(2), cfg=QUAD)
+    yield fubini_study(20), WCAN
+    yield tensor(fubini_study(1), counterexample_potential(1.0, 0.01)), WFS
+    yield _grid(tmp_path, lse(2, 2.0), 161), WFS
+
+
+def test_fused_chain_matches_the_single_term_paths(tmp_path):
+    # every row of the one stacked pairing against the term computed alone
+    for p, w in _fused_cases(tmp_path):
+        gd, K, V = _chain(p, w, QUAD)
+        alone = (
+            (gd.entries, gram(p, w, cfg=QUAD).entries),
+            (K.diagnostics, bundle_anomaly(p, fubini_study(p.degree), WFS, cfg=QUAD).diagnostics),
+            (V.diagnostics, volume_anomaly(p, w, WFS, cfg=QUAD).diagnostics),
+        )
+        assert gd.entries.shape == (p.degree + 1,)
+        for fused, single in alone:
+            if isinstance(single, dict):
+                assert fused.keys() == single.keys()
+                fused, single = list(fused.values()), list(single.values())
+            np.testing.assert_allclose(fused, single, rtol=1e-13, err_msg=p.label)
+
+
+def _bump_potential(bracketed):
+    # (1 - d) fs_1 + d times a dilation iterate at scale 2^20, moved to 3.1
+    d, s = 1e-4, 3.1
+    z, f1 = zhang_iterate(lse(1, 1.0), 2, 20), fubini_study(1)
+    return RadialPotential(
+        degree=1,
+        phi=lambda t: (1.0 - d) * f1.phi(t) + d * z.phi(t - s),
+        regularity="smooth",
+        positive=True,
+        kinks=tuple(k + s for k in z.kinks) if bracketed else (),
+        curvature_density=lambda t: (1.0 - d) * f1.curvature_density(t)
+        + d * z.curvature_density(t - s),
+        label="bump",
+    )
+
+
+def test_curvature_mass_guard_catches_an_unbracketed_bump():
+    # without its brackets the bump falls between the nodes: its mass d is
+    # lost and log_quillen would be off by about 1.6e-8
+    with pytest.raises(NumericalError, match="curvature mass of bump"):
+        quillen(_bump_potential(bracketed=False), WFS, cfg=QUAD)
+    q = quillen(_bump_potential(bracketed=True), WFS, cfg=QUAD)
+    assert math.isfinite(q.log_quillen)
+
+
+def test_curvature_mass_guard_catches_a_wrong_density():
+    half = RadialPotential(
+        degree=1,
+        phi=fubini_study(1).phi,
+        regularity="smooth",
+        positive=True,
+        curvature_density=lambda t: 0.5 * logistic_density(t),
+        label="half",
+    )
+    with pytest.raises(NumericalError, match="curvature mass of half"):
+        quillen(half, WFS, cfg=QUAD)
+    with pytest.raises(NumericalError, match="curvature mass of half"):
+        torsion(half, WFS, cfg=QUAD)
 
 
 # --- invariance identities that hold independently of this code ---
