@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_QUAD, QuadConfig
-from .radial import ConvergenceReport, RadialPotential, VolumeForm, sequence_verdict
+from .radial import ConvergenceReport, RadialPotential, VolumeForm
 
 
 @dataclass
@@ -109,19 +109,6 @@ def gram_convergence(
     makes this a Lipschitz functional of the potential, so uniform
     convergence of potentials forces the verdict here.
     """
-    vals, gaps = [], []
-    for n in indices:
-        g = gram(family(n), w, cfg=cfg)
-        vals.append(g.log_det)
-        gaps.append(abs(g.log_det - target.log_det))
-    from .radial import _fit_rate
-
-    return ConvergenceReport(
-        indices=tuple(indices),
-        values=tuple(vals),
-        target=target.log_det,
-        gaps=tuple(gaps),
-        rate=_fit_rate(indices, gaps),
-        verdict=sequence_verdict(gaps, tol),
-        message=f"log det Gram vs target, tol={tol:g}",
-    )
+    vals = [gram(family(n), w, cfg=cfg).log_det for n in indices]
+    msg = "log det Gram vs target, tol={tol:g}"
+    return ConvergenceReport.of(indices, vals, tol, msg, target.log_det)

@@ -169,6 +169,29 @@ class ConvergenceReport:
     verdict: str  # converged | diverged | inconclusive
     message: str = ""
 
+    @classmethod
+    def of(cls, indices, values, tol: float, message: str, target=None, tail: int = 3):
+        """The report of a sequence study: the one place a limit is declared.
+
+        With a target the gaps are |v - target| and sequence_verdict decides.
+        Without one the study is Cauchy: the gaps are taken to the last value
+        and the verdict is converged when the last `tail` values spread by
+        strictly less than tol. The rate is fitted to the nonzero gaps, so a
+        Cauchy study's own last value drops out. message is a template,
+        formatted with tol, spread and tail (the count of values in the tail).
+        """
+        indices, values = tuple(indices), tuple(values)
+        ref = values[-1] if target is None else target
+        gaps = tuple(abs(v - ref) for v in values)
+        last = values[-tail:]
+        spread = max(last, default=0.0) - min(last, default=0.0)
+        if target is None:
+            verdict = "converged" if spread < tol else "inconclusive"
+        else:
+            verdict = sequence_verdict(gaps, tol)
+        text = message.format(tol=tol, spread=spread, tail=len(last))
+        return cls(indices, values, target, gaps, _fit_rate(indices, gaps), verdict, text)
+
     def as_dict(self):
         return {
             "indices": list(self.indices),
@@ -298,18 +321,5 @@ def bedford_taylor_check(
     admissible potentials).
     """
     target = pair(test_fn, limit, cfg=cfg)
-    vals, gaps = [], []
-    for n in indices:
-        v = pair(test_fn, family(n), cfg=cfg)
-        vals.append(v)
-        gaps.append(abs(v - target))
-    verdict = sequence_verdict(gaps, tol)
-    return ConvergenceReport(
-        indices=tuple(indices),
-        values=tuple(vals),
-        target=target,
-        gaps=tuple(gaps),
-        rate=_fit_rate(indices, gaps),
-        verdict=verdict,
-        message=f"weak pairing vs limit, tol={tol:g}",
-    )
+    vals = [pair(test_fn, family(n), cfg=cfg) for n in indices]
+    return ConvergenceReport.of(indices, vals, tol, "weak pairing vs limit, tol={tol:g}", target)

@@ -39,7 +39,6 @@ from .radial import (
     RadialMeasure,
     RadialPotential,
     VolumeForm,
-    _fit_rate,
     _stack,
     c1_measure,
 )
@@ -380,10 +379,16 @@ def quillen(
 
 @dataclass
 class GeneralizedLimit:
-    value: float
-    diagonal: tuple
     report: ConvergenceReport
     grid: Optional[np.ndarray] = None
+
+    @property
+    def value(self) -> float:
+        return self.report.values[-1]
+
+    @property
+    def diagonal(self) -> tuple:
+        return self.report.values
 
     def as_dict(self):
         out = {
@@ -439,23 +444,8 @@ def generalized_quillen_limit(
         vals[n, n] if (n, n) in vals else quillen(bundles[n], volumes[n], cfg=cfg).log_quillen
         for n in indices
     ]
-    last = diag[-1]
-    gaps = [abs(d - last) for d in diag]
-    # declaration rule: max pairwise gap over the last `tail` diagonal values
-    tail_vals = diag[-tail:] if len(diag) >= tail else diag
-    spread = max(tail_vals) - min(tail_vals)
-    verdict = "converged" if spread < tol else "inconclusive"
-    report = ConvergenceReport(
-        indices=tuple(indices),
-        values=tuple(diag),
-        target=None,
-        gaps=tuple(gaps),
-        rate=_fit_rate(indices[:-1], gaps[:-1]),
-        verdict=verdict,
-        message=f"max pairwise gap over last {len(tail_vals)} diagonal entries "
-        f"= {spread:.3e}, tol={tol:g}",
-    )
-    return GeneralizedLimit(value=last, diagonal=tuple(diag), report=report, grid=grid)
+    msg = "max pairwise gap over last {tail} diagonal entries = {spread:.3e}, tol={tol:g}"
+    return GeneralizedLimit(ConvergenceReport.of(indices, diag, tol, msg, tail=tail), grid)
 
 
 def generalized_torsion_curve(
@@ -480,9 +470,9 @@ def generalized_torsion_curve(
     from .metrics import dual, tensor
     from .radial import volume_from_potential
 
-    reports, limits = [], []
+    reports = []
     for d_idx, (plus_fam, minus_fam) in enumerate(decompositions):
-        vals, used = [], []
+        vals = []
         for n in indices:
             plus, minus = plus_fam(n), minus_fam(n)
             _require_positive(plus, f"decomposition {d_idx} plus factor", n)
@@ -490,24 +480,11 @@ def generalized_torsion_curve(
             psi = tensor(plus, dual(minus))
             w = volume_from_potential(psi, cfg=cfg, label=f"decomp{d_idx}:n={n}")
             vals.append(torsion(p, w, cfg=cfg).value)
-            used.append(n)
             if len(vals) >= 4 and max(vals[-3:]) - min(vals[-3:]) < tol / 10.0:
                 break
-        last = vals[-1]
-        gaps = [abs(v - last) for v in vals]
-        spread = max(vals[-3:]) - min(vals[-3:])
-        reports.append(
-            ConvergenceReport(
-                indices=tuple(used),
-                values=tuple(vals),
-                target=None,
-                gaps=tuple(gaps),
-                rate=_fit_rate(used[:-1], gaps[:-1]),
-                verdict="converged" if spread < tol else "inconclusive",
-                message=f"decomposition {d_idx}: tail spread {spread:.3e}",
-            )
-        )
-        limits.append(last)
+        msg = f"decomposition {d_idx}: tail spread {{spread:.3e}}"
+        reports.append(ConvergenceReport.of(indices[: len(vals)], vals, tol, msg))
+    limits = [r.values[-1] for r in reports]
     agreement = max(
         (abs(a - b) for i, a in enumerate(limits) for b in limits[i + 1 :]),
         default=0.0,
