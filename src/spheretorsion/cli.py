@@ -153,19 +153,18 @@ def _cmd_anomaly(args, cfg):
     if args.kind == "bundle":
         if not args.metric2:
             raise SpecError("bundle anomaly needs --metric2")
-        p1, p2 = parse_spec(args.metric), parse_spec(args.metric2)
+        x, y = parse_spec(args.metric), parse_spec(args.metric2)
         w = parse_volume(args.volume)
-        term = bundle_anomaly(p1, p2, w, cfg=cfg.quad())
-        rev = bundle_anomaly(p2, p1, w, cfg=cfg.quad())
+        anomaly = lambda a, b: bundle_anomaly(a, b, w, cfg=cfg.quad())
     elif args.kind == "volume":
         if not args.volume2:
             raise SpecError("volume anomaly needs --volume2")
         p = parse_spec(args.metric)
-        w1, w2 = parse_volume(args.volume), parse_volume(args.volume2)
-        term = volume_anomaly(p, w1, w2, cfg=cfg.quad())
-        rev = volume_anomaly(p, w2, w1, cfg=cfg.quad())
+        x, y = parse_volume(args.volume), parse_volume(args.volume2)
+        anomaly = lambda a, b: volume_anomaly(p, a, b, cfg=cfg.quad())
     else:
         raise SpecError(f"unknown anomaly kind {args.kind!r}")
+    term = anomaly(x, y)
     payload = {
         "command": "anomaly",
         "inputs": {
@@ -178,6 +177,7 @@ def _cmd_anomaly(args, cfg):
         "results": term.as_dict(),
     }
     if args.verify:
+        rev = anomaly(y, x)
         payload["verify"] = _verify_block(
             {"antisymmetry_1e-10": abs(term.value + rev.value) <= 1e-10}
         )
@@ -213,7 +213,7 @@ def _cmd_counterexample(args, cfg):
     cs = [float(x) for x in args.c.split(",")]
     deltas = [float(x) for x in args.deltas.split(",")]
     res = experiments.run_counterexample(
-        cs=cs, deltas=deltas, eps=args.eps, gamma=args.gamma, jobs=cfg.jobs
+        cs=cs, deltas=deltas, eps=args.eps, gamma=args.gamma, jobs=cfg.jobs, cfg=cfg.quad()
     )
     if args.verify:
         res["verify"] = _verify_block(
@@ -227,7 +227,8 @@ def _cmd_counterexample(args, cfg):
 
 
 def _cmd_closed_form(args, cfg):
-    res = experiments.run_closed_form(ms=tuple(range(0, args.m_max + 1)), jobs=cfg.jobs)
+    ms = tuple(range(0, args.m_max + 1))
+    res = experiments.run_closed_form(ms=ms, jobs=cfg.jobs, cfg=cfg.quad())
     if args.verify:
         res["verify"] = _verify_block(
             {
@@ -240,14 +241,16 @@ def _cmd_closed_form(args, cfg):
 
 
 def _cmd_double_limit(args, cfg):
-    res = experiments.run_double_limit_study(m=args.m, n_max=args.n_max, tol=args.tol)
+    res = experiments.run_double_limit_study(
+        m=args.m, n_max=args.n_max, tol=args.tol, cfg=cfg.quad()
+    )
     if args.verify:
         res["verify"] = _verify_block(dict(res["verdicts"]))
     return res
 
 
 def _cmd_bt_check(args, cfg):
-    res = experiments.run_bt_suite(m=args.m, tol=args.tol)
+    res = experiments.run_bt_suite(m=args.m, tol=args.tol, cfg=cfg.quad())
     if args.verify:
         res["verify"] = _verify_block(dict(res["verdicts"]))
     return res

@@ -38,6 +38,7 @@ from .metrics import (
     volume_fs,
     zhang_iterate,
 )
+from .quadrature import DEFAULT_QUAD, QuadConfig
 from .radial import bedford_taylor_check, volume_from_potential
 from .torsion import (
     SPECTRUM_SCALE,
@@ -154,16 +155,16 @@ def _map(fn, items, jobs=1):
 
 
 def _cex_row(args):
-    c, delta, eps, gamma = args
+    c, delta, eps, gamma, cfg = args
     pot = counterexample_potential(c, delta, eps=eps, gamma=gamma)
     oracle = counterexample_energy_oracle(pot)
     flat = fubini_study(0)
     w = volume_fs()
     sup = sup_distance(pot, flat)
-    K = bundle_anomaly(pot, flat, w)
-    g = gram(pot, w)
-    t_flat = torsion(flat, w)
-    t_cex = torsion(pot, w)
+    K = bundle_anomaly(pot, flat, w, cfg=cfg)
+    g = gram(pot, w, cfg=cfg)
+    t_flat = torsion(flat, w, cfg=cfg)
+    t_cex = torsion(pot, w, cfg=cfg)
     scale = c * math.sqrt(delta)
     m_delta = abs(K.diagnostics["pair_todd"]) / scale
     gap = t_flat.value - t_cex.value
@@ -199,6 +200,7 @@ def run_counterexample(
     eps=0.2,
     gamma=None,
     jobs=1,
+    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> dict:
     """Uniform convergence of the metrics against persistence of the torsion gap.
 
@@ -208,7 +210,7 @@ def run_counterexample(
     operator constant M, the L^2 Gram convergence, and the torsion gap with
     its -c^2/2 + M c sqrt(delta) bound.
     """
-    rows = _map(_cex_row, [(c, d, eps, gamma) for c in cs for d in deltas], jobs=jobs)
+    rows = _map(_cex_row, [(c, d, eps, gamma, cfg) for c in cs for d in deltas], jobs=jobs)
     sup_ok = all(r["sup_over_scale"] <= 2.0 + 1e-12 for r in rows)
     dir_ok = all(r["dirichlet_abs_err"] <= 1e-6 for r in rows)
     bound_ok = all(r["torsion_gap"] <= r["gap_bound"] + 1e-9 for r in rows)
@@ -248,20 +250,24 @@ def run_counterexample(
 
 
 @functools.lru_cache(maxsize=None)
-def _dilation_volume(n):
-    # the volume family is the same for every m; built once per process
-    return volume_from_potential(zhang_iterate(fubini_study(2), 2, n))
+def _dilation_volume(n, cfg):
+    # the volume family is the same for every m; built once per process and cfg
+    return volume_from_potential(zhang_iterate(fubini_study(2), 2, n), cfg=cfg)
+
+
+def _dilation_limit(m, indices, grid_indices, tol, cfg):
+    """Quillen limit along the dilation iterates of fs_m and of the fs volume."""
+    bundles = lambda n: zhang_iterate(fubini_study(m), 2, n)
+    volumes = lambda n: _dilation_volume(n, cfg)
+    return generalized_quillen_limit(bundles, volumes, indices, grid_indices, tol, cfg=cfg)
 
 
 def _closed_row(args):
-    (m,) = args
+    m, cfg = args
     target = closed_form_target(m)
-    t_direct = torsion(canonical(m), volume_canonical())
-    bundle_fam = lambda n: zhang_iterate(fubini_study(m), 2, n)
-    lim = generalized_quillen_limit(
-        bundle_fam, _dilation_volume, indices=tuple(range(0, 33, 2)), grid_indices=(), tol=1e-6
-    )
-    g_can = gram(canonical(m), volume_canonical())
+    t_direct = torsion(canonical(m), volume_canonical(), cfg=cfg)
+    lim = _dilation_limit(m, tuple(range(0, 33, 2)), (), 1e-6, cfg)
+    g_can = gram(canonical(m), volume_canonical(), cfg=cfg)
     t_general = lim.value - g_can.log_det
     law = canonical_quillen_law(m)
     return {
@@ -277,7 +283,7 @@ def _closed_row(args):
     }
 
 
-def run_closed_form(ms=tuple(range(0, 6)), jobs=1) -> dict:
+def run_closed_form(ms=tuple(range(0, 6)), jobs=1, cfg: QuadConfig = DEFAULT_QUAD) -> dict:
     """Sweep the canonical-metric torsion against its closed form.
 
     Reports both computation routes, the deviation of the direct torsion
@@ -285,7 +291,7 @@ def run_closed_form(ms=tuple(range(0, 6)), jobs=1) -> dict:
     the Quillen-metric law, whose Gillet-Soule-scale value does not depend
     on m.
     """
-    rows = _map(_closed_row, [(m,) for m in ms], jobs=jobs)
+    rows = _map(_closed_row, [(m, cfg) for m in ms], jobs=jobs)
     return {
         "command": "closed-form",
         "inputs": {"ms": list(ms)},
@@ -303,7 +309,9 @@ def run_closed_form(ms=tuple(range(0, 6)), jobs=1) -> dict:
 # --- double limit study ---
 
 
-def run_double_limit_study(m: int = 1, n_max: int = 32, tol: float = 1e-6) -> dict:
+def run_double_limit_study(
+    m: int = 1, n_max: int = 32, tol: float = 1e-6, cfg: QuadConfig = DEFAULT_QUAD
+) -> dict:
     """Route agreement at the canonical point of O(m) over the singular volume.
 
     (a) double-sequence Quillen limit along dilation iterates, (b) direct
@@ -311,15 +319,8 @@ def run_double_limit_study(m: int = 1, n_max: int = 32, tol: float = 1e-6) -> di
     positive decompositions of the volume potential. All four numbers must
     coincide within tol, and the diagonal must be Cauchy at tol.
     """
-    bundle_fam = lambda n: zhang_iterate(fubini_study(m), 2, n)
-    lim = generalized_quillen_limit(
-        bundle_fam,
-        _dilation_volume,
-        indices=tuple(range(0, n_max + 1, 2)),
-        grid_indices=tuple(range(0, 6)),
-        tol=tol,
-    )
-    direct_q = quillen(canonical(m), volume_canonical())
+    lim = _dilation_limit(m, tuple(range(0, n_max + 1, 2)), tuple(range(0, 6)), tol, cfg)
+    direct_q = quillen(canonical(m), volume_canonical(), cfg=cfg)
     t_direct = direct_q.torsion.value
 
     decomp_a = (
@@ -331,7 +332,7 @@ def run_double_limit_study(m: int = 1, n_max: int = 32, tol: float = 1e-6) -> di
         lambda n: lse(2, 2.0 * 3.0**n),
     )
     curve = generalized_torsion_curve(
-        canonical(m), [decomp_a, decomp_b], indices=tuple(range(2, 31, 2)), tol=tol
+        canonical(m), [decomp_a, decomp_b], indices=tuple(range(2, 31, 2)), tol=tol, cfg=cfg
     )
     decomposition_vs_direct = max(abs(v - t_direct) for v in curve["limits"])
     return {
@@ -378,7 +379,7 @@ def _bt_test_functions():
     return {"gauss": gauss, "bump": bump, "sech": sech}
 
 
-def run_bt_suite(m: int = 1, tol: float = 1e-7) -> dict:
+def run_bt_suite(m: int = 1, tol: float = 1e-7, cfg: QuadConfig = DEFAULT_QUAD) -> dict:
     """Weak-* convergence of curvature measures: three families, three tests.
 
     Dilation iterates, soft-max sharpening and mollified-max all converge to
@@ -395,7 +396,7 @@ def run_bt_suite(m: int = 1, tol: float = 1e-7) -> dict:
     reports = {}
     for fam_name, (fam, idx) in families.items():
         for fn_name, fn in tests.items():
-            rep = bedford_taylor_check(fam, limit, fn, indices=idx, tol=tol)
+            rep = bedford_taylor_check(fam, limit, fn, indices=idx, tol=tol, cfg=cfg)
             reports[f"{fam_name}/{fn_name}"] = rep
     ok = all(r.verdict == "converged" and r.gaps[-1] < tol for r in reports.values())
     return {

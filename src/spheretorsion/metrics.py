@@ -21,6 +21,7 @@ monotone cubic and differentiate the interpolant.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -41,8 +42,9 @@ _RANK = {"smooth": 0, "continuous-piecewise": 1, "continuous": 2}
 # --- catalog ---
 
 
+@functools.lru_cache(maxsize=None)
 def fubini_study(m: int) -> RadialPotential:
-    """The round metric potential on O(m): phi = m log(1+e^t)."""
+    """The round metric potential on O(m): phi = m log(1+e^t), one object per m."""
     m = int(m)
     if m < 0:
         raise ValueError(f"fubini_study needs m >= 0, got {m}")
@@ -75,8 +77,13 @@ def canonical(m: int) -> RadialPotential:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def volume_fs() -> VolumeForm:
-    """The Fubini-Study volume form: psi = fs_2, density 2 e^t / (1+e^t)^2."""
+    """The Fubini-Study volume form: psi = fs_2, density 2 e^t / (1+e^t)^2.
+
+    One shared object, whose psi is the shared fubini_study(2), so the
+    transfer chain evaluates it once when it is also the caller's volume.
+    """
     return VolumeForm(fubini_study(2), 1.0, "fs")
 
 
@@ -606,11 +613,10 @@ def parse_spec(spec: str) -> RadialPotential:
         if kind == "grid":
             return load_grid(body)
         if kind == "zhang":
-            # base value itself contains a colon; split only on commas
-            kv = {}
-            for chunk in body.split(","):
-                k, v = chunk.split("=", 1)
-                kv[k.strip()] = v.strip()
+            # the base spec may hold commas itself: p and n are the last two pairs
+            head, p, n = body.rsplit(",", 2)
+            key, base = head.split("=", 1)
+            kv = {**_parse_kv(f"{p},{n}"), key.strip(): base.strip()}
             return zhang_iterate(parse_spec(kv["base"]), int(kv["p"]), int(kv["n"]))
         if kind == "cex":
             kv = _parse_kv(body)

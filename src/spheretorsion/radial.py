@@ -179,12 +179,15 @@ class ConvergenceReport:
         strictly less than tol. The rate is fitted to the nonzero gaps, so a
         Cauchy study's own last value drops out. message is a template,
         formatted with tol, spread and tail (the count of values in the tail).
+        An empty study declares nothing and raises ValueError.
         """
         indices, values = tuple(indices), tuple(values)
+        if not values:
+            raise ValueError("a sequence study needs at least one index")
         ref = values[-1] if target is None else target
         gaps = tuple(abs(v - ref) for v in values)
         last = values[-tail:]
-        spread = max(last, default=0.0) - min(last, default=0.0)
+        spread = max(last) - min(last)
         if target is None:
             verdict = "converged" if spread < tol else "inconclusive"
         else:

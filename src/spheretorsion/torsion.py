@@ -257,8 +257,9 @@ def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
     The last rows guard the curvature mass: one that misses its degree by
     more than ten times its own estimate (plus 1e-10 max(1, degree)) lost
     mass between quadrature nodes, and NumericalError is raised. Each
-    distinct measure, and each of phi and psi_w, is evaluated once per
-    node array.
+    distinct potential and each distinct measure is evaluated once per node
+    array; distinct means by identity, so the shared fubini_study(m) and
+    volume_fs() coincide with a caller's own.
     """
     m = p.degree
     p_ref, w_ref = fubini_study(m), volume_fs()
@@ -278,11 +279,12 @@ def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
     g, k, v = m + 1, m + 4, m + 7  # ends of the Gram, bundle and volume rows
 
     def rows(t):
-        phi, psi = p.phi(t), w.psi.phi(t)
+        at = {key: q.phi(t) for key, q in pots.items()}
+        phi, psi = at[id(p)], at[id(w.psi)]
         out = np.empty((v + len(guarded), len(t)))
         out[:g] = np.exp(ks * t - phi) * (2.0 * np.exp(t - psi) / w.norm)
-        out[g:k] = phi - p_ref.phi(t)
-        out[k:v] = psi - w_ref.psi.phi(t)
+        out[g:k] = phi - at[id(p_ref)]
+        out[k:v] = psi - at[id(w_ref.psi)]
         out[v:] = 1.0
         return out
 

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from spheretorsion import cli
 from spheretorsion.cli import ENV_CONFIG, main
 
 from conftest import LOG2, ZPRIME_UNIT
@@ -101,6 +102,20 @@ def test_anomaly_volume(capsys):
     assert doc["results"]["value"] == pytest.approx(-LOG2 / 6.0 - 1.0 / 3.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("verify,want", [(False, 1), (True, 2)])
+@pytest.mark.parametrize("kind", ["bundle", "volume"])
+def test_anomaly_reversed_term_only_when_verifying(capsys, monkeypatch, kind, verify, want):
+    # the reversed term feeds only the antisymmetry check
+    name = f"{kind}_anomaly"
+    calls = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    argv = ["anomaly", "--kind", kind, "--metric", "canonical:1", "--no-meta"]
+    argv += ["--metric2", "fs:1"] if kind == "bundle" else ["--volume2", "canonical"]
+    run_json(capsys, *argv, *(["--verify"] if verify else []))
+    assert len(calls) == want
+
+
 def test_zhang(capsys):
     doc = run_json(capsys, "zhang", "--base", "fs:3", "--p", "2", "--n", "4", "--verify")
     assert doc["verify"]["checks"]["contracts_at_rate"] is True
@@ -174,11 +189,37 @@ def test_exit_2_on_bad_route(capsys):
     assert rc == 2 and "--route" in err
 
 
+def test_exit_2_on_an_empty_index_range(capsys):
+    # no diagonal entry to declare a limit from: an input error, not a crash
+    rc, _, err = run(capsys, "double-limit", "--n-max", "-1")
+    assert rc == 2 and "at least one index" in err
+
+
 def test_exit_3_on_impossible_budget(capsys):
     rc, _, err = run(
         capsys, "torsion", "--metric", "canonical:1", "--volume", "canonical",
         "--quad-tol", "1e-18",
     )
+    assert rc == 3 and "numerical failure" in err
+
+
+INTEGRATING = [
+    ("torsion", "--metric", "canonical:1", "--volume", "canonical"),
+    ("quillen", "--metric", "fs:1", "--volume", "canonical"),
+    ("gram", "--metric", "fs:1"),
+    ("anomaly", "--kind", "bundle", "--metric", "canonical:1", "--metric2", "fs:1"),
+    ("anomaly", "--kind", "volume", "--metric", "fs:1", "--volume2", "canonical"),
+    ("counterexample", "--deltas", "1e-2"),
+    ("closed-form", "--m-max", "0"),
+    ("double-limit", "--n-max", "0"),
+    ("bt-check",),
+]
+
+
+@pytest.mark.parametrize("argv", INTEGRATING, ids=lambda a: "-".join(a[:3:2]))
+def test_every_integrating_subcommand_honours_quad_tol(capsys, argv):
+    # an accepted budget is never dropped on the way to the kernel
+    rc, _, err = run(capsys, *argv, "--quad-tol", "1e-18", "--no-meta")
     assert rc == 3 and "numerical failure" in err
 
 

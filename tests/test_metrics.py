@@ -290,6 +290,20 @@ def test_parse_spec_round_trips_catalog():
 
 
 @pytest.mark.parametrize(
+    "base",
+    [lse(1, 2.0), mollified_max(2, 0.5), zhang_iterate(lse(1, 2.0), 3, 1)],
+    ids=["lse", "mollmax", "zhang"],
+)
+def test_parse_spec_round_trips_zhang_labels(base):
+    # the base spec holds commas of its own
+    z = zhang_iterate(base, 2, 3)
+    back = parse_spec(z.label)
+    assert back.label == z.label and back.degree == base.degree
+    t = np.linspace(-3.0, 3.0, 13)
+    np.testing.assert_array_equal(back.phi(t), z.phi(t))
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         "nonsense",
@@ -297,6 +311,8 @@ def test_parse_spec_round_trips_catalog():
         "fs:x",
         "unknown:1",
         "zhang:base=fs:1",
+        "zhang:fs:1,p=2,n=3",
+        "zhang:base=fs:1,p=2",
         "cex:c=1",
         "lse:m=2",
         "mollmax:m=1,eps",

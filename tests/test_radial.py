@@ -35,7 +35,13 @@ from spheretorsion import (
     zhang_iterate,
 )
 from spheretorsion.metrics import _concentration_splits
-from spheretorsion.radial import RadialPotential, _stack, sequence_verdict
+from spheretorsion.radial import (
+    ConvergenceReport,
+    RadialPotential,
+    _fit_rate,
+    _stack,
+    sequence_verdict,
+)
 
 from conftest import QUAD
 
@@ -420,3 +426,54 @@ def test_sequence_verdict_rules():
     assert sequence_verdict([1e-2, 1e-4, 1e-8], 1e-6) == "converged"
     assert sequence_verdict([1e-8, 1e-4, 1e-2, 1e-1], 1e-6) == "diverged"
     assert sequence_verdict([1e-2, 1e-3, 1e-2], 1e-6) == "inconclusive"
+
+
+# --- the declaration rule: ConvergenceReport.of ---
+
+
+def test_report_with_target_uses_sequence_verdict_and_fit_rate():
+    idx, vals, target = (1, 2, 3, 4), (1.5, 1.1, 1.01, 1.001), 1.0
+    gaps = [abs(v - target) for v in vals]
+    for tol in (1e-2, 1e-4):
+        rep = ConvergenceReport.of(idx, vals, tol, "tol={tol:g}", target=target)
+        assert rep.gaps == tuple(gaps) and rep.target == target
+        assert rep.verdict == sequence_verdict(gaps, tol)
+        assert rep.rate == _fit_rate(idx, gaps)
+        assert rep.message == f"tol={tol:g}"
+    assert ConvergenceReport.of(idx, vals, 1e-2, "", target).verdict == "converged"
+    assert ConvergenceReport.of(idx, vals, 1e-4, "", target).verdict == "inconclusive"
+
+
+def test_cauchy_report_with_fewer_values_than_the_tail():
+    rep = ConvergenceReport.of((0, 1), (2.0, 2.25), 0.5, "{tail} {spread:.2f}", tail=4)
+    assert rep.verdict == "converged" and rep.message == "2 0.25"
+    assert rep.gaps == (0.25, 0.0) and rep.target is None
+    # one nonzero gap fits no rate
+    assert rep.rate is None
+    assert ConvergenceReport.of((0, 1), (2.0, 2.25), 0.2, "", tail=4).verdict == "inconclusive"
+
+
+def test_cauchy_report_of_a_constant_sequence():
+    rep = ConvergenceReport.of(range(5), [0.5] * 5, 1e-12, "{spread}")
+    assert rep.verdict == "converged" and rep.rate is None
+    assert rep.gaps == (0.0,) * 5 and rep.message == "0.0"
+
+
+def test_cauchy_report_fits_the_rate_without_the_last_value():
+    vals = (1.0 + 2.0**-1, 1.0 + 2.0**-2, 1.0 + 2.0**-3, 1.0)
+    rep = ConvergenceReport.of((1, 2, 3, 4), vals, 1.0, "")
+    assert rep.rate == _fit_rate((1, 2, 3), rep.gaps[:3])
+    assert rep.rate == pytest.approx(-math.log(2.0), rel=1e-12)
+
+
+def test_empty_study_declares_nothing():
+    for target in (None, 1.0):
+        with pytest.raises(ValueError, match="at least one index"):
+            ConvergenceReport.of((), (), 1e-6, "", target)
+
+
+def test_cauchy_tail_spread_equal_to_tol_is_inconclusive():
+    # the comparison is strict: a spread of exactly tol does not converge
+    vals = (3.0, 1.0, 1.5, 1.25)
+    assert ConvergenceReport.of(range(4), vals, 0.5, "").verdict == "inconclusive"
+    assert ConvergenceReport.of(range(4), vals, 0.5 + 2**-40, "").verdict == "converged"

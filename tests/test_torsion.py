@@ -375,6 +375,25 @@ def test_each_anomaly_term_is_one_kernel_call(monkeypatch):
         assert len(calls) == want
 
 
+def test_chain_evaluates_the_fs_volume_once_per_round(monkeypatch):
+    # lse(15, 3), fs_15 and fs_2 need one logistic_density each per round:
+    # the caller's volume_fs() is the chain's reference volume, so its fs_2
+    # row is shared, not evaluated a second time
+    metrics = importlib.import_module("spheretorsion.metrics")
+    base, rounds, dens = lse(15, 3.0), [], []
+    p = dataclasses.replace(base, phi=lambda t: rounds.append(1) or base.phi(t))
+
+    def counting(t):
+        dens.append(1)
+        return logistic_density(t)
+
+    monkeypatch.setattr(metrics, "logistic_density", counting)
+    quillen(p, volume_fs(), cfg=QUAD)
+    assert len(rounds) > 1
+    assert len(dens) == 3 * len(rounds)
+    assert volume_fs() is WFS and WFS.psi is fubini_study(2)
+
+
 def _grid(tmp_path, p, n):
     path = str(tmp_path / f"{p.label.replace(':', '_')}.csv")
     write_grid(p, path, n=n)
