@@ -145,6 +145,9 @@ def write_csv(rows, path, fieldnames=None):
 
 
 def _map(fn, items, jobs=1):
+    # a verdict over no rows would pass vacuously
+    if not items:
+        raise ValueError("a sweep needs at least one row")
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(fn, items))

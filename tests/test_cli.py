@@ -195,6 +195,12 @@ def test_exit_2_on_an_empty_index_range(capsys):
     assert rc == 2 and "at least one index" in err
 
 
+def test_exit_2_on_an_empty_sweep(capsys):
+    # no rows: the verify block must not pass over nothing
+    rc, out, err = run(capsys, "closed-form", "--m-max", "-1", "--verify", "--no-meta")
+    assert rc == 2 and "at least one row" in err and out == ""
+
+
 def test_exit_3_on_impossible_budget(capsys):
     rc, _, err = run(
         capsys, "torsion", "--metric", "canonical:1", "--volume", "canonical",

@@ -133,6 +133,21 @@ def test_run_closed_form():
     assert abs(targets[2] - targets[0]) > 1.0
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    (
+        lambda: run_closed_form(ms=()),
+        lambda: run_counterexample(cs=()),
+        lambda: run_counterexample(deltas=()),
+    ),
+    ids=("closed-form", "counterexample-cs", "counterexample-deltas"),
+)
+def test_empty_sweeps_raise(sweep):
+    # every verdict is all() over the rows, which holds vacuously on none
+    with pytest.raises(ValueError, match="at least one row"):
+        sweep()
+
+
 def _counting(calls, fn):
     def wrapper(*args, **kwargs):
         calls.append(args)

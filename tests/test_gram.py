@@ -35,6 +35,23 @@ def test_fs_gram_matches_beta_closed_form(m):
     assert abs(g.log_det - log_det_fs_closed(m)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "potential, volume, closed, m",
+    [(fubini_study, volume_fs, gram_fs_closed, m) for m in (1, 6, 24, 40, 60)]
+    + [(canonical, volume_canonical, gram_canonical_closed, m) for m in (1, 6, 24, 40)],
+)
+def test_gram_rows_carry_honest_per_entry_estimates(potential, volume, closed, m):
+    # each entry's own estimate covers its true error; the relative term is
+    # rounding slack, where the estimate alone sits below rounding (m = 60)
+    p = potential(m)
+    ks = np.arange(m + 1.0)[:, None]
+    g, err = volume().rho.integrate(
+        lambda t: np.exp(ks * t - p.phi(t)), cfg=QUAD, extra_splits=p.kinks
+    )
+    assert err.parts.shape == g.shape == (m + 1,)
+    assert np.all(np.abs(g - closed(m)) <= err.parts + 1e-13 * g)
+
+
 @pytest.mark.parametrize("m", range(0, 9))
 def test_canonical_gram_matches_harmonic_closed_form(m):
     g = gram(canonical(m), volume_canonical(), cfg=QUAD)

@@ -387,19 +387,37 @@ def test_integrate_line_err_parts_sum_to_the_summed_estimate():
     assert isinstance(scalar, float) and scalar.parts.shape == ()
 
 
-def test_integrate_line_caps_subintervals_per_panel():
-    # an endpoint singularity keeps asking for bisection; every round
-    # evaluates 21 nodes per new subinterval, so the node count gives the
-    # number of subintervals reached
-    nodes = []
+def _subintervals_per_pass(f, limit, splits=()):
+    """Subintervals of each panel after every pass of a call that fails.
 
-    def f(t):
-        nodes.append(t.size)
-        return 1.0 / np.sqrt(t)
+    The first pass evaluates 21 nodes per panel and every later one 84 per
+    cut, a cut turning one subinterval into four, so counting the nodes
+    that land in each panel gives its subintervals.
+    """
+    passes = []
+
+    def counting(t):
+        passes.append(np.bincount(np.searchsorted(splits, t), minlength=len(splits) + 1))
+        return f(t)
 
     with pytest.raises(NumericalError, match="error estimate"):
-        integrate_line(f, support=(0.0, 1.0), cfg=QuadConfig(limit=10))
-    assert 1 + (sum(nodes) // 21 - 1) // 2 == 10
+        integrate_line(counting, splits=splits, support=(0.0, 1.0), cfg=QuadConfig(limit=limit))
+    cuts = np.cumsum(passes[1:], axis=0) // 84
+    return [[1] * (len(splits) + 1)] + (1 + 3 * cuts).tolist()
+
+
+def test_integrate_line_caps_subintervals_per_panel():
+    # an endpoint singularity asks for one cut per pass
+    sing = lambda t: 1.0 / np.sqrt(t)
+    assert _subintervals_per_pass(sing, 10) == [[1], [4], [7], [10]]
+    # a cut that would overshoot the cap is not made
+    assert _subintervals_per_pass(sing, 9) == [[1], [4], [7]]
+    # an oscillation asks for four cuts in the second pass; room is left for two
+    wave = lambda t: np.cos(300.0 * t)
+    assert _subintervals_per_pass(wave, 10) == [[1], [4], [10]]
+    # the cap holds for every panel between splits
+    both = _subintervals_per_pass(lambda t: wave(t) + sing(t), 10, splits=(0.25,))
+    assert both[-1] == [10, 10] and np.max(both) <= 10
 
 
 def test_integrate_line_fails_loudly_on_nan():

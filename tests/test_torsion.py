@@ -380,16 +380,23 @@ def test_chain_evaluates_the_fs_volume_once_per_round(monkeypatch):
     # the caller's volume_fs() is the chain's reference volume, so its fs_2
     # row is shared, not evaluated a second time
     metrics = importlib.import_module("spheretorsion.metrics")
-    base, rounds, dens = lse(15, 3.0), [], []
+    quadrature = importlib.import_module("spheretorsion.quadrature")
+    base, rounds, dens, passes = lse(15, 3.0), [], [], []
     p = dataclasses.replace(base, phi=lambda t: rounds.append(1) or base.phi(t))
 
     def counting(t):
         dens.append(1)
         return logistic_density(t)
 
+    def counting_quad(f, iv, _quad=quadrature.quad):
+        passes.append(1)
+        return _quad(f, iv)
+
     monkeypatch.setattr(metrics, "logistic_density", counting)
+    monkeypatch.setattr(quadrature, "quad", counting_quad)
     quillen(p, volume_fs(), cfg=QUAD)
-    assert len(rounds) > 1
+    # one first pass and two rounds of quadrisection
+    assert len(passes) == len(rounds) == 3
     assert len(dens) == 3 * len(rounds)
     assert volume_fs() is WFS and WFS.psi is fubini_study(2)
 

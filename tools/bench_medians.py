@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Per-workload medians of perfbench's end-to-end metrics, in one JSON file.
+
+    python3 tools/bench_medians.py --out bench.json --seconds 8 --seeds 2 3 4 \\
+        --workloads limits high_degree --checkout parent=../parent --checkout change=.
+
+Each --checkout LABEL=PATH names a checkout whose own
+`perfbench/run.py --trace 0` is run once per workload and seed, one run at
+a time. The checkouts take turns, and which one goes first rotates with
+the seed, so drift of the machine falls on all of them alike. The file
+holds the machine line (every run uses this interpreter), the seconds and
+seeds, and under each label, per workload, the median of every end-to-end
+metric over the seeds, the per-seed values, whether every run was correct
+and the failed operations summed. An existing --out is overwritten.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("setup_s", "evals_per_s", "cpu_ms_per_eval", "eval_p50_ms", "peak_rss_mb")
+
+
+def run(root: Path, workload: str, seed: int, seconds: float):
+    """The result object and the machine line of one perfbench run."""
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    res = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if res.returncode != 0:
+        sys.exit(f"{' '.join(cmd)} exited {res.returncode}:\n{res.stderr[-2000:]}")
+    lines = res.stdout.splitlines()
+    machine = next(json.loads(s.split(": ", 1)[1]) for s in lines if s.startswith("machine: "))
+    return json.loads(lines[-1]), machine
+
+
+def summary(runs):
+    values = {m: [r["metrics"][m]["value"] for r in runs] for m in METRICS}
+    return {
+        "runs": len(runs),
+        "correct": all(r["correct"] for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+        "median": {m: statistics.median(v) for m, v in values.items()},
+        "per_seed": values,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=PATH")
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--seeds", nargs="+", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args(argv)
+    roots = {}
+    for spec in args.checkout:
+        label, _, path = spec.partition("=")
+        roots[label] = Path(path).resolve()
+    runs = {label: {w: [] for w in args.workloads} for label in roots}
+    machine = None
+    for w in args.workloads:
+        for i, seed in enumerate(args.seeds):
+            order = list(roots.items())
+            for label, root in order[i % len(order):] + order[:i % len(order)]:
+                result, machine = run(root, w, seed, args.seconds)
+                runs[label][w].append(result)
+                print(f"{label} {w} seed={seed}: evals_per_s="
+                      f"{result['metrics']['evals_per_s']['value']:.4g}", file=sys.stderr)
+    out = {
+        "machine": machine,
+        "seconds": args.seconds,
+        "seeds": args.seeds,
+        "checkouts": {label: {w: summary(rs) for w, rs in runs[label].items()}
+                      for label in roots},
+    }
+    Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
