@@ -25,9 +25,11 @@ from .gram import gram, gram_canonical_closed, gram_fs_closed
 from .metrics import (
     SpecError,
     canonical,
+    fubini_study,
     parse_spec,
     parse_volume,
     sup_distance,
+    zhang_iterate,
 )
 from .quadrature import NumericalError, QuadConfig
 from .radial import measure_mass
@@ -47,15 +49,28 @@ class RunConfig:
 
 
 def _load_config(path):
+    """The RunConfig of a JSON object file; SpecError on anything else in it."""
     cfg = RunConfig()
     if path is None:
         path = os.environ.get(ENV_CONFIG)
-    if path:
+    if not path:
+        return cfg
+    try:
         with open(path) as fh:
             data = json.load(fh)
-        for f in dataclasses.fields(RunConfig):
-            if f.name in data:
-                setattr(cfg, f.name, data[f.name])
+    except (OSError, ValueError) as exc:
+        raise SpecError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SpecError(f"config {path} must hold a JSON object, got {type(data).__name__}")
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    for key, value in data.items():
+        if key not in kinds:
+            raise SpecError(f"unknown config key {key!r}, expected one of {sorted(kinds)}")
+        want = kinds[key]
+        # a JSON integer is a valid float; a boolean is never a number
+        if not (type(value) is want or (want is float and type(value) is int)):
+            raise SpecError(f"config key {key!r} must be of type {want.__name__}, got {value!r}")
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -116,10 +131,6 @@ def _cmd_quillen(args, cfg):
     }
     if args.verify:
         # the anomaly identity at this point against the reference metric
-        from .metrics import fubini_study
-
-        if p.degree < 0:
-            raise SpecError("quillen --verify needs degree >= 0")
         ref = fubini_study(p.degree)
         lhs = res.log_quillen - quillen(ref, w, cfg=cfg.quad()).log_quillen
         rhs = -bundle_anomaly(p, ref, w, cfg=cfg.quad()).value
@@ -186,8 +197,6 @@ def _cmd_anomaly(args, cfg):
 
 def _cmd_zhang(args, cfg):
     base = parse_spec(args.base)
-    from .metrics import zhang_iterate
-
     it = zhang_iterate(base, args.p, args.n)
     limit = canonical(base.degree)
     d0 = sup_distance(base, limit)

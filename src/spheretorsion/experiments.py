@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .gram import gram, log_det_canonical_closed
+from .gram import log_det_canonical_closed
 from .metrics import (
     canonical,
     counterexample_energy_oracle,
@@ -43,7 +43,7 @@ from .radial import bedford_taylor_check, volume_from_potential
 from .torsion import (
     SPECTRUM_SCALE,
     ZETA_PRIME_MINUS1,
-    bundle_anomaly,
+    _transfer,
     generalized_quillen_limit,
     generalized_torsion_curve,
     quillen,
@@ -164,10 +164,9 @@ def _cex_row(args):
     flat = fubini_study(0)
     w = volume_fs()
     sup = sup_distance(pot, flat)
-    K = bundle_anomaly(pot, flat, w, cfg=cfg)
-    g = gram(pot, w, cfg=cfg)
+    # the chain's K(pot, fs_0; omega_fs) is K(pot, flat; w): one kernel call
+    t_cex, (g, K, _) = _transfer(pot, w, cfg)
     t_flat = torsion(flat, w, cfg=cfg)
-    t_cex = torsion(pot, w, cfg=cfg)
     scale = c * math.sqrt(delta)
     m_delta = abs(K.diagnostics["pair_todd"]) / scale
     gap = t_flat.value - t_cex.value
@@ -268,9 +267,9 @@ def _dilation_limit(m, indices, grid_indices, tol, cfg):
 def _closed_row(args):
     m, cfg = args
     target = closed_form_target(m)
-    t_direct = torsion(canonical(m), volume_canonical(), cfg=cfg)
+    direct = quillen(canonical(m), volume_canonical(), cfg=cfg)
+    t_direct, g_can = direct.torsion, direct.gram
     lim = _dilation_limit(m, tuple(range(0, 33, 2)), (), 1e-6, cfg)
-    g_can = gram(canonical(m), volume_canonical(), cfg=cfg)
     t_general = lim.value - g_can.log_det
     law = canonical_quillen_law(m)
     return {

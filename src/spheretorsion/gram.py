@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_QUAD, QuadConfig
-from .radial import ConvergenceReport, RadialPotential, VolumeForm
+from .radial import ConvergenceReport, RadialPotential, VolumeForm, _pairings
 
 
 @dataclass
@@ -51,11 +51,18 @@ def gram(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> G
     """Diagonal Gram entries of the monomial basis, by quadrature."""
     if p.degree < 0:
         raise ValueError(f"Gram data needs degree >= 0, got {p.degree}")
+    ((entries, err),) = _pairings([_gram_rows(p, w)], cfg, splits=(*p.kinks, *w.psi.kinks))
+    return _gram_data(entries, float(err.sum()))
+
+
+def _gram_rows(p: RadialPotential, w: VolumeForm):
+    """The Gram block of _pairings: the m + 1 weights e^{kt - phi} rho_w against dt.
+
+    rho_w is folded into the rows, so psi_w is evaluated once per node array.
+    """
     ks = np.arange(p.degree + 1.0)[:, None]
-    entries, err = w.rho.integrate(
-        lambda t: np.exp(ks * t - p.phi(t)), cfg=cfg, extra_splits=p.kinks
-    )
-    return _gram_data(entries, float(err))
+    rows = lambda t, phi, psi: np.exp(ks * t - phi) * (2.0 * np.exp(t - psi) / w.norm)
+    return (p, w.psi), rows, (None,) * (p.degree + 1)
 
 
 def _gram_data(entries: np.ndarray, err: float) -> GramData:

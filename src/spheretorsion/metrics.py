@@ -491,9 +491,13 @@ def load_grid(path: str) -> RadialPotential:
     settled by the first batched Kronrod pass.
     """
     ts, vs = [], []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise SpecError(f"cannot read grid CSV {path}: {exc.strerror}") from exc
+    with fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])
         if [h.strip() for h in header[:2]] != ["t", "phi"]:
             raise SpecError(f"grid CSV must start with header 't,phi', got {header}")
         for row in rd:

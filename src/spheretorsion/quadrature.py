@@ -43,15 +43,21 @@ class ErrorEstimate(float):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    epsabs: float = 1e-12
-    epsrel: float = 1e-12
-    # most subintervals one panel between splits may be cut into
-    limit: int = 300
     # hard budget on the summed error estimate of one integrate_line call
     fail_tol: float = 5e-8
 
+    def __post_init__(self):
+        if not (self.fail_tol > 0 and math.isfinite(self.fail_tol)):
+            raise ValueError(f"fail_tol must be positive and finite, got {self.fail_tol!r}")
+
 
 DEFAULT_QUAD = QuadConfig()
+
+# the stop rule: each component's summed estimate meets max(_EPSABS, _EPSREL |I|)
+_EPSABS = 1e-12
+_EPSREL = 1e-12
+# most subintervals one panel between splits may be cut into
+_LIMIT = 300
 
 # QUADPACK qk21: Kronrod nodes on [0, 1] (the 10-point Gauss nodes are the
 # odd-indexed ones), Kronrod weights, Gauss weights
@@ -161,7 +167,7 @@ def quad(f, iv):
     return resk * h, np.maximum(err, floor), floor
 
 
-def _refine(cuts, panel, err, floor, tol, short, limit):
+def _refine(cuts, panel, err, floor, tol, short):
     """Mask of the subintervals to cut in this round; cuts holds their _cuts rows."""
     err, floor, tol = np.atleast_2d(err), np.atleast_2d(floor), np.atleast_1d(tol)
     # below the floor an estimate only moves between the parts, and a
@@ -178,7 +184,7 @@ def _refine(cuts, panel, err, floor, tol, short, limit):
     sel[order[pick]] = True
     # each cut adds _SPLIT - 1 subintervals; past a panel's room keep those
     # with the largest relative estimates
-    room = (limit - np.bincount(panel)) // (_SPLIT - 1)
+    room = (_LIMIT - np.bincount(panel)) // (_SPLIT - 1)
     if np.any(np.bincount(panel[sel], minlength=len(room)) > room):
         w = (err / tol[:, None]).max(axis=0)
         idx = np.flatnonzero(sel)
@@ -194,9 +200,9 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
     f takes an array of N nodes and returns N values, or shape (K, N) for K
     integrands sharing the evaluation; then the value has shape (K,). Each
     round cuts the subintervals holding the most error into four equal
-    parts until the summed estimate meets max(epsabs, epsrel |I|) for every
+    parts until the summed estimate meets max(_EPSABS, _EPSREL |I|) for every
     component, no subinterval above the rounding floor is left, or no panel
-    between splits has room for three more subintervals under cfg.limit. A
+    between splits has room for three more subintervals under _LIMIT. A
     whole line with no splits is cut at 0.
 
     Returns (value, err), err an ErrorEstimate: the estimate summed over all
@@ -220,12 +226,12 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
     val, err, floor = quad(f, iv)
     while True:
         total, est = val.sum(axis=-1), err.sum(axis=-1)
-        tol = np.maximum(cfg.epsabs, cfg.epsrel * np.abs(total))
+        tol = np.maximum(_EPSABS, _EPSREL * np.abs(total))
         short = np.atleast_1d(est > tol)
         if not short.any() or not np.all(np.isfinite(total)):
             break
         cuts = _cuts(iv[0], iv[1])
-        sel = _refine(cuts, panel, err, floor, tol, short, cfg.limit)
+        sel = _refine(cuts, panel, err, floor, tol, short)
         if not sel.any():
             break
         # each chosen subinterval becomes _SPLIT equal parts

@@ -136,6 +136,40 @@ def _stack(*measures: RadialMeasure) -> RadialMeasure:
     return RadialMeasure(atoms, density if dense else None, splits, hull)
 
 
+# Lebesgue dt, what a row pairs against when it names no curvature measure
+_DT = RadialMeasure(density=np.ones_like)
+
+
+def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD, splits=()):
+    """Every row of every block from one stacked kernel call.
+
+    A block is (potentials, row_fn, over): row_fn(t, *phi values) returns
+    the block's rows, anything that broadcasts to (len(over), N), and row i
+    pairs against the curvature measure of over[i], or against dt where
+    over[i] is None. Each distinct potential and each distinct measure is
+    evaluated once per node array, distinct by identity. splits are added
+    to the stacked measures' own. Returns (values, err parts) per block.
+    """
+    pots = {id(q): q for qs, _, _ in blocks for q in qs}
+    mus = {id(q): q for _, _, over in blocks for q in over if q is not None}
+    mus = {key: c1_measure(q) for key, q in mus.items()}
+    stack = _stack(*(_DT if q is None else mus[id(q)] for _, _, over in blocks for q in over))
+    spans, end = [], 0
+    for qs, row_fn, over in blocks:
+        spans.append((slice(end, end + len(over)), row_fn, [id(q) for q in qs]))
+        end += len(over)
+
+    def rows(t):
+        at = {key: q.phi(t) for key, q in pots.items()}
+        out = np.empty((end, len(t)))
+        for span, row_fn, keys in spans:
+            out[span] = row_fn(t, *(at[key] for key in keys))
+        return out
+
+    vals, err = stack.integrate(rows, cfg=cfg, extra_splits=splits)
+    return [(vals[span], err.parts[span]) for span, _, _ in spans]
+
+
 @dataclass(frozen=True, eq=False)
 class VolumeForm:
     """A volume form on the sphere: a degree-2 potential and its norm.

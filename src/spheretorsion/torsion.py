@@ -31,17 +31,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gram import GramData, _gram_data, gram, log_det_fs_closed
+from .gram import GramData, _gram_data, _gram_rows, gram, log_det_fs_closed
 from .metrics import fubini_study, volume_fs
 from .quadrature import DEFAULT_QUAD, NumericalError, QuadConfig
-from .radial import (
-    ConvergenceReport,
-    RadialMeasure,
-    RadialPotential,
-    VolumeForm,
-    _stack,
-    c1_measure,
-)
+from .radial import ConvergenceReport, RadialPotential, VolumeForm, _pairings
 
 # spectrum scale: eigenvalues are SPECTRUM_SCALE * k(k+m+1) on the area-2 sphere
 SPECTRUM_SCALE = math.pi
@@ -127,14 +120,6 @@ class AnomalyTerm:
         }
 
 
-def _diff_callable(pa: RadialPotential, pb: RadialPotential):
-    f = lambda t, _a=pa.phi, _b=pb.phi: np.asarray(_a(t), dtype=float) - np.asarray(
-        _b(t), dtype=float
-    )
-    kinks = tuple(sorted(set(pa.kinks) | set(pb.kinks)))
-    return f, kinks
-
-
 def bundle_anomaly(
     p1: RadialPotential,
     p2: RadialPotential,
@@ -160,10 +145,13 @@ def bundle_anomaly(
         raise ValueError(
             f"bundle anomaly needs equal degrees, got {p1.degree} and {p2.degree}"
         )
-    dphi, kinks = _diff_callable(p1, p2)
-    stack = _stack(c1_measure(p1), c1_measure(p2), c1_measure(w.psi))
-    vals, err = stack.integrate(dphi, cfg=cfg, extra_splits=kinks)
-    return _bundle_term(vals, err)
+    ((vals, err),) = _pairings([_bundle_rows(p1, p2, w)], cfg)
+    return _bundle_term(vals, err.sum())
+
+
+def _bundle_rows(p1: RadialPotential, p2: RadialPotential, w: VolumeForm):
+    """The bundle block of _pairings: phi1 - phi2 against mu_1, mu_2 and mu_{psi_w}."""
+    return (p1, p2), lambda t, a, b: a - b, (p1, p2, w.psi)
 
 
 def _bundle_term(vals, err: float) -> AnomalyTerm:
@@ -212,10 +200,13 @@ def volume_anomaly(
     slot carries the same coefficient as the tangent slot of the bundle
     anomaly, which the mixed-change consistency identity forces.
     """
-    dpsi, kinks = _diff_callable(w1.psi, w2.psi)
-    stack = _stack(c1_measure(p), c1_measure(w1.psi), c1_measure(w2.psi))
-    vals, err = stack.integrate(dpsi, cfg=cfg, extra_splits=kinks)
-    return _volume_term(vals, err, p, w1, w2)
+    ((vals, err),) = _pairings([_volume_rows(p, w1, w2)], cfg)
+    return _volume_term(vals, err.sum(), p, w1, w2)
+
+
+def _volume_rows(p: RadialPotential, w1: VolumeForm, w2: VolumeForm):
+    """The volume block of _pairings: psi1 - psi2 against mu_p, mu_{psi_1} and mu_{psi_2}."""
+    return (w1.psi, w2.psi), lambda t, a, b: a - b, (p, w1.psi, w2.psi)
 
 
 def _volume_term(
@@ -247,71 +238,43 @@ def _volume_term(
 def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
     """Gram data and both anomaly terms of T(p, w), from one kernel call.
 
-    One stacked pairing holds every component integral of the chain:
-
-    - the m + 1 Gram weights e^{kt - phi} rho_w, against dt;
-    - dphi = phi - phi_fs,m against mu_p, mu_fs,m and mu_fs,2 (bundle);
-    - dpsi = psi_w - psi_fs against mu_p, mu_w and mu_fs,2 (volume);
-    - 1 against the curvature of each distinct positive potential.
-
-    The last rows guard the curvature mass: one that misses its degree by
-    more than ten times its own estimate (plus 1e-10 max(1, degree)) lost
-    mass between quadrature nodes, and NumericalError is raised. Each
-    distinct potential and each distinct measure is evaluated once per node
-    array; distinct means by identity, so the shared fubini_study(m) and
-    volume_fs() coincide with a caller's own.
+    One _pairings call stacks four blocks: the Gram, the bundle block of
+    K(p, fs_m; omega_fs), the volume block of V(p; w, omega_fs) and a
+    guard block, 1 against the curvature of each distinct positive
+    potential. A guard row that misses its degree by more than ten times its
+    own estimate (plus 1e-10 max(1, degree)) lost mass between quadrature
+    nodes, and NumericalError is raised. The shared fubini_study(m) and
+    volume_fs() coincide with a caller's own, so they are evaluated once.
     """
-    m = p.degree
-    p_ref, w_ref = fubini_study(m), volume_fs()
-    pots = {id(q): q for q in (p, p_ref, w_ref.psi, w.psi)}
-    mu = {key: c1_measure(q) for key, q in pots.items()}
-    mu_p, mu_ref, mu_fs, mu_w = (mu[id(q)] for q in (p, p_ref, w_ref.psi, w.psi))
-    guarded = [q for q in pots.values() if q.positive]
-    # Lebesgue dt: rho_w is folded into the Gram rows, so psi_w runs once
-    dt = RadialMeasure(density=np.ones_like)
-    stack = _stack(
-        *[dt] * (m + 1),
-        mu_p, mu_ref, mu_fs,
-        mu_p, mu_w, mu_fs,
-        *(mu[id(q)] for q in guarded),
-    )
-    ks = np.arange(m + 1.0)[:, None]
-    g, k, v = m + 1, m + 4, m + 7  # ends of the Gram, bundle and volume rows
-
-    def rows(t):
-        at = {key: q.phi(t) for key, q in pots.items()}
-        phi, psi = at[id(p)], at[id(w.psi)]
-        out = np.empty((v + len(guarded), len(t)))
-        out[:g] = np.exp(ks * t - phi) * (2.0 * np.exp(t - psi) / w.norm)
-        out[g:k] = phi - at[id(p_ref)]
-        out[k:v] = psi - at[id(w_ref.psi)]
-        out[v:] = 1.0
-        return out
-
-    vals, err = stack.integrate(rows, cfg=cfg)
-    est = err.parts
-    for i, q in enumerate(guarded, start=v):
-        if abs(vals[i] - q.degree) > 10.0 * est[i] + 1e-10 * max(1, q.degree):
+    p_ref, w_ref = fubini_study(p.degree), volume_fs()
+    guarded = [q for q in {id(q): q for q in (p, p_ref, w_ref.psi, w.psi)}.values() if q.positive]
+    guard = ((), lambda t: 1.0, guarded)
+    blocks = [_gram_rows(p, w), _bundle_rows(p, p_ref, w_ref), _volume_rows(p, w, w_ref), guard]
+    (g, g_err), (k, k_err), (v, v_err), (mass, mass_err) = _pairings(blocks, cfg)
+    for q, got, est in zip(guarded, mass, mass_err):
+        if abs(got - q.degree) > 10.0 * est + 1e-10 * max(1, q.degree):
             raise NumericalError(
-                f"curvature mass of {q.label or 'anonymous'} is {vals[i]:.15g}, not its "
+                f"curvature mass of {q.label or 'anonymous'} is {got:.15g}, not its "
                 f"degree {q.degree}: a bump fell between quadrature nodes (brackets "
                 "missing from its kinks?) or its curvature data is wrong"
             )
-    gd = _gram_data(vals[:g], float(est[:g].sum()))
-    K = _bundle_term(vals[g:k], est[g:k].sum())
-    V = _volume_term(vals[k:v], est[k:v].sum(), p, w, w_ref)
-    return gd, K, V
+    gd = _gram_data(g, float(g_err.sum()))
+    return gd, _bundle_term(k, k_err.sum()), _volume_term(v, v_err.sum(), p, w, w_ref)
 
 
 def _transfer(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
-    """(T, Gram data) of (p, w); the Gram is None for the reference pair."""
+    """(T, chain) of (p, w): chain is the (Gram data, K, V) T was built from.
+
+    The reference pair, fubini_study(m) on volume_fs() by identity, returns
+    T_fs(m) itself and chain None.
+    """
     m = p.degree
     if m < 0:
         raise ValueError(f"torsion needs a degree >= 0 bundle, got {m}")
     ref = fs_reference_torsion(m)
-    if p.label == f"fs:{m}" and w.label == "fs":
+    if p is fubini_study(m) and w is volume_fs():
         return ref, None
-    gd, K, V = _chain(p, w, cfg)
+    gd, K, V = chain = _chain(p, w, cfg)
     lg_ref = log_det_fs_closed(m)
     value = ref.value - K.value - V.value + lg_ref - gd.log_det
     T = TorsionResult(
@@ -325,7 +288,7 @@ def _transfer(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
         },
         err=ref.err + K.err + V.err + gd.err,
     )
-    return T, gd
+    return T, chain
 
 
 def torsion(
@@ -338,10 +301,11 @@ def torsion(
     Every input, smooth or integrable (atoms, kinks), runs the same chain
     from the spectral reference; for non-smooth data the pairings are the
     generalized ones, which is exactly the regularized value the
-    approximation theorem assigns. The reference pair (fs_m, omega_fs)
-    itself returns the reference exactly, which the chain reproduces only
-    to rounding. Limits along explicit approximating families are
-    generalized_quillen_limit and generalized_torsion_curve.
+    approximation theorem assigns. The reference pair, fubini_study(m) on
+    volume_fs() recognized by identity and never by label, returns the
+    reference exactly, which the chain reproduces only to rounding. Limits
+    along explicit approximating families are generalized_quillen_limit and
+    generalized_torsion_curve.
     """
     return _transfer(p, w, cfg)[0]
 
@@ -368,9 +332,8 @@ def quillen(
     cfg: QuadConfig = DEFAULT_QUAD,
 ) -> QuillenResult:
     """log of the Quillen metric on det H^0: log det Gram plus torsion."""
-    T, gd = _transfer(p, w, cfg)
-    if gd is None:
-        gd = gram(p, w, cfg=cfg)
+    T, chain = _transfer(p, w, cfg)
+    gd = gram(p, w, cfg=cfg) if chain is None else chain[0]
     return QuillenResult(
         log_quillen=gd.log_det + T.value, log_l2=gd.log_det, torsion=T, gram=gd
     )

@@ -201,6 +201,35 @@ def test_exit_2_on_an_empty_sweep(capsys):
     assert rc == 2 and "at least one row" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param({"argv": ["--config", "absent.json"]}, id="missing-config"),
+        pytest.param({"env": "absent.json"}, id="missing-env-config"),
+        pytest.param({"metric": "grid:absent.csv"}, id="missing-grid-csv"),
+        pytest.param({"config": '{"jobs": "2"}'}, id="string-jobs"),
+        pytest.param({"config": '{"quad_fail_tol": "1e-8"}'}, id="string-fail-tol"),
+        pytest.param({"config": "[1]"}, id="config-array"),
+        pytest.param({"config": '{"quad_tol": 1e-8}'}, id="unknown-config-key"),
+        pytest.param({"argv": ["--quad-tol", "-1"]}, id="negative-quad-tol"),
+        pytest.param({"argv": ["--quad-tol", "0"]}, id="zero-quad-tol"),
+        pytest.param({"argv": ["--quad-tol", "nan"]}, id="nan-quad-tol"),
+        pytest.param({"argv": ["--quad-tol", "inf"]}, id="inf-quad-tol"),
+    ],
+)
+def test_exit_2_on_bad_outside_input(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    argv = ["torsion", "--metric", case.get("metric", "canonical:1"), "--volume", "canonical"]
+    if "config" in case:
+        (tmp_path / "cfg.json").write_text(case["config"])
+        argv += ["--config", "cfg.json"]
+    if "env" in case:
+        monkeypatch.setenv(ENV_CONFIG, case["env"])
+    rc, out, err = run(capsys, *argv, *case.get("argv", ()))
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1, err
+
+
 def test_exit_3_on_impossible_budget(capsys):
     rc, _, err = run(
         capsys, "torsion", "--metric", "canonical:1", "--volume", "canonical",

@@ -169,6 +169,16 @@ def test_run_closed_form_builds_each_dilation_volume_once(monkeypatch):
     assert len(builds) == 17
 
 
+def test_counterexample_row_is_one_kernel_call(monkeypatch):
+    # T, the Gram and K of a row all come from one transfer chain; T of the
+    # flat metric on the round volume is the reference, no call at all
+    radial = importlib.import_module("spheretorsion.radial")
+    calls = []
+    monkeypatch.setattr(radial, "integrate_line", _counting(calls, radial.integrate_line))
+    run_counterexample(deltas=(1e-2,), cfg=QUAD)
+    assert len(calls) == 1
+
+
 # --- double limit and weak convergence ---
 
 

@@ -34,6 +34,7 @@ from spheretorsion import (
     volume_fs,
     zhang_iterate,
 )
+from spheretorsion import quadrature
 from spheretorsion.metrics import _concentration_splits
 from spheretorsion.radial import (
     ConvergenceReport,
@@ -387,7 +388,7 @@ def test_integrate_line_err_parts_sum_to_the_summed_estimate():
     assert isinstance(scalar, float) and scalar.parts.shape == ()
 
 
-def _subintervals_per_pass(f, limit, splits=()):
+def _subintervals_per_pass(monkeypatch, f, limit, splits=()):
     """Subintervals of each panel after every pass of a call that fails.
 
     The first pass evaluates 21 nodes per panel and every later one 84 per
@@ -400,23 +401,24 @@ def _subintervals_per_pass(f, limit, splits=()):
         passes.append(np.bincount(np.searchsorted(splits, t), minlength=len(splits) + 1))
         return f(t)
 
+    monkeypatch.setattr(quadrature, "_LIMIT", limit)
     with pytest.raises(NumericalError, match="error estimate"):
-        integrate_line(counting, splits=splits, support=(0.0, 1.0), cfg=QuadConfig(limit=limit))
+        integrate_line(counting, splits=splits, support=(0.0, 1.0), cfg=QUAD)
     cuts = np.cumsum(passes[1:], axis=0) // 84
     return [[1] * (len(splits) + 1)] + (1 + 3 * cuts).tolist()
 
 
-def test_integrate_line_caps_subintervals_per_panel():
+def test_integrate_line_caps_subintervals_per_panel(monkeypatch):
     # an endpoint singularity asks for one cut per pass
     sing = lambda t: 1.0 / np.sqrt(t)
-    assert _subintervals_per_pass(sing, 10) == [[1], [4], [7], [10]]
+    assert _subintervals_per_pass(monkeypatch, sing, 10) == [[1], [4], [7], [10]]
     # a cut that would overshoot the cap is not made
-    assert _subintervals_per_pass(sing, 9) == [[1], [4], [7]]
+    assert _subintervals_per_pass(monkeypatch, sing, 9) == [[1], [4], [7]]
     # an oscillation asks for four cuts in the second pass; room is left for two
     wave = lambda t: np.cos(300.0 * t)
-    assert _subintervals_per_pass(wave, 10) == [[1], [4], [10]]
+    assert _subintervals_per_pass(monkeypatch, wave, 10) == [[1], [4], [10]]
     # the cap holds for every panel between splits
-    both = _subintervals_per_pass(lambda t: wave(t) + sing(t), 10, splits=(0.25,))
+    both = _subintervals_per_pass(monkeypatch, lambda t: wave(t) + sing(t), 10, splits=(0.25,))
     assert both[-1] == [10, 10] and np.max(both) <= 10
 
 

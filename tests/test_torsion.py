@@ -336,6 +336,18 @@ def test_routes_agree_on_smooth_data():
         assert abs(exact.value - chain.value) < 1e-8
 
 
+def test_reference_pair_is_recognized_by_identity_not_by_label():
+    # a volume labelled "fs" is not the round volume, and a copy of fs_1
+    # under another metric's label is not fs_1: both run the chain
+    lse_vol = lambda **kw: volume_from_potential(lse(2, 3.0), cfg=QUAD, **kw)
+    named = torsion(fubini_study(1), lse_vol(label="fs"), cfg=QUAD)
+    assert "reference" in named.components
+    assert named.value == torsion(fubini_study(1), lse_vol(), cfg=QUAD).value
+    assert abs(named.value - fs_reference_torsion(1).value) > 1e-3
+    posing = dataclasses.replace(lse(1, 3.0), label="fs:1")
+    assert torsion(posing, WFS, cfg=QUAD).value == torsion(lse(1, 3.0), WFS, cfg=QUAD).value
+
+
 def test_route_selection_and_refusals():
     # one chain: only the reference pair, read off the input, short-cuts it
     assert "reference" not in torsion(fubini_study(2), WFS, cfg=QUAD).components
@@ -364,6 +376,7 @@ def test_each_anomaly_term_is_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(radial, "integrate_line", counting)
     for run, want in (
+        (lambda: gram(p, w, cfg=QUAD), 1),
         (lambda: bundle_anomaly(p, fubini_study(2), w, cfg=QUAD), 1),
         (lambda: volume_anomaly(p, w, WFS, cfg=QUAD), 1),
         # the Gram and the two anomaly terms share one stacked pairing
