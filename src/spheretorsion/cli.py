@@ -44,9 +44,6 @@ class RunConfig:
     jobs: int = 1
     no_meta: bool = False
 
-    def quad(self) -> QuadConfig:
-        return QuadConfig(fail_tol=self.quad_fail_tol)
-
 
 def _load_config(path):
     """The RunConfig of a JSON object file; SpecError on anything else in it."""
@@ -101,17 +98,17 @@ def _verify_block(checks: dict) -> dict:
 # --- subcommand handlers ---
 
 
-def _cmd_torsion(args, cfg):
+def _cmd_torsion(args, cfg, quad):
     p = parse_spec(args.metric)
     w = parse_volume(args.volume)
-    res = torsion(p, w, cfg=cfg.quad())
+    res = torsion(p, w, cfg=quad)
     payload = {
         "command": "torsion",
         "inputs": {"metric": args.metric, "volume": args.volume},
         "results": res.as_dict(),
     }
     if args.verify:
-        mass = measure_mass(p, cfg=cfg.quad())
+        mass = measure_mass(p, cfg=quad)
         checks = {
             "mass_equals_degree_1e-9": abs(mass - p.degree) <= 1e-9,
             "error_budget": res.err <= 1e-6,
@@ -120,10 +117,10 @@ def _cmd_torsion(args, cfg):
     return payload
 
 
-def _cmd_quillen(args, cfg):
+def _cmd_quillen(args, cfg, quad):
     p = parse_spec(args.metric)
     w = parse_volume(args.volume)
-    res = quillen(p, w, cfg=cfg.quad())
+    res = quillen(p, w, cfg=quad)
     payload = {
         "command": "quillen",
         "inputs": {"metric": args.metric, "volume": args.volume},
@@ -132,17 +129,17 @@ def _cmd_quillen(args, cfg):
     if args.verify:
         # the anomaly identity at this point against the reference metric
         ref = fubini_study(p.degree)
-        lhs = res.log_quillen - quillen(ref, w, cfg=cfg.quad()).log_quillen
-        rhs = -bundle_anomaly(p, ref, w, cfg=cfg.quad()).value
+        lhs = res.log_quillen - quillen(ref, w, cfg=quad).log_quillen
+        rhs = -bundle_anomaly(p, ref, w, cfg=quad).value
         checks = {"anomaly_identity_1e-8": abs(lhs - rhs) <= 1e-8}
         payload["verify"] = _verify_block(checks)
     return payload
 
 
-def _cmd_gram(args, cfg):
+def _cmd_gram(args, cfg, quad):
     p = parse_spec(args.metric)
     w = parse_volume(args.volume)
-    g = gram(p, w, cfg=cfg.quad())
+    g = gram(p, w, cfg=quad)
     payload = {
         "command": "gram",
         "inputs": {"metric": args.metric, "volume": args.volume},
@@ -160,19 +157,19 @@ def _cmd_gram(args, cfg):
     return payload
 
 
-def _cmd_anomaly(args, cfg):
+def _cmd_anomaly(args, cfg, quad):
     if args.kind == "bundle":
         if not args.metric2:
             raise SpecError("bundle anomaly needs --metric2")
         x, y = parse_spec(args.metric), parse_spec(args.metric2)
         w = parse_volume(args.volume)
-        anomaly = lambda a, b: bundle_anomaly(a, b, w, cfg=cfg.quad())
+        anomaly = lambda a, b: bundle_anomaly(a, b, w, cfg=quad)
     elif args.kind == "volume":
         if not args.volume2:
             raise SpecError("volume anomaly needs --volume2")
         p = parse_spec(args.metric)
         x, y = parse_volume(args.volume), parse_volume(args.volume2)
-        anomaly = lambda a, b: volume_anomaly(p, a, b, cfg=cfg.quad())
+        anomaly = lambda a, b: volume_anomaly(p, a, b, cfg=quad)
     else:
         raise SpecError(f"unknown anomaly kind {args.kind!r}")
     term = anomaly(x, y)
@@ -195,7 +192,7 @@ def _cmd_anomaly(args, cfg):
     return payload
 
 
-def _cmd_zhang(args, cfg):
+def _cmd_zhang(args, cfg, quad):
     base = parse_spec(args.base)
     it = zhang_iterate(base, args.p, args.n)
     limit = canonical(base.degree)
@@ -218,11 +215,11 @@ def _cmd_zhang(args, cfg):
     return payload
 
 
-def _cmd_counterexample(args, cfg):
+def _cmd_counterexample(args, cfg, quad):
     cs = [float(x) for x in args.c.split(",")]
     deltas = [float(x) for x in args.deltas.split(",")]
     res = experiments.run_counterexample(
-        cs=cs, deltas=deltas, eps=args.eps, gamma=args.gamma, jobs=cfg.jobs, cfg=cfg.quad()
+        cs=cs, deltas=deltas, eps=args.eps, gamma=args.gamma, jobs=cfg.jobs, cfg=quad
     )
     if args.verify:
         res["verify"] = _verify_block(
@@ -235,9 +232,9 @@ def _cmd_counterexample(args, cfg):
     return res
 
 
-def _cmd_closed_form(args, cfg):
+def _cmd_closed_form(args, cfg, quad):
     ms = tuple(range(0, args.m_max + 1))
-    res = experiments.run_closed_form(ms=ms, jobs=cfg.jobs, cfg=cfg.quad())
+    res = experiments.run_closed_form(ms=ms, jobs=cfg.jobs, cfg=quad)
     if args.verify:
         res["verify"] = _verify_block(
             {
@@ -249,17 +246,17 @@ def _cmd_closed_form(args, cfg):
     return res
 
 
-def _cmd_double_limit(args, cfg):
+def _cmd_double_limit(args, cfg, quad):
     res = experiments.run_double_limit_study(
-        m=args.m, n_max=args.n_max, tol=args.tol, cfg=cfg.quad()
+        m=args.m, n_max=args.n_max, tol=args.tol, cfg=quad
     )
     if args.verify:
         res["verify"] = _verify_block(dict(res["verdicts"]))
     return res
 
 
-def _cmd_bt_check(args, cfg):
-    res = experiments.run_bt_suite(m=args.m, tol=args.tol, cfg=cfg.quad())
+def _cmd_bt_check(args, cfg, quad):
+    res = experiments.run_bt_suite(m=args.m, tol=args.tol, cfg=quad)
     if args.verify:
         res["verify"] = _verify_block(dict(res["verdicts"]))
     return res
@@ -358,7 +355,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         cfg = _merge_cli(_load_config(args.config), args)
-        payload = args.handler(args, cfg)
+        # built once, so a bad budget is refused by every subcommand alike
+        quad = QuadConfig(fail_tol=cfg.quad_fail_tol)
+        payload = args.handler(args, cfg, quad)
         _emit(payload, args, cfg)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

@@ -44,10 +44,10 @@ from .torsion import (
     SPECTRUM_SCALE,
     ZETA_PRIME_MINUS1,
     _transfer,
+    fs_reference_torsion,
     generalized_quillen_limit,
     generalized_torsion_curve,
     quillen,
-    torsion,
     zeta_zero,
 )
 
@@ -164,9 +164,10 @@ def _cex_row(args):
     flat = fubini_study(0)
     w = volume_fs()
     sup = sup_distance(pot, flat)
-    # the chain's K(pot, fs_0; omega_fs) is K(pot, flat; w): one kernel call
-    t_cex, (g, K, _) = _transfer(pot, w, cfg)
-    t_flat = torsion(flat, w, cfg=cfg)
+    # the chain's K(pot, fs_0; omega_fs) is K(pot, flat; w): one kernel call;
+    # the flat metric on the round volume is the reference pair at m = 0
+    q, K = _transfer(pot, w, cfg)
+    t_cex, g, t_flat = q.torsion, q.gram, fs_reference_torsion(0)
     scale = c * math.sqrt(delta)
     m_delta = abs(K.diagnostics["pair_todd"]) / scale
     gap = t_flat.value - t_cex.value

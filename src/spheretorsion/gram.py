@@ -31,7 +31,7 @@ class GramData:
     m: int
     entries: np.ndarray  # g_0 .. g_m
     log_det: float
-    err: float
+    err: float  # bounds the error of log_det
 
     @property
     def det(self) -> float:
@@ -51,8 +51,8 @@ def gram(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> G
     """Diagonal Gram entries of the monomial basis, by quadrature."""
     if p.degree < 0:
         raise ValueError(f"Gram data needs degree >= 0, got {p.degree}")
-    ((entries, err),) = _pairings([_gram_rows(p, w)], cfg, splits=(*p.kinks, *w.psi.kinks))
-    return _gram_data(entries, float(err.sum()))
+    ((entries, parts),) = _pairings([_gram_rows(p, w)], cfg, splits=(*p.kinks, *w.psi.kinks))
+    return _gram_data(entries, parts)
 
 
 def _gram_rows(p: RadialPotential, w: VolumeForm):
@@ -65,14 +65,20 @@ def _gram_rows(p: RadialPotential, w: VolumeForm):
     return (p, w.psi), rows, (None,) * (p.degree + 1)
 
 
-def _gram_data(entries: np.ndarray, err: float) -> GramData:
+def _gram_data(entries: np.ndarray, parts: np.ndarray) -> GramData:
+    """GramData of the entries and their estimates, err in units of log det.
+
+    An entry off by e_k moves log det by about e_k / g_k; a few eps times
+    sum |log g_k| bounds the rounding of the logs and of their sum.
+    """
     if np.any(entries <= 0):
         raise ValueError("Gram entry came out nonpositive; potential invalid")
-    m = len(entries) - 1
-    return GramData(m=m, entries=entries, log_det=float(np.sum(np.log(entries))), err=err)
+    logs = np.log(entries)
+    err = float(np.sum(parts / entries) + 4.0 * np.finfo(float).eps * np.sum(np.abs(logs)))
+    return GramData(m=len(entries) - 1, entries=entries, log_det=float(np.sum(logs)), err=err)
 
 
-# --- closed forms (used as engine constants and as test oracles) ---
+# --- closed forms (the closed-form target, `gram --verify` and test oracles) ---
 
 
 def gram_fs_closed(m: int) -> np.ndarray:

@@ -4,11 +4,13 @@ The only spectrum ever used is the reference one: the Dolbeault Laplacian
 of (O(m), round metric) over the round sphere of area 2 has nonzero
 eigenvalues pi k (k+m+1) with multiplicity m + 2k + 1, k >= 1. Its zeta
 function has an elementary closed form at s = 0 (CONVENTIONS.md section 4)
-and gives the reference torsion T_fs(m). Everything else is reached by one
-chain through the two anomaly terms:
+and gives the reference torsion T_fs(m). Adding the round Gram, the sums
+of the two cancel, so the reference Quillen metric is a closed form Q_fs(m)
+(section 7). Everything else is reached by one chain through the two
+anomaly terms:
 
-    T(p, w) = T_fs(m) - K(p, fs_m; omega_fs) - V(p; w, omega_fs)
-              + log det G(fs_m, omega_fs) - log det G(p, w)
+    log h_Q(p, w) = Q_fs(m) - K(p, fs_m; omega_fs) - V(p; w, omega_fs)
+    T(p, w)       = log h_Q(p, w) - log det G(p, w)
 
 where K is the bundle anomaly at fixed volume and V the volume anomaly at
 fixed bundle metric. Their coefficients are the Bismut-Gillet-Soule ones
@@ -18,8 +20,9 @@ only: it is unchanged under h -> e^{-a} h and under psi -> psi + b (see
 CONVENTIONS.md for the lattice and the closed form it implies for the
 canonical metrics).
 
-The log maps of Quillen metrics: log h_Q = log det G + T on det H^0 in the
-monomial basis of record; the basis constant cancels from every identity.
+log h_Q is on det H^0 in the monomial basis of record; the basis constant
+cancels from every identity. The Gram only splits it into the L^2 metric
+and the torsion.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gram import GramData, _gram_data, _gram_rows, gram, log_det_fs_closed
+from .gram import GramData, _gram_data, _gram_rows
 from .metrics import fubini_study, volume_fs
 from .quadrature import DEFAULT_QUAD, NumericalError, QuadConfig
 from .radial import ConvergenceReport, RadialPotential, VolumeForm, _pairings
@@ -236,7 +239,7 @@ def _volume_term(
 
 
 def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
-    """Gram data and both anomaly terms of T(p, w), from one kernel call.
+    """Gram data and both anomaly terms of quillen(p, w), from one kernel call.
 
     One _pairings call stacks four blocks: the Gram, the bundle block of
     K(p, fs_m; omega_fs), the volume block of V(p; w, omega_fs) and a
@@ -258,56 +261,41 @@ def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
                 f"degree {q.degree}: a bump fell between quadrature nodes (brackets "
                 "missing from its kinks?) or its curvature data is wrong"
             )
-    gd = _gram_data(g, float(g_err.sum()))
+    gd = _gram_data(g, g_err)
     return gd, _bundle_term(k, k_err.sum()), _volume_term(v, v_err.sum(), p, w, w_ref)
 
 
-def _transfer(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
-    """(T, chain) of (p, w): chain is the (Gram data, K, V) T was built from.
+def _quillen_fs(m: int) -> float:
+    """log h_Q(fs_m, omega_fs) = T_fs(m) + log det G(fs_m, omega_fs), in closed form.
 
-    The reference pair, fubini_study(m) on volume_fs() by identity, returns
-    T_fs(m) itself and chain None.
+    The sum S(m) of Z'_m(0) and the one in LG_fs(m) = (m+1) log 2 - S(m)
+    cancel (CONVENTIONS.md section 7), which leaves
+
+        Q_fs(m) = 4 zeta'(-1) - (m+1)^2/2 + (m+1) log 2 - zeta_m(0) log(pi).
     """
+    terms = (4.0 * ZETA_PRIME_MINUS1, -(m + 1) ** 2 / 2.0, (m + 1) * math.log(2.0))
+    return math.fsum((*terms, -math.log(SPECTRUM_SCALE) * zeta_zero(m)))
+
+
+def _transfer(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
+    """(quillen(p, w), K): the body of quillen, with the bundle term it was built from."""
     m = p.degree
     if m < 0:
         raise ValueError(f"torsion needs a degree >= 0 bundle, got {m}")
-    ref = fs_reference_torsion(m)
-    if p is fubini_study(m) and w is volume_fs():
-        return ref, None
-    gd, K, V = chain = _chain(p, w, cfg)
-    lg_ref = log_det_fs_closed(m)
-    value = ref.value - K.value - V.value + lg_ref - gd.log_det
-    T = TorsionResult(
-        value=value,
-        components={
-            "reference": ref.value,
-            "bundle_anomaly": K.value,
-            "volume_anomaly": V.value,
-            "log_gram_ref": lg_ref,
-            "log_gram": gd.log_det,
-        },
-        err=ref.err + K.err + V.err + gd.err,
-    )
-    return T, chain
-
-
-def torsion(
-    p: RadialPotential,
-    w: VolumeForm,
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> TorsionResult:
-    """Analytic torsion of (O(m), e^{-phi}) over the sphere with volume w.
-
-    Every input, smooth or integrable (atoms, kinks), runs the same chain
-    from the spectral reference; for non-smooth data the pairings are the
-    generalized ones, which is exactly the regularized value the
-    approximation theorem assigns. The reference pair, fubini_study(m) on
-    volume_fs() recognized by identity and never by label, returns the
-    reference exactly, which the chain reproduces only to rounding. Limits
-    along explicit approximating families are generalized_quillen_limit and
-    generalized_torsion_curve.
-    """
-    return _transfer(p, w, cfg)[0]
+    gd, K, V = _chain(p, w, cfg)
+    ref = _quillen_fs(m)
+    log_q = ref - K.value - V.value
+    components = {
+        "log_quillen_ref": ref,
+        "bundle_anomaly": K.value,
+        "volume_anomaly": V.value,
+        "log_gram": gd.log_det,
+    }
+    # the quadrature estimates, plus the rounding of the closed form and of the sums
+    rounding = 4.0 * sys.float_info.epsilon * math.fsum(map(abs, components.values()))
+    err = K.err + V.err + gd.err + rounding
+    T = TorsionResult(value=log_q - gd.log_det, components=components, err=err)
+    return QuillenResult(log_quillen=log_q, log_l2=gd.log_det, torsion=T, gram=gd), K
 
 
 @dataclass
@@ -331,12 +319,28 @@ def quillen(
     w: VolumeForm,
     cfg: QuadConfig = DEFAULT_QUAD,
 ) -> QuillenResult:
-    """log of the Quillen metric on det H^0: log det Gram plus torsion."""
-    T, chain = _transfer(p, w, cfg)
-    gd = gram(p, w, cfg=cfg) if chain is None else chain[0]
-    return QuillenResult(
-        log_quillen=gd.log_det + T.value, log_l2=gd.log_det, torsion=T, gram=gd
-    )
+    """log of the Quillen metric on det H^0, and its split into L^2 part and torsion.
+
+    log h_Q(p, w) = Q_fs(m) - K(p, fs_m; omega_fs) - V(p; w, omega_fs) and
+    T = log h_Q - log det G(p, w). Every input, smooth or integrable (atoms,
+    kinks), the reference pair included, runs this one chain; for
+    non-smooth data the pairings are the generalized ones, which is exactly
+    the regularized value the approximation theorem assigns.
+    """
+    return _transfer(p, w, cfg)[0]
+
+
+def torsion(
+    p: RadialPotential,
+    w: VolumeForm,
+    cfg: QuadConfig = DEFAULT_QUAD,
+) -> TorsionResult:
+    """Analytic torsion of (O(m), e^{-phi}) over the sphere with volume w: quillen(p, w).torsion.
+
+    Limits along explicit approximating families are
+    generalized_quillen_limit and generalized_torsion_curve.
+    """
+    return _transfer(p, w, cfg)[0].torsion
 
 
 # --- limits along approximating families ---

@@ -215,12 +215,18 @@ def test_exit_2_on_an_empty_sweep(capsys):
         pytest.param({"argv": ["--quad-tol", "0"]}, id="zero-quad-tol"),
         pytest.param({"argv": ["--quad-tol", "nan"]}, id="nan-quad-tol"),
         pytest.param({"argv": ["--quad-tol", "inf"]}, id="inf-quad-tol"),
+        # zhang integrates nothing, but a bad budget is refused all the same
+        pytest.param(
+            {"command": ["zhang", "--base", "fs:2"], "argv": ["--quad-tol", "-1"]},
+            id="zhang-negative-quad-tol",
+        ),
     ],
 )
 def test_exit_2_on_bad_outside_input(capsys, tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(ENV_CONFIG, raising=False)
-    argv = ["torsion", "--metric", case.get("metric", "canonical:1"), "--volume", "canonical"]
+    torsion_argv = ["torsion", "--metric", case.get("metric", "canonical:1"), "--volume", "canonical"]
+    argv = case.get("command", torsion_argv)
     if "config" in case:
         (tmp_path / "cfg.json").write_text(case["config"])
         argv += ["--config", "cfg.json"]

@@ -170,8 +170,8 @@ def test_run_closed_form_builds_each_dilation_volume_once(monkeypatch):
 
 
 def test_counterexample_row_is_one_kernel_call(monkeypatch):
-    # T, the Gram and K of a row all come from one transfer chain; T of the
-    # flat metric on the round volume is the reference, no call at all
+    # T, the Gram and K of a row all come from one transfer chain; the flat
+    # metric on the round volume is the reference pair at m = 0, no call at all
     radial = importlib.import_module("spheretorsion.radial")
     calls = []
     monkeypatch.setattr(radial, "integrate_line", _counting(calls, radial.integrate_line))

@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 import pytest
-from mpmath import digamma, mp, mpf
+from mpmath import digamma, loggamma, mp, mpf
 from mpmath import zeta as mpzeta
 
 from spheretorsion import (
@@ -70,6 +70,7 @@ from zeta_oracle import zeta_prime_minus1_em
 
 WFS = volume_fs()
 WCAN = volume_canonical()
+COMPONENTS = {"log_quillen_ref", "bundle_anomaly", "volume_anomaly", "log_gram"}
 
 
 # --- zeta machinery ---
@@ -284,18 +285,53 @@ def test_torsion_m1_anchor():
     t = torsion(canonical(1), WCAN, cfg=QUAD)
     want = fs_reference_torsion(1).value + 11.0 / 6.0 - (5.0 / 6.0) * LOG2 - 2.0 * math.log(1.5)
     assert t.value == pytest.approx(want, abs=1e-10)
-    assert set(t.components) == {
-        "reference", "bundle_anomaly", "volume_anomaly", "log_gram_ref", "log_gram",
-    }
+    assert set(t.components) == COMPONENTS
 
 
 def test_quillen_bookkeeping_identity():
     q = quillen(canonical(1), WCAN, cfg=QUAD)
-    assert q.log_quillen == q.log_l2 + q.torsion.value
+    assert q.torsion.value == q.log_quillen - q.log_l2
     assert q.log_l2 == pytest.approx(2.0 * math.log(1.5), abs=1e-11)
     assert q.log_quillen == pytest.approx(
         fs_reference_torsion(1).value + 11.0 / 6.0 - (5.0 / 6.0) * LOG2, abs=1e-10
     )
+
+
+def _fs_pair_mp(m):
+    """(log h_Q, T) of fs_m on the round volume at 50 digits: T_fs(m) plus the Beta Gram."""
+    with mp.workdps(50):
+        t = _closed_form_mp(m) - mp.log(mp.pi) * zeta_zero(m)
+        lg = sum(mp.log(2 * mp.beta(k + 1, m + 1 - k)) for k in range(m + 1))
+        return t + lg, t
+
+
+def _canonical_torsion_mp(m):
+    """T(can_m, omega_can) at 50 digits (CONVENTIONS.md section 7)."""
+    with mp.workdps(50):
+        lg_inf = (m + 1) * mp.log(m + 2) - 2 * loggamma(m + 2)
+        zeta0 = -mpf(m + 1) / 2 - mpf(1) / 6
+        return 4 * mpzeta(-1, 1, 1) - mpf(1) / 6 - lg_inf - zeta0 * mp.log(2 * mp.pi)
+
+
+@pytest.mark.parametrize("m", (1, 5, 24, 50, 100))
+def test_reported_err_bounds_the_torsion(m):
+    # fs_m on a volume built from fs_2 is the reference pair geometrically,
+    # with a norm found by quadrature, so its true T is T_fs(m)
+    w = volume_from_potential(fubini_study(2), cfg=QUAD)
+    t = torsion(fubini_study(m), w, cfg=QUAD)
+    with mp.workdps(50):
+        assert abs(mpf(t.value) - _fs_pair_mp(m)[1]) <= t.err
+    t = torsion(canonical(m), WCAN, cfg=QUAD)
+    with mp.workdps(50):
+        assert abs(mpf(t.value) - _canonical_torsion_mp(m)) <= t.err
+
+
+def test_quillen_metric_needs_no_gram_closed_form():
+    # log h_Q is the closed form Q_fs(m) less the anomaly terms: no Gram
+    # log-determinant near -1300 enters it at m = 50
+    q = quillen(fubini_study(50), volume_from_potential(fubini_study(2), cfg=QUAD), cfg=QUAD)
+    with mp.workdps(50):
+        assert abs(mpf(q.log_quillen) - _fs_pair_mp(50)[0]) <= 1e-12
 
 
 def test_anomaly_identity_many_pairs():
@@ -324,35 +360,36 @@ def test_volume_change_identity():
         assert abs(lhs - rhs) < 1e-9
 
 
-def test_routes_agree_on_smooth_data():
-    # the reference pair returns the reference exactly; the same metric under
-    # another label runs the full chain and must land on it
-    for m in (0, 1, 3):
-        exact = torsion(fubini_study(m), WFS, cfg=QUAD)
-        assert exact.value == fs_reference_torsion(m).value
-        relabelled = dataclasses.replace(fubini_study(m), label=f"round:{m}")
-        chain = torsion(relabelled, WFS, cfg=QUAD)
-        assert "bundle_anomaly" in chain.components
-        assert abs(exact.value - chain.value) < 1e-8
+def test_reference_pair_lands_on_the_reference_torsion():
+    # the reference pair runs the chain like every other pair: T is Q_fs(m)
+    # less a quadrature Gram, and lands on T_fs(m)
+    for m in range(25):
+        t = torsion(fubini_study(m), WFS, cfg=QUAD)
+        assert abs(t.value - fs_reference_torsion(m).value) <= 1e-12, m
+        assert t.value == quillen(fubini_study(m), WFS, cfg=QUAD).torsion.value
 
 
-def test_reference_pair_is_recognized_by_identity_not_by_label():
+def test_values_do_not_depend_on_labels():
     # a volume labelled "fs" is not the round volume, and a copy of fs_1
-    # under another metric's label is not fs_1: both run the chain
+    # under another metric's label is not fs_1: only the geometry counts
     lse_vol = lambda **kw: volume_from_potential(lse(2, 3.0), cfg=QUAD, **kw)
     named = torsion(fubini_study(1), lse_vol(label="fs"), cfg=QUAD)
-    assert "reference" in named.components
     assert named.value == torsion(fubini_study(1), lse_vol(), cfg=QUAD).value
     assert abs(named.value - fs_reference_torsion(1).value) > 1e-3
     posing = dataclasses.replace(lse(1, 3.0), label="fs:1")
     assert torsion(posing, WFS, cfg=QUAD).value == torsion(lse(1, 3.0), WFS, cfg=QUAD).value
 
 
-def test_route_selection_and_refusals():
-    # one chain: only the reference pair, read off the input, short-cuts it
-    assert "reference" not in torsion(fubini_study(2), WFS, cfg=QUAD).components
-    for p, w in ((canonical(2), WCAN), (mollified_max(1, 0.5), WFS), (fubini_study(2), WCAN)):
-        assert "reference" in torsion(p, w, cfg=QUAD).components
+def test_every_pair_reports_the_same_components_and_refusals():
+    # one chain: the reference pair reports what every other pair reports
+    pairs = (
+        (fubini_study(2), WFS),
+        (canonical(2), WCAN),
+        (mollified_max(1, 0.5), WFS),
+        (fubini_study(2), WCAN),
+    )
+    for p, w in pairs:
+        assert set(torsion(p, w, cfg=QUAD).components) == COMPONENTS
     with pytest.raises(TypeError):
         torsion(fubini_study(1), WFS, route="auto", cfg=QUAD)
     with pytest.raises(ValueError, match="degree >= 0"):
@@ -382,6 +419,8 @@ def test_each_anomaly_term_is_one_kernel_call(monkeypatch):
         # the Gram and the two anomaly terms share one stacked pairing
         (lambda: quillen(p, w, cfg=QUAD), 1),
         (lambda: torsion(p, w, cfg=QUAD), 1),
+        # the reference pair runs the same chain
+        (lambda: quillen(fubini_study(2), WFS, cfg=QUAD), 1),
     ):
         calls.clear()
         run()
