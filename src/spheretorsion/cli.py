@@ -83,9 +83,8 @@ def _merge_cli(cfg: RunConfig, args) -> RunConfig:
 
 
 def _emit(payload: dict, args, cfg: RunConfig) -> None:
-    text = experiments.write_json(payload, path=None, no_meta=cfg.no_meta)
-    if getattr(args, "json_path", None):
-        experiments.write_json(payload, path=args.json_path, no_meta=cfg.no_meta)
+    path = getattr(args, "json_path", None)
+    text = experiments.write_json(payload, path=path, no_meta=cfg.no_meta)
     if getattr(args, "csv_path", None) and "rows" in payload:
         experiments.write_csv(payload["rows"], args.csv_path)
     print(text)

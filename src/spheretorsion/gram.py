@@ -51,7 +51,7 @@ def gram(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> G
     """Diagonal Gram entries of the monomial basis, by quadrature."""
     if p.degree < 0:
         raise ValueError(f"Gram data needs degree >= 0, got {p.degree}")
-    ((entries, parts),) = _pairings([_gram_rows(p, w)], cfg, splits=(*p.kinks, *w.psi.kinks))
+    ((entries, parts),) = _pairings([_gram_rows(p, w)], cfg)
     return _gram_data(entries, parts)
 
 

@@ -133,9 +133,6 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
         curvature_density=None
         if dens is None
         else (lambda t, _l=lam, _d=dens: _l * _d(np.asarray(t) * _l)),
-        curvature_support=None
-        if base.curvature_support is None
-        else (base.curvature_support[0] / lam, base.curvature_support[1] / lam),
         label=f"zhang:base={base.label},p={p},n={n}",
     )
 
@@ -194,7 +191,6 @@ def mollified_max(m: int, eps: float) -> RadialPotential:
         positive=True,
         kinks=(-eps, eps),
         curvature_density=dens,
-        curvature_support=(-eps, eps),
         label=f"mollmax:m={m},eps={eps:g}",
     )
 
@@ -213,13 +209,6 @@ def tensor(p1: RadialPotential, p2: RadialPotential) -> RadialPotential:
         dens = d1
     else:
         dens = lambda t, _a=d1, _b=d2: _a(t) + _b(t)
-    sups = [s for s in (p1.curvature_support, p2.curvature_support)]
-    if any(s is None for s in sups) and dens is not None:
-        support = None
-    elif dens is None:
-        support = None
-    else:
-        support = (min(s[0] for s in sups), max(s[1] for s in sups))
     reg = max(p1.regularity, p2.regularity, key=lambda r: _RANK[r])
     return RadialPotential(
         degree=p1.degree + p2.degree,
@@ -229,7 +218,6 @@ def tensor(p1: RadialPotential, p2: RadialPotential) -> RadialPotential:
         kinks=tuple(sorted(set(p1.kinks) | set(p2.kinks))),
         curvature_atoms=tuple(p1.curvature_atoms) + tuple(p2.curvature_atoms),
         curvature_density=dens,
-        curvature_support=support,
         label=f"tensor({p1.label},{p2.label})",
     )
 
@@ -249,7 +237,6 @@ def dual(p: RadialPotential) -> RadialPotential:
         kinks=p.kinks,
         curvature_atoms=tuple((loc, -mass) for loc, mass in p.curvature_atoms),
         curvature_density=None if dens is None else (lambda t, _d=dens: -_d(t)),
-        curvature_support=p.curvature_support,
         label=f"dual({p.label})",
     )
 
@@ -442,7 +429,6 @@ def counterexample_potential(
         kinks=junction_ts,
         curvature_atoms=(),
         curvature_density=dens,
-        curvature_support=(junction_ts[0], junction_ts[-1]),
         label=f"cex:c={c:g},delta={delta:g},eps={eps:g},gamma={gamma:g}",
     )
     object.__setattr__(pot, "piecewise", pw)
@@ -552,7 +538,6 @@ def load_grid(path: str) -> RadialPotential:
         positive=bool(meta["positive"]),
         kinks=tuple(sorted(set(kinks))),
         curvature_density=dens,
-        curvature_support=(lo, hi),
         label=f"grid:{os.path.basename(path)}",
     )
 

@@ -41,13 +41,17 @@ class RadialPotential:
     """An S^1-invariant metric potential on O(degree), as a function of t.
 
     phi must accept numpy arrays. kinks lists quadrature split points: the
-    t where phi fails to be C^2 (curvature atoms live here too), and for
-    sharp smooth families the brackets of the concentration scale.
+    t where phi fails to be C^2 (curvature atoms live here too), both ends
+    of a compactly supported curvature density, and for sharp smooth
+    families the brackets of the concentration scale. kinks is the only
+    split channel: every pairing splits the line at them.
     positive means the curvature measure is known nonnegative (admissible
     in the sense used throughout: positive and with the right growth).
     curvature_atoms / curvature_density describe mu_phi explicitly; every
     constructor in this library provides them, numerical differentiation is
-    never used silently.
+    never used silently. curvature_density is the density on the whole
+    line: it returns exactly 0 where mu_phi has no absolutely continuous
+    mass.
     """
 
     degree: int
@@ -57,7 +61,6 @@ class RadialPotential:
     kinks: tuple = ()
     curvature_atoms: tuple = ()
     curvature_density: Optional[Callable] = None
-    curvature_support: Optional[tuple] = None
     label: str = ""
 
     def __post_init__(self):
@@ -74,15 +77,16 @@ class RadialPotential:
 class RadialMeasure:
     """A signed measure on the t-line: atoms plus an absolutely continuous part.
 
-    This is the one place a function is paired with a measure. A stacked
-    measure (see _stack) has (K,) atom masses and a (K, N) density, one row
-    per measure; an integrand returning (K, N) pairs K functions at once.
+    This is the one place a function is paired with a measure. density is
+    the density on the whole line, exactly 0 where there is no mass, and
+    splits cut the line wherever it is not smooth. A stacked measure (see
+    _pairings) has (K,) atom masses and a (K, N) density, one row per
+    measure; an integrand returning (K, N) pairs K functions at once.
     """
 
     atoms: tuple = ()
     density: Optional[Callable] = None
     splits: tuple = ()
-    support: Optional[tuple] = None
 
     def integrate(self, f, cfg: QuadConfig = DEFAULT_QUAD, extra_splits=()):
         """(int f dmu, err) for a callable f of numpy arrays, err as in integrate_line."""
@@ -94,70 +98,51 @@ class RadialMeasure:
         if self.density is not None:
             g = self.density
             val, err = integrate_line(
-                lambda t: f(t) * g(t),
-                splits=tuple(self.splits) + tuple(extra_splits),
-                support=self.support,
-                cfg=cfg,
+                lambda t: f(t) * g(t), splits=tuple(self.splits) + tuple(extra_splits), cfg=cfg
             )
             acc = acc + val
         return (float(acc) if np.ndim(acc) == 0 else acc), err
 
 
-def _stack(*measures: RadialMeasure) -> RadialMeasure:
-    """One measure with a row per argument, so K pairings share one kernel call.
-
-    Row i has the atoms and the density of measures[i], the density cut to
-    that measure's own support. A measure passed more than once (the same
-    object) is evaluated once and its row repeated. Every row's splits and
-    support ends are splits of the stack.
-    """
-    distinct = list({id(mu): mu for mu in measures}.values())
-    row = {id(mu): j for j, mu in enumerate(distinct)}
-    idx = np.array([row[id(mu)] for mu in measures])
-    atoms = tuple((loc, m * (idx == j)) for j, mu in enumerate(distinct) for loc, m in mu.atoms)
-    dense = [(j, mu) for j, mu in enumerate(distinct) if mu.density is not None]
-    ends = [mu.support for _, mu in dense]
-    hull = None
-    if ends and None not in ends:
-        hull = (min(e[0] for e in ends), max(e[1] for e in ends))
-
-    def density(t):
-        out = np.zeros((len(distinct), len(t)))
-        for j, mu in dense:
-            if mu.support is None:
-                out[j] = mu.density(t)
-                continue
-            lo, hi = mu.support
-            inside = (lo <= t) & (t <= hi)
-            out[j, inside] = mu.density(t[inside])
-        return out[idx]
-
-    splits = tuple(s for mu in distinct for s in tuple(mu.splits) + tuple(mu.support or ()))
-    return RadialMeasure(atoms, density if dense else None, splits, hull)
-
-
-# Lebesgue dt, what a row pairs against when it names no curvature measure
-_DT = RadialMeasure(density=np.ones_like)
-
-
-def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD, splits=()):
+def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
     """Every row of every block from one stacked kernel call.
 
     A block is (potentials, row_fn, over): row_fn(t, *phi values) returns
     the block's rows, anything that broadcasts to (len(over), N), and row i
     pairs against the curvature measure of over[i], or against dt where
-    over[i] is None. Each distinct potential and each distinct measure is
-    evaluated once per node array, distinct by identity. splits are added
-    to the stacked measures' own. Returns (values, err parts) per block.
+    over[i] is None. Potentials and measures are distinct by identity, and
+    each is evaluated once per node array: one array holds a row of dt,
+    the D distinct densities and, if a row pairs against atoms alone, a
+    row of zeros, and each row gathers its own. Rows that pair only
+    against atoms make no kernel call. The kinks of every potential
+    evaluated and every measure paired split the line. Returns (values,
+    err parts) per block.
     """
     pots = {id(q): q for qs, _, _ in blocks for q in qs}
-    mus = {id(q): q for _, _, over in blocks for q in over if q is not None}
-    mus = {key: c1_measure(q) for key, q in mus.items()}
-    stack = _stack(*(_DT if q is None else mus[id(q)] for _, _, over in blocks for q in over))
+    mus = {id(q): c1_measure(q) for _, _, over in blocks for q in over if q is not None}
+    ids = [None if q is None else id(q) for _, _, over in blocks for q in over]
+    dense = {key: mu.density for key, mu in mus.items() if mu.density is not None}
+    # the density row each row gathers: dt (0), its measure's, or zero (last) for
+    # atoms alone; the zero row is there only when needed, since one more row can
+    # take the buffer past glibc's mmap threshold (128 KB), faulting it in every pass
+    slot = {None: 0, **{key: j for j, key in enumerate(dense, 1)}}
+    idx = np.array([slot.get(key, len(dense) + 1) for key in ids])
+    atoms = tuple(
+        (loc, m * np.array([i == key for i in ids])) for key, mu in mus.items() for loc, m in mu.atoms
+    )
+    splits = [s for q in pots.values() for s in q.kinks]
+    splits += [s for key, mu in mus.items() if key not in pots for s in mu.splits]
     spans, end = [], 0
     for qs, row_fn, over in blocks:
         spans.append((slice(end, end + len(over)), row_fn, [id(q) for q in qs]))
         end += len(over)
+
+    def density(t):
+        out = np.zeros((idx.max() + 1, len(t)))
+        out[0] = 1.0
+        for j, g in enumerate(dense.values(), 1):
+            out[j] = g(t)
+        return out[idx]
 
     def rows(t):
         at = {key: q.phi(t) for key, q in pots.items()}
@@ -166,7 +151,8 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD, splits=()):
             out[span] = row_fn(t, *(at[key] for key in keys))
         return out
 
-    vals, err = stack.integrate(rows, cfg=cfg, extra_splits=splits)
+    stack = RadialMeasure(atoms, density if np.any(idx <= len(dense)) else None, splits)
+    vals, err = stack.integrate(rows, cfg=cfg)
     return [(vals[span], err.parts[span]) for span, _, _ in spans]
 
 
@@ -254,7 +240,6 @@ def c1_measure(p: RadialPotential) -> RadialMeasure:
         atoms=tuple(p.curvature_atoms),
         density=p.curvature_density,
         splits=tuple(p.kinks),
-        support=p.curvature_support,
     )
 
 

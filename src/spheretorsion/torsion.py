@@ -35,9 +35,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gram import GramData, _gram_data, _gram_rows
-from .metrics import fubini_study, volume_fs
+from .metrics import dual, fubini_study, tensor, volume_fs
 from .quadrature import DEFAULT_QUAD, NumericalError, QuadConfig
 from .radial import ConvergenceReport, RadialPotential, VolumeForm, _pairings
+from .radial import volume_from_potential
 
 # spectrum scale: eigenvalues are SPECTRUM_SCALE * k(k+m+1) on the area-2 sphere
 SPECTRUM_SCALE = math.pi
@@ -436,9 +437,6 @@ def generalized_torsion_curve(
     keeps the fast-concentrating families away from quadrature-hostile
     sharpness they do not need.
     """
-    from .metrics import dual, tensor
-    from .radial import volume_from_potential
-
     reports = []
     for d_idx, (plus_fam, minus_fam) in enumerate(decompositions):
         vals = []

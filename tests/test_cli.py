@@ -298,11 +298,11 @@ def test_meta_block_present_by_default(capsys):
     assert set(doc["meta"]) == {"tool", "version", "timestamp"}
 
 
-def test_json_file_matches_stdout(capsys, tmp_path):
+@pytest.mark.parametrize("meta", [(), ("--no-meta",)], ids=["meta", "no_meta"])
+def test_json_file_matches_stdout(capsys, tmp_path, meta):
+    # one text for both: the meta timestamp is stamped once
     p = tmp_path / "out.json"
-    rc, out, _ = run(
-        capsys, "gram", "--metric", "fs:1", "--no-meta", "--json", str(p)
-    )
+    rc, out, _ = run(capsys, "gram", "--metric", "fs:1", *meta, "--json", str(p))
     assert rc == 0
     assert p.read_text() == out
 

@@ -19,10 +19,12 @@ from spheretorsion import (
     bedford_taylor_check,
     c1_measure,
     canonical,
+    counterexample_potential,
     dual,
     fubini_study,
     integrate_line,
     integrate_volume,
+    load_grid,
     logistic_density,
     lse,
     measure_mass,
@@ -32,6 +34,7 @@ from spheretorsion import (
     volume_canonical,
     volume_from_potential,
     volume_fs,
+    write_grid,
     zhang_iterate,
 )
 from spheretorsion import quadrature
@@ -40,7 +43,7 @@ from spheretorsion.radial import (
     ConvergenceReport,
     RadialPotential,
     _fit_rate,
-    _stack,
+    _pairings,
     sequence_verdict,
 )
 
@@ -206,35 +209,45 @@ def smooth_test_fn(t):
     return 1.0 / (1.0 + (np.asarray(t, dtype=float) - 0.3) ** 2)
 
 
-def test_stack_pairs_each_row_like_its_measure_alone():
-    # atoms, a density cut to a support, and a density on the whole line
-    measures = [
-        c1_measure(canonical(2)),
-        c1_measure(mollified_max(1, 0.3)),
-        c1_measure(fubini_study(3)),
+def test_pairings_pair_each_row_like_its_measure_alone():
+    # atoms, a compactly supported density and a density on the whole line
+    pots = [canonical(2), mollified_max(1, 0.3), fubini_study(3)]
+    ((vals, parts),) = _pairings([((), smooth_test_fn, pots)], cfg=QUAD)
+    assert vals.shape == parts.shape == (3,) and parts.sum() <= QUAD.fail_tol
+    for row, p in zip(vals, pots):
+        assert abs(row - c1_measure(p).integrate(smooth_test_fn, cfg=QUAD)[0]) < 1e-13
+
+
+def test_pairings_of_atoms_alone_make_no_kernel_call(monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a stack of atoms called the kernel")
+
+    monkeypatch.setattr("spheretorsion.radial.integrate_line", no_kernel)
+    ((vals, parts),) = _pairings([((), smooth_test_fn, [canonical(2), canonical(3)])], cfg=QUAD)
+    assert vals == pytest.approx([2.0 * smooth_test_fn(0.0), 3.0 * smooth_test_fn(0.0)], abs=1e-15)
+    assert not parts.any()
+
+
+def test_catalog_densities_vanish_outside_their_outermost_kinks(tmp_path):
+    # kinks are the only split channel: a density is 0 off the span of its kinks
+    mm = mollified_max(1, 0.3)
+    path = str(tmp_path / "mm.csv")
+    write_grid(mollified_max(2, 0.8), path, n=61)
+    pots = [
+        mm,
+        zhang_iterate(mm, 2, 6),
+        tensor(mm, mollified_max(2, 0.7)),
+        dual(mm),
+        counterexample_potential(1.0, 1e-2),
+        counterexample_potential(1.0, 1e-5),
+        load_grid(path),
     ]
-    vals, err = _stack(*measures).integrate(smooth_test_fn, cfg=QUAD)
-    assert vals.shape == (3,) and err <= QUAD.fail_tol
-    for row, mu in zip(vals, measures):
-        assert abs(row - mu.integrate(smooth_test_fn, cfg=QUAD)[0]) < 1e-13
-
-
-def test_stack_cuts_each_density_to_its_own_support():
-    # the density is nonzero off the declared support, which must still win
-    p = RadialPotential(
-        degree=1,
-        phi=lambda t: np.logaddexp(0.0, t),
-        regularity="smooth",
-        positive=True,
-        curvature_density=logistic_density,
-        curvature_support=(-1.0, 2.0),
-    )
-    alone = c1_measure(p).integrate(smooth_test_fn, cfg=QUAD)[0]
-    stack = _stack(c1_measure(p), c1_measure(fubini_study(2)))
-    stacked = stack.integrate(smooth_test_fn, cfg=QUAD)[0]
-    assert abs(stacked[0] - alone) < 1e-13
-    whole_line = c1_measure(fubini_study(1)).integrate(smooth_test_fn, cfg=QUAD)[0]
-    assert abs(whole_line - alone) > 1e-2
+    for p in pots:
+        lo, hi = min(p.kinks), max(p.kinks)
+        t = np.concatenate([lo - np.logspace(-12, 3, 200), hi + np.logspace(-12, 3, 200)])
+        assert not np.any(p.curvature_density(t)), p.label
+        kinks = np.array(sorted(p.kinks))
+        assert np.any(p.curvature_density(0.5 * (kinks[1:] + kinks[:-1]))), p.label
 
 
 # --- volume forms ---
@@ -308,25 +321,6 @@ def test_integrate_line_empty_support_keeps_the_row_shape():
     val, err = integrate_line(lambda t: np.ones((3, t.size)), support=(1.0, 1.0), cfg=QUAD)
     assert val.shape == (3,) and not val.any()
     assert err == 0.0 and err.parts.shape == (3,) and not err.parts.any()
-
-
-def test_stack_of_empty_supports_pairs_to_zero_rows():
-    # three degree-0 measures whose densities all live on the empty support [1, 1]
-    def empty():
-        return c1_measure(
-            RadialPotential(
-                degree=0,
-                phi=lambda t: 0.0 * t,
-                regularity="smooth",
-                positive=False,
-                curvature_density=logistic_density,
-                curvature_support=(1.0, 1.0),
-            )
-        )
-
-    vals, err = _stack(empty(), empty(), empty()).integrate(smooth_test_fn, cfg=QUAD)
-    assert vals.shape == (3,) and not vals.any()
-    assert err.parts.shape == (3,) and err == 0.0
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ Polyakov formula.
 import dataclasses
 import importlib
 import math
+import os
 import subprocess
 import sys
 
@@ -32,6 +33,7 @@ import pytest
 from mpmath import digamma, loggamma, mp, mpf
 from mpmath import zeta as mpzeta
 
+import spheretorsion
 from spheretorsion import (
     SPECTRUM_SCALE,
     NumericalError,
@@ -145,6 +147,16 @@ def test_closed_form_accurate_at_high_degree(m):
     assert drift < 1e-12 and drift <= got.err
 
 
+def _run_child(code):
+    # a fresh interpreter that imports spheretorsion from where this one did
+    src = os.path.dirname(os.path.dirname(spheretorsion.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+
+
 def test_evaluation_chain_does_not_load_mpmath():
     code = (
         "import sys\n"
@@ -156,7 +168,7 @@ def test_evaluation_chain_does_not_load_mpmath():
         "assert cli.main(['torsion', '--metric', 'fs:20', '--no-meta']) == 0\n"
         "assert 'mpmath' not in sys.modules\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    res = _run_child(code)
     assert res.returncode == 0, res.stderr
 
 
@@ -170,7 +182,7 @@ def test_import_does_not_load_scipy():
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    res = _run_child(code)
     assert res.returncode == 0, res.stderr
 
 
