@@ -11,7 +11,10 @@ summed estimate is not tiny.
 
 Integrands take a numpy array of nodes. One refinement round evaluates the
 integrand once, on the nodes of every live subinterval of every panel, and
-an integrand returning shape (K, N) integrates K functions at once.
+an integrand returning shape (K, N) integrates K functions at once. The
+first pass is speculative: it evaluates each mapped half-line panel
+already cut into quarters, the cut the first round nearly always made,
+and falls back to the uncut panel only where a quarter is not finite.
 """
 
 from __future__ import annotations
@@ -101,22 +104,32 @@ _SPLIT = 4
 
 
 def _clean_splits(splits, lo, hi):
-    pts = sorted({float(s) for s in splits if lo < s < hi and math.isfinite(s)})
-    out = []
-    for p in pts:
-        # collapse near-duplicate breakpoints, they only add panels
-        if not out or p - out[-1] > 1e-13 * max(1.0, abs(p)):
-            out.append(p)
-    return out
+    """The sorted distinct split points strictly inside (lo, hi)."""
+    pts = np.sort(np.asarray(splits, dtype=float))
+    pts = pts[(pts > lo) & (pts < hi)]
+    # collapse near-duplicate breakpoints, they only add panels: a point is
+    # kept when it lies more than 1e-13 max(1, |p|) past the last one kept,
+    # which is the one before it unless two distinct points are that near
+    gap = np.diff(pts, prepend=-math.inf)
+    near = gap <= 1e-13 * np.maximum(1.0, np.abs(pts))
+    if np.any(near & (gap > 0)):
+        out = [pts[0]]
+        for p in pts[1:]:
+            if p - out[-1] > 1e-13 * max(1.0, abs(p)):
+                out.append(p)
+        return np.array(out)
+    return pts[~near]
 
 
-def _panel(lo, hi):
-    # one column of the interval table: (a, b, kind, base)
-    if lo == -math.inf:
-        return (0.0, 1.0, -1.0, hi)
-    if hi == math.inf:
-        return (0.0, 1.0, 1.0, lo)
-    return (lo, hi, 0.0, 0.0)
+def _panels(edges):
+    """The interval table, rows (a, b, kind, base), of the panels between edges."""
+    iv = np.zeros((4, len(edges) - 1))
+    iv[0], iv[1] = edges[:-1], edges[1:]
+    if edges[0] == -math.inf:
+        iv[:, 0] = (0.0, 1.0, -1.0, edges[1])
+    if edges[-1] == math.inf:
+        iv[:, -1] = (0.0, 1.0, 1.0, edges[-2])
+    return iv
 
 
 def _cuts(a, b):
@@ -133,6 +146,18 @@ def _cuts(a, b):
     return c
 
 
+def _parts(iv, cuts):
+    """Each column of iv cut into _SPLIT equal parts at its row of _cuts."""
+    parts = np.repeat(iv, _SPLIT, axis=1)
+    parts[0], parts[1] = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    return parts
+
+
+def _merge(old, keep, new):
+    """The columns of old chosen by keep, then those of new (last axis)."""
+    return np.concatenate([old[..., keep], new], axis=-1)
+
+
 def quad(f, iv):
     """One 21-point Gauss-Kronrod pass over every subinterval of iv at once.
 
@@ -140,7 +165,8 @@ def quad(f, iv):
     +1 or -1 is a u-interval [a, b] in (0, 1] standing for
     t = base + kind (1 - u) / u, with dt = du / u^2, the map of a half line
     used by QUADPACK's qagi. f is called once, on all nodes, and returns
-    shape (N,) or (K, N); a scalar is broadcast.
+    a new array of shape (N,) or (K, N), whose mapped columns are scaled by
+    dt/du in place; a scalar is broadcast.
 
     Returns the rule's values, QUADPACK's qk21 error estimates
     resasc min(1, (200 |K - G| / resasc)^1.5) floored at 50 eps resabs, and
@@ -149,13 +175,19 @@ def quad(f, iv):
     a, b, kind, base = iv
     h = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + h[:, None] * _X
-    t, jac = x.copy(), np.ones_like(x)
-    mapped = kind != 0
-    u = x[mapped]
-    t[mapped] = base[mapped, None] + kind[mapped, None] * (1.0 - u) / u
-    jac[mapped] = u**-2
+    mapped = np.flatnonzero(kind)
+    t = x
+    if mapped.size:
+        u = x[mapped]
+        t = x.copy()
+        t[mapped] = base[mapped, None] + kind[mapped, None] * (1.0 - u) / u
     y = np.asarray(f(t.ravel()), dtype=float)
-    y = np.broadcast_to(y, y.shape[:-1] + (t.size,)).reshape(y.shape[:-1] + t.shape) * jac
+    if y.shape[-1:] != (t.size,):
+        y = np.broadcast_to(y, y.shape[:-1] + (t.size,)).copy()
+    y = y.reshape(y.shape[:-1] + t.shape)
+    if mapped.size:
+        # the Jacobian is 1 on finite columns, so they are left as they are
+        y[..., mapped, :] *= u**-2
     resk = y @ _WK
     # one scratch array for both absolute values keeps a K-row call lean
     buf = y - 0.5 * resk[..., None]
@@ -198,8 +230,15 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
     """Integrate f(t) dt over the line (or over `support`), splitting at knots.
 
     f takes an array of N nodes and returns N values, or shape (K, N) for K
-    integrands sharing the evaluation; then the value has shape (K,). Each
-    round cuts the subintervals holding the most error into four equal
+    integrands sharing the evaluation; then the value has shape (K,). The
+    kernel scales f's result in place, so it must not be an array f keeps
+    between calls. The first pass evaluates every finite panel whole and, speculatively, each
+    mapped half line already cut into four equal u-parts. A half line
+    keeps its parts when every one of them is finite; otherwise one more
+    pass evaluates it whole, as if the cut had not been tried, so a tail
+    the integrand cannot evaluate (0 * inf where e^t overflows, say) is
+    entered only where the estimate asks for it. Each
+    round then cuts the subintervals holding the most error into four equal
     parts until the summed estimate meets max(_EPSABS, _EPSREL |I|) for every
     component, no subinterval above the rounding floor is left, or no panel
     between splits has room for three more subintervals under _LIMIT. A
@@ -218,12 +257,26 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
             zero = np.zeros(np.shape(f(np.empty(0)))[:-1])
             return (float(zero) if zero.ndim == 0 else zero), ErrorEstimate(zero)
     pts = _clean_splits(splits, lo, hi)
-    if not pts and lo == -math.inf and hi == math.inf:
-        pts = [0.0]
-    edges = [lo] + pts + [hi]
-    iv = np.array([_panel(a, b) for a, b in zip(edges[:-1], edges[1:])]).T
-    panel = np.arange(iv.shape[1])
+    if not pts.size and lo == -math.inf and hi == math.inf:
+        pts = np.zeros(1)
+    iv = _panels(np.concatenate([[lo], pts, [hi]]))
+    # a speculative first pass: each mapped half-line panel starts cut into
+    # _SPLIT u-parts, the cut the first round nearly always makes. A half
+    # line whose parts are not all finite is evaluated uncut instead, at the
+    # cost of one more pass, so a tail the integrand cannot reach is only
+    # entered where the estimate asks for it.
+    fin, spec = np.flatnonzero(iv[2] == 0), np.flatnonzero(iv[2])
+    whole = iv[:, spec]
+    iv = np.hstack([iv[:, fin], _parts(whole, _cuts(whole[0], whole[1]))])
+    panel = np.concatenate([fin, np.repeat(spec, _SPLIT)])
     val, err, floor = quad(f, iv)
+    ok = np.isfinite(val[..., len(fin):]) & np.isfinite(err[..., len(fin):])
+    ok = np.atleast_2d(ok).all(axis=0).reshape(-1, _SPLIT).all(axis=1)
+    if not ok.all():
+        keep = np.concatenate([np.ones(len(fin), dtype=bool), np.repeat(ok, _SPLIT)])
+        v, e, fl = quad(f, whole[:, ~ok])
+        iv, panel = _merge(iv, keep, whole[:, ~ok]), _merge(panel, keep, spec[~ok])
+        val, err, floor = _merge(val, keep, v), _merge(err, keep, e), _merge(floor, keep, fl)
     while True:
         total, est = val.sum(axis=-1), err.sum(axis=-1)
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(total))
@@ -234,16 +287,11 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
         sel = _refine(cuts, panel, err, floor, tol, short)
         if not sel.any():
             break
-        # each chosen subinterval becomes _SPLIT equal parts
-        parts = np.repeat(iv[:, sel], _SPLIT, axis=1)
-        parts[0], parts[1] = cuts[sel, :-1].ravel(), cuts[sel, 1:].ravel()
+        parts = _parts(iv[:, sel], cuts[sel])
         v, e, fl = quad(f, parts)
         keep = ~sel
-        iv = np.hstack([iv[:, keep], parts])
-        panel = np.concatenate([panel[keep], np.repeat(panel[sel], _SPLIT)])
-        val = np.concatenate([val[..., keep], v], axis=-1)
-        err = np.concatenate([err[..., keep], e], axis=-1)
-        floor = np.concatenate([floor[..., keep], fl], axis=-1)
+        iv, panel = _merge(iv, keep, parts), _merge(panel, keep, np.repeat(panel[sel], _SPLIT))
+        val, err, floor = _merge(val, keep, v), _merge(err, keep, e), _merge(floor, keep, fl)
     err = ErrorEstimate(est)
     if not np.all(np.isfinite(total)):
         raise NumericalError(f"integral diverged: value={total}")

@@ -79,9 +79,8 @@ class RadialMeasure:
 
     This is the one place a function is paired with a measure. density is
     the density on the whole line, exactly 0 where there is no mass, and
-    splits cut the line wherever it is not smooth. A stacked measure (see
-    _pairings) has (K,) atom masses and a (K, N) density, one row per
-    measure; an integrand returning (K, N) pairs K functions at once.
+    splits cut the line wherever it is not smooth. An integrand returning
+    (K, N) pairs K functions at once; a stack of K measures is a _Stack.
     """
 
     atoms: tuple = ()
@@ -96,12 +95,35 @@ class RadialMeasure:
             acc = np.sum(masses * f(np.array([loc for loc, _ in self.atoms])), axis=-1)
             err = ErrorEstimate(np.zeros(np.shape(acc)))
         if self.density is not None:
-            g = self.density
             val, err = integrate_line(
-                lambda t: f(t) * g(t), splits=tuple(self.splits) + tuple(extra_splits), cfg=cfg
+                lambda t: self._weigh(f(t), t),
+                splits=tuple(self.splits) + tuple(extra_splits),
+                cfg=cfg,
             )
             acc = acc + val
         return (float(acc) if np.ndim(acc) == 0 else acc), err
+
+    def _weigh(self, y, t):
+        # f's values at the nodes t times the density there
+        return y * self.density(t)
+
+
+@dataclass(frozen=True, eq=False)
+class _Stack(RadialMeasure):
+    """K measures stacked row by row, paired by one integrate call.
+
+    atoms carry (K,) mass vectors. density holds (rows, g) pairs, one per
+    measure: g's values weigh its rows of f in place, and a measure of
+    atoms alone (g None) zeroes them. A row in no pair pairs against dt and
+    is left as f returned it.
+    """
+
+    def _weigh(self, y, t):
+        for rows, g in self.density:
+            d = 0.0 if g is None else g(t)
+            for r in rows:
+                y[r] *= d
+        return y
 
 
 def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
@@ -111,22 +133,18 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
     the block's rows, anything that broadcasts to (len(over), N), and row i
     pairs against the curvature measure of over[i], or against dt where
     over[i] is None. Potentials and measures are distinct by identity, and
-    each is evaluated once per node array: one array holds a row of dt,
-    the D distinct densities and, if a row pairs against atoms alone, a
-    row of zeros, and each row gathers its own. Rows that pair only
-    against atoms make no kernel call. The kinks of every potential
-    evaluated and every measure paired split the line. Returns (values,
-    err parts) per block.
+    each is evaluated once per node array. A dt row is left as row_fn
+    returned it; every other row is multiplied in place by its measure's
+    density, or by 0 for atoms alone. Rows that pair only against atoms
+    make no kernel call. The kinks of every potential evaluated and every
+    measure paired split the line. Returns (values, err parts) per block.
     """
     pots = {id(q): q for qs, _, _ in blocks for q in qs}
     mus = {id(q): c1_measure(q) for _, _, over in blocks for q in over if q is not None}
     ids = [None if q is None else id(q) for _, _, over in blocks for q in over]
-    dense = {key: mu.density for key, mu in mus.items() if mu.density is not None}
-    # the density row each row gathers: dt (0), its measure's, or zero (last) for
-    # atoms alone; the zero row is there only when needed, since one more row can
-    # take the buffer past glibc's mmap threshold (128 KB), faulting it in every pass
-    slot = {None: 0, **{key: j for j, key in enumerate(dense, 1)}}
-    idx = np.array([slot.get(key, len(dense) + 1) for key in ids])
+    weights = tuple(
+        ([i for i, k in enumerate(ids) if k == key], mu.density) for key, mu in mus.items()
+    )
     atoms = tuple(
         (loc, m * np.array([i == key for i in ids])) for key, mu in mus.items() for loc, m in mu.atoms
     )
@@ -137,13 +155,6 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
         spans.append((slice(end, end + len(over)), row_fn, [id(q) for q in qs]))
         end += len(over)
 
-    def density(t):
-        out = np.zeros((idx.max() + 1, len(t)))
-        out[0] = 1.0
-        for j, g in enumerate(dense.values(), 1):
-            out[j] = g(t)
-        return out[idx]
-
     def rows(t):
         at = {key: q.phi(t) for key, q in pots.items()}
         out = np.empty((end, len(t)))
@@ -151,7 +162,8 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
             out[span] = row_fn(t, *(at[key] for key in keys))
         return out
 
-    stack = RadialMeasure(atoms, density if np.any(idx <= len(dense)) else None, splits)
+    dense = None in ids or any(mu.density is not None for mu in mus.values())
+    stack = _Stack(atoms, weights if dense else None, splits)
     vals, err = stack.integrate(rows, cfg=cfg)
     return [(vals[span], err.parts[span]) for span, _, _ in spans]
 

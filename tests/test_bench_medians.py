@@ -1,0 +1,38 @@
+"""tools/bench_medians.py: quartiles and seed-paired wins from two checkouts' runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("bench_medians", ROOT / "tools" / "bench_medians.py")
+bench_medians = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_medians)
+
+
+def _result(evals_per_s, peak_rss_mb, correct=True, failed=0):
+    values = dict.fromkeys(bench_medians.METRICS, 1.0)
+    values.update(evals_per_s=evals_per_s, peak_rss_mb=peak_rss_mb)
+    return {"correct": correct, "failed": failed,
+            "metrics": {m: {"value": v} for m, v in values.items()}}
+
+
+def test_report_gives_quartiles_and_paired_wins_against_the_first_label():
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    parent = [_result(e, r) for e, r in [(100, 35.0), (110, 35.0), (120, 36.0), (130, 34.0), (140, 35.0)]]
+    change = [_result(e, r) for e, r in [(105, 34.0), (100, 35.0), (125, 35.5), (135, 35.0), (150, 36.0)]]
+    change[2]["failed"] = 2
+    out = bench_medians.report({"parent": {"w": parent}, "change": {"w": change}}, better)
+    p, c = out["parent"]["w"], out["change"]["w"]
+    assert p["median"]["evals_per_s"] == 120
+    assert p["quartiles"]["evals_per_s"] == pytest.approx([110, 130])
+    assert c["quartiles"]["peak_rss_mb"] == pytest.approx([35.0, 35.5])
+    # evals_per_s is better higher, peak_rss_mb better lower; a tie is no win
+    assert c["wins"]["evals_per_s"] == 4
+    assert c["wins"]["peak_rss_mb"] == 2
+    assert c["wins"]["setup_s"] == 0
+    assert "wins" not in p
+    assert (c["runs"], c["correct"], c["failed"]) == (5, True, 2)

@@ -459,10 +459,36 @@ def test_chain_evaluates_the_fs_volume_once_per_round(monkeypatch):
     monkeypatch.setattr(metrics, "logistic_density", counting)
     monkeypatch.setattr(quadrature, "quad", counting_quad)
     quillen(p, volume_fs(), cfg=QUAD)
-    # one first pass and two rounds of quadrisection
-    assert len(passes) == len(rounds) == 3
+    # a first pass with the half lines already quartered, one round of quadrisection
+    assert len(passes) == len(rounds) == 2
     assert len(dens) == 3 * len(rounds)
     assert volume_fs() is WFS and WFS.psi is fubini_study(2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (fubini_study(6), WFS),
+        lambda: (fubini_study(24), WFS),
+        lambda: (lse(12, 4.5), WCAN),
+        lambda: (lse(1, 1.5 * 3.0**20), volume_from_potential(lse(2, 1.5 * 3.0**20), cfg=QUAD)),
+    ],
+    ids=["fs6-fs", "fs24-fs", "lse12-can", "lse1-sharp-twin"],
+)
+def test_quillen_takes_two_kernel_passes(monkeypatch, case):
+    # the first pass already holds the quarters of each half line that the
+    # first round of refinement would cut, so one round is left
+    quadrature = importlib.import_module("spheretorsion.quadrature")
+    p, w = case()
+    passes = []
+
+    def counting_quad(f, iv, _quad=quadrature.quad):
+        passes.append(1)
+        return _quad(f, iv)
+
+    monkeypatch.setattr(quadrature, "quad", counting_quad)
+    quillen(p, w, cfg=QUAD)
+    assert len(passes) == 2
 
 
 def _grid(tmp_path, p, n):

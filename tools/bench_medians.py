@@ -9,9 +9,12 @@ Each --checkout LABEL=PATH names a checkout whose own
 a time. The checkouts take turns, and which one goes first rotates with
 the seed, so drift of the machine falls on all of them alike. The file
 holds the machine line (every run uses this interpreter), the seconds and
-seeds, and under each label, per workload, the median of every end-to-end
-metric over the seeds, the per-seed values, whether every run was correct
-and the failed operations summed. An existing --out is overwritten.
+seeds, the baseline (the first --checkout's label), and under each label,
+per workload, the median and the quartiles of every end-to-end metric over
+the seeds, the per-seed values, whether every run was correct and the
+failed operations summed. Under every label but the baseline, `wins`
+counts per metric the seeds on which that checkout beat the baseline, in
+the direction `better` of BENCHMARK.json. An existing --out is overwritten.
 """
 
 import argparse
@@ -22,6 +25,7 @@ import sys
 from pathlib import Path
 
 METRICS = ("setup_s", "evals_per_s", "cpu_ms_per_eval", "eval_p50_ms", "peak_rss_mb")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run(root: Path, workload: str, seed: int, seconds: float):
@@ -43,8 +47,36 @@ def summary(runs):
         "correct": all(r["correct"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
         "median": {m: statistics.median(v) for m, v in values.items()},
+        # the lower and upper quartile, interpolated as numpy.percentile does
+        "quartiles": {m: quartiles(v) for m, v in values.items()},
         "per_seed": values,
     }
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return [values[0]] * 2
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def report(runs, better):
+    """The summaries of runs[label][workload], and each label's wins over the first.
+
+    better maps a metric to "higher" or "lower". Runs are paired by seed,
+    in the order both labels ran them.
+    """
+    labels = list(runs)
+    sign = {m: 1.0 if better[m] == "higher" else -1.0 for m in METRICS}
+    out = {label: {w: summary(rs) for w, rs in runs[label].items()} for label in labels}
+    base = out[labels[0]]
+    for label in labels[1:]:
+        for w, s in out[label].items():
+            s["wins"] = {
+                m: sum(sign[m] * (x - y) > 0 for x, y in zip(v, base[w]["per_seed"][m]))
+                for m, v in s["per_seed"].items()
+            }
+    return out
 
 
 def main(argv=None) -> int:
@@ -69,12 +101,13 @@ def main(argv=None) -> int:
                 runs[label][w].append(result)
                 print(f"{label} {w} seed={seed}: evals_per_s="
                       f"{result['metrics']['evals_per_s']['value']:.4g}", file=sys.stderr)
+    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     out = {
         "machine": machine,
         "seconds": args.seconds,
         "seeds": args.seeds,
-        "checkouts": {label: {w: summary(rs) for w, rs in runs[label].items()}
-                      for label in roots},
+        "baseline": next(iter(roots)),
+        "checkouts": report(runs, better),
     }
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
