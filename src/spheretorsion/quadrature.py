@@ -104,21 +104,14 @@ _SPLIT = 4
 
 
 def _clean_splits(splits, lo, hi):
-    """The sorted distinct split points strictly inside (lo, hi)."""
+    """The sorted distinct split points strictly inside (lo, hi), as a list."""
     pts = np.sort(np.asarray(splits, dtype=float))
-    pts = pts[(pts > lo) & (pts < hi)]
-    # collapse near-duplicate breakpoints, they only add panels: a point is
-    # kept when it lies more than 1e-13 max(1, |p|) past the last one kept,
-    # which is the one before it unless two distinct points are that near
-    gap = np.diff(pts, prepend=-math.inf)
-    near = gap <= 1e-13 * np.maximum(1.0, np.abs(pts))
-    if np.any(near & (gap > 0)):
-        out = [pts[0]]
-        for p in pts[1:]:
-            if p - out[-1] > 1e-13 * max(1.0, abs(p)):
-                out.append(p)
-        return np.array(out)
-    return pts[~near]
+    out = []
+    for p in pts[(pts > lo) & (pts < hi)].tolist():
+        # collapse near-duplicate breakpoints, they only add panels
+        if not out or p - out[-1] > 1e-13 * max(1.0, abs(p)):
+            out.append(p)
+    return out
 
 
 def _panels(edges):
@@ -165,8 +158,9 @@ def quad(f, iv):
     +1 or -1 is a u-interval [a, b] in (0, 1] standing for
     t = base + kind (1 - u) / u, with dt = du / u^2, the map of a half line
     used by QUADPACK's qagi. f is called once, on all nodes, and returns
-    a new array of shape (N,) or (K, N), whose mapped columns are scaled by
-    dt/du in place; a scalar is broadcast.
+    shape (N,) or (K, N); a scalar is broadcast. The mapped columns of a
+    writeable result are scaled by dt/du in place, a read-only one is
+    copied first.
 
     Returns the rule's values, QUADPACK's qk21 error estimates
     resasc min(1, (200 |K - G| / resasc)^1.5) floored at 50 eps resabs, and
@@ -184,6 +178,8 @@ def quad(f, iv):
     y = np.asarray(f(t.ravel()), dtype=float)
     if y.shape[-1:] != (t.size,):
         y = np.broadcast_to(y, y.shape[:-1] + (t.size,)).copy()
+    elif mapped.size and not y.flags.writeable:
+        y = y.copy()
     y = y.reshape(y.shape[:-1] + t.shape)
     if mapped.size:
         # the Jacobian is 1 on finite columns, so they are left as they are
@@ -231,13 +227,15 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
 
     f takes an array of N nodes and returns N values, or shape (K, N) for K
     integrands sharing the evaluation; then the value has shape (K,). The
-    kernel scales f's result in place, so it must not be an array f keeps
-    between calls. The first pass evaluates every finite panel whole and, speculatively, each
-    mapped half line already cut into four equal u-parts. A half line
-    keeps its parts when every one of them is finite; otherwise one more
-    pass evaluates it whole, as if the cut had not been tried, so a tail
-    the integrand cannot evaluate (0 * inf where e^t overflows, say) is
-    entered only where the estimate asks for it. Each
+    kernel scales a writeable result of f in place, so f must not return
+    an array it keeps between calls. The first pass evaluates every finite
+    panel whole and, speculatively, each mapped half line already cut into
+    four equal u-parts; a pass holding such parts runs with numpy's
+    overflow and invalid-value warnings off. A half line keeps its parts
+    when every one of them is finite; otherwise one more pass evaluates it
+    whole, under the caller's numpy error settings, as if the cut had not
+    been tried, so a tail the integrand cannot evaluate (0 * inf where e^t
+    overflows, say) is entered only where the estimate asks for it. Each
     round then cuts the subintervals holding the most error into four equal
     parts until the summed estimate meets max(_EPSABS, _EPSREL |I|) for every
     component, no subinterval above the rounding floor is left, or no panel
@@ -257,19 +255,22 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
             zero = np.zeros(np.shape(f(np.empty(0)))[:-1])
             return (float(zero) if zero.ndim == 0 else zero), ErrorEstimate(zero)
     pts = _clean_splits(splits, lo, hi)
-    if not pts.size and lo == -math.inf and hi == math.inf:
-        pts = np.zeros(1)
-    iv = _panels(np.concatenate([[lo], pts, [hi]]))
+    if not pts and lo == -math.inf and hi == math.inf:
+        pts = [0.0]
+    iv = _panels(np.array([lo] + pts + [hi]))
     # a speculative first pass: each mapped half-line panel starts cut into
     # _SPLIT u-parts, the cut the first round nearly always makes. A half
     # line whose parts are not all finite is evaluated uncut instead, at the
     # cost of one more pass, so a tail the integrand cannot reach is only
-    # entered where the estimate asks for it.
+    # entered where the estimate asks for it. The nodes it throws away may
+    # overflow, so that pass is silent about it; a non-finite value that is
+    # kept still ends in the "diverged" error below.
     fin, spec = np.flatnonzero(iv[2] == 0), np.flatnonzero(iv[2])
     whole = iv[:, spec]
     iv = np.hstack([iv[:, fin], _parts(whole, _cuts(whole[0], whole[1]))])
     panel = np.concatenate([fin, np.repeat(spec, _SPLIT)])
-    val, err, floor = quad(f, iv)
+    with np.errstate(over="ignore", invalid="ignore") if spec.size else np.errstate():
+        val, err, floor = quad(f, iv)
     ok = np.isfinite(val[..., len(fin):]) & np.isfinite(err[..., len(fin):])
     ok = np.atleast_2d(ok).all(axis=0).reshape(-1, _SPLIT).all(axis=1)
     if not ok.all():

@@ -104,26 +104,35 @@ class RadialMeasure:
         return (float(acc) if np.ndim(acc) == 0 else acc), err
 
     def _weigh(self, y, t):
-        # f's values at the nodes t times the density there
+        # f's values y at the nodes t times the density there (a _Stack,
+        # whose f returns a new array per call, weighs y in place)
         return y * self.density(t)
+
+
+def _weigh_rows(weights, y, t):
+    """y with each measure's rows multiplied in place by its density at t."""
+    for rows, g in weights:
+        d = 0.0 if g is None else g(t)
+        for r in rows:
+            y[r] *= d
+    return y
 
 
 @dataclass(frozen=True, eq=False)
 class _Stack(RadialMeasure):
     """K measures stacked row by row, paired by one integrate call.
 
-    atoms carry (K,) mass vectors. density holds (rows, g) pairs, one per
-    measure: g's values weigh its rows of f in place, and a measure of
-    atoms alone (g None) zeroes them. A row in no pair pairs against dt and
-    is left as f returned it.
+    atoms carry (K,) mass vectors and density(t) is the (K, N) density,
+    one row per measure. weights holds the same as (rows, g) pairs, one per
+    measure, and integrate applies them in place: g's values weigh its
+    rows of f, and a measure of atoms alone (g None) zeroes them. A row in
+    no pair pairs against dt and is left as f returned it.
     """
 
+    weights: tuple = ()
+
     def _weigh(self, y, t):
-        for rows, g in self.density:
-            d = 0.0 if g is None else g(t)
-            for r in rows:
-                y[r] *= d
-        return y
+        return _weigh_rows(self.weights, y, t)
 
 
 def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
@@ -162,8 +171,11 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
             out[span] = row_fn(t, *(at[key] for key in keys))
         return out
 
+    def density(t):
+        return _weigh_rows(weights, np.ones((end, len(t))), t)
+
     dense = None in ids or any(mu.density is not None for mu in mus.values())
-    stack = _Stack(atoms, weights if dense else None, splits)
+    stack = _Stack(atoms, density if dense else None, splits, weights)
     vals, err = stack.integrate(rows, cfg=cfg)
     return [(vals[span], err.parts[span]) for span, _, _ in spans]
 

@@ -6,6 +6,7 @@ scipy.integrate.quad (never through the library's own integrate_line).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,28 +314,6 @@ def test_integrate_line_fails_loudly_on_impossible_budget():
         integrate_line(lambda t: np.exp(-np.abs(t)), splits=(0.0,), cfg=strict)
 
 
-def _clean_splits_loop(splits, lo, hi):
-    pts = sorted({float(s) for s in splits if lo < s < hi and math.isfinite(s)})
-    out = []
-    for p in pts:
-        if not out or p - out[-1] > 1e-13 * max(1.0, abs(p)):
-            out.append(p)
-    return out
-
-
-@pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (-2.0, 3.0), (0.0, np.inf)])
-def test_clean_splits_matches_the_loop(lo, hi):
-    # exact and near duplicates (chains of them too), ends, infinities, nan
-    rng = np.random.default_rng(7)
-    base = rng.uniform(-5.0, 5.0, 40)
-    # chains 4e-14 apart: each point is near its neighbour, the third is not near the first
-    near = base[:10, None] + np.arange(1, 4) * 4e-14 * np.maximum(1.0, np.abs(base[:10, None]))
-    splits = list(base) + list(base[:5]) + list(near.ravel()) + [lo, hi, np.inf, -np.inf, np.nan, 0.0, -0.0]
-    got = quadrature._clean_splits(splits, lo, hi)
-    assert got.tolist() == _clean_splits_loop(splits, lo, hi)
-    assert quadrature._clean_splits((), lo, hi).size == 0
-
-
 def test_integrate_line_empty_support():
     assert integrate_line(lambda t: 1.0, support=(1.0, 1.0), cfg=QUAD) == (0.0, 0.0)
 
@@ -389,7 +368,9 @@ def test_integrate_line_finds_bracketed_bump_at_every_width(k):
         lambda s: float(logistic_density(s)) * math.exp(s / lam),
         -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the speculative pass throws those nodes away without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got, _ = integrate_line(f, splits=_concentration_splits(lam), cfg=QUAD)
     assert abs(got - want) < 1e-11
 
@@ -397,9 +378,24 @@ def test_integrate_line_finds_bracketed_bump_at_every_width(k):
 def test_integrate_line_fails_loudly_on_a_tail_it_cannot_evaluate():
     # exp(t) / cosh(t)^2 is inf / inf = nan past t = 710, which refining the
     # right half line reaches: the call must say so, not drop the tail
-    with np.errstate(over="ignore", invalid="ignore"):
+    with pytest.warns(RuntimeWarning):
         with pytest.raises(NumericalError, match="diverged"):
             integrate_line(lambda t: np.exp(t) / np.cosh(t) ** 2, cfg=QUAD)
+
+
+def test_integrate_line_takes_a_read_only_integrand_result():
+    # the kernel scales the half lines' columns of f's result; a read-only
+    # result is copied rather than written, so a broadcast whose rows share
+    # memory is not scaled once per row
+    def frozen(t):
+        y = np.exp(-np.abs(t))
+        y.flags.writeable = False
+        return y
+
+    got, _ = integrate_line(frozen, cfg=QUAD)
+    assert got == pytest.approx(2.0, abs=1e-12)
+    got, _ = integrate_line(lambda t: np.broadcast_to(np.exp(-t * t), (2, t.size)), cfg=QUAD)
+    assert got == pytest.approx([math.sqrt(math.pi)] * 2, abs=1e-12)
 
 
 def test_integrate_line_vector_integrand_matches_components():
