@@ -52,7 +52,7 @@ def gram(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> G
     if p.degree < 0:
         raise ValueError(f"Gram data needs degree >= 0, got {p.degree}")
     ((entries, parts),) = _pairings([_gram_rows(p, w)], cfg)
-    return _gram_data(entries, parts)
+    return _gram_data(entries, parts, w)
 
 
 def _gram_rows(p: RadialPotential, w: VolumeForm):
@@ -65,16 +65,22 @@ def _gram_rows(p: RadialPotential, w: VolumeForm):
     return (p, w.psi), rows, (None,) * (p.degree + 1)
 
 
-def _gram_data(entries: np.ndarray, parts: np.ndarray) -> GramData:
-    """GramData of the entries and their estimates, err in units of log det.
+def _gram_data(entries: np.ndarray, parts: np.ndarray, w: VolumeForm) -> GramData:
+    """GramData of the entries on w and their estimates, err in units of log det.
 
-    An entry off by e_k moves log det by about e_k / g_k; a few eps times
-    sum |log g_k| bounds the rounding of the logs and of their sum.
+    An entry off by e_k moves log det by about e_k / g_k; every entry is
+    divided by w.norm, so the norm's error moves it by (m + 1) norm_err /
+    norm; a few eps times sum |log g_k| bounds the rounding of the logs and
+    of their sum.
     """
     if np.any(entries <= 0):
         raise ValueError("Gram entry came out nonpositive; potential invalid")
     logs = np.log(entries)
-    err = float(np.sum(parts / entries) + 4.0 * np.finfo(float).eps * np.sum(np.abs(logs)))
+    err = float(
+        np.sum(parts / entries)
+        + len(entries) * w.norm_err / w.norm
+        + 4.0 * np.finfo(float).eps * np.sum(np.abs(logs))
+    )
     return GramData(m=len(entries) - 1, entries=entries, log_det=float(np.sum(logs)), err=err)
 
 

@@ -13,8 +13,9 @@ Integrands take a numpy array of nodes. One refinement round evaluates the
 integrand once, on the nodes of every live subinterval of every panel, and
 an integrand returning shape (K, N) integrates K functions at once. The
 first pass is speculative: it evaluates each mapped half-line panel
-already cut into quarters, the cut the first round nearly always made,
-and falls back to the uncut panel only where a quarter is not finite.
+already graded, cut into quarters with the outermost quarter cut into
+quarters again, the cuts the first two rounds nearly always made, and
+falls back to the uncut panel only where a part is not finite.
 """
 
 from __future__ import annotations
@@ -229,8 +230,9 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
     integrands sharing the evaluation; then the value has shape (K,). The
     kernel scales a writeable result of f in place, so f must not return
     an array it keeps between calls. The first pass evaluates every finite
-    panel whole and, speculatively, each mapped half line already cut into
-    four equal u-parts; a pass holding such parts runs with numpy's
+    panel whole and, speculatively, each mapped half line already graded:
+    four equal u-parts, the outermost (u in [0, 1/4]) cut into four equal
+    parts again, seven in all; a pass holding such parts runs with numpy's
     overflow and invalid-value warnings off. A half line keeps its parts
     when every one of them is finite; otherwise one more pass evaluates it
     whole, under the caller's numpy error settings, as if the cut had not
@@ -258,23 +260,31 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
     if not pts and lo == -math.inf and hi == math.inf:
         pts = [0.0]
     iv = _panels(np.array([lo] + pts + [hi]))
-    # a speculative first pass: each mapped half-line panel starts cut into
-    # _SPLIT u-parts, the cut the first round nearly always makes. A half
-    # line whose parts are not all finite is evaluated uncut instead, at the
-    # cost of one more pass, so a tail the integrand cannot reach is only
-    # entered where the estimate asks for it. The nodes it throws away may
-    # overflow, so that pass is silent about it; a non-finite value that is
-    # kept still ends in the "diverged" error below.
+    # a speculative first pass: each mapped half-line panel starts graded,
+    # cut into _SPLIT u-parts with the outermost, u in [0, 1/_SPLIT], cut
+    # into _SPLIT again: the cuts the first two rounds nearly always make,
+    # since a tail decaying like e^{-c|t|} reads e^{-c(1-u)/u}/u^2 in u. A
+    # half line whose parts are not all finite is evaluated uncut instead,
+    # at the cost of one more pass, so a tail the integrand cannot reach is
+    # only entered where the estimate asks for it. The nodes it throws away
+    # may overflow, so that pass is silent about it; a non-finite value
+    # that is kept still ends in the "diverged" error below.
     fin, spec = np.flatnonzero(iv[2] == 0), np.flatnonzero(iv[2])
     whole = iv[:, spec]
-    iv = np.hstack([iv[:, fin], _parts(whole, _cuts(whole[0], whole[1]))])
-    panel = np.concatenate([fin, np.repeat(spec, _SPLIT)])
+    rows = len(iv)
+    quarters = _parts(whole, _cuts(whole[0], whole[1])).reshape(rows, -1, _SPLIT)
+    outer = quarters[:, :, 0]
+    outer = _parts(outer, _cuts(outer[0], outer[1])).reshape(rows, -1, _SPLIT)
+    graded = np.concatenate([outer, quarters[:, :, 1:]], axis=2)
+    per = graded.shape[2]  # 2 _SPLIT - 1 parts per half line
+    iv = np.hstack([iv[:, fin], graded.reshape(rows, -1)])
+    panel = np.concatenate([fin, np.repeat(spec, per)])
     with np.errstate(over="ignore", invalid="ignore") if spec.size else np.errstate():
         val, err, floor = quad(f, iv)
     ok = np.isfinite(val[..., len(fin):]) & np.isfinite(err[..., len(fin):])
-    ok = np.atleast_2d(ok).all(axis=0).reshape(-1, _SPLIT).all(axis=1)
+    ok = np.atleast_2d(ok).all(axis=0).reshape(-1, per).all(axis=1)
     if not ok.all():
-        keep = np.concatenate([np.ones(len(fin), dtype=bool), np.repeat(ok, _SPLIT)])
+        keep = np.concatenate([np.ones(len(fin), dtype=bool), np.repeat(ok, per)])
         v, e, fl = quad(f, whole[:, ~ok])
         iv, panel = _merge(iv, keep, whole[:, ~ok]), _merge(panel, keep, spec[~ok])
         val, err, floor = _merge(val, keep, v), _merge(err, keep, e), _merge(floor, keep, fl)

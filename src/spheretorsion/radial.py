@@ -186,11 +186,14 @@ class VolumeForm:
 
     norm records int e^{t-psi} dt, the only place a normalization constant
     can hide; the area measure rho follows from the two (total mass 2).
+    norm_err bounds the error of norm: the quadrature estimate when norm
+    was integrated, 0 when it is exact.
     """
 
     psi: RadialPotential
     norm: float
     label: str = ""
+    norm_err: float = 0.0
 
     @property
     def rho(self) -> RadialMeasure:
@@ -313,13 +316,13 @@ def logistic_density(t):
 def volume_from_potential(
     psi: RadialPotential, cfg: QuadConfig = DEFAULT_QUAD, label: str = ""
 ) -> VolumeForm:
-    """The volume form of a degree-2 potential: psi and its norm int e^{t-psi} dt."""
+    """The volume form of a degree-2 potential: psi, its norm int e^{t-psi} dt and its estimate."""
     if psi.degree != 2:
         raise ValueError(f"volume potential must have degree 2, got {psi.degree}")
-    norm, _ = integrate_line(lambda t: np.exp(t - psi.phi(t)), splits=psi.kinks, cfg=cfg)
+    norm, err = integrate_line(lambda t: np.exp(t - psi.phi(t)), splits=psi.kinks, cfg=cfg)
     if norm <= 0 or not math.isfinite(norm):
         raise NumericalError(f"volume normalization failed: int e^(t-psi) = {norm}")
-    return VolumeForm(psi=psi, norm=norm, label=label or psi.label)
+    return VolumeForm(psi=psi, norm=norm, label=label or psi.label, norm_err=float(err))
 
 
 # --- weak convergence checks ---

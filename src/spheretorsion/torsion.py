@@ -192,7 +192,9 @@ def volume_anomaly(
     psi + b give the same area measure and the same normalized potential.
     Every curvature mass equals its degree, so the gauge constant
     log norm_1 - log norm_2 contributes its product with (m/2 + 1/3) in
-    closed form; the raw pair_* diagnostics pair psi1 - psi2 itself.
+    closed form, and err charges that coefficient times the relative
+    errors of the two norms (VolumeForm.norm_err); the raw pair_*
+    diagnostics pair psi1 - psi2 itself.
 
     The secondary-Todd slot is the trapezoid in the CURVATURES of the two
     volume potentials, and must be: the curvature pairing is symmetric
@@ -216,9 +218,12 @@ def _volume_rows(p: RadialPotential, w1: VolumeForm, w2: VolumeForm):
 def _volume_term(
     vals, err: float, p: RadialPotential, w1: VolumeForm, w2: VolumeForm
 ) -> AnomalyTerm:
-    # vals: psi_1 - psi_2 against mu_p, mu_{psi_1} and mu_{psi_2}; err their summed estimate
+    # vals: psi_1 - psi_2 against mu_p, mu_{psi_1} and mu_{psi_2}; err their
+    # summed estimate, to which the gauge adds its coefficient times the
+    # relative errors of the two norms
     mu, r1, r2 = map(float, vals)
     gauge = math.log(w1.norm) - math.log(w2.norm)
+    coef = 0.5 * p.degree + (w1.psi.degree + w2.psi.degree) / 12.0
     curv = 0.5 * (mu + gauge * p.degree)
     todd = (r1 + r2 + gauge * (w1.psi.degree + w2.psi.degree)) / 12.0
     return AnomalyTerm(
@@ -232,7 +237,7 @@ def _volume_term(
             "pair_todd2": r2,
             "gauge": gauge,
         },
-        err=0.5 * float(err),
+        err=0.5 * float(err) + coef * (w1.norm_err / w1.norm + w2.norm_err / w2.norm),
     )
 
 
@@ -262,7 +267,7 @@ def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
                 f"degree {q.degree}: a bump fell between quadrature nodes (brackets "
                 "missing from its kinks?) or its curvature data is wrong"
             )
-    gd = _gram_data(g, g_err)
+    gd = _gram_data(g, g_err, w)
     return gd, _bundle_term(k, k_err.sum()), _volume_term(v, v_err.sum(), p, w, w_ref)
 
 

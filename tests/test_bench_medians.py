@@ -1,4 +1,4 @@
-"""tools/bench_medians.py: quartiles and seed-paired wins from two checkouts' runs."""
+"""tools/bench_medians.py: quartiles, seed-paired wins, ratios and bound breaches from checkouts' runs."""
 
 import importlib.util
 import json
@@ -19,13 +19,14 @@ def _result(evals_per_s, peak_rss_mb, correct=True, failed=0):
             "metrics": {m: {"value": v} for m, v in values.items()}}
 
 
+SPEC = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
 def test_report_gives_quartiles_and_paired_wins_against_the_first_label():
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     parent = [_result(e, r) for e, r in [(100, 35.0), (110, 35.0), (120, 36.0), (130, 34.0), (140, 35.0)]]
     change = [_result(e, r) for e, r in [(105, 34.0), (100, 35.0), (125, 35.5), (135, 35.0), (150, 36.0)]]
     change[2]["failed"] = 2
-    out = bench_medians.report({"parent": {"w": parent}, "change": {"w": change}}, better)
+    out = bench_medians.report({"parent": {"w": parent}, "change": {"w": change}}, SPEC)
     p, c = out["parent"]["w"], out["change"]["w"]
     assert p["median"]["evals_per_s"] == 120
     assert p["quartiles"]["evals_per_s"] == pytest.approx([110, 130])
@@ -36,3 +37,22 @@ def test_report_gives_quartiles_and_paired_wins_against_the_first_label():
     assert c["wins"]["setup_s"] == 0
     assert "wins" not in p
     assert (c["runs"], c["correct"], c["failed"]) == (5, True, 2)
+
+
+def test_report_gives_ratios_and_flags_moves_beyond_the_bound():
+    # evals_per_s may fall by 24% and peak_rss_mb rise by 5% of the parent's median
+    parent = [_result(100.0, 40.0)] * 3
+    runs = {
+        "parent": {"w": parent},
+        "slower": {"w": [_result(75.0, 42.0)] * 3},  # -25%, +5%: only the rate breaches
+        "heavier": {"w": [_result(80.0, 42.4)] * 3},  # -20%, +6%: only the memory breaches
+        "faster": {"w": [_result(200.0, 20.0)] * 3},  # better both ways, by any margin
+    }
+    out = bench_medians.report(runs, SPEC)
+    assert out["slower"]["w"]["ratio"]["evals_per_s"] == pytest.approx(0.75)
+    assert out["heavier"]["w"]["ratio"]["peak_rss_mb"] == pytest.approx(1.06)
+    assert out["faster"]["w"]["ratio"]["setup_s"] == 1.0
+    assert out["slower"]["w"]["beyond_bound"] == ["evals_per_s"]
+    assert out["heavier"]["w"]["beyond_bound"] == ["peak_rss_mb"]
+    assert out["faster"]["w"]["beyond_bound"] == []
+    assert "ratio" not in out["parent"]["w"] and "beyond_bound" not in out["parent"]["w"]

@@ -8,6 +8,7 @@ scipy.integrate.quad (never through the library's own integrate_line).
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +286,15 @@ def test_volume_from_potential_reproduces_both_catalog_forms():
         assert abs(float(w2.rho.density(t)) - math.exp(-abs(t))) < 1e-10
 
 
+@pytest.mark.parametrize("a", [1.5, 4.5, 1093.5])
+def test_volume_norm_err_bounds_the_norm(a):
+    # [DERIVED] int e^t (1 + e^{at})^{-2/a} dt = B(1/a, 1/a) / a, by x = e^{at}
+    w = volume_from_potential(lse(2, a), cfg=QUAD)
+    want = mpmath.beta(1 / mpmath.mpf(a), 1 / mpmath.mpf(a)) / a
+    assert 0.0 < w.norm_err and abs(w.norm - want) <= w.norm_err
+    assert volume_fs().norm_err == volume_canonical().norm_err == 0.0
+
+
 def test_volume_from_potential_rejects_wrong_degree():
     with pytest.raises(ValueError, match="degree 2"):
         volume_from_potential(fubini_study(1), cfg=QUAD)
@@ -381,6 +391,29 @@ def test_integrate_line_fails_loudly_on_a_tail_it_cannot_evaluate():
     with pytest.warns(RuntimeWarning):
         with pytest.raises(NumericalError, match="diverged"):
             integrate_line(lambda t: np.exp(t) / np.cosh(t) ** 2, cfg=QUAD)
+
+
+def test_integrate_line_falls_back_on_the_half_line_its_graded_parts_overflow(monkeypatch):
+    # e^{t/8} overflows past t = 5678: the outer nodes of the graded right
+    # half line reach t = 7370 and read inf * 0 there, where its quarters
+    # (out to t = 1841) did not, so that half line alone is evaluated again
+    # whole, then refined once
+    passes = []
+
+    def recording_quad(f, iv, _quad=quadrature.quad):
+        passes.append(iv.copy())
+        return _quad(f, iv)
+
+    monkeypatch.setattr(quadrature, "quad", recording_quad)
+    f = lambda t: np.exp(t / 8.0) * np.exp(-t / 8.0 - 16.0 * t * t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _ = integrate_line(f, cfg=QUAD)
+    assert abs(got - math.sqrt(math.pi) / 4.0) <= 1e-15
+    assert [iv.shape[1] for iv in passes] == [14, 1, 4]
+    assert passes[1][:3, 0].tolist() == [0.0, 1.0, 1.0]
+    with np.errstate(over="raise"):
+        assert integrate_line(f, cfg=QUAD)[0] == got
 
 
 def test_integrate_line_takes_a_read_only_integrand_result():

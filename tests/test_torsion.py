@@ -459,27 +459,15 @@ def test_chain_evaluates_the_fs_volume_once_per_round(monkeypatch):
     monkeypatch.setattr(metrics, "logistic_density", counting)
     monkeypatch.setattr(quadrature, "quad", counting_quad)
     quillen(p, volume_fs(), cfg=QUAD)
-    # a first pass with the half lines already quartered, one round of quadrisection
-    assert len(passes) == len(rounds) == 2
+    # the first pass holds the half lines already graded, and no round is left
+    assert len(passes) == len(rounds) == 1
     assert len(dens) == 3 * len(rounds)
     assert volume_fs() is WFS and WFS.psi is fubini_study(2)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        lambda: (fubini_study(6), WFS),
-        lambda: (fubini_study(24), WFS),
-        lambda: (lse(12, 4.5), WCAN),
-        lambda: (lse(1, 1.5 * 3.0**20), volume_from_potential(lse(2, 1.5 * 3.0**20), cfg=QUAD)),
-    ],
-    ids=["fs6-fs", "fs24-fs", "lse12-can", "lse1-sharp-twin"],
-)
-def test_quillen_takes_two_kernel_passes(monkeypatch, case):
-    # the first pass already holds the quarters of each half line that the
-    # first round of refinement would cut, so one round is left
+def _passes(monkeypatch, run):
+    """The kernel passes run() makes."""
     quadrature = importlib.import_module("spheretorsion.quadrature")
-    p, w = case()
     passes = []
 
     def counting_quad(f, iv, _quad=quadrature.quad):
@@ -487,8 +475,55 @@ def test_quillen_takes_two_kernel_passes(monkeypatch, case):
         return _quad(f, iv)
 
     monkeypatch.setattr(quadrature, "quad", counting_quad)
-    quillen(p, w, cfg=QUAD)
-    assert len(passes) == 2
+    run()
+    return len(passes)
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        (lambda: (fubini_study(6), WFS), 1),
+        (lambda: (fubini_study(24), WFS), 1),
+        (lambda: (lse(12, 4.5), WCAN), 1),
+        # the cut near the sharp bump is not a tail's, so one round is left
+        (lambda: (lse(1, 1.5 * 3.0**20), volume_from_potential(lse(2, 1.5 * 3.0**20), cfg=QUAD)),
+         2),
+    ],
+    ids=["fs6-fs", "fs24-fs", "lse12-can", "lse1-sharp-twin"],
+)
+def test_quillen_kernel_passes(monkeypatch, case, want):
+    # the first pass already holds each half line graded as the first round
+    # of refinement would cut it
+    p, w = case()
+    assert _passes(monkeypatch, lambda: quillen(p, w, cfg=QUAD)) == want
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        lambda: lse(2, 1.5 * 3.0**15),
+        lambda: zhang_iterate(lse(2, 1.5), 2, 20),
+        lambda: mollified_max(2, 1.5 * 2.0**-20),
+    ],
+    ids=["lse", "zhang", "mollmax"],
+)
+def test_volume_normalization_takes_one_kernel_pass(monkeypatch, psi):
+    # the members of the limits sequences: their norm converges in the graded first pass
+    p = psi()
+    assert _passes(monkeypatch, lambda: volume_from_potential(p, cfg=QUAD)) == 1
+
+
+def test_gram_and_volume_anomaly_charge_the_norm_err():
+    # every Gram entry carries 1/norm, and V the gauge log norm times m/2 + 1/3
+    w = volume_from_potential(lse(2, 3.0), cfg=QUAD)
+    exact = dataclasses.replace(w, norm_err=0.0)
+    p, rel = lse(6, 4.5), w.norm_err / w.norm
+    assert rel > 0
+    assert gram(p, w, cfg=QUAD).err - gram(p, exact, cfg=QUAD).err == pytest.approx(7 * rel)
+    charge = volume_anomaly(p, w, WFS, cfg=QUAD).err - volume_anomaly(p, exact, WFS, cfg=QUAD).err
+    assert charge == pytest.approx((3 + 1 / 3) * rel)
+    T, T_exact = quillen(p, w, cfg=QUAD).torsion, quillen(p, exact, cfg=QUAD).torsion
+    assert T.value == T_exact.value and T.err > T_exact.err
 
 
 def _grid(tmp_path, p, n):

@@ -12,9 +12,13 @@ holds the machine line (every run uses this interpreter), the seconds and
 seeds, the baseline (the first --checkout's label), and under each label,
 per workload, the median and the quartiles of every end-to-end metric over
 the seeds, the per-seed values, whether every run was correct and the
-failed operations summed. Under every label but the baseline, `wins`
-counts per metric the seeds on which that checkout beat the baseline, in
-the direction `better` of BENCHMARK.json. An existing --out is overwritten.
+failed operations summed. Under every label but the baseline, per
+workload, `wins` counts per metric the seeds on which that checkout beat
+the baseline, in the direction `better` of BENCHMARK.json; `ratio` is each
+metric's median over the baseline's median; and `beyond_bound` lists the
+metrics whose median moved the worse way by more than the metric's `bound`
+of BENCHMARK.json times the baseline's median. An existing --out is
+overwritten.
 """
 
 import argparse
@@ -60,22 +64,29 @@ def quartiles(values):
     return [q1, q3]
 
 
-def report(runs, better):
-    """The summaries of runs[label][workload], and each label's wins over the first.
+def report(runs, spec):
+    """The summaries of runs[label][workload], and each label's comparison with the first.
 
-    better maps a metric to "higher" or "lower". Runs are paired by seed,
-    in the order both labels ran them.
+    spec maps a metric to its BENCHMARK.json entry: `better` ("higher" or
+    "lower") and `bound`, the largest relative move the worse way. Runs are
+    paired by seed, in the order both labels ran them.
     """
     labels = list(runs)
-    sign = {m: 1.0 if better[m] == "higher" else -1.0 for m in METRICS}
+    sign = {m: 1.0 if spec[m]["better"] == "higher" else -1.0 for m in METRICS}
     out = {label: {w: summary(rs) for w, rs in runs[label].items()} for label in labels}
     base = out[labels[0]]
     for label in labels[1:]:
         for w, s in out[label].items():
+            b = base[w]
             s["wins"] = {
-                m: sum(sign[m] * (x - y) > 0 for x, y in zip(v, base[w]["per_seed"][m]))
+                m: sum(sign[m] * (x - y) > 0 for x, y in zip(v, b["per_seed"][m]))
                 for m, v in s["per_seed"].items()
             }
+            s["ratio"] = {m: v / b["median"][m] for m, v in s["median"].items()}
+            s["beyond_bound"] = [
+                m for m, v in s["median"].items()
+                if sign[m] * (b["median"][m] - v) > spec[m]["bound"] * b["median"][m]
+            ]
     return out
 
 
@@ -101,13 +112,13 @@ def main(argv=None) -> int:
                 runs[label][w].append(result)
                 print(f"{label} {w} seed={seed}: evals_per_s="
                       f"{result['metrics']['evals_per_s']['value']:.4g}", file=sys.stderr)
-    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    spec = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     out = {
         "machine": machine,
         "seconds": args.seconds,
         "seeds": args.seeds,
         "baseline": next(iter(roots)),
-        "checkouts": report(runs, better),
+        "checkouts": report(runs, spec),
     }
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
