@@ -104,7 +104,7 @@ def _cmd_torsion(args, cfg, quad):
     payload = {
         "command": "torsion",
         "inputs": {"metric": args.metric, "volume": args.volume},
-        "results": res.as_dict(),
+        "results": dataclasses.asdict(res),
     }
     if args.verify:
         mass = measure_mass(p, cfg=quad)
@@ -123,7 +123,7 @@ def _cmd_quillen(args, cfg, quad):
     payload = {
         "command": "quillen",
         "inputs": {"metric": args.metric, "volume": args.volume},
-        "results": res.as_dict(),
+        "results": dataclasses.asdict(res),
     }
     if args.verify:
         # the anomaly identity at this point against the reference metric
@@ -142,7 +142,7 @@ def _cmd_gram(args, cfg, quad):
     payload = {
         "command": "gram",
         "inputs": {"metric": args.metric, "volume": args.volume},
-        "results": g.as_dict(),
+        "results": dataclasses.asdict(g),
     }
     if args.verify:
         checks = {"entries_positive": bool((g.entries > 0).all())}
@@ -181,7 +181,7 @@ def _cmd_anomaly(args, cfg, quad):
             "volume": args.volume,
             "volume2": args.volume2,
         },
-        "results": term.as_dict(),
+        "results": dataclasses.asdict(term),
     }
     if args.verify:
         rev = anomaly(y, x)

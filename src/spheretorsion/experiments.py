@@ -20,7 +20,7 @@ import datetime
 import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -149,6 +149,8 @@ def _map(fn, items, jobs=1):
     if not items:
         raise ValueError("a sweep needs at least one row")
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(fn, items))
     return [fn(x) for x in items]
@@ -350,9 +352,9 @@ def run_double_limit_study(
             "decomposition_agreement": curve["agreement"],
             "decomposition_vs_direct": decomposition_vs_direct,
             "diagonal": list(lim.diagonal),
-            "grid": None if lim.grid is None else [[float(x) for x in row] for row in lim.grid],
-            "cauchy_report": lim.report.as_dict(),
-            "decomposition_reports": [r.as_dict() for r in curve["reports"]],
+            "grid": None if lim.grid is None else lim.grid.tolist(),
+            "cauchy_report": asdict(lim.report),
+            "decomposition_reports": [asdict(r) for r in curve["reports"]],
         },
         "verdicts": {
             "diagonal_cauchy": lim.report.verdict == "converged",
@@ -405,6 +407,6 @@ def run_bt_suite(m: int = 1, tol: float = 1e-7, cfg: QuadConfig = DEFAULT_QUAD) 
     return {
         "command": "bt-check",
         "inputs": {"m": m, "tol": tol},
-        "results": {k: r.as_dict() for k, r in reports.items()},
+        "results": {k: asdict(r) for k, r in reports.items()},
         "verdicts": {"all_converged_below_tol": ok},
     }

@@ -31,20 +31,8 @@ class GramData:
     m: int
     entries: np.ndarray  # g_0 .. g_m
     log_det: float
+    det: float  # exp(log_det)
     err: float  # bounds the error of log_det
-
-    @property
-    def det(self) -> float:
-        return float(np.exp(self.log_det))
-
-    def as_dict(self):
-        return {
-            "m": self.m,
-            "entries": [float(g) for g in self.entries],
-            "log_det": self.log_det,
-            "det": self.det,
-            "err": self.err,
-        }
 
 
 def gram(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> GramData:
@@ -81,7 +69,10 @@ def _gram_data(entries: np.ndarray, parts: np.ndarray, w: VolumeForm) -> GramDat
         + len(entries) * w.norm_err / w.norm
         + 4.0 * np.finfo(float).eps * np.sum(np.abs(logs))
     )
-    return GramData(m=len(entries) - 1, entries=entries, log_det=float(np.sum(logs)), err=err)
+    log_det = float(np.sum(logs))
+    return GramData(
+        m=len(entries) - 1, entries=entries, log_det=log_det, det=float(np.exp(log_det)), err=err
+    )
 
 
 # --- closed forms (the closed-form target, `gram --verify` and test oracles) ---

@@ -102,17 +102,23 @@ _EPS = np.finfo(float).eps
 # fixed numpy overhead, so quarters reach the tolerance in fewer rounds
 # than halves
 _SPLIT = 4
+# the u-edges of a mapped half line in the speculative first pass: its
+# _SPLIT quarters, the outermost (u in [0, 1/4]) cut into quarters again
+_GRADED = np.array([0.0, 1 / 16, 1 / 8, 3 / 16, 1 / 4, 1 / 2, 3 / 4, 1.0])
 
 
 def _clean_splits(splits, lo, hi):
-    """The sorted distinct split points strictly inside (lo, hi), as a list."""
+    """The sorted split points strictly inside (lo, hi), as a list.
+
+    A point at most 1e-13 max(1, |p|) above its sorted predecessor is
+    dropped, since near-duplicate breakpoints only add panels. The
+    predecessor counts whether it is kept or not, so a chain of such
+    points collapses to its first.
+    """
     pts = np.sort(np.asarray(splits, dtype=float))
-    out = []
-    for p in pts[(pts > lo) & (pts < hi)].tolist():
-        # collapse near-duplicate breakpoints, they only add panels
-        if not out or p - out[-1] > 1e-13 * max(1.0, abs(p)):
-            out.append(p)
-    return out
+    pts = pts[(pts > lo) & (pts < hi)]
+    far = pts[1:] - pts[:-1] > 1e-13 * np.maximum(1.0, np.abs(pts[1:]))
+    return pts[:1].tolist() + pts[1:][far].tolist()
 
 
 def _panels(edges):
@@ -261,9 +267,8 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
         pts = [0.0]
     iv = _panels(np.array([lo] + pts + [hi]))
     # a speculative first pass: each mapped half-line panel starts graded,
-    # cut into _SPLIT u-parts with the outermost, u in [0, 1/_SPLIT], cut
-    # into _SPLIT again: the cuts the first two rounds nearly always make,
-    # since a tail decaying like e^{-c|t|} reads e^{-c(1-u)/u}/u^2 in u. A
+    # cut at the u-edges _GRADED: the cuts the first two rounds nearly always
+    # make, since a tail decaying like e^{-c|t|} reads e^{-c(1-u)/u}/u^2 in u. A
     # half line whose parts are not all finite is evaluated uncut instead,
     # at the cost of one more pass, so a tail the integrand cannot reach is
     # only entered where the estimate asks for it. The nodes it throws away
@@ -271,13 +276,11 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
     # that is kept still ends in the "diverged" error below.
     fin, spec = np.flatnonzero(iv[2] == 0), np.flatnonzero(iv[2])
     whole = iv[:, spec]
-    rows = len(iv)
-    quarters = _parts(whole, _cuts(whole[0], whole[1])).reshape(rows, -1, _SPLIT)
-    outer = quarters[:, :, 0]
-    outer = _parts(outer, _cuts(outer[0], outer[1])).reshape(rows, -1, _SPLIT)
-    graded = np.concatenate([outer, quarters[:, :, 1:]], axis=2)
-    per = graded.shape[2]  # 2 _SPLIT - 1 parts per half line
-    iv = np.hstack([iv[:, fin], graded.reshape(rows, -1)])
+    # every mapped panel is the u-interval [0, 1], so only its edges change
+    per = len(_GRADED) - 1
+    graded = np.repeat(whole, per, axis=1)
+    graded[0], graded[1] = np.tile(_GRADED[:-1], len(spec)), np.tile(_GRADED[1:], len(spec))
+    iv = np.hstack([iv[:, fin], graded])
     panel = np.concatenate([fin, np.repeat(spec, per)])
     with np.errstate(over="ignore", invalid="ignore") if spec.size else np.errstate():
         val, err, floor = quad(f, iv)

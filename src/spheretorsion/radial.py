@@ -242,17 +242,6 @@ class ConvergenceReport:
         text = message.format(tol=tol, spread=spread, tail=len(last))
         return cls(indices, values, target, gaps, _fit_rate(indices, gaps), verdict, text)
 
-    def as_dict(self):
-        return {
-            "indices": list(self.indices),
-            "values": list(self.values),
-            "target": self.target,
-            "gaps": list(self.gaps),
-            "rate": self.rate,
-            "verdict": self.verdict,
-            "message": self.message,
-        }
-
 
 # --- measure extraction and pairings ---
 

@@ -65,13 +65,6 @@ class TorsionResult:
     components: dict
     err: float
 
-    def as_dict(self):
-        return {
-            "value": self.value,
-            "components": {k: float(v) for k, v in self.components.items()},
-            "err": self.err,
-        }
-
 
 def fs_reference_torsion(m: int, scale: float = SPECTRUM_SCALE) -> TorsionResult:
     """Reference torsion of (O(m), round) over the round area-2 sphere.
@@ -114,14 +107,6 @@ class AnomalyTerm:
     value: float
     diagnostics: dict
     err: float
-
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "diagnostics": {k: float(v) for k, v in self.diagnostics.items()},
-            "err": self.err,
-        }
 
 
 def bundle_anomaly(
@@ -311,14 +296,6 @@ class QuillenResult:
     torsion: TorsionResult
     gram: GramData
 
-    def as_dict(self):
-        return {
-            "log_quillen": self.log_quillen,
-            "log_l2": self.log_l2,
-            "torsion": self.torsion.as_dict(),
-            "gram": self.gram.as_dict(),
-        }
-
 
 def quillen(
     p: RadialPotential,
@@ -364,16 +341,6 @@ class GeneralizedLimit:
     @property
     def diagonal(self) -> tuple:
         return self.report.values
-
-    def as_dict(self):
-        out = {
-            "value": self.value,
-            "diagonal": list(self.diagonal),
-            "report": self.report.as_dict(),
-        }
-        if self.grid is not None:
-            out["grid"] = [[float(x) for x in row] for row in self.grid]
-        return out
 
 
 def _require_positive(pot: RadialPotential, what: str, idx):

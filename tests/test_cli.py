@@ -156,6 +156,42 @@ def test_bt_check(capsys):
     assert doc["verify"]["passed"] is True
 
 
+# --- the results schema ---
+
+
+def test_results_keys(capsys):
+    # results holds the result record's fields, so a record that gains,
+    # loses or renames a field changes these sets
+    torsion_keys = {"value", "components", "err"}
+    components = {"log_quillen_ref", "bundle_anomaly", "volume_anomaly", "log_gram"}
+    gram_keys = {"m", "entries", "log_det", "det", "err"}
+    res = lambda *argv: run_json(capsys, *argv, "--no-meta")["results"]
+
+    r = res("torsion", "--metric", "fs:2")
+    assert set(r) == torsion_keys and set(r["components"]) == components
+    r = res("quillen", "--metric", "canonical:2", "--volume", "canonical")
+    assert set(r) == {"log_quillen", "log_l2", "torsion", "gram"}
+    assert set(r["torsion"]) == torsion_keys and set(r["torsion"]["components"]) == components
+    assert set(r["gram"]) == gram_keys
+    r = res("gram", "--metric", "fs:2")
+    assert set(r) == gram_keys and r["m"] == 2
+    assert r["det"] == pytest.approx(math.exp(r["log_det"]), rel=1e-14)
+    r = res("anomaly", "--kind", "bundle", "--metric", "canonical:1", "--metric2", "fs:1")
+    assert set(r) == {"kind", "value", "diagnostics", "err"} and r["kind"] == "bundle"
+    assert set(r["diagnostics"]) == {
+        "dirichlet_term", "todd_term", "pair_mu1", "pair_mu2", "pair_todd",
+    }
+    r = res("anomaly", "--kind", "volume", "--metric", "fs:1", "--volume2", "canonical")
+    assert set(r) == {"kind", "value", "diagnostics", "err"} and r["kind"] == "volume"
+    assert set(r["diagnostics"]) == {
+        "curvature_term", "todd_term", "pair_mu", "pair_todd1", "pair_todd2", "gauge",
+    }
+    r = res("bt-check")
+    assert set(r["zhang/gauss"]) == {
+        "indices", "values", "target", "gaps", "rate", "verdict", "message",
+    }
+
+
 # --- exit codes ---
 
 

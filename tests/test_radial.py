@@ -324,6 +324,19 @@ def test_integrate_line_fails_loudly_on_impossible_budget():
         integrate_line(lambda t: np.exp(-np.abs(t)), splits=(0.0,), cfg=strict)
 
 
+def test_clean_splits_sorts_drops_outside_and_collapses_near_duplicates():
+    clean = quadrature._clean_splits
+    # unsorted, an exact duplicate, and points on or outside (lo, hi)
+    assert clean((3.0, -1.0, 3.0, 0.5, -5.0, 5.0, -2.0, 4.0), -2.0, 4.0) == [-1.0, 0.5, 3.0]
+    assert clean((), -math.inf, math.inf) == []
+    # a chain, each point within 1e-13 relative of the one before, collapses
+    # to its first point; a point just past that distance stays
+    d = 0.9e-13 * 10.0
+    assert clean((10.0 + 2 * d, 10.0, 10.0 + d), 0.0, 20.0) == [10.0]
+    far = 10.0 + 1.1e-12
+    assert clean((10.0, far, 1.0, 1.0 + 1e-14), 0.0, 20.0) == [1.0, 10.0, far]
+
+
 def test_integrate_line_empty_support():
     assert integrate_line(lambda t: 1.0, support=(1.0, 1.0), cfg=QUAD) == (0.0, 0.0)
 

@@ -186,6 +186,20 @@ def test_import_does_not_load_scipy():
     assert res.returncode == 0, res.stderr
 
 
+def test_cli_call_does_not_load_process_pool():
+    # only --jobs > 1 needs a pool; a plain call must not pay for its import
+    code = (
+        "import sys\n"
+        "from spheretorsion import cli\n"
+        "assert cli.main(['torsion', '--metric', 'fs:20', '--no-meta']) == 0\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        "loaded = [m for m in pool if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    res = _run_child(code)
+    assert res.returncode == 0, res.stderr
+
+
 def test_reference_scale_law():
     # zeta'(0; c lambda) = zeta'(0; lambda) - log(c) zeta(0)
     for m in (0, 1, 4):
@@ -734,11 +748,11 @@ def test_generalized_curve_refuses_nonpositive_factor():
 
 def test_result_dicts_round_trip():
     t = torsion(canonical(1), WCAN, cfg=QUAD)
-    d = t.as_dict()
+    d = dataclasses.asdict(t)
     assert set(d) == {"value", "components", "err"} and d["value"] == t.value
     assert isinstance(d["components"], dict) and d["err"] < 1e-7
     q = quillen(fubini_study(1), WFS, cfg=QUAD)
-    qd = q.as_dict()
+    qd = dataclasses.asdict(q)
     assert set(qd) == {"log_quillen", "log_l2", "torsion", "gram"}
-    g = gram(fubini_study(1), WFS, cfg=QUAD).as_dict()
+    g = dataclasses.asdict(gram(fubini_study(1), WFS, cfg=QUAD))
     assert g["m"] == 1 and len(g["entries"]) == 2
