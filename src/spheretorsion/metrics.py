@@ -464,13 +464,49 @@ def counterexample_energy_oracle(pot: RadialPotential) -> dict:
 # --- grid import/export ---
 
 
+def _monotone_cubic(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (4, n-1) power-basis coefficients of the monotone cubic through (t, v).
+
+    Row k multiplies s**(3-k), s = x - t[i], on the cell [t[i], t[i+1]]. The
+    Fritsch-Carlson (SIAM J. Numer. Anal. 17 (1980) 238-246) Hermite cubic
+    with the slope rule of CONVENTIONS.md section 10, computed operation by
+    operation as scipy's PchipInterpolator does, so the coefficients agree
+    to the bit.
+    """
+    h = np.diff(t)
+    m = np.diff(v) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+
+    def end(h0, h1, m0, m1):
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(e) > 3 * abs(m0):
+            return 3 * m0
+        return e
+
+    d[0] = end(h[0], h[1], m[0], m[1])
+    d[-1] = end(h[-1], h[-2], m[-1], m[-2])
+    k = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((k / h, (m - d[:-1]) / h - k, d[:-1], v[:-1]))
+
+
 def load_grid(path: str) -> RadialPotential:
     """Load a potential from a CSV grid (header t,phi) plus a JSON sidecar.
 
     The sidecar (same path with .json extension) must provide degree,
-    regularity, positive and kinks. Values are interpolated with a monotone
-    cubic; outside the grid the potential continues linearly with the
-    boundary slopes, which are validated against the declared degree.
+    regularity, positive and kinks. The CSV needs at least 4 rows of two
+    finite numbers with strictly increasing t; anything else is a SpecError
+    naming the file. Values are interpolated with the monotone cubic of
+    `_monotone_cubic`, the curvature density is its piecewise-linear second
+    derivative, and outside the grid the potential continues linearly with
+    the boundary slopes, which are validated against the declared degree.
 
     The interpolant fails to be C^2 at every grid knot, so all knots ride
     along as quadrature splits; each panel between knots is a polynomial,
@@ -489,8 +525,13 @@ def load_grid(path: str) -> RadialPotential:
         for row in rd:
             if not row or not row[0].strip():
                 continue
-            ts.append(float(row[0]))
-            vs.append(float(row[1]))
+            try:
+                ts.append(float(row[0]))
+                vs.append(float(row[1]))
+            except (ValueError, IndexError) as exc:
+                raise SpecError(
+                    f"grid CSV {path} line {rd.line_num}: expected two numbers t,phi, got {row}"
+                ) from exc
     side = os.path.splitext(path)[0] + ".json"
     if not os.path.exists(side):
         raise SpecError(f"grid sidecar not found: {side}")
@@ -501,13 +542,15 @@ def load_grid(path: str) -> RadialPotential:
             raise SpecError(f"grid sidecar missing key {key!r}")
     t = np.asarray(ts, dtype=float)
     v = np.asarray(vs, dtype=float)
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise SpecError(f"grid CSV {path} holds a non-finite t or phi")
     if len(t) < 4 or np.any(np.diff(t) <= 0):
         raise SpecError("grid needs at least 4 strictly increasing t values")
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(t, v, extrapolate=False)
-    d1 = interp.derivative(1)
-    s_lo, s_hi = float(d1(t[0])), float(d1(t[-1]))
+    c = _monotone_cubic(t, v)
+    # the end slopes: the first cell's at s = 0, the last cell's at s = h
+    h = t[-1] - t[-2]
+    s_lo = float(c[2, 0])
+    s_hi = float(c[2, -1] + 2 * c[1, -1] * h + 3 * c[0, -1] * (h * h))
     degree = int(meta["degree"])
     if abs(s_hi - degree) > 0.1 or abs(s_lo) > 0.1:
         raise SpecError(
@@ -515,20 +558,29 @@ def load_grid(path: str) -> RadialPotential:
         )
     lo, hi = float(t[0]), float(t[-1])
     v_lo, v_hi = float(v[0]), float(v[-1])
+    # phi'' = b + a s on each cell, the factors 6 and 2 applied once here
+    a, b = 6 * c[0], 2 * c[1]
 
-    def phi(x, _i=interp):
+    def cell(x):
+        x = np.clip(x, lo, hi)
+        i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+        return i, x - t[i]
+
+    def phi(x):
         x = np.asarray(x, dtype=float)
+        i, s = cell(x)
+        c0, c1, c2, c3 = c[:, i]
+        s2 = s * s
         return np.where(
             x < lo,
             v_lo + s_lo * (x - lo),
-            np.where(x > hi, v_hi + s_hi * (x - hi), _i(np.clip(x, lo, hi))),
+            np.where(x > hi, v_hi + s_hi * (x - hi), c3 + c2 * s + c1 * s2 + c0 * (s2 * s)),
         )
 
-    d2 = interp.derivative(2)
-
-    def dens(x, _d2=d2):
+    def dens(x):
         x = np.asarray(x, dtype=float)
-        return np.where((x > lo) & (x < hi), _d2(np.clip(x, lo, hi)), 0.0)
+        i, s = cell(x)
+        return np.where((x > lo) & (x < hi), b[i] + a[i] * s, 0.0)
 
     kinks = tuple(float(k) for k in meta.get("kinks", ())) + tuple(float(x) for x in t)
     return RadialPotential(

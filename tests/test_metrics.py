@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from spheretorsion import (
     CounterexampleParams,
@@ -31,6 +32,7 @@ from spheretorsion import (
     write_grid,
     zhang_iterate,
 )
+from spheretorsion import cli
 from spheretorsion.metrics import _concentration_splits
 
 from conftest import LOG2, QUAD
@@ -272,6 +274,97 @@ def test_grid_missing_sidecar(tmp_path):
     path.write_text("t,phi\n0,0\n1,1\n2,2\n3,3\n")
     with pytest.raises(SpecError, match="sidecar"):
         load_grid(str(path))
+
+
+def _write_grid_data(path, t, v, degree):
+    # full precision, so the floats read back are exactly t and v
+    path.write_text("t,phi\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, v)))
+    meta = {"degree": degree, "regularity": "continuous", "positive": False, "kinks": []}
+    path.with_suffix(".json").write_text(json.dumps(meta))
+    return load_grid(str(path))
+
+
+def _assert_matches_pchip(g, t, v):
+    # [DERIVED] scipy's PchipInterpolator on the same samples, continued
+    # outside [t0, tn] by the declared linear extension with zero curvature
+    ref = PchipInterpolator(t, v)
+    d1, d2 = ref.derivative(1), ref.derivative(2)
+    lo, hi = t[0], t[-1]
+    gaps = (hi - lo) * np.geomspace(1e-9, 3, 7)
+    inside = np.concatenate([t, (t[1:] + t[:-1]) / 2, np.linspace(lo, hi, 997)])
+    x = np.concatenate([inside, lo - gaps, hi + gaps])
+    phi_ref = np.concatenate([ref(inside), v[0] - d1(lo) * gaps, v[-1] + d1(hi) * gaps])
+    open_cells = (x > lo) & (x < hi)
+    dens_ref = np.where(open_cells, d2(np.clip(x, lo, hi)), 0.0)
+    for got, want in ((g.phi(x), phi_ref), (g.curvature_density(x), dens_ref)):
+        assert np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [41, 161, 2001])
+@pytest.mark.parametrize(
+    "p", [fubini_study(3), lse(2, 2.5), mollified_max(3, 0.7)], ids=lambda p: p.label
+)
+def test_grid_interpolant_matches_scipy_pchip(tmp_path, p, n):
+    path = str(tmp_path / "g.csv")
+    write_grid(p, path, n=n)
+    t, v = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    _assert_matches_pchip(load_grid(path), t, v)
+
+
+@pytest.mark.parametrize(
+    "t, v, degree, ends",
+    [
+        # left end slope set to 0 (three-point estimate of the wrong sign),
+        # right end slope capped at 3 m (the last two secants differ in sign)
+        (
+            [-3.0, -2.2, -1.9, -0.5, 0.0, 0.3, 1.7, 2.0, 3.1, 3.6],
+            [0.0, 0.04, 0.9, 0.2, 0.2, 0.2, 1.5, 1.5, -0.8, -0.63],
+            1,
+            ("zero", "cap"),
+        ),
+        # the mirror: left end capped, right end set to 0
+        (
+            [-2.0, -1.5, -0.25, 0.5, 1.0, 2.75, 3.0],
+            [0.0, 0.015, -0.485, -0.485, 0.2, 1.95, 1.955],
+            0,
+            ("cap", "zero"),
+        ),
+    ],
+    ids=["zero-cap", "cap-zero"],
+)
+def test_grid_interpolant_matches_scipy_on_uneven_knots(tmp_path, t, v, degree, ends):
+    # uneven spacing, interior sign changes and flat runs, whose slopes are 0
+    t, v = np.array(t), np.array(v)
+    g = _write_grid_data(tmp_path / "hand.csv", t, v, degree)
+    _assert_matches_pchip(g, t, v)
+    m = np.diff(v) / np.diff(t)
+    slopes = PchipInterpolator(t, v).derivative(1)(t)
+    assert np.sum(slopes[1:-1] == 0) >= 3
+    for end, s, m0 in zip(ends, (slopes[0], slopes[-1]), (m[0], m[-1])):
+        assert s == pytest.approx(0.0 if end == "zero" else 3 * m0, rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param("nan,0.5", id="nan-t"),
+        pytest.param("0.45,nan", id="nan-phi"),
+        pytest.param("0.45,inf", id="inf-phi"),
+        pytest.param("0.45,half", id="non-numeric"),
+        pytest.param("0.45", id="one-column"),
+    ],
+)
+def test_grid_malformed_row_is_a_spec_error(tmp_path, capsys, row):
+    # the API raises SpecError naming the file, and the CLI exits 2
+    path = tmp_path / "bad.csv"
+    write_grid(fubini_study(2), str(path), n=41)
+    lines = path.read_text().splitlines()
+    lines[21] = row  # knot t = 0 between t = -1.5 and 1.5, so 0.45 keeps t increasing
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SpecError, match="bad.csv"):
+        load_grid(str(path))
+    assert cli.main(["torsion", "--metric", f"grid:{path}", "--no-meta"]) == 2
+    assert "bad.csv" in capsys.readouterr().err
 
 
 # --- mini language ---

@@ -21,10 +21,12 @@ additive constant of the volume potential, and at m = 0 it obeys the
 Polyakov formula.
 """
 
+import ast
 import dataclasses
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -184,6 +186,55 @@ def test_import_does_not_load_scipy():
     )
     res = _run_child(code)
     assert res.returncode == 0, res.stderr
+
+
+def test_grid_path_does_not_load_scipy(tmp_path):
+    # load_grid builds its monotone cubic in numpy; scipy is a test oracle only
+    h, w = str(tmp_path / "fs3.csv"), str(tmp_path / "fs2.csv")
+    code = (
+        "import sys\n"
+        "import spheretorsion as st\n"
+        "from spheretorsion import cli\n"
+        f"h, w = {h!r}, {w!r}\n"
+        "st.write_grid(st.fubini_study(3), h, n=41)\n"
+        "st.write_grid(st.fubini_study(2), w, n=41)\n"
+        "assert cli.main(['torsion', '--metric', 'grid:' + h, '--no-meta']) == 0\n"
+        "argv = ['quillen', '--metric', 'grid:' + h, '--volume', 'grid:' + w, '--no-meta']\n"
+        "assert cli.main(argv) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    res = _run_child(code)
+    assert res.returncode == 0, res.stderr
+
+
+def test_runtime_depends_on_numpy_only():
+    # no module of the package imports scipy, and the package declares numpy
+    # alone; scipy stays in the dev extra as the tests' oracle
+    pkg = os.path.dirname(spheretorsion.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            assert not [m for m in mods if m.split(".")[0] == "scipy"], (name, node.lineno)
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    root = os.path.dirname(os.path.dirname(pkg))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+
+    def names(reqs):
+        return [re.split(r"[\s<>=!~;\[]", r, maxsplit=1)[0] for r in reqs]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["dev"])
 
 
 def test_cli_call_does_not_load_process_pool():
