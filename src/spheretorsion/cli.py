@@ -79,6 +79,8 @@ def _merge_cli(cfg: RunConfig, args) -> RunConfig:
         cfg.quad_fail_tol = args.quad_tol
     if getattr(args, "no_meta", False):
         cfg.no_meta = True
+    if cfg.jobs < 1:
+        raise SpecError(f"jobs must be at least 1, got {cfg.jobs}")
     return cfg
 
 

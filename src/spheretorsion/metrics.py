@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import RadialPotential, VolumeForm, logistic_density, volume_from_potential
+from .radial import (
+    REGULARITIES,
+    RadialPotential,
+    VolumeForm,
+    logistic_density,
+    volume_from_potential,
+)
 
 
 class SpecError(ValueError):
@@ -94,14 +100,13 @@ def volume_canonical() -> VolumeForm:
 
 def _concentration_splits(scale: float) -> tuple:
     # a bump of width ~1/scale hides between the nodes of an adaptive rule
-    # on an infinite interval; bracket it so no panel can step over it
+    # on an infinite interval; bracket it so no panel can step over it.
+    # Octaves 2^k/scale, k = 0..9, out to 512/scale: each bracket panel
+    # spans at most a factor-2 change of scale, so the first pass settles it
     if scale <= 16.0:
         return ()
-    w = 1.0 / scale
-    pts = [0.0]
-    for f in (1.0, 8.0, 64.0, 512.0):
-        pts.extend((-f * w, f * w))
-    return tuple(sorted(pts))
+    f = 2.0 ** np.arange(10) / scale
+    return (*(-f[::-1]).tolist(), 0.0, *f.tolist())
 
 
 def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
@@ -109,9 +114,10 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
 
     Degree and curvature mass are preserved; sup distance to the canonical
     limit contracts exactly by p^{-n}. The iterate's curvature concentrates
-    at t = 0 with width p^{-n}, so the kink list carries bracket points at
-    that scale: without them the quadrature walks straight over the bump
-    and silently drops the whole mass.
+    at t = 0 with width p^{-n}, so above p^n = 16 the kink list carries
+    bracket points at the octaves 2^k p^{-n}, k = 0..9: without them the
+    quadrature walks straight over the bump and silently drops the whole
+    mass, and with them the first kernel pass settles every bracket panel.
     """
     p, n = int(p), int(n)
     if p < 2:
@@ -140,8 +146,9 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
 def lse(m: int, a: float) -> RadialPotential:
     """Soft-max potential (m/a) log(1+e^{a t}); a -> inf gives canonical(m).
 
-    Smooth for every a, but the curvature bump has width 1/a, so sharp
-    members advertise bracket splits just like the dilation iterates.
+    Smooth for every a, but the curvature bump has width 1/a, so members
+    sharper than a = 16 advertise the same octave bracket splits 2^k / a,
+    k = 0..9, as the dilation iterates.
     """
     m, a = int(m), float(a)
     if a <= 0:
@@ -497,11 +504,43 @@ def _monotone_cubic(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack((k / h, (m - d[:-1]) / h - k, d[:-1], v[:-1]))
 
 
+def _read_sidecar(side: str) -> tuple:
+    """(degree, regularity, positive, kinks) of a grid sidecar; SpecError naming it otherwise."""
+    try:
+        with open(side) as fh:
+            meta = json.load(fh)
+    except FileNotFoundError as exc:
+        raise SpecError(f"grid sidecar not found: {side}") from exc
+    except (OSError, ValueError) as exc:
+        raise SpecError(f"cannot read grid sidecar {side}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise SpecError(f"grid sidecar {side} must hold a JSON object, got {type(meta).__name__}")
+    for key in ("degree", "regularity", "positive"):
+        if key not in meta:
+            raise SpecError(f"grid sidecar {side} is missing key {key!r}")
+    degree, regularity, positive = meta["degree"], meta["regularity"], meta["positive"]
+    kinks = meta.get("kinks", [])
+    # a boolean is never a number, and a string is no list of kinks
+    if type(degree) is not int:
+        raise SpecError(f"grid sidecar {side}: degree must be an integer, got {degree!r}")
+    if regularity not in REGULARITIES:
+        raise SpecError(
+            f"grid sidecar {side}: regularity must be one of {REGULARITIES}, got {regularity!r}"
+        )
+    if type(positive) is not bool:
+        raise SpecError(f"grid sidecar {side}: positive must be true or false, got {positive!r}")
+    if not (isinstance(kinks, list) and all(type(k) in (int, float) for k in kinks)):
+        raise SpecError(f"grid sidecar {side}: kinks must be a list of numbers, got {kinks!r}")
+    return degree, regularity, positive, tuple(float(k) for k in kinks)
+
+
 def load_grid(path: str) -> RadialPotential:
     """Load a potential from a CSV grid (header t,phi) plus a JSON sidecar.
 
-    The sidecar (same path with .json extension) must provide degree,
-    regularity, positive and kinks. The CSV needs at least 4 rows of two
+    The sidecar (same path with .json extension) must be a JSON object
+    with an integer degree, a known regularity, a boolean positive and
+    optionally a list of numeric kinks; anything else is a SpecError
+    naming the sidecar. The CSV needs at least 4 rows of two
     finite numbers with strictly increasing t; anything else is a SpecError
     naming the file. Values are interpolated with the monotone cubic of
     `_monotone_cubic`, the curvature density is its piecewise-linear second
@@ -532,14 +571,7 @@ def load_grid(path: str) -> RadialPotential:
                 raise SpecError(
                     f"grid CSV {path} line {rd.line_num}: expected two numbers t,phi, got {row}"
                 ) from exc
-    side = os.path.splitext(path)[0] + ".json"
-    if not os.path.exists(side):
-        raise SpecError(f"grid sidecar not found: {side}")
-    with open(side) as fh:
-        meta = json.load(fh)
-    for key in ("degree", "regularity", "positive"):
-        if key not in meta:
-            raise SpecError(f"grid sidecar missing key {key!r}")
+    degree, regularity, positive, side_kinks = _read_sidecar(os.path.splitext(path)[0] + ".json")
     t = np.asarray(ts, dtype=float)
     v = np.asarray(vs, dtype=float)
     if not (np.isfinite(t).all() and np.isfinite(v).all()):
@@ -551,7 +583,6 @@ def load_grid(path: str) -> RadialPotential:
     h = t[-1] - t[-2]
     s_lo = float(c[2, 0])
     s_hi = float(c[2, -1] + 2 * c[1, -1] * h + 3 * c[0, -1] * (h * h))
-    degree = int(meta["degree"])
     if abs(s_hi - degree) > 0.1 or abs(s_lo) > 0.1:
         raise SpecError(
             f"grid slopes ({s_lo:.3f}, {s_hi:.3f}) inconsistent with degree {degree}"
@@ -582,12 +613,12 @@ def load_grid(path: str) -> RadialPotential:
         i, s = cell(x)
         return np.where((x > lo) & (x < hi), b[i] + a[i] * s, 0.0)
 
-    kinks = tuple(float(k) for k in meta.get("kinks", ())) + tuple(float(x) for x in t)
+    kinks = side_kinks + tuple(float(x) for x in t)
     return RadialPotential(
         degree=degree,
         phi=phi,
-        regularity=str(meta["regularity"]),
-        positive=bool(meta["positive"]),
+        regularity=regularity,
+        positive=positive,
         kinks=tuple(sorted(set(kinks))),
         curvature_density=dens,
         label=f"grid:{os.path.basename(path)}",

@@ -256,6 +256,17 @@ def test_exit_2_on_an_empty_sweep(capsys):
             {"command": ["zhang", "--base", "fs:2"], "argv": ["--quad-tol", "-1"]},
             id="zhang-negative-quad-tol",
         ),
+        # a worker count below 1 is refused, not quietly run serially
+        pytest.param({"argv": ["--jobs", "0"]}, id="zero-jobs"),
+        pytest.param({"config": '{"jobs": 0}'}, id="zero-jobs-config"),
+        pytest.param(
+            {"command": ["closed-form", "--m-max", "0"], "argv": ["--jobs", "-3"]},
+            id="closed-form-negative-jobs",
+        ),
+        pytest.param(
+            {"command": ["closed-form", "--m-max", "0"], "config": '{"jobs": -3}'},
+            id="closed-form-negative-jobs-config",
+        ),
     ],
 )
 def test_exit_2_on_bad_outside_input(capsys, tmp_path, monkeypatch, case):

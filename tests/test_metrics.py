@@ -111,19 +111,28 @@ def test_zhang_iterate_carries_bracket_splits_when_sharp():
     mild = zhang_iterate(fubini_study(1), 2, 2)
     sharp = zhang_iterate(fubini_study(1), 2, 14)
     assert mild.kinks == ()
-    assert 0.0 in sharp.kinks and len(sharp.kinks) == 9
+    assert sharp.kinks == _concentration_splits(2.0**14)
+    assert 0.0 in sharp.kinks and len(sharp.kinks) == 21
     assert max(sharp.kinks) == pytest.approx(512.0 / 2.0**14, abs=0)
 
 
 def test_concentration_splits_gate():
     assert _concentration_splits(8.0) == ()
+    assert _concentration_splits(16.0) == ()
     pts = _concentration_splits(1024.0)
-    assert pts == tuple(sorted([0.0] + [s * f / 1024.0 for s in (-1, 1) for f in (1, 8, 64, 512)]))
+    assert pts == tuple(sorted([0.0] + [s * 2.0**k / 1024.0 for s in (-1, 1) for k in range(10)]))
+    # the octaves refine the factor-8 brackets {0, +-1, +-8, +-64, +-512}/scale:
+    # every old split is still a split, and the outermost is still 512/scale
+    for scale in (17.0, 1024.0, 1.5 * 3.0**20, 2.0**32):
+        pts = _concentration_splits(scale)
+        old = {0.0} | {s * f / scale for s in (-1, 1) for f in (1.0, 8.0, 64.0, 512.0)}
+        assert old <= set(pts) and (pts[0], pts[-1]) == (-512.0 / scale, 512.0 / scale)
 
 
 def test_sharp_lse_advertises_brackets():
     assert lse(1, 4.0).kinks == ()
-    assert len(lse(1, 3.0**9).kinks) == 9
+    assert lse(1, 3.0**9).kinks == _concentration_splits(3.0**9)
+    assert len(lse(1, 3.0**9).kinks) == 21
 
 
 # --- tensor algebra group laws ---
@@ -365,6 +374,33 @@ def test_grid_malformed_row_is_a_spec_error(tmp_path, capsys, row):
         load_grid(str(path))
     assert cli.main(["torsion", "--metric", f"grid:{path}", "--no-meta"]) == 2
     assert "bad.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        pytest.param("{not json", id="invalid-json"),
+        pytest.param('["degree", 2]', id="not-an-object"),
+        pytest.param({"regularity": "C1"}, id="unknown-regularity"),
+        pytest.param({"degree": "x"}, id="string-degree"),
+        pytest.param({"positive": "false"}, id="string-positive"),
+        pytest.param({"kinks": "ab"}, id="string-kinks"),
+        pytest.param({"kinks": None}, id="null-kinks"),
+        pytest.param({"kinks": [0.5, "x"]}, id="string-kink"),
+    ],
+)
+def test_grid_malformed_sidecar_is_a_spec_error(tmp_path, capsys, sidecar):
+    # the API raises SpecError naming the sidecar, and the CLI exits 2
+    path = tmp_path / "bad.csv"
+    write_grid(fubini_study(2), str(path), n=41)
+    side = tmp_path / "bad.json"
+    if isinstance(sidecar, dict):
+        sidecar = json.dumps({**json.loads(side.read_text()), **sidecar})
+    side.write_text(sidecar)
+    with pytest.raises(SpecError, match="bad.json"):
+        load_grid(str(path))
+    assert cli.main(["torsion", "--metric", f"grid:{path}", "--no-meta"]) == 2
+    assert "bad.json" in capsys.readouterr().err
 
 
 # --- mini language ---

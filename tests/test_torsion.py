@@ -545,22 +545,26 @@ def _passes(monkeypatch, run):
 
 
 @pytest.mark.parametrize(
-    "case, want",
+    "case",
     [
-        (lambda: (fubini_study(6), WFS), 1),
-        (lambda: (fubini_study(24), WFS), 1),
-        (lambda: (lse(12, 4.5), WCAN), 1),
-        # the cut near the sharp bump is not a tail's, so one round is left
-        (lambda: (lse(1, 1.5 * 3.0**20), volume_from_potential(lse(2, 1.5 * 3.0**20), cfg=QUAD)),
-         2),
+        lambda: (fubini_study(6), WFS),
+        lambda: (fubini_study(24), WFS),
+        lambda: (lse(12, 4.5), WCAN),
+        # the sharp members on their degree-2 twin's volume: the octave
+        # brackets hold every cut near the bump, so no round is left
+        lambda: (lse(1, 1.5 * 3.0**20), volume_from_potential(lse(2, 1.5 * 3.0**20), cfg=QUAD)),
+        lambda: (
+            zhang_iterate(lse(1, 1.5), 2, 28),
+            volume_from_potential(zhang_iterate(lse(2, 1.5), 2, 28), cfg=QUAD),
+        ),
     ],
-    ids=["fs6-fs", "fs24-fs", "lse12-can", "lse1-sharp-twin"],
+    ids=["fs6-fs", "fs24-fs", "lse12-can", "lse1-sharp-twin", "zhang1-sharp-twin"],
 )
-def test_quillen_kernel_passes(monkeypatch, case, want):
+def test_quillen_kernel_passes(monkeypatch, case):
     # the first pass already holds each half line graded as the first round
-    # of refinement would cut it
+    # of refinement would cut it, and each bracket panel an octave
     p, w = case()
-    assert _passes(monkeypatch, lambda: quillen(p, w, cfg=QUAD)) == want
+    assert _passes(monkeypatch, lambda: quillen(p, w, cfg=QUAD)) == 1
 
 
 @pytest.mark.parametrize(
@@ -569,8 +573,10 @@ def test_quillen_kernel_passes(monkeypatch, case, want):
         lambda: lse(2, 1.5 * 3.0**15),
         lambda: zhang_iterate(lse(2, 1.5), 2, 20),
         lambda: mollified_max(2, 1.5 * 2.0**-20),
+        lambda: lse(2, 1.5 * 3.0**20),
+        lambda: zhang_iterate(lse(2, 1.5), 2, 28),
     ],
-    ids=["lse", "zhang", "mollmax"],
+    ids=["lse", "zhang", "mollmax", "lse-sharp-twin", "zhang-sharp-twin"],
 )
 def test_volume_normalization_takes_one_kernel_pass(monkeypatch, psi):
     # the members of the limits sequences: their norm converges in the graded first pass
