@@ -49,7 +49,12 @@ def _gram_rows(p: RadialPotential, w: VolumeForm):
     rho_w is folded into the rows, so psi_w is evaluated once per node array.
     """
     ks = np.arange(p.degree + 1.0)[:, None]
-    rows = lambda t, phi, psi: np.exp(ks * t - phi) * (2.0 * np.exp(t - psi) / w.norm)
+
+    def rows(t, phi, psi):
+        out = ks * t
+        out -= phi
+        return np.multiply(np.exp(out, out=out), 2.0 * np.exp(t - psi) / w.norm, out=out)
+
     return (p, w.psi), rows, (None,) * (p.degree + 1)
 
 
@@ -61,15 +66,15 @@ def _gram_data(entries: np.ndarray, parts: np.ndarray, w: VolumeForm) -> GramDat
     norm; a few eps times sum |log g_k| bounds the rounding of the logs and
     of their sum.
     """
-    if np.any(entries <= 0):
+    if (entries <= 0).any():
         raise ValueError("Gram entry came out nonpositive; potential invalid")
     logs = np.log(entries)
     err = float(
-        np.sum(parts / entries)
+        (parts / entries).sum()
         + len(entries) * w.norm_err / w.norm
-        + 4.0 * np.finfo(float).eps * np.sum(np.abs(logs))
+        + 4.0 * np.finfo(float).eps * np.abs(logs).sum()
     )
-    log_det = float(np.sum(logs))
+    log_det = float(logs.sum())
     return GramData(
         m=len(entries) - 1, entries=entries, log_det=log_det, det=float(np.exp(log_det)), err=err
     )

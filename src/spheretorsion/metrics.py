@@ -613,13 +613,14 @@ def load_grid(path: str) -> RadialPotential:
         i, s = cell(x)
         return np.where((x > lo) & (x < hi), b[i] + a[i] * s, 0.0)
 
-    kinks = side_kinks + tuple(float(x) for x in t)
+    kinks = np.sort(np.concatenate((side_kinks, t)))
+    kinks = kinks[np.concatenate(([True], kinks[1:] != kinks[:-1]))]
     return RadialPotential(
         degree=degree,
         phi=phi,
         regularity=regularity,
         positive=positive,
-        kinks=tuple(sorted(set(kinks))),
+        kinks=tuple(kinks.tolist()),
         curvature_density=dens,
         label=f"grid:{os.path.basename(path)}",
     )
@@ -629,23 +630,18 @@ def write_grid(p: RadialPotential, path: str, t_lo=-30.0, t_hi=30.0, n=2001):
     """Sample a potential to CSV + sidecar, the inverse of load_grid."""
     ts = np.linspace(t_lo, t_hi, n)
     vs = np.asarray(p.phi(ts), dtype=float)
+    # the text csv.writer makes of these cells: no cell needs quoting
+    rows = "".join("%.15g,%.15g\r\n" % ab for ab in zip(ts.tolist(), vs.tolist()))
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "phi"])
-        for a, b in zip(ts, vs):
-            wr.writerow([f"{a:.15g}", f"{b:.15g}"])
-    side = os.path.splitext(path)[0] + ".json"
-    with open(side, "w") as fh:
-        json.dump(
-            {
-                "degree": p.degree,
-                "regularity": p.regularity,
-                "positive": p.positive,
-                "kinks": [k for k in p.kinks if t_lo < k < t_hi],
-            },
-            fh,
-            indent=2,
-        )
+        fh.write("t,phi\r\n" + rows)
+    meta = {
+        "degree": p.degree,
+        "regularity": p.regularity,
+        "positive": p.positive,
+        "kinks": [k for k in p.kinks if t_lo < k < t_hi],
+    }
+    with open(os.path.splitext(path)[0] + ".json", "w") as fh:
+        fh.write(json.dumps(meta, indent=2))
 
 
 # --- mini language ---

@@ -105,10 +105,11 @@ _SPLIT = 4
 # the u-edges of a mapped half line in the speculative first pass: its
 # _SPLIT quarters, the outermost (u in [0, 1/4]) cut into quarters again
 _GRADED = np.array([0.0, 1 / 16, 1 / 8, 3 / 16, 1 / 4, 1 / 2, 3 / 4, 1.0])
+_PER = len(_GRADED) - 1
 
 
 def _clean_splits(splits, lo, hi):
-    """The sorted split points strictly inside (lo, hi), as a list.
+    """The sorted split points strictly inside (lo, hi), as an array.
 
     A point at most 1e-13 max(1, |p|) above its sorted predecessor is
     dropped, since near-duplicate breakpoints only add panels. The
@@ -116,20 +117,10 @@ def _clean_splits(splits, lo, hi):
     points collapses to its first.
     """
     pts = np.sort(np.asarray(splits, dtype=float))
-    pts = pts[(pts > lo) & (pts < hi)]
-    far = pts[1:] - pts[:-1] > 1e-13 * np.maximum(1.0, np.abs(pts[1:]))
-    return pts[:1].tolist() + pts[1:][far].tolist()
-
-
-def _panels(edges):
-    """The interval table, rows (a, b, kind, base), of the panels between edges."""
-    iv = np.zeros((4, len(edges) - 1))
-    iv[0], iv[1] = edges[:-1], edges[1:]
-    if edges[0] == -math.inf:
-        iv[:, 0] = (0.0, 1.0, -1.0, edges[1])
-    if edges[-1] == math.inf:
-        iv[:, -1] = (0.0, 1.0, 1.0, edges[-2])
-    return iv
+    pts = pts[pts.searchsorted(lo, "right") : pts.searchsorted(hi)]
+    far = np.ones(pts.size, dtype=bool)
+    far[1:] = pts[1:] - pts[:-1] > 1e-13 * np.maximum(1.0, np.abs(pts[1:]))
+    return pts[far]
 
 
 def _cuts(a, b):
@@ -176,19 +167,21 @@ def quad(f, iv):
     a, b, kind, base = iv
     h = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + h[:, None] * _X
-    mapped = np.flatnonzero(kind)
-    t = x
-    if mapped.size:
-        u = x[mapped]
-        t = x.copy()
-        t[mapped] = base[mapped, None] + kind[mapped, None] * (1.0 - u) / u
-    y = np.asarray(f(t.ravel()), dtype=float)
-    if y.shape[-1:] != (t.size,):
-        y = np.broadcast_to(y, y.shape[:-1] + (t.size,)).copy()
-    elif mapped.size and not y.flags.writeable:
+    mapped = kind.nonzero()[0]
+    any_mapped = mapped.size > 0
+    if any_mapped:
+        # the half lines' columns are usually one run, which a slice views
+        if mapped[-1] - mapped[0] < mapped.size:
+            mapped = slice(mapped[0], mapped[-1] + 1)
+        u = x[mapped].copy()
+        x[mapped] = base[mapped, None] + kind[mapped, None] * (1.0 - u) / u
+    y = np.asarray(f(x.ravel()), dtype=float)
+    if y.shape[-1:] != (x.size,):
+        y = np.broadcast_to(y, y.shape[:-1] + (x.size,)).copy()
+    elif any_mapped and not y.flags.writeable:
         y = y.copy()
-    y = y.reshape(y.shape[:-1] + t.shape)
-    if mapped.size:
+    y = y.reshape(y.shape[:-1] + x.shape)
+    if any_mapped:
         # the Jacobian is 1 on finite columns, so they are left as they are
         y[..., mapped, :] *= u**-2
     resk = y @ _WK
@@ -197,8 +190,9 @@ def quad(f, iv):
     resasc = (np.abs(buf, out=buf) @ _WK) * h
     floor = 50.0 * _EPS * (np.abs(y, out=buf) @ _WK) * h
     err = np.abs(resk - y @ _WG10) * h
-    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=resasc > 0)
-    err = np.where(resasc > 0, resasc * np.minimum(ratio, 1.0) ** 1.5, err)
+    pos = resasc > 0
+    ratio = 200.0 * err / np.where(pos, resasc, 1.0)
+    err = np.where(pos, resasc * np.minimum(ratio, 1.0) ** 1.5, err)
     return resk * h, np.maximum(err, floor), floor
 
 
@@ -263,42 +257,53 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
             zero = np.zeros(np.shape(f(np.empty(0)))[:-1])
             return (float(zero) if zero.ndim == 0 else zero), ErrorEstimate(zero)
     pts = _clean_splits(splits, lo, hi)
-    if not pts and lo == -math.inf and hi == math.inf:
-        pts = [0.0]
-    iv = _panels(np.array([lo] + pts + [hi]))
-    # a speculative first pass: each mapped half-line panel starts graded,
-    # cut at the u-edges _GRADED: the cuts the first two rounds nearly always
-    # make, since a tail decaying like e^{-c|t|} reads e^{-c(1-u)/u}/u^2 in u. A
-    # half line whose parts are not all finite is evaluated uncut instead,
+    if not pts.size and lo == -math.inf and hi == math.inf:
+        pts = np.zeros(1)
+    # the first-pass table, one column per subinterval: the finite panels,
+    # then each mapped half line beyond the outermost finite edge, cut at
+    # the u-edges _GRADED: the cuts the first two rounds nearly always make,
+    # since a tail decaying like e^{-c|t|} reads e^{-c(1-u)/u}/u^2 in u
+    left, right = lo == -math.inf, hi == math.inf
+    edges = np.concatenate(([lo], pts, [hi]))[left : pts.size + 2 - right]
+    nf, half = edges.size - 1, left + right
+    iv = np.zeros((4, nf + _PER * half))
+    iv[0, :nf], iv[1, :nf] = edges[:-1], edges[1:]
+    graded = iv[:, nf:].reshape(4, half, _PER)
+    graded[0], graded[1] = _GRADED[:-1], _GRADED[1:]
+    if left:
+        graded[2, 0], graded[3, 0] = -1.0, edges[0]
+    if right:
+        graded[2, -1], graded[3, -1] = 1.0, edges[-1]
+    # the panel of each column: the finite panels, then the half lines
+    panel = np.arange(iv.shape[1])
+    panel[nf:], panel[nf + _PER :] = nf, nf + 1
+    # a half line whose parts are not all finite is evaluated uncut instead,
     # at the cost of one more pass, so a tail the integrand cannot reach is
     # only entered where the estimate asks for it. The nodes it throws away
     # may overflow, so that pass is silent about it; a non-finite value
     # that is kept still ends in the "diverged" error below.
-    fin, spec = np.flatnonzero(iv[2] == 0), np.flatnonzero(iv[2])
-    whole = iv[:, spec]
-    # every mapped panel is the u-interval [0, 1], so only its edges change
-    per = len(_GRADED) - 1
-    graded = np.repeat(whole, per, axis=1)
-    graded[0], graded[1] = np.tile(_GRADED[:-1], len(spec)), np.tile(_GRADED[1:], len(spec))
-    iv = np.hstack([iv[:, fin], graded])
-    panel = np.concatenate([fin, np.repeat(spec, per)])
-    with np.errstate(over="ignore", invalid="ignore") if spec.size else np.errstate():
+    with np.errstate(over="ignore", invalid="ignore") if half else np.errstate():
         val, err, floor = quad(f, iv)
-    ok = np.isfinite(val[..., len(fin):]) & np.isfinite(err[..., len(fin):])
-    ok = np.atleast_2d(ok).all(axis=0).reshape(-1, per).all(axis=1)
-    if not ok.all():
-        keep = np.concatenate([np.ones(len(fin), dtype=bool), np.repeat(ok, per)])
-        v, e, fl = quad(f, whole[:, ~ok])
-        iv, panel = _merge(iv, keep, whole[:, ~ok]), _merge(panel, keep, spec[~ok])
+    # a part is at most 1/4 wide in u and its estimate is floored at 50 eps
+    # times the rule on |f|, so a finite estimate implies a finite value
+    if half and not np.isfinite(err[..., nf:]).all():
+        ok = np.isfinite(err[..., nf:]).reshape(-1, half, _PER).all(axis=(0, 2))
+        whole = iv[:, nf::_PER][:, ~ok]
+        whole[0], whole[1] = 0.0, 1.0
+        keep = np.concatenate((np.ones(nf, dtype=bool), ok.repeat(_PER)))
+        v, e, fl = quad(f, whole)
+        iv, panel = _merge(iv, keep, whole), _merge(panel, keep, nf + np.flatnonzero(~ok))
         val, err, floor = _merge(val, keep, v), _merge(err, keep, e), _merge(floor, keep, fl)
     while True:
         total, est = val.sum(axis=-1), err.sum(axis=-1)
+        if not np.isfinite(total).all():
+            raise NumericalError(f"integral diverged: value={total}")
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(total))
-        short = np.atleast_1d(est > tol)
-        if not short.any() or not np.all(np.isfinite(total)):
+        short = est > tol
+        if not short.any():
             break
         cuts = _cuts(iv[0], iv[1])
-        sel = _refine(cuts, panel, err, floor, tol, short)
+        sel = _refine(cuts, panel, err, floor, tol, np.atleast_1d(short))
         if not sel.any():
             break
         parts = _parts(iv[:, sel], cuts[sel])
@@ -307,8 +312,6 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
         iv, panel = _merge(iv, keep, parts), _merge(panel, keep, np.repeat(panel[sel], _SPLIT))
         val, err, floor = _merge(val, keep, v), _merge(err, keep, e), _merge(floor, keep, fl)
     err = ErrorEstimate(est)
-    if not np.all(np.isfinite(total)):
-        raise NumericalError(f"integral diverged: value={total}")
     if not err <= cfg.fail_tol:
         raise NumericalError(
             f"quadrature error estimate {err:.3e} exceeds budget {cfg.fail_tol:.1e}"

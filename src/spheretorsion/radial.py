@@ -89,17 +89,15 @@ class RadialMeasure:
 
     def integrate(self, f, cfg: QuadConfig = DEFAULT_QUAD, extra_splits=()):
         """(int f dmu, err) for a callable f of numpy arrays, err as in integrate_line."""
-        acc, err = 0.0, ErrorEstimate(0.0)
+        acc = 0.0
         if self.atoms:
             masses = np.array([m for _, m in self.atoms]).T
             acc = np.sum(masses * f(np.array([loc for loc, _ in self.atoms])), axis=-1)
+        if self.density is None:
             err = ErrorEstimate(np.zeros(np.shape(acc)))
-        if self.density is not None:
-            val, err = integrate_line(
-                lambda t: self._weigh(f(t), t),
-                splits=tuple(self.splits) + tuple(extra_splits),
-                cfg=cfg,
-            )
+        else:
+            splits = (*self.splits, *extra_splits)
+            val, err = integrate_line(lambda t: self._weigh(f(t), t), splits, cfg=cfg)
             acc = acc + val
         return (float(acc) if np.ndim(acc) == 0 else acc), err
 
@@ -109,30 +107,26 @@ class RadialMeasure:
         return y * self.density(t)
 
 
-def _weigh_rows(weights, y, t):
-    """y with each measure's rows multiplied in place by its density at t."""
-    for rows, g in weights:
-        d = 0.0 if g is None else g(t)
-        for r in rows:
-            y[r] *= d
-    return y
-
-
 @dataclass(frozen=True, eq=False)
 class _Stack(RadialMeasure):
     """K measures stacked row by row, paired by one integrate call.
 
-    atoms carry (K,) mass vectors and density(t) is the (K, N) density,
-    one row per measure. weights holds the same as (rows, g) pairs, one per
+    atoms carry (K,) mass vectors. weights holds one (rows, g) pair per
     measure, and integrate applies them in place: g's values weigh its
     rows of f, and a measure of atoms alone (g None) zeroes them. A row in
-    no pair pairs against dt and is left as f returned it.
+    no pair pairs against dt and is left as f returned it. density is only
+    the flag integrate reads: None when every row pairs against atoms alone.
     """
 
+    density: Optional[bool] = None
     weights: tuple = ()
 
     def _weigh(self, y, t):
-        return _weigh_rows(self.weights, y, t)
+        for rows, g in self.weights:
+            d = 0.0 if g is None else g(t)
+            for r in rows:
+                y[r] *= d
+        return y
 
 
 def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
@@ -149,7 +143,8 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
     measure paired split the line. Returns (values, err parts) per block.
     """
     pots = {id(q): q for qs, _, _ in blocks for q in qs}
-    mus = {id(q): c1_measure(q) for _, _, over in blocks for q in over if q is not None}
+    paired = {id(q): q for _, _, over in blocks for q in over if q is not None}
+    mus = {key: c1_measure(q) for key, q in paired.items()}
     ids = [None if q is None else id(q) for _, _, over in blocks for q in over]
     weights = tuple(
         ([i for i, k in enumerate(ids) if k == key], mu.density) for key, mu in mus.items()
@@ -171,11 +166,8 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
             out[span] = row_fn(t, *(at[key] for key in keys))
         return out
 
-    def density(t):
-        return _weigh_rows(weights, np.ones((end, len(t))), t)
-
     dense = None in ids or any(mu.density is not None for mu in mus.values())
-    stack = _Stack(atoms, density if dense else None, splits, weights)
+    stack = _Stack(atoms, dense or None, splits, weights)
     vals, err = stack.integrate(rows, cfg=cfg)
     return [(vals[span], err.parts[span]) for span, _, _ in spans]
 

@@ -56,3 +56,31 @@ def test_report_gives_ratios_and_flags_moves_beyond_the_bound():
     assert out["heavier"]["w"]["beyond_bound"] == ["peak_rss_mb"]
     assert out["faster"]["w"]["beyond_bound"] == []
     assert "ratio" not in out["parent"]["w"] and "beyond_bound" not in out["parent"]["w"]
+
+
+def test_report_resolves_a_gain_only_past_nine_tenths_of_wins_and_the_parent_iqr():
+    # the parent's evals_per_s spreads 100..190 (quartiles 122.5 and 167.5,
+    # IQR 45) and its peak_rss_mb 30..39 (IQR 4.5)
+    parent = [_result(100.0 + 10 * i, 30.0 + i) for i in range(10)]
+    runs = {
+        "parent": {"w": parent},
+        # +50 on every pair: 10 wins of 10, medians 145 -> 195, past the IQR
+        "clear": {"w": [_result(150.0 + 10 * i, 30.0 + i) for i in range(10)]},
+        # +30 on every pair: 10 wins, but the medians differ by less than the IQR
+        "small": {"w": [_result(130.0 + 10 * i, 30.0 + i) for i in range(10)]},
+        # +100 on 8 pairs, -1 on 2: the medians move far, but 8 wins of 10
+        "patchy": {"w": [_result(200.0 + 10 * i if i < 8 else 99.0 + 10 * i, 30.0 + i)
+                         for i in range(10)]},
+        # 5 MB less memory on every pair (better lower), a slower rate
+        "leaner": {"w": [_result(90.0 + 10 * i, 25.0 + i) for i in range(10)]},
+    }
+    out = bench_medians.report(runs, SPEC)
+    p = out["parent"]["w"]
+    assert p["quartiles"]["evals_per_s"] == pytest.approx([122.5, 167.5])
+    assert out["clear"]["w"]["resolved"] == ["evals_per_s"]
+    assert out["small"]["w"]["wins"]["evals_per_s"] == 10
+    assert out["small"]["w"]["resolved"] == []
+    assert out["patchy"]["w"]["wins"]["evals_per_s"] == 8
+    assert out["patchy"]["w"]["resolved"] == []
+    assert out["leaner"]["w"]["resolved"] == ["peak_rss_mb"]
+    assert "resolved" not in p

@@ -327,14 +327,14 @@ def test_integrate_line_fails_loudly_on_impossible_budget():
 def test_clean_splits_sorts_drops_outside_and_collapses_near_duplicates():
     clean = quadrature._clean_splits
     # unsorted, an exact duplicate, and points on or outside (lo, hi)
-    assert clean((3.0, -1.0, 3.0, 0.5, -5.0, 5.0, -2.0, 4.0), -2.0, 4.0) == [-1.0, 0.5, 3.0]
-    assert clean((), -math.inf, math.inf) == []
+    assert clean((3.0, -1.0, 3.0, 0.5, -5.0, 5.0, -2.0, 4.0), -2.0, 4.0).tolist() == [-1.0, 0.5, 3.0]
+    assert clean((), -math.inf, math.inf).tolist() == []
     # a chain, each point within 1e-13 relative of the one before, collapses
     # to its first point; a point just past that distance stays
     d = 0.9e-13 * 10.0
-    assert clean((10.0 + 2 * d, 10.0, 10.0 + d), 0.0, 20.0) == [10.0]
+    assert clean((10.0 + 2 * d, 10.0, 10.0 + d), 0.0, 20.0).tolist() == [10.0]
     far = 10.0 + 1.1e-12
-    assert clean((10.0, far, 1.0, 1.0 + 1e-14), 0.0, 20.0) == [1.0, 10.0, far]
+    assert clean((10.0, far, 1.0, 1.0 + 1e-14), 0.0, 20.0).tolist() == [1.0, 10.0, far]
 
 
 def test_integrate_line_empty_support():
@@ -427,6 +427,61 @@ def test_integrate_line_falls_back_on_the_half_line_its_graded_parts_overflow(mo
     assert passes[1][:3, 0].tolist() == [0.0, 1.0, 1.0]
     with np.errstate(over="raise"):
         assert integrate_line(f, cfg=QUAD)[0] == got
+
+
+# the graded u-parts of a mapped half line, lower and upper edges
+U0 = [0.0, 0.0625, 0.125, 0.1875, 0.25, 0.5, 0.75]
+U1 = [0.0625, 0.125, 0.1875, 0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize(
+    "f, splits, support, table, value, err",
+    [
+        (
+            lambda t: np.exp(-0.5 * t * t) / (1.0 + t * t), (), None,
+            [U0 + U0, U1 + U1, [-1.0] * 7 + [1.0] * 7, [0.0] * 14],
+            "0x1.a4bf5b75a4227p+0", "0x1.48b5a8b0d9c32p-46",
+        ),
+        (
+            # 2 + 1e-13 and 2 + 2e-13 chain onto 2 and collapse into it
+            lambda t: np.exp(-np.abs(t - 0.5)) * np.cos(t),
+            (2.0, -1.0, 2.0 + 1e-13, 2.0 + 2e-13, 0.5, 2.0), None,
+            [[-1.0, 0.5] + U0 + U0, [0.5, 2.0] + U1 + U1,
+             [0.0, 0.0] + [-1.0] * 7 + [1.0] * 7, [0.0, 0.0] + [-1.0] * 7 + [2.0] * 7],
+            "0x1.c1528065b7d4ep-1", "0x1.b48b5ca6ab121p-45",
+        ),
+        (
+            lambda t: np.exp(t) / (1.0 + t * t), (), (-math.inf, 1.5),
+            [U0, U1, [-1.0] * 7, [1.5] * 7],
+            "0x1.4986003a2e066p+1", "0x1.01a9317416b78p-45",
+        ),
+        (
+            lambda t: np.exp(-t) * np.sqrt(t), (1.0,), (0.0, math.inf),
+            [[0.0] + U0, [1.0] + U1, [0.0] + [1.0] * 7, [0.0] + [1.0] * 7],
+            "0x1.c5bf891b4ef70p-1", "0x1.6d4065500ead2p-41",
+        ),
+        (
+            lambda t: np.log(1.0 + t * t), (0.0, 1.5, 7.0, -2.0), (-2.0, 5.0),
+            [[-2.0, 0.0, 1.5], [0.0, 1.5, 5.0], [0.0] * 3, [0.0] * 3],
+            "0x1.4f0dfcdabc673p+3", "0x1.28cbb056b0067p-38",
+        ),
+    ],
+    ids=["line", "near-duplicate-chain", "left-half-line", "right-half-line", "finite"],
+)
+def test_integrate_line_first_pass_table(monkeypatch, f, splits, support, table, value, err):
+    # the first pass's interval table, rows (a, b, kind, base): the finite
+    # panels in order, then each half line's seven graded u-parts; and the
+    # value and estimate, bit for bit
+    passes = []
+
+    def recording_quad(f, iv, _quad=quadrature.quad):
+        passes.append(iv.copy())
+        return _quad(f, iv)
+
+    monkeypatch.setattr(quadrature, "quad", recording_quad)
+    got, est = integrate_line(f, splits=splits, support=support, cfg=QUAD)
+    assert passes[0].tolist() == table
+    assert (float(got).hex(), float(est).hex()) == (value, err)
 
 
 def test_integrate_line_takes_a_read_only_integrand_result():

@@ -355,6 +355,25 @@ def test_m1_anchor_values():
     assert V.diagnostics["gauge"] == pytest.approx(LOG2, abs=1e-15)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_bundle_anomaly_canonical_to_fs_closed_form(m):
+    """K(can_m, fs_m; omega_fs) = -m^2/2 - m (1 - log 2), derived by hand.
+
+    dphi = phi_can - phi_fs = m max(0, t) - m log(1 + e^t) = -m log(1 + e^{-|t|}).
+    With v = 1 + e^{-|t|},
+    I = int log(1 + e^{-|t|}) e^t / (1 + e^t)^2 dt = 2 int_1^2 log(v) / v^2 dv = 1 - log 2.
+    The three slots:
+    - against the atom m delta_0 of can_m: m dphi(0) = -m^2 log 2;
+    - against fs_m, density m e^t / (1 + e^t)^2: -m^2 I;
+    - against the curvature of the round volume's potential fs_2, density
+      2 e^t / (1 + e^t)^2: -2 m I.
+    So K = (1/2)(-m^2 log 2 - m^2 I) + (1/2)(-2 m I) = -m^2/2 - m (1 - log 2),
+    with no term the engine knows in closed form.
+    """
+    K = bundle_anomaly(canonical(m), fubini_study(m), WFS, cfg=QUAD)
+    assert abs(K.value - (-(m**2) / 2.0 - m * (1.0 - LOG2))) <= 1e-10
+
+
 # --- the transfer chain ---
 
 

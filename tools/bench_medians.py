@@ -17,8 +17,10 @@ workload, `wins` counts per metric the seeds on which that checkout beat
 the baseline, in the direction `better` of BENCHMARK.json; `ratio` is each
 metric's median over the baseline's median; and `beyond_bound` lists the
 metrics whose median moved the worse way by more than the metric's `bound`
-of BENCHMARK.json times the baseline's median. An existing --out is
-overwritten.
+of BENCHMARK.json times the baseline's median; and `resolved` lists the
+metrics on which a gain can be claimed: the checkout won at least 0.9 of
+the pairs, and its median beats the baseline's by more than the distance
+between the baseline's quartiles. An existing --out is overwritten.
 """
 
 import argparse
@@ -86,6 +88,12 @@ def report(runs, spec):
             s["beyond_bound"] = [
                 m for m, v in s["median"].items()
                 if sign[m] * (b["median"][m] - v) > spec[m]["bound"] * b["median"][m]
+            ]
+            pairs = min(s["runs"], b["runs"])
+            s["resolved"] = [
+                m for m, v in s["median"].items()
+                if s["wins"][m] >= 0.9 * pairs
+                and sign[m] * (v - b["median"][m]) > b["quartiles"][m][1] - b["quartiles"][m][0]
             ]
     return out
 
