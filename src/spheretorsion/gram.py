@@ -49,12 +49,7 @@ def _gram_rows(p: RadialPotential, w: VolumeForm):
     rho_w is folded into the rows, so psi_w is evaluated once per node array.
     """
     ks = np.arange(p.degree + 1.0)[:, None]
-
-    def rows(t, phi, psi):
-        out = ks * t
-        out -= phi
-        return np.multiply(np.exp(out, out=out), 2.0 * np.exp(t - psi) / w.norm, out=out)
-
+    rows = lambda t, phi, psi: np.exp(ks * t - phi) * (2.0 * np.exp(t - psi) / w.norm)
     return (p, w.psi), rows, (None,) * (p.degree + 1)
 
 

@@ -170,10 +170,7 @@ def quad(f, iv):
     mapped = kind.nonzero()[0]
     any_mapped = mapped.size > 0
     if any_mapped:
-        # the half lines' columns are usually one run, which a slice views
-        if mapped[-1] - mapped[0] < mapped.size:
-            mapped = slice(mapped[0], mapped[-1] + 1)
-        u = x[mapped].copy()
+        u = x[mapped]
         x[mapped] = base[mapped, None] + kind[mapped, None] * (1.0 - u) / u
     y = np.asarray(f(x.ravel()), dtype=float)
     if y.shape[-1:] != (x.size,):

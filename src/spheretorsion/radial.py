@@ -111,14 +111,13 @@ class RadialMeasure:
 class _Stack(RadialMeasure):
     """K measures stacked row by row, paired by one integrate call.
 
-    atoms carry (K,) mass vectors. weights holds one (rows, g) pair per
+    atoms carry (K,) mass vectors and density(t) is the (K, N) density,
+    one row per measure. weights holds the same as (rows, g) pairs, one per
     measure, and integrate applies them in place: g's values weigh its
     rows of f, and a measure of atoms alone (g None) zeroes them. A row in
-    no pair pairs against dt and is left as f returned it. density is only
-    the flag integrate reads: None when every row pairs against atoms alone.
+    no pair pairs against dt and is left as f returned it.
     """
 
-    density: Optional[bool] = None
     weights: tuple = ()
 
     def _weigh(self, y, t):
@@ -166,8 +165,11 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
             out[span] = row_fn(t, *(at[key] for key in keys))
         return out
 
+    def density(t):
+        return stack._weigh(np.ones((end, len(t))), t)
+
     dense = None in ids or any(mu.density is not None for mu in mus.values())
-    stack = _Stack(atoms, dense or None, splits, weights)
+    stack = _Stack(atoms, density if dense else None, splits, weights)
     vals, err = stack.integrate(rows, cfg=cfg)
     return [(vals[span], err.parts[span]) for span, _, _ in spans]
 
