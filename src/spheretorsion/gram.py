@@ -49,7 +49,15 @@ def _gram_rows(p: RadialPotential, w: VolumeForm):
     rho_w is folded into the rows, so psi_w is evaluated once per node array.
     """
     ks = np.arange(p.degree + 1.0)[:, None]
-    rows = lambda t, phi, psi: np.exp(ks * t - phi) * (2.0 * np.exp(t - psi) / w.norm)
+
+    def rows(t, phi, psi):
+        # in place in one (m + 1, N) array
+        g = ks * t
+        g -= phi
+        np.exp(g, out=g)
+        g *= 2.0 * np.exp(t - psi) / w.norm
+        return g
+
     return (p, w.psi), rows, (None,) * (p.degree + 1)
 
 

@@ -48,6 +48,11 @@ _RANK = {"smooth": 0, "continuous-piecewise": 1, "continuous": 2}
 # --- catalog ---
 
 
+def _softplus(t):
+    """log(1 + e^t) as max(t, 0) + log1p(e^{-|t|}), within 2 ulp of np.logaddexp(0, t)."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
 @functools.lru_cache(maxsize=None)
 def fubini_study(m: int) -> RadialPotential:
     """The round metric potential on O(m): phi = m log(1+e^t), one object per m."""
@@ -56,7 +61,7 @@ def fubini_study(m: int) -> RadialPotential:
         raise ValueError(f"fubini_study needs m >= 0, got {m}")
     return RadialPotential(
         degree=m,
-        phi=lambda t, _m=m: _m * np.logaddexp(0.0, t),
+        phi=lambda t, _m=m: _m * _softplus(t),
         regularity="smooth",
         positive=True,
         kinks=(),
@@ -155,7 +160,7 @@ def lse(m: int, a: float) -> RadialPotential:
         raise ValueError(f"lse sharpness must be positive, got {a}")
     return RadialPotential(
         degree=m,
-        phi=lambda t, _m=m, _a=a: (_m / _a) * np.logaddexp(0.0, _a * np.asarray(t)),
+        phi=lambda t, _m=m, _a=a: (_m / _a) * _softplus(_a * np.asarray(t)),
         regularity="smooth",
         positive=True,
         kinks=_concentration_splits(a),
@@ -175,16 +180,18 @@ def mollified_max(m: int, eps: float) -> RadialPotential:
     if eps <= 0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
 
-    def _P(x):
-        return (15.0 / 16.0) * (x - (2.0 / 3.0) * x**3 + 0.2 * x**5) + 0.5
+    # P and Q in Horner form in x^2, with no float pow
+    def _P(x, x2):
+        return (15.0 / 16.0) * (x * (1.0 + x2 * (0.2 * x2 - 2.0 / 3.0))) + 0.5
 
-    def _Q(x):
-        return (15.0 / 16.0) * (0.5 * x**2 - 0.5 * x**4 + x**6 / 6.0 - 1.0 / 6.0)
+    def _Q(x2):
+        return (15.0 / 16.0) * (x2 * (0.5 + x2 * (x2 / 6.0 - 0.5)) - 1.0 / 6.0)
 
     def phi(t, _m=m, _e=eps):
         t = np.asarray(t, dtype=float)
         x = np.clip(t / _e, -1.0, 1.0)
-        mid = t * _P(x) - _e * _Q(x)
+        x2 = x * x
+        mid = t * _P(x, x2) - _e * _Q(x2)
         return _m * np.where(t >= _e, t, np.where(t <= -_e, 0.0, mid))
 
     def dens(t, _m=m, _e=eps):
@@ -268,7 +275,9 @@ def sup_distance(p1: RadialPotential, p2: RadialPotential, t_range=(-60.0, 60.0)
         pts.append(k + offs)
         pts.append(k - offs)
         pts.append(np.array([k]))
-    ts = np.unique(np.concatenate(pts))
+    # sorted and deduplicated with a mask: np.unique imports numpy.ma
+    ts = np.sort(np.concatenate(pts))
+    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
     ts = ts[(ts >= t_range[0]) & (ts <= t_range[1])]
     diff = np.abs(np.asarray(p1.phi(ts), dtype=float) - np.asarray(p2.phi(ts), dtype=float))
     i = int(np.argmax(diff))

@@ -118,6 +118,8 @@ def _clean_splits(splits, lo, hi):
     """
     pts = np.sort(np.asarray(splits, dtype=float))
     pts = pts[pts.searchsorted(lo, "right") : pts.searchsorted(hi)]
+    if pts.size < 2:  # no point has a predecessor to duplicate
+        return pts
     far = np.ones(pts.size, dtype=bool)
     far[1:] = pts[1:] - pts[:-1] > 1e-13 * np.maximum(1.0, np.abs(pts[1:]))
     return pts[far]
@@ -156,9 +158,9 @@ def quad(f, iv):
     +1 or -1 is a u-interval [a, b] in (0, 1] standing for
     t = base + kind (1 - u) / u, with dt = du / u^2, the map of a half line
     used by QUADPACK's qagi. f is called once, on all nodes, and returns
-    shape (N,) or (K, N); a scalar is broadcast. The mapped columns of a
-    writeable result are scaled by dt/du in place, a read-only one is
-    copied first.
+    shape (N,) or (K, N); a scalar is broadcast. A writeable result is
+    multiplied in place by dt/du, 1 on the finite columns; a read-only one
+    is copied first.
 
     Returns the rule's values, QUADPACK's qk21 error estimates
     resasc min(1, (200 |K - G| / resasc)^1.5) floored at 50 eps resabs, and
@@ -172,6 +174,9 @@ def quad(f, iv):
     if any_mapped:
         u = x[mapped]
         x[mapped] = base[mapped, None] + kind[mapped, None] * (1.0 - u) / u
+        # dt/du on every column: exactly 1 on the finite ones
+        jac = np.ones_like(x)
+        jac[mapped] = u**-2
     y = np.asarray(f(x.ravel()), dtype=float)
     if y.shape[-1:] != (x.size,):
         y = np.broadcast_to(y, y.shape[:-1] + (x.size,)).copy()
@@ -179,8 +184,7 @@ def quad(f, iv):
         y = y.copy()
     y = y.reshape(y.shape[:-1] + x.shape)
     if any_mapped:
-        # the Jacobian is 1 on finite columns, so they are left as they are
-        y[..., mapped, :] *= u**-2
+        y *= jac
     resk = y @ _WK
     # one scratch array for both absolute values keeps a K-row call lean
     buf = y - 0.5 * resk[..., None]

@@ -89,10 +89,7 @@ class RadialMeasure:
 
     def integrate(self, f, cfg: QuadConfig = DEFAULT_QUAD, extra_splits=()):
         """(int f dmu, err) for a callable f of numpy arrays, err as in integrate_line."""
-        acc = 0.0
-        if self.atoms:
-            masses = np.array([m for _, m in self.atoms]).T
-            acc = np.sum(masses * f(np.array([loc for loc, _ in self.atoms])), axis=-1)
+        acc = self._at_atoms(f) if self.atoms else 0.0
         if self.density is None:
             err = ErrorEstimate(np.zeros(np.shape(acc)))
         else:
@@ -100,6 +97,11 @@ class RadialMeasure:
             val, err = integrate_line(lambda t: self._weigh(f(t), t), splits, cfg=cfg)
             acc = acc + val
         return (float(acc) if np.ndim(acc) == 0 else acc), err
+
+    def _at_atoms(self, f):
+        # f against the atoms: its values at their locations times their masses
+        locs, masses = zip(*self.atoms)
+        return np.sum(np.array(masses).T * f(np.array(locs)), axis=-1)
 
     def _weigh(self, y, t):
         # f's values y at the nodes t times the density there (a _Stack,
@@ -116,9 +118,25 @@ class _Stack(RadialMeasure):
     measure, and integrate applies them in place: g's values weigh its
     rows of f, and a measure of atoms alone (g None) zeroes them. A row in
     no pair pairs against dt and is left as f returned it.
+
+    f takes the blocks to fill as a second argument, f(t, blocks), and
+    leaves the other rows unwritten. atom_rows are the rows paired against
+    a measure with atoms and atom_blocks the blocks holding them: at the
+    atoms the stack evaluates only those blocks and weighs only those rows
+    by the masses; every other row gets 0 there.
     """
 
     weights: tuple = ()
+    atom_blocks: tuple = ()
+    atom_rows: tuple = ()
+
+    def _at_atoms(self, f):
+        locs, masses = zip(*self.atoms)
+        rows = list(self.atom_rows)
+        y = f(np.array(locs), self.atom_blocks)
+        acc = np.zeros(len(y))
+        acc[rows] = (np.array(masses).T[rows] * y[rows]).sum(axis=-1)
+        return acc
 
     def _weigh(self, y, t):
         for rows, g in self.weights:
@@ -137,39 +155,54 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
     over[i] is None. Potentials and measures are distinct by identity, and
     each is evaluated once per node array. A dt row is left as row_fn
     returned it; every other row is multiplied in place by its measure's
-    density, or by 0 for atoms alone. Rows that pair only against atoms
-    make no kernel call. The kinks of every potential evaluated and every
-    measure paired split the line. Returns (values, err parts) per block.
+    density, or by 0 for atoms alone. At the atoms only the blocks holding
+    a row paired against atoms are evaluated, and only those rows weighed.
+    Rows that pair only against atoms make no kernel call. The kinks of
+    every potential evaluated and every measure paired split the line.
+    Returns (values, err parts) per block.
     """
     pots = {id(q): q for qs, _, _ in blocks for q in qs}
     paired = {id(q): q for _, _, over in blocks for q in over if q is not None}
     mus = {key: c1_measure(q) for key, q in paired.items()}
-    ids = [None if q is None else id(q) for _, _, over in blocks for q in over]
-    weights = tuple(
-        ([i for i, k in enumerate(ids) if k == key], mu.density) for key, mu in mus.items()
-    )
-    atoms = tuple(
-        (loc, m * np.array([i == key for i in ids])) for key, mu in mus.items() for loc, m in mu.atoms
-    )
-    splits = [s for q in pots.values() for s in q.kinks]
-    splits += [s for key, mu in mus.items() if key not in pots for s in mu.splits]
+    # each measure's rows, in one sweep over the rows
+    owned = {key: [] for key in mus}
     spans, end = [], 0
     for qs, row_fn, over in blocks:
         spans.append((slice(end, end + len(over)), row_fn, [id(q) for q in qs]))
+        for i, q in enumerate(over, end):
+            if q is not None:
+                owned[id(q)].append(i)
         end += len(over)
+    weights = tuple((owned[key], mu.density) for key, mu in mus.items())
+    atoms = []
+    for key, mu in mus.items():
+        for loc, m in mu.atoms:
+            mass = np.zeros(end)
+            mass[owned[key]] = m
+            atoms.append((loc, mass))
+    atom_rows = sorted({i for key, mu in mus.items() if mu.atoms for i in owned[key]})
+    atom_blocks = [s for s in spans if any(s[0].start <= i < s[0].stop for i in atom_rows)]
+    splits = [s for q in pots.values() for s in q.kinks]
+    splits += [s for key, mu in mus.items() if key not in pots for s in mu.splits]
 
-    def rows(t):
-        at = {key: q.phi(t) for key, q in pots.items()}
-        out = np.empty((end, len(t)))
-        for span, row_fn, keys in spans:
+    def rows(t, which=spans):
+        at, out = {}, np.empty((end, len(t)))
+        for span, row_fn, keys in which:
+            for key in keys:
+                if key not in at:
+                    at[key] = pots[key].phi(t)
             out[span] = row_fn(t, *(at[key] for key in keys))
         return out
 
     def density(t):
         return stack._weigh(np.ones((end, len(t))), t)
 
-    dense = None in ids or any(mu.density is not None for mu in mus.values())
-    stack = _Stack(atoms, density if dense else None, splits, weights)
+    # a row no measure owns pairs against dt
+    dt_rows = end > sum(map(len, owned.values()))
+    dense = dt_rows or any(mu.density is not None for mu in mus.values())
+    stack = _Stack(
+        tuple(atoms), density if dense else None, splits, weights, tuple(atom_blocks), tuple(atom_rows)
+    )
     vals, err = stack.integrate(rows, cfg=cfg)
     return [(vals[span], err.parts[span]) for span, _, _ in spans]
 
@@ -291,9 +324,12 @@ def measure_mass(p: RadialPotential, cfg: QuadConfig = DEFAULT_QUAD) -> float:
 
 
 def logistic_density(t):
-    """e^t / (1+e^t)^2, overflow safe; the basic Fubini-Study shape."""
-    t = np.asarray(t, dtype=float)
-    return np.exp(t - 2.0 * np.maximum(t, 0.0)) / (1.0 + np.exp(-np.abs(t))) ** 2
+    """e^t / (1+e^t)^2, overflow safe; the basic Fubini-Study shape.
+
+    Written as e / (1+e)^2 with e = e^{-|t|}, one exponential; 0 at +-inf.
+    """
+    e = np.exp(-np.abs(np.asarray(t, dtype=float)))
+    return e / (1.0 + e) ** 2
 
 
 def volume_from_potential(

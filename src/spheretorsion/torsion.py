@@ -232,19 +232,26 @@ def _volume_term(
 def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
     """Gram data and both anomaly terms of quillen(p, w), from one kernel call.
 
-    One _pairings call stacks four blocks: the Gram, the bundle block of
-    K(p, fs_m; omega_fs), the volume block of V(p; w, omega_fs) and a
-    guard block, 1 against the curvature of each distinct positive
-    potential. A guard row that misses its degree by more than ten times its
-    own estimate (plus 1e-10 max(1, degree)) lost mass between quadrature
+    One _pairings call stacks up to four blocks: the Gram, a guard block, 1
+    against the curvature of each distinct positive potential, the bundle
+    block of K(p, fs_m; omega_fs) and the volume block of V(p; w, omega_fs).
+    A guard row that misses its degree by more than ten times its own
+    estimate (plus 1e-10 max(1, degree)) lost mass between quadrature
     nodes, and NumericalError is raised. The shared fubini_study(m) and
-    volume_fs() coincide with a caller's own, so they are evaluated once.
+    volume_fs() coincide with a caller's own, so they are evaluated once,
+    and a bundle or volume block of one object against itself, whose rows
+    are the difference of a potential with itself, is left out: its values
+    and estimates are exactly 0.
     """
     p_ref, w_ref = fubini_study(p.degree), volume_fs()
     guarded = [q for q in {id(q): q for q in (p, p_ref, w_ref.psi, w.psi)}.values() if q.positive]
-    guard = ((), lambda t: 1.0, guarded)
-    blocks = [_gram_rows(p, w), _bundle_rows(p, p_ref, w_ref), _volume_rows(p, w, w_ref), guard]
-    (g, g_err), (k, k_err), (v, v_err), (mass, mass_err) = _pairings(blocks, cfg)
+    blocks = [_gram_rows(p, w), ((), lambda t: 1.0, guarded)]
+    blocks += [_bundle_rows(p, p_ref, w_ref)] if p is not p_ref else []
+    blocks += [_volume_rows(p, w, w_ref)] if w is not w_ref else []
+    (g, g_err), (mass, mass_err), *rest = _pairings(blocks, cfg)
+    zero = (np.zeros(3), np.zeros(3))
+    k, k_err = rest.pop(0) if p is not p_ref else zero
+    v, v_err = rest.pop(0) if w is not w_ref else zero
     for q, got, est in zip(guarded, mass, mass_err):
         if abs(got - q.degree) > 10.0 * est + 1e-10 * max(1, q.degree):
             raise NumericalError(

@@ -1,0 +1,22 @@
+"""tools/compare_values.py: per-op values of the in-process workloads, compared across checkouts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("compare_values", ROOT / "tools" / "compare_values.py")
+compare_values = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_values)
+
+
+def test_a_checkout_compared_with_itself_is_identical_on_every_op(capsys):
+    assert compare_values.main(["--checkout", f"a={ROOT}", "--checkout", f"b={ROOT}", "--seeds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = json.loads(lines[-1])["checkouts"]["b"]
+    # a round of each workload: 36 limits, 36 high_degree and 9 grid_data ops
+    assert {w: r["ops"] for w, r in report.items()} == {"limits": 36, "high_degree": 36, "grid_data": 9}
+    for r in report.values():
+        assert r["identical"] == r["ops"] and not r["errors"]
+        assert r["max_abs_d_log_quillen"] == r["max_abs_d_T"] == 0.0
+        assert r["T_err_ratio"] == [1.0, 1.0]

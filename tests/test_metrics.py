@@ -33,7 +33,7 @@ from spheretorsion import (
     zhang_iterate,
 )
 from spheretorsion import cli
-from spheretorsion.metrics import _concentration_splits
+from spheretorsion.metrics import _concentration_splits, _softplus
 
 from conftest import LOG2, QUAD
 
@@ -63,6 +63,25 @@ def test_mollified_max_center_value():
     # agrees with the hard max outside the mollification window
     assert float(p.phi(0.3)) == pytest.approx(0.9, abs=1e-15)
     assert float(p.phi(-0.3)) == 0.0
+
+
+def test_softplus_is_logaddexp_within_two_ulp():
+    t = np.concatenate((np.linspace(-800.0, 800.0, 160001), [0.0, -0.0, 710.0, -710.0]))
+    got, want = _softplus(t), np.logaddexp(0.0, t)
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+    ends = np.array([np.inf, -np.inf])
+    assert np.array_equal(_softplus(ends), np.logaddexp(0.0, ends))
+
+
+@pytest.mark.parametrize("eps", [0.7, 1.5 * 2.0**-20, 1.5 * 2.0**-30])
+def test_mollified_max_matches_its_pow_form(eps):
+    # phi/m = t P(t/eps) - eps Q(t/eps) inside the window, P and Q as in the docstring
+    t = np.linspace(-1.5 * eps, 1.5 * eps, 20001)
+    x = np.clip(t / eps, -1.0, 1.0)
+    P = (15.0 / 16.0) * (x - (2.0 / 3.0) * x**3 + 0.2 * x**5) + 0.5
+    Q = (15.0 / 16.0) * (0.5 * x**2 - 0.5 * x**4 + x**6 / 6.0 - 1.0 / 6.0)
+    want = np.where(t >= eps, t, np.where(t <= -eps, 0.0, t * P - eps * Q))
+    assert np.max(np.abs(mollified_max(1, eps).phi(t) - want)) <= 4e-15 * eps
 
 
 def test_lse_bounds_canonical_from_above():

@@ -277,6 +277,14 @@ def test_catalog_densities_vanish_outside_their_outermost_kinks(tmp_path):
 # --- volume forms ---
 
 
+def test_logistic_density_is_the_two_exp_form_and_vanishes_at_infinity():
+    rng = np.random.default_rng(5)
+    t = np.concatenate((np.linspace(-800.0, 800.0, 16001), rng.normal(0.0, 20.0, 4000), [0.0, -0.0]))
+    two_exp = np.exp(t - 2.0 * np.maximum(t, 0.0)) / (1.0 + np.exp(-np.abs(t))) ** 2
+    assert np.array_equal(logistic_density(t), two_exp)
+    assert logistic_density(np.array([np.inf, -np.inf])).tolist() == [0.0, 0.0]
+
+
 def test_volume_masses_are_two():
     one = lambda t: 1.0
     assert abs(integrate_volume(one, volume_fs(), cfg=QUAD) - 2.0) < 1e-10

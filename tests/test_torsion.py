@@ -251,6 +251,18 @@ def test_cli_call_does_not_load_process_pool():
     assert res.returncode == 0, res.stderr
 
 
+def test_counterexample_call_does_not_load_numpy_ma():
+    # sup_distance dedupes without np.unique, whose first call imports numpy.ma
+    code = (
+        "import sys\n"
+        "from spheretorsion import cli\n"
+        "assert cli.main(['counterexample', '--c', '1.0', '--no-meta']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    res = _run_child(code)
+    assert res.returncode == 0, res.stderr
+
+
 def test_reference_scale_law():
     # zeta'(0; c lambda) = zeta'(0; lambda) - log(c) zeta(0)
     for m in (0, 1, 4):
@@ -547,6 +559,15 @@ def test_chain_evaluates_the_fs_volume_once_per_round(monkeypatch):
     assert len(passes) == len(rounds) == 1
     assert len(dens) == 3 * len(rounds)
     assert volume_fs() is WFS and WFS.psi is fubini_study(2)
+
+
+def test_chain_evaluates_no_block_at_an_atom_it_does_not_pair():
+    # on the singular volume only the volume block and the guard pair
+    # against the atom of canonical_2 at 0, and neither evaluates p
+    base, sizes = lse(12, 4.5), []
+    p = dataclasses.replace(base, phi=lambda t: sizes.append(np.size(t)) or base.phi(t))
+    quillen(p, volume_canonical(), cfg=QUAD)
+    assert sizes and sizes.count(1) == 0
 
 
 def _passes(monkeypatch, run):

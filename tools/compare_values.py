@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""How far the values of perfbench's in-process ops move between checkouts.
+
+    python3 tools/compare_values.py --checkout parent=../parent --checkout change=. \\
+        --seeds 1 2 3
+
+Each --checkout LABEL=PATH names a checkout. For each one, a fresh
+interpreter imports spheretorsion from that checkout's own `src/`, builds
+the ops of the `limits`, `high_degree` and `grid_data` workloads for every
+seed (the workload definitions of this repository's `perfbench/`, so every
+checkout runs the same ops) and records log_quillen, T and T.err of each
+op as `float.hex`. Every label but the first (the baseline) is then
+compared with it, per workload: how many ops are identical in all three
+values, the largest |d log_quillen| and |d T|, and the least and largest
+ratio of T.err to the baseline's. An op that raises counts as not
+identical, and its error is printed. Prints one line per label and
+workload, and the whole comparison as JSON on the last line.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("limits", "high_degree", "grid_data")
+
+
+def dump(root, seeds):
+    """{workload: [[log_quillen, T, T.err] as float.hex, or an error string]} of one checkout."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import random
+
+    import workloads
+
+    classes = {cls.name: cls for cls in (workloads.Limits, workloads.HighDegree, workloads.GridData)}
+    out = {name: [] for name in WORKLOADS}
+    for seed in seeds:
+        for name in WORKLOADS:
+            w = classes[name](Path(root), seed)
+            w.st = workloads.load_program(Path(root))
+            w.prepare(random.Random(seed))
+            try:
+                for op in w.ops:
+                    try:
+                        res = w.run(op)
+                    except Exception as exc:  # one failed op is reported, the rest still run
+                        out[name].append(f"{type(exc).__name__}: {exc}")
+                        continue
+                    q = res[0] if name == "grid_data" else res
+                    vals = (q.log_quillen, q.torsion.value, q.torsion.err)
+                    out[name].append([float(v).hex() for v in vals])
+            finally:
+                w.cleanup()
+    return out
+
+
+def collect(root: Path, seeds):
+    """dump() of the checkout at root, run in its own interpreter."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import json, compare_values; "
+            f"print(json.dumps(compare_values.dump({str(root)!r}, {list(seeds)!r})))")
+    res = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True)
+    if res.returncode != 0:
+        sys.exit(f"collecting the values of {root} failed:\n{res.stderr[-2000:]}")
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def compare(base, other):
+    """Per workload: ops, identical ops, max |d log_quillen|, max |d T|, T.err ratio range, errors."""
+    out = {}
+    for name, rows in other.items():
+        same, dq, dt, ratios, errors = 0, 0.0, 0.0, [], []
+        for a, b in zip(base[name], rows):
+            if isinstance(a, str) or isinstance(b, str):
+                errors.append(b if isinstance(b, str) else a)
+                continue
+            same += a == b
+            (qa, ta, ea), (qb, tb, eb) = ([float.fromhex(v) for v in r] for r in (a, b))
+            dq, dt = max(dq, abs(qb - qa)), max(dt, abs(tb - ta))
+            ratios.append(eb / ea if ea else (1.0 if eb == ea else float("inf")))
+        out[name] = {
+            "ops": len(rows),
+            "identical": same,
+            "max_abs_d_log_quillen": dq,
+            "max_abs_d_T": dt,
+            "T_err_ratio": [min(ratios), max(ratios)] if ratios else None,
+            "errors": errors,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=PATH")
+    ap.add_argument("--seeds", nargs="+", type=int, required=True)
+    args = ap.parse_args(argv)
+    values = {}
+    for spec in args.checkout:
+        label, _, path = spec.partition("=")
+        values[label] = collect(Path(path).resolve(), args.seeds)
+    labels = list(values)
+    report = {label: compare(values[labels[0]], values[label]) for label in labels[1:]}
+    for label, per in report.items():
+        for name, r in per.items():
+            print(f"{label} vs {labels[0]} {name}: identical {r['identical']}/{r['ops']}, "
+                  f"max |d log_quillen| {r['max_abs_d_log_quillen']:.3g}, "
+                  f"max |d T| {r['max_abs_d_T']:.3g}, T.err ratio {r['T_err_ratio']}")
+            for e in r["errors"]:
+                print(f"  error: {e}")
+    print(json.dumps({"baseline": labels[0], "seeds": args.seeds, "checkouts": report}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
