@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_QUAD, QuadConfig
-from .radial import ConvergenceReport, RadialPotential, VolumeForm, _pairings
+from .radial import ConvergenceReport, RadialPotential, VolumeForm, _normed_pairings
 
 
 @dataclass
@@ -39,14 +39,16 @@ def gram(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> G
     """Diagonal Gram entries of the monomial basis, by quadrature."""
     if p.degree < 0:
         raise ValueError(f"Gram data needs degree >= 0, got {p.degree}")
-    ((entries, parts),) = _pairings([_gram_rows(p, w)], cfg)
-    return _gram_data(entries, parts, w)
+    ((raw, parts),), (norm,) = _normed_pairings([_gram_rows(p, w)], (w,), cfg)
+    return _gram_data(raw, parts, *norm)
 
 
 def _gram_rows(p: RadialPotential, w: VolumeForm):
-    """The Gram block of _pairings: the m + 1 weights e^{kt - phi} rho_w against dt.
+    """The Gram block of _pairings: the m + 1 weights e^{kt - phi} 2 e^{t - psi_w} against dt.
 
-    rho_w is folded into the rows, so psi_w is evaluated once per node array.
+    These are the entries times the norm of w, by which _gram_data divides
+    them. rho_w is folded into the rows, so psi_w is evaluated once per
+    node array.
     """
     ks = np.arange(p.degree + 1.0)[:, None]
 
@@ -55,26 +57,27 @@ def _gram_rows(p: RadialPotential, w: VolumeForm):
         g = ks * t
         g -= phi
         np.exp(g, out=g)
-        g *= 2.0 * np.exp(t - psi) / w.norm
+        g *= 2.0 * np.exp(t - psi)
         return g
 
     return (p, w.psi), rows, (None,) * (p.degree + 1)
 
 
-def _gram_data(entries: np.ndarray, parts: np.ndarray, w: VolumeForm) -> GramData:
-    """GramData of the entries on w and their estimates, err in units of log det.
+def _gram_data(raw: np.ndarray, parts: np.ndarray, norm: float, norm_err: float) -> GramData:
+    """GramData of the Gram rows' values raw, their estimates and the volume's norm.
 
-    An entry off by e_k moves log det by about e_k / g_k; every entry is
-    divided by w.norm, so the norm's error moves it by (m + 1) norm_err /
-    norm; a few eps times sum |log g_k| bounds the rounding of the logs and
-    of their sum.
+    The entries are raw / norm, err is in units of log det. An entry off by
+    e_k moves log det by about e_k / g_k; every entry is divided by norm,
+    so the norm's error moves it by (m + 1) norm_err / norm; a few eps
+    times sum |log g_k| bounds the rounding of the logs and of their sum.
     """
+    entries = raw / norm
     if (entries <= 0).any():
         raise ValueError("Gram entry came out nonpositive; potential invalid")
     logs = np.log(entries)
     err = float(
-        (parts / entries).sum()
-        + len(entries) * w.norm_err / w.norm
+        (parts / raw).sum()
+        + len(entries) * norm_err / norm
         + 4.0 * np.finfo(float).eps * np.abs(logs).sum()
     )
     log_det = float(logs.sum())

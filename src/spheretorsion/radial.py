@@ -23,7 +23,7 @@ singular limit to exactly e^{-|t|} dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -207,20 +207,41 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
     return [(vals[span], err.parts[span]) for span, _, _ in spans]
 
 
-@dataclass(frozen=True, eq=False)
 class VolumeForm:
     """A volume form on the sphere: a degree-2 potential and its norm.
 
     norm records int e^{t-psi} dt, the only place a normalization constant
     can hide; the area measure rho follows from the two (total mass 2).
-    norm_err bounds the error of norm: the quadrature estimate when norm
-    was integrated, 0 when it is exact.
+    norm_err bounds the error of norm. A volume built with a norm (the
+    closed forms) keeps it and its norm_err, 0 when exact. One built with
+    norm None, as volume_from_potential builds it, has no norm of its own:
+    each pass that needs it integrates it as a dt row (_normed_pairings),
+    whose estimate is norm_err there, so no result depends on what was
+    computed or read before. Reading norm, norm_err or rho of such a volume
+    integrates that row alone, once, with the cfg it was built with.
     """
 
-    psi: RadialPotential
-    norm: float
-    label: str = ""
-    norm_err: float = 0.0
+    def __init__(
+        self, psi: RadialPotential, norm: Optional[float], label: str = "", norm_err: float = 0.0
+    ):
+        self.psi, self.label = psi, label
+        self._given = None if norm is None else (norm, norm_err)
+        self._cfg, self._read = DEFAULT_QUAD, None
+
+    @property
+    def norm(self) -> float:
+        return self._norm()[0]
+
+    @property
+    def norm_err(self) -> float:
+        return self._norm()[1]
+
+    def _norm(self):
+        if self._given is not None:
+            return self._given
+        if self._read is None:
+            self._read = _normed_pairings([], (self,), self._cfg)[1][0]
+        return self._read
 
     @property
     def rho(self) -> RadialMeasure:
@@ -229,6 +250,26 @@ class VolumeForm:
         return RadialMeasure(
             density=lambda t: 2.0 * np.exp(t - ph(t)) / n, splits=tuple(self.psi.kinks)
         )
+
+
+def _normed_pairings(blocks, volumes, cfg: QuadConfig = DEFAULT_QUAD):
+    """_pairings(blocks) and the (norm, norm_err) of each volume, from one kernel call.
+
+    A volume with a given norm gives it. The norm of each other volume is
+    a dt row e^{t - psi} stacked after the blocks, and its estimate there;
+    a norm that is not positive and finite raises NumericalError.
+    """
+    lazy = list({id(w): w for w in volumes if w._given is None}.values())
+    if not lazy:
+        return _pairings(blocks, cfg), [w._given for w in volumes]
+    psis = tuple(w.psi for w in lazy)
+    norm_rows = psis, lambda t, *vals: np.exp(t - np.array(vals)), (None,) * len(lazy)
+    *out, (vals, parts) = _pairings([*blocks, norm_rows], cfg)
+    for norm in vals:
+        if not (norm > 0 and math.isfinite(norm)):
+            raise NumericalError(f"volume normalization failed: int e^(t-psi) = {norm}")
+    got = {id(w): (float(v), float(e)) for w, v, e in zip(lazy, vals, parts)}
+    return out, [w._given or got[id(w)] for w in volumes]
 
 
 @dataclass
@@ -335,13 +376,17 @@ def logistic_density(t):
 def volume_from_potential(
     psi: RadialPotential, cfg: QuadConfig = DEFAULT_QUAD, label: str = ""
 ) -> VolumeForm:
-    """The volume form of a degree-2 potential: psi, its norm int e^{t-psi} dt and its estimate."""
+    """The volume form of a degree-2 potential psi, its norm integrated where it is used.
+
+    No quadrature runs here: a pass that needs the norm integrates it as a
+    row of its own (VolumeForm), and reading norm, norm_err or rho
+    integrates it with cfg.
+    """
     if psi.degree != 2:
         raise ValueError(f"volume potential must have degree 2, got {psi.degree}")
-    norm, err = integrate_line(lambda t: np.exp(t - psi.phi(t)), splits=psi.kinks, cfg=cfg)
-    if norm <= 0 or not math.isfinite(norm):
-        raise NumericalError(f"volume normalization failed: int e^(t-psi) = {norm}")
-    return VolumeForm(psi=psi, norm=norm, label=label or psi.label, norm_err=float(err))
+    w = VolumeForm(psi, None, label or psi.label)
+    w._cfg = cfg
+    return w
 
 
 # --- weak convergence checks ---

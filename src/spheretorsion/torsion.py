@@ -37,7 +37,7 @@ import numpy as np
 from .gram import GramData, _gram_data, _gram_rows
 from .metrics import dual, fubini_study, tensor, volume_fs
 from .quadrature import DEFAULT_QUAD, NumericalError, QuadConfig
-from .radial import ConvergenceReport, RadialPotential, VolumeForm, _pairings
+from .radial import ConvergenceReport, RadialPotential, VolumeForm, _normed_pairings, _pairings
 from .radial import volume_from_potential
 
 # spectrum scale: eigenvalues are SPECTRUM_SCALE * k(k+m+1) on the area-2 sphere
@@ -191,8 +191,8 @@ def volume_anomaly(
     slot carries the same coefficient as the tangent slot of the bundle
     anomaly, which the mixed-change consistency identity forces.
     """
-    ((vals, err),) = _pairings([_volume_rows(p, w1, w2)], cfg)
-    return _volume_term(vals, err.sum(), p, w1, w2)
+    ((vals, err),), norms = _normed_pairings([_volume_rows(p, w1, w2)], (w1, w2), cfg)
+    return _volume_term(vals, err.sum(), p, w1, w2, norms)
 
 
 def _volume_rows(p: RadialPotential, w1: VolumeForm, w2: VolumeForm):
@@ -201,13 +201,14 @@ def _volume_rows(p: RadialPotential, w1: VolumeForm, w2: VolumeForm):
 
 
 def _volume_term(
-    vals, err: float, p: RadialPotential, w1: VolumeForm, w2: VolumeForm
+    vals, err: float, p: RadialPotential, w1: VolumeForm, w2: VolumeForm, norms
 ) -> AnomalyTerm:
     # vals: psi_1 - psi_2 against mu_p, mu_{psi_1} and mu_{psi_2}; err their
     # summed estimate, to which the gauge adds its coefficient times the
-    # relative errors of the two norms
+    # relative errors of the two norms, norms the (norm, norm_err) of w1 and w2
     mu, r1, r2 = map(float, vals)
-    gauge = math.log(w1.norm) - math.log(w2.norm)
+    (n1, e1), (n2, e2) = norms
+    gauge = math.log(n1) - math.log(n2)
     coef = 0.5 * p.degree + (w1.psi.degree + w2.psi.degree) / 12.0
     curv = 0.5 * (mu + gauge * p.degree)
     todd = (r1 + r2 + gauge * (w1.psi.degree + w2.psi.degree)) / 12.0
@@ -222,7 +223,7 @@ def _volume_term(
             "pair_todd2": r2,
             "gauge": gauge,
         },
-        err=0.5 * float(err) + coef * (w1.norm_err / w1.norm + w2.norm_err / w2.norm),
+        err=0.5 * float(err) + coef * (e1 / n1 + e2 / n2),
     )
 
 
@@ -234,7 +235,8 @@ def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
 
     One _pairings call stacks up to four blocks: the Gram, a guard block, 1
     against the curvature of each distinct positive potential, the bundle
-    block of K(p, fs_m; omega_fs) and the volume block of V(p; w, omega_fs).
+    block of K(p, fs_m; omega_fs) and the volume block of V(p; w, omega_fs),
+    and after them the norm row of w unless w has a norm of its own.
     A guard row that misses its degree by more than ten times its own
     estimate (plus 1e-10 max(1, degree)) lost mass between quadrature
     nodes, and NumericalError is raised. The shared fubini_study(m) and
@@ -248,7 +250,7 @@ def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
     blocks = [_gram_rows(p, w), ((), lambda t: 1.0, guarded)]
     blocks += [_bundle_rows(p, p_ref, w_ref)] if p is not p_ref else []
     blocks += [_volume_rows(p, w, w_ref)] if w is not w_ref else []
-    (g, g_err), (mass, mass_err), *rest = _pairings(blocks, cfg)
+    ((g, g_err), (mass, mass_err), *rest), norms = _normed_pairings(blocks, (w, w_ref), cfg)
     zero = (np.zeros(3), np.zeros(3))
     k, k_err = rest.pop(0) if p is not p_ref else zero
     v, v_err = rest.pop(0) if w is not w_ref else zero
@@ -259,8 +261,8 @@ def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
                 f"degree {q.degree}: a bump fell between quadrature nodes (brackets "
                 "missing from its kinks?) or its curvature data is wrong"
             )
-    gd = _gram_data(g, g_err, w)
-    return gd, _bundle_term(k, k_err.sum()), _volume_term(v, v_err.sum(), p, w, w_ref)
+    gd = _gram_data(g, g_err, *norms[0])
+    return gd, _bundle_term(k, k_err.sum()), _volume_term(v, v_err.sum(), p, w, w_ref, norms)
 
 
 def _quillen_fs(m: int) -> float:

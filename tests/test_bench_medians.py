@@ -1,4 +1,4 @@
-"""tools/bench_medians.py: quartiles, seed-paired wins, ratios and bound breaches from checkouts' runs."""
+"""tools/bench_medians.py: quartiles, seed-paired wins and ratios, and bound breaches from checkouts' runs."""
 
 import importlib.util
 import json
@@ -84,3 +84,18 @@ def test_report_resolves_a_gain_only_past_nine_tenths_of_wins_and_the_parent_iqr
     assert out["patchy"]["w"]["resolved"] == []
     assert out["leaner"]["w"]["resolved"] == ["peak_rss_mb"]
     assert "resolved" not in p
+
+
+def test_report_gives_the_quartiles_of_the_ratios_paired_by_seed():
+    # the machine's phase moves both sides of a seed alike: the parent spreads
+    # 100..400, the change is 1.1x the parent on four seeds and 0.9x on one
+    parent = [_result(e, 40.0) for e in (100.0, 400.0, 200.0, 300.0, 250.0)]
+    change = [_result(e, 40.0) for e in (110.0, 440.0, 220.0, 270.0, 275.0)]
+    out = bench_medians.report({"parent": {"w": parent}, "change": {"w": change}}, SPEC)
+    c = out["change"]["w"]
+    assert c["paired_ratio"]["evals_per_s"]["median"] == pytest.approx(1.1)
+    assert c["paired_ratio"]["evals_per_s"]["quartiles"] == pytest.approx([1.1, 1.1])
+    assert c["paired_ratio"]["peak_rss_mb"] == {"median": 1.0, "quartiles": [1.0, 1.0]}
+    # the medians alone read 250 -> 270, a ratio of 1.08
+    assert c["ratio"]["evals_per_s"] == pytest.approx(1.08)
+    assert "paired_ratio" not in out["parent"]["w"]

@@ -40,6 +40,7 @@ from spheretorsion import (
     SPECTRUM_SCALE,
     NumericalError,
     RadialPotential,
+    VolumeForm,
     bundle_anomaly,
     canonical,
     counterexample_potential,
@@ -607,27 +608,86 @@ def test_quillen_kernel_passes(monkeypatch, case):
     assert _passes(monkeypatch, lambda: quillen(p, w, cfg=QUAD)) == 1
 
 
-@pytest.mark.parametrize(
-    "psi",
-    [
-        lambda: lse(2, 1.5 * 3.0**15),
-        lambda: zhang_iterate(lse(2, 1.5), 2, 20),
-        lambda: mollified_max(2, 1.5 * 2.0**-20),
-        lambda: lse(2, 1.5 * 3.0**20),
-        lambda: zhang_iterate(lse(2, 1.5), 2, 28),
-    ],
-    ids=["lse", "zhang", "mollmax", "lse-sharp-twin", "zhang-sharp-twin"],
-)
-def test_volume_normalization_takes_one_kernel_pass(monkeypatch, psi):
-    # the members of the limits sequences: their norm converges in the graded first pass
-    p = psi()
-    assert _passes(monkeypatch, lambda: volume_from_potential(p, cfg=QUAD)) == 1
+# the members of the limits sequences, as families in the degree m
+LIMITS_TWINS = {
+    "lse": lambda m: lse(m, 1.5 * 3.0**15),
+    "zhang": lambda m: zhang_iterate(lse(m, 1.5), 2, 20),
+    "mollmax": lambda m: mollified_max(m, 1.5 * 2.0**-20),
+    "lse-sharp-twin": lambda m: lse(m, 1.5 * 3.0**20),
+    "zhang-sharp-twin": lambda m: zhang_iterate(lse(m, 1.5), 2, 28),
+}
+
+
+@pytest.mark.parametrize("fam", LIMITS_TWINS.values(), ids=LIMITS_TWINS.keys())
+def test_volume_normalization_takes_one_kernel_pass(monkeypatch, fam):
+    # read alone, the norm converges in the graded first pass
+    psi = fam(2)
+    assert _passes(monkeypatch, lambda: volume_from_potential(psi, cfg=QUAD).norm) == 1
+
+
+@pytest.mark.parametrize("fam", LIMITS_TWINS.values(), ids=LIMITS_TWINS.keys())
+def test_a_limits_op_takes_one_kernel_pass(monkeypatch, fam):
+    # a member on its degree-2 twin's volume: building the volume integrates
+    # nothing, and its norm is a row of quillen's own pass
+    p, psi = fam(1), fam(2)
+    assert _passes(monkeypatch, lambda: volume_from_potential(psi, cfg=QUAD)) == 0
+    op = lambda: quillen(p, volume_from_potential(psi, cfg=QUAD), cfg=QUAD)
+    assert _passes(monkeypatch, op) == 1
+
+
+def test_results_do_not_depend_on_what_the_volume_did_before():
+    # the chain, gram and V integrate an integrated volume's norm in their
+    # own pass, whether or not it was read or used with another metric; the
+    # kinks of mollified_max(2, 0.5) move that norm's last bit, so a norm
+    # kept on the volume would show there
+    psi = lse(2, 4.0)
+
+    def results(vol):
+        # vol() is the volume of each call
+        vals = []
+        for p in (lse(2, 9.0), mollified_max(2, 0.5)):
+            q, g = quillen(p, vol(), cfg=QUAD), gram(p, vol(), cfg=QUAD)
+            v = volume_anomaly(p, vol(), WFS, cfg=QUAD)
+            vals += [q.log_quillen, q.torsion.value, q.torsion.err, *g.entries, g.err, v.value, v.err]
+        return [float(x).hex() for x in vals]
+
+    want = results(lambda: volume_from_potential(psi, cfg=QUAD))
+    read, used = volume_from_potential(psi, cfg=QUAD), volume_from_potential(psi, cfg=QUAD)
+    assert read.norm > 0 and read.rho.density is not None
+    assert results(lambda: read) == want
+    quillen(fubini_study(3), used, cfg=QUAD)
+    assert results(lambda: used) == want
+
+
+def test_a_volume_without_a_finite_norm_fails_where_its_norm_is_used():
+    # e^{t - psi} = e^{min(t, 0)} is 1 on the whole positive half line
+    psi = RadialPotential(
+        degree=2,
+        phi=lambda t: np.maximum(t, 0.0),
+        regularity="continuous-piecewise",
+        positive=False,
+        kinks=(0.0,),
+        curvature_atoms=((0.0, 1.0),),
+        label="flat-tail",
+    )
+    w, p = volume_from_potential(psi, cfg=QUAD), lse(2, 9.0)
+    for use in (
+        lambda: quillen(p, w, cfg=QUAD),
+        lambda: gram(p, w, cfg=QUAD),
+        lambda: volume_anomaly(p, w, WFS, cfg=QUAD),
+        lambda: w.norm,
+    ):
+        with pytest.raises(NumericalError):
+            use()
 
 
 def test_gram_and_volume_anomaly_charge_the_norm_err():
-    # every Gram entry carries 1/norm, and V the gauge log norm times m/2 + 1/3
-    w = volume_from_potential(lse(2, 3.0), cfg=QUAD)
-    exact = dataclasses.replace(w, norm_err=0.0)
+    # every Gram entry carries 1/norm, and V the gauge log norm times m/2 + 1/3;
+    # both volumes carry the integrated norm, one with its estimate, one exact
+    psi = lse(2, 3.0)
+    read = volume_from_potential(psi, cfg=QUAD)
+    w = VolumeForm(psi, read.norm, norm_err=read.norm_err)
+    exact = VolumeForm(psi, read.norm)
     p, rel = lse(6, 4.5), w.norm_err / w.norm
     assert rel > 0
     assert gram(p, w, cfg=QUAD).err - gram(p, exact, cfg=QUAD).err == pytest.approx(7 * rel)

@@ -15,7 +15,10 @@ the seeds, the per-seed values, whether every run was correct and the
 failed operations summed. Under every label but the baseline, per
 workload, `wins` counts per metric the seeds on which that checkout beat
 the baseline, in the direction `better` of BENCHMARK.json; `ratio` is each
-metric's median over the baseline's median; and `beyond_bound` lists the
+metric's median over the baseline's median; `paired_ratio` gives per
+metric the median and the quartiles of the per-seed ratios to the
+baseline's run of the same seed, which the machine's slow and fast phases
+move less than either side alone; and `beyond_bound` lists the
 metrics whose median moved the worse way by more than the metric's `bound`
 of BENCHMARK.json times the baseline's median; and `resolved` lists the
 metrics on which a gain can be claimed: the checkout won at least 0.9 of
@@ -85,6 +88,10 @@ def report(runs, spec):
                 for m, v in s["per_seed"].items()
             }
             s["ratio"] = {m: v / b["median"][m] for m, v in s["median"].items()}
+            paired = {m: [x / y for x, y in zip(v, b["per_seed"][m])] for m, v in s["per_seed"].items()}
+            s["paired_ratio"] = {
+                m: {"median": statistics.median(r), "quartiles": quartiles(r)} for m, r in paired.items()
+            }
             s["beyond_bound"] = [
                 m for m, v in s["median"].items()
                 if sign[m] * (b["median"][m] - v) > spec[m]["bound"] * b["median"][m]
