@@ -4,7 +4,8 @@ Subcommands: torsion, quillen, gram, anomaly, zhang, counterexample,
 closed-form, double-limit, bt-check. Metrics and volumes use the mini
 language of metrics.parse_spec / parse_volume. Output is JSON on stdout
 (floats at 15 significant digits); --json / --csv write files; --no-meta
-drops the timestamped meta block for byte-identical reruns.
+drops the timestamped meta block for byte-identical reruns. Only the
+sweeps, counterexample and closed-form, take --csv and --jobs.
 
 Exit codes: 0 ok, 1 a --verify verdict failed, 2 usage or spec error,
 3 numerical failure.
@@ -269,11 +270,15 @@ def _cmd_bt_check(args, cfg, quad):
 def _add_common(sp):
     sp.add_argument("--verify", action="store_true", help="run built-in checks; exit 1 on failure")
     sp.add_argument("--json", dest="json_path", default=None, help="also write JSON to this path")
-    sp.add_argument("--csv", dest="csv_path", default=None, help="write result rows as CSV")
     sp.add_argument("--no-meta", action="store_true", help="omit timestamped metadata")
-    sp.add_argument("--jobs", type=int, default=None, help="parallel workers for row sweeps")
     sp.add_argument("--quad-tol", type=float, default=None, help="quadrature failure budget")
     sp.add_argument("--config", default=None, help=f"config JSON (or ${ENV_CONFIG})")
+
+
+def _add_sweep(sp):
+    # only the sweeps have result rows to write and to spread over workers
+    sp.add_argument("--csv", dest="csv_path", default=None, help="write result rows as CSV")
+    sp.add_argument("--jobs", type=int, default=None, help="parallel workers for row sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,11 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.2)
     sp.add_argument("--gamma", type=float, default=None)
     _add_common(sp)
+    _add_sweep(sp)
     sp.set_defaults(handler=_cmd_counterexample)
 
     sp = sub.add_parser("closed-form", help="canonical torsion sweep vs its closed form")
     sp.add_argument("--m-max", type=int, default=5)
     _add_common(sp)
+    _add_sweep(sp)
     sp.set_defaults(handler=_cmd_closed_form)
 
     sp = sub.add_parser("double-limit", help="double sequence route agreement study")

@@ -15,7 +15,9 @@ an integrand returning shape (K, N) integrates K functions at once. The
 first pass is speculative: it evaluates each mapped half-line panel
 already graded, cut into quarters with the outermost quarter cut into
 quarters again, the cuts the first two rounds nearly always made, and
-falls back to the uncut panel only where a part is not finite.
+falls back to the uncut panel only where a part is not finite. The table
+of the whole line cut only at 0, the first pass of every call on a smooth
+metric, is built once at import with its nodes and dt/du, read-only.
 """
 
 from __future__ import annotations
@@ -125,6 +127,35 @@ def _clean_splits(splits, lo, hi):
     return pts[far]
 
 
+def _first_pass(pts, lo, hi):
+    """The first-pass table of [lo, hi] cut at the cleaned split points pts.
+
+    Returns (iv, panel, nf, half): iv has one column per subinterval, rows
+    as quad reads them: the nf finite panels, then the `half` mapped half
+    lines beyond the outermost finite edges, each cut at the u-edges
+    _GRADED: the cuts the first two rounds nearly always make, since a tail
+    decaying like e^{-c|t|} reads e^{-c(1-u)/u}/u^2 in u. panel holds the
+    panel of each column: the finite panels, then the half lines. A whole
+    line with no splits is cut at 0.
+    """
+    left, right = lo == -math.inf, hi == math.inf
+    if not pts.size and left and right:
+        pts = np.zeros(1)
+    edges = np.concatenate(([lo], pts, [hi]))[left : pts.size + 2 - right]
+    nf, half = edges.size - 1, left + right
+    iv = np.zeros((4, nf + _PER * half))
+    iv[0, :nf], iv[1, :nf] = edges[:-1], edges[1:]
+    graded = iv[:, nf:].reshape(4, half, _PER)
+    graded[0], graded[1] = _GRADED[:-1], _GRADED[1:]
+    if left:
+        graded[2, 0], graded[3, 0] = -1.0, edges[0]
+    if right:
+        graded[2, -1], graded[3, -1] = 1.0, edges[-1]
+    panel = np.arange(iv.shape[1])
+    panel[nf:], panel[nf + _PER :] = nf, nf + 1
+    return iv, panel, nf, half
+
+
 def _cuts(a, b):
     """Rows (a, ..., b) of the _SPLIT + 1 points cutting each [a, b] into equal parts.
 
@@ -151,39 +182,53 @@ def _merge(old, keep, new):
     return np.concatenate([old[..., keep], new], axis=-1)
 
 
+def _nodes(iv):
+    """quad's half widths, t-nodes (n, 21) and dt/du for the rows of iv.
+
+    dt/du is None when no column is mapped, and otherwise exactly 1 on the
+    finite columns.
+    """
+    a, b, kind, base = iv
+    h = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + h[:, None] * _X
+    mapped = kind.nonzero()[0]
+    if not mapped.size:
+        return h, x, None
+    u = x[mapped]
+    x[mapped] = base[mapped, None] + kind[mapped, None] * (1.0 - u) / u
+    jac = np.ones_like(x)
+    jac[mapped] = u**-2
+    return h, x, jac
+
+
 def quad(f, iv):
     """One 21-point Gauss-Kronrod pass over every subinterval of iv at once.
 
     iv has rows (a, b, kind, base). kind 0 is the t-interval [a, b]; kind
     +1 or -1 is a u-interval [a, b] in (0, 1] standing for
     t = base + kind (1 - u) / u, with dt = du / u^2, the map of a half line
-    used by QUADPACK's qagi. f is called once, on all nodes, and returns
-    shape (N,) or (K, N); a scalar is broadcast. A writeable result is
-    multiplied in place by dt/du, 1 on the finite columns; a read-only one
-    is copied first.
+    used by QUADPACK's qagi. f is called once, on a fresh array of all
+    nodes, and returns shape (N,) or (K, N); a scalar is broadcast. A
+    writeable result is multiplied in place by dt/du, 1 on the finite
+    columns; a read-only one is copied first. The nodes and dt/du of the
+    unsplit line's table are built once; quad knows that table by identity.
 
     Returns the rule's values, QUADPACK's qk21 error estimates
     resasc min(1, (200 |K - G| / resasc)^1.5) floored at 50 eps resabs, and
     that floor, each shaped (n,) or (K, n).
     """
-    a, b, kind, base = iv
-    h = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + h[:, None] * _X
-    mapped = kind.nonzero()[0]
-    any_mapped = mapped.size > 0
-    if any_mapped:
-        u = x[mapped]
-        x[mapped] = base[mapped, None] + kind[mapped, None] * (1.0 - u) / u
-        # dt/du on every column: exactly 1 on the finite ones
-        jac = np.ones_like(x)
-        jac[mapped] = u**-2
+    if iv is _UNSPLIT_IV:
+        h, x, jac = _UNSPLIT_NODES
+        x = x.copy()
+    else:
+        h, x, jac = _nodes(iv)
     y = np.asarray(f(x.ravel()), dtype=float)
     if y.shape[-1:] != (x.size,):
         y = np.broadcast_to(y, y.shape[:-1] + (x.size,)).copy()
-    elif any_mapped and not y.flags.writeable:
+    elif jac is not None and not y.flags.writeable:
         y = y.copy()
     y = y.reshape(y.shape[:-1] + x.shape)
-    if any_mapped:
+    if jac is not None:
         y *= jac
     resk = y @ _WK
     # one scratch array for both absolute values keeps a K-row call lean
@@ -195,6 +240,18 @@ def quad(f, iv):
     ratio = 200.0 * err / np.where(pos, resasc, 1.0)
     err = np.where(pos, resasc * np.minimum(ratio, 1.0) ** 1.5, err)
     return resk * h, np.maximum(err, floor), floor
+
+
+# the first-pass table of the whole line cut only at 0, the split set of
+# every call on a smooth metric, and quad's nodes and dt/du for it: built
+# once and read-only, so each such call reuses them, while refinement and
+# the fall-back pass merge into new arrays
+_UNSPLIT = _first_pass(np.zeros(0), -math.inf, math.inf)
+_UNSPLIT_IV = _UNSPLIT[0]
+_UNSPLIT_NODES = _nodes(_UNSPLIT_IV)
+for _a in (*_UNSPLIT[:2], *_UNSPLIT_NODES):
+    _a.flags.writeable = False
+del _a
 
 
 def _refine(cuts, panel, err, floor, tol, short):
@@ -243,7 +300,8 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
     parts until the summed estimate meets max(_EPSABS, _EPSREL |I|) for every
     component, no subinterval above the rounding floor is left, or no panel
     between splits has room for three more subintervals under _LIMIT. A
-    whole line with no splits is cut at 0.
+    whole line with no splits is cut at 0; its table, the one of every
+    whole-line call whose splits are all 0, is built once at import.
 
     Returns (value, err), err an ErrorEstimate: the estimate summed over all
     panels, with err.parts the sum per component. Raises NumericalError
@@ -257,27 +315,10 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
         if not lo < hi:
             zero = np.zeros(np.shape(f(np.empty(0)))[:-1])
             return (float(zero) if zero.ndim == 0 else zero), ErrorEstimate(zero)
-    pts = _clean_splits(splits, lo, hi)
-    if not pts.size and lo == -math.inf and hi == math.inf:
-        pts = np.zeros(1)
-    # the first-pass table, one column per subinterval: the finite panels,
-    # then each mapped half line beyond the outermost finite edge, cut at
-    # the u-edges _GRADED: the cuts the first two rounds nearly always make,
-    # since a tail decaying like e^{-c|t|} reads e^{-c(1-u)/u}/u^2 in u
-    left, right = lo == -math.inf, hi == math.inf
-    edges = np.concatenate(([lo], pts, [hi]))[left : pts.size + 2 - right]
-    nf, half = edges.size - 1, left + right
-    iv = np.zeros((4, nf + _PER * half))
-    iv[0, :nf], iv[1, :nf] = edges[:-1], edges[1:]
-    graded = iv[:, nf:].reshape(4, half, _PER)
-    graded[0], graded[1] = _GRADED[:-1], _GRADED[1:]
-    if left:
-        graded[2, 0], graded[3, 0] = -1.0, edges[0]
-    if right:
-        graded[2, -1], graded[3, -1] = 1.0, edges[-1]
-    # the panel of each column: the finite panels, then the half lines
-    panel = np.arange(iv.shape[1])
-    panel[nf:], panel[nf + _PER :] = nf, nf + 1
+    if lo == -math.inf and hi == math.inf and not any(splits):
+        iv, panel, nf, half = _UNSPLIT
+    else:
+        iv, panel, nf, half = _first_pass(_clean_splits(splits, lo, hi), lo, hi)
     # a half line whose parts are not all finite is evaluated uncut instead,
     # at the cost of one more pass, so a tail the integrand cannot reach is
     # only entered where the estimate asks for it. The nodes it throws away

@@ -257,7 +257,10 @@ def test_exit_2_on_an_empty_sweep(capsys):
             id="zhang-negative-quad-tol",
         ),
         # a worker count below 1 is refused, not quietly run serially
-        pytest.param({"argv": ["--jobs", "0"]}, id="zero-jobs"),
+        pytest.param(
+            {"command": ["counterexample", "--deltas", "1e-2"], "argv": ["--jobs", "0"]},
+            id="zero-jobs",
+        ),
         pytest.param({"config": '{"jobs": 0}'}, id="zero-jobs-config"),
         pytest.param(
             {"command": ["closed-form", "--m-max", "0"], "argv": ["--jobs", "-3"]},
@@ -362,6 +365,30 @@ def test_csv_rows(capsys, tmp_path):
     assert rc == 0
     header = p.read_text().splitlines()[0]
     assert "delta" in header and "torsion_gap" in header
+
+
+def test_closed_form_csv_rows(capsys, tmp_path):
+    p = tmp_path / "rows.csv"
+    doc = run_json(capsys, "closed-form", "--m-max", "1", "--no-meta", "--csv", str(p))
+    header, *rows = p.read_text().splitlines()
+    assert sorted(header.split(",")) == sorted(doc["rows"][0])
+    col = header.split(",").index("m")
+    assert [int(r.split(",")[col]) for r in rows] == [r["m"] for r in doc["rows"]] == [0, 1]
+
+
+NOT_SWEEPS = [argv for argv in INTEGRATING if argv[0] not in ("counterexample", "closed-form")]
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--jobs"])
+@pytest.mark.parametrize(
+    "argv", NOT_SWEEPS + [("zhang", "--base", "fs:2")], ids=lambda a: "-".join(a[:3:2])
+)
+def test_only_the_sweeps_take_csv_and_jobs(capsys, tmp_path, argv, flag):
+    # a subcommand with no rows refuses the flags rather than ignoring them
+    p = tmp_path / "rows.csv"
+    rc, out, err = run(capsys, *argv, flag, str(p) if flag == "--csv" else "2", "--no-meta")
+    assert rc == 2 and out == "" and f"unrecognized arguments: {flag}" in err
+    assert not p.exists()
 
 
 # --- config handling ---

@@ -20,3 +20,16 @@ def test_a_checkout_compared_with_itself_is_identical_on_every_op(capsys):
         assert r["identical"] == r["ops"] and not r["errors"]
         assert r["max_abs_d_log_quillen"] == r["max_abs_d_T"] == 0.0
         assert r["T_err_ratio"] == [1.0, 1.0]
+
+
+def test_an_op_that_raised_on_any_checkout_fails_the_comparison(monkeypatch, capsys):
+    row = ["0x1.0p+0"] * 3
+    good = {"limits": [row, row], "high_degree": [row], "grid_data": [row]}
+    bad = {**good, "high_degree": ["NumericalError: integral diverged"]}
+    for dumps, want in (([good, good], 0), ([good, bad], 1), ([bad, good], 1), ([bad], 1)):
+        it = iter(dumps)
+        monkeypatch.setattr(compare_values, "collect", lambda root, seeds: next(it))
+        argv = [a for i in range(len(dumps)) for a in ("--checkout", f"c{i}={ROOT}")]
+        assert compare_values.main([*argv, "--seeds", "1"]) == want
+        out = capsys.readouterr().out
+        assert ("1 ops raised" in out) == bool(want)

@@ -518,6 +518,34 @@ def test_integrate_line_first_pass_table(monkeypatch, f, splits, support, table,
     assert est == pytest.approx(float.fromhex(err), rel=1e-4, abs=0.0)
 
 
+@pytest.mark.parametrize("splits", [(), (0.0,)], ids=["none", "zero"])
+def test_unsplit_table_is_the_builders_table(splits):
+    # the whole line cut only at 0, built once at import: the builder's
+    # table and quad's nodes and dt/du for it, element for element, read-only
+    line = (-math.inf, math.inf)
+    iv, panel, nf, half = quadrature._first_pass(quadrature._clean_splits(splits, *line), *line)
+    const_iv, const_panel, const_nf, const_half = quadrature._UNSPLIT
+    assert const_iv is quadrature._UNSPLIT_IV
+    assert const_iv.tolist() == iv.tolist() and const_panel.tolist() == panel.tolist()
+    assert (const_nf, const_half) == (nf, half) == (0, 2)
+    for const, built in zip(quadrature._UNSPLIT_NODES, quadrature._nodes(iv)):
+        assert const.tolist() == built.tolist()
+    for a in (const_iv, const_panel, *quadrature._UNSPLIT_NODES):
+        assert not a.flags.writeable
+
+
+def test_integrand_writing_into_its_nodes_leaves_the_next_call_alone():
+    # every call hands f a fresh node array, also on the unsplit table
+    def scribble(t):
+        y = np.exp(-t * t)
+        t[:] = 0.0
+        return y
+
+    first = integrate_line(scribble, cfg=QUAD)
+    assert integrate_line(scribble, cfg=QUAD) == first
+    assert first[0] == pytest.approx(math.sqrt(math.pi), abs=1e-12)
+
+
 def test_integrate_line_takes_a_read_only_integrand_result():
     # the kernel scales the half lines' columns of f's result; a read-only
     # result is copied rather than written, so a broadcast whose rows share

@@ -608,6 +608,46 @@ def test_quillen_kernel_passes(monkeypatch, case):
     assert _passes(monkeypatch, lambda: quillen(p, w, cfg=QUAD)) == 1
 
 
+# the smooth metrics of the high-degree study, as families in the degree m:
+# lse(m, a) for a in [1, 9], and dilation iterates lse(m, a0 2^n) of
+# sharpness a0 2^n in [1, 12]
+SMOOTH = {
+    "fs": fubini_study,
+    "lse-1": lambda m: lse(m, 1.0),
+    "lse-9": lambda m: lse(m, 9.0),
+    "zhang-1": lambda m: zhang_iterate(lse(m, 0.5), 2, 1),
+    "zhang-12": lambda m: zhang_iterate(lse(m, 1.5), 2, 3),
+}
+
+
+@pytest.mark.parametrize("w", [WFS, WCAN], ids=["fs", "canonical"])
+@pytest.mark.parametrize("m", [6, 24])
+@pytest.mark.parametrize("fam", SMOOTH.values(), ids=SMOOTH.keys())
+def test_a_smooth_metric_takes_one_pass_on_the_unsplit_table(monkeypatch, fam, m, w):
+    # every split is 0 (the atom of canonical_2 alone), so the kernel is
+    # handed the whole line's first-pass table built at import
+    quadrature = importlib.import_module("spheretorsion.quadrature")
+    tables = []
+
+    def recording_quad(f, iv, _quad=quadrature.quad):
+        tables.append(iv)
+        return _quad(f, iv)
+
+    monkeypatch.setattr(quadrature, "quad", recording_quad)
+    quillen(fam(m), w, cfg=QUAD)
+    assert len(tables) == 1 and tables[0] is quadrature._UNSPLIT_IV
+
+
+@pytest.mark.parametrize("m", (150, 300))
+def test_reference_pair_lands_on_the_reference_torsion_above_degree_100(m):
+    # at m = 300 the call refines from the unsplit table. Only the value is
+    # checked: the middle Gram entries there are below the absolute stop
+    # rule, and T.err (2e-5 at m = 300) overstates the true error
+    t = torsion(fubini_study(m), WFS, cfg=QUAD)
+    with mp.workdps(50):
+        assert abs(mpf(t.value) - _fs_pair_mp(m)[1]) <= 1e-9
+
+
 # the members of the limits sequences, as families in the degree m
 LIMITS_TWINS = {
     "lse": lambda m: lse(m, 1.5 * 3.0**15),

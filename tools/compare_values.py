@@ -14,7 +14,9 @@ compared with it, per workload: how many ops are identical in all three
 values, the largest |d log_quillen| and |d T|, and the least and largest
 ratio of T.err to the baseline's. An op that raises counts as not
 identical, and its error is printed. Prints one line per label and
-workload, and the whole comparison as JSON on the last line.
+workload, and the whole comparison as JSON on the last line. Exits 1 when
+any op raised on any checkout, so "values unchanged" cannot pass over a
+crash, and 0 otherwise.
 """
 
 import argparse
@@ -108,8 +110,13 @@ def main(argv=None) -> int:
                   f"max |d T| {r['max_abs_d_T']:.3g}, T.err ratio {r['T_err_ratio']}")
             for e in r["errors"]:
                 print(f"  error: {e}")
+    raised = {label: sum(isinstance(row, str) for rows in per.values() for row in rows)
+              for label, per in values.items()}
+    for label, n in raised.items():
+        if n:
+            print(f"{label}: {n} ops raised")
     print(json.dumps({"baseline": labels[0], "seeds": args.seeds, "checkouts": report}))
-    return 0
+    return 1 if any(raised.values()) else 0
 
 
 if __name__ == "__main__":
