@@ -5,7 +5,7 @@ closed-form, double-limit, bt-check. Metrics and volumes use the mini
 language of metrics.parse_spec / parse_volume. Output is JSON on stdout
 (floats at 15 significant digits); --json / --csv write files; --no-meta
 drops the timestamped meta block for byte-identical reruns. Only the
-sweeps, counterexample and closed-form, take --csv and --jobs.
+sweeps, counterexample and closed-form, take --csv.
 
 Exit codes: 0 ok, 1 a --verify verdict failed, 2 usage or spec error,
 3 numerical failure.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -42,7 +43,6 @@ ENV_CONFIG = "SPHERETORSION_CONFIG"
 @dataclasses.dataclass
 class RunConfig:
     quad_fail_tol: float = 5e-8
-    jobs: int = 1
     no_meta: bool = False
 
 
@@ -74,22 +74,24 @@ def _load_config(path):
 
 def _merge_cli(cfg: RunConfig, args) -> RunConfig:
     # precedence: CLI flags over config file over defaults
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
     if getattr(args, "quad_tol", None) is not None:
         cfg.quad_fail_tol = args.quad_tol
     if getattr(args, "no_meta", False):
         cfg.no_meta = True
-    if cfg.jobs < 1:
-        raise SpecError(f"jobs must be at least 1, got {cfg.jobs}")
+    # a study's tolerance, refused before any kernel call like a bad budget
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (tol > 0 and math.isfinite(tol)):
+        raise SpecError(f"--tol must be positive and finite, got {tol!r}")
     return cfg
 
 
 def _emit(payload: dict, args, cfg: RunConfig) -> None:
-    path = getattr(args, "json_path", None)
-    text = experiments.write_json(payload, path=path, no_meta=cfg.no_meta)
-    if getattr(args, "csv_path", None) and "rows" in payload:
-        experiments.write_csv(payload["rows"], args.csv_path)
+    try:
+        text = experiments.write_json(payload, path=args.json_path, no_meta=cfg.no_meta)
+        if getattr(args, "csv_path", None) and "rows" in payload:
+            experiments.write_csv(payload["rows"], args.csv_path)
+    except OSError as exc:
+        raise SpecError(f"cannot write output: {exc}") from exc
     print(text)
 
 
@@ -221,7 +223,7 @@ def _cmd_counterexample(args, cfg, quad):
     cs = [float(x) for x in args.c.split(",")]
     deltas = [float(x) for x in args.deltas.split(",")]
     res = experiments.run_counterexample(
-        cs=cs, deltas=deltas, eps=args.eps, gamma=args.gamma, jobs=cfg.jobs, cfg=quad
+        cs=cs, deltas=deltas, eps=args.eps, gamma=args.gamma, cfg=quad
     )
     if args.verify:
         res["verify"] = _verify_block(
@@ -236,7 +238,7 @@ def _cmd_counterexample(args, cfg, quad):
 
 def _cmd_closed_form(args, cfg, quad):
     ms = tuple(range(0, args.m_max + 1))
-    res = experiments.run_closed_form(ms=ms, jobs=cfg.jobs, cfg=quad)
+    res = experiments.run_closed_form(ms=ms, cfg=quad)
     if args.verify:
         res["verify"] = _verify_block(
             {
@@ -276,9 +278,8 @@ def _add_common(sp):
 
 
 def _add_sweep(sp):
-    # only the sweeps have result rows to write and to spread over workers
+    # only the sweeps have result rows to write
     sp.add_argument("--csv", dest="csv_path", default=None, help="write result rows as CSV")
-    sp.add_argument("--jobs", type=int, default=None, help="parallel workers for row sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:

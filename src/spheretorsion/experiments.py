@@ -1,16 +1,15 @@
 """Reproducible experiment drivers: the three studies behind the validation
 battery, with CSV/JSON emission.
 
-run_counterexample   sup-norm decay vs Dirichlet-energy persistence of the
-                     ridge family (continuity fails without positivity)
-run_closed_form      the singular canonical-metric torsion sweep against the
-                     closed form derived in CONVENTIONS.md section 7, plus
-                     the Quillen-metric law it implies
-run_double_limit     double-sequence Quillen limits, route agreement and
-                     decomposition independence at the canonical point
+run_counterexample      sup-norm decay vs Dirichlet-energy persistence of
+                        the ridge family (continuity fails without positivity)
+run_closed_form         the singular canonical-metric torsion sweep against
+                        the closed form derived in CONVENTIONS.md section 7,
+                        plus the Quillen-metric law it implies
+run_double_limit_study  double-sequence Quillen limits, route agreement and
+                        decomposition independence at the canonical point
 
-All drivers are deterministic; --jobs only parallelizes over independent
-rows with an order-preserving map.
+All drivers are deterministic.
 """
 
 from __future__ import annotations
@@ -144,23 +143,17 @@ def write_csv(rows, path, fieldnames=None):
             wr.writerow({k: (f"{v:.15g}" if isinstance(v, float) else v) for k, v in row.items()})
 
 
-def _map(fn, items, jobs=1):
+def _rows(rows):
     # a verdict over no rows would pass vacuously
-    if not items:
+    if not rows:
         raise ValueError("a sweep needs at least one row")
-    if jobs and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+    return rows
 
 
 # --- counterexample study ---
 
 
-def _cex_row(args):
-    c, delta, eps, gamma, cfg = args
+def _cex_row(c, delta, eps, gamma, cfg):
     pot = counterexample_potential(c, delta, eps=eps, gamma=gamma)
     oracle = counterexample_energy_oracle(pot)
     flat = fubini_study(0)
@@ -204,7 +197,6 @@ def run_counterexample(
     deltas=(1e-2, 1e-3, 1e-4),
     eps=0.2,
     gamma=None,
-    jobs=1,
     cfg: QuadConfig = DEFAULT_QUAD,
 ) -> dict:
     """Uniform convergence of the metrics against persistence of the torsion gap.
@@ -215,7 +207,7 @@ def run_counterexample(
     operator constant M, the L^2 Gram convergence, and the torsion gap with
     its -c^2/2 + M c sqrt(delta) bound.
     """
-    rows = _map(_cex_row, [(c, d, eps, gamma, cfg) for c in cs for d in deltas], jobs=jobs)
+    rows = _rows([_cex_row(c, d, eps, gamma, cfg) for c in cs for d in deltas])
     sup_ok = all(r["sup_over_scale"] <= 2.0 + 1e-12 for r in rows)
     dir_ok = all(r["dirichlet_abs_err"] <= 1e-6 for r in rows)
     bound_ok = all(r["torsion_gap"] <= r["gap_bound"] + 1e-9 for r in rows)
@@ -267,8 +259,7 @@ def _dilation_limit(m, indices, grid_indices, tol, cfg):
     return generalized_quillen_limit(bundles, volumes, indices, grid_indices, tol, cfg=cfg)
 
 
-def _closed_row(args):
-    m, cfg = args
+def _closed_row(m, cfg):
     target = closed_form_target(m)
     direct = quillen(canonical(m), volume_canonical(), cfg=cfg)
     t_direct, g_can = direct.torsion, direct.gram
@@ -288,7 +279,7 @@ def _closed_row(args):
     }
 
 
-def run_closed_form(ms=tuple(range(0, 6)), jobs=1, cfg: QuadConfig = DEFAULT_QUAD) -> dict:
+def run_closed_form(ms=tuple(range(0, 6)), cfg: QuadConfig = DEFAULT_QUAD) -> dict:
     """Sweep the canonical-metric torsion against its closed form.
 
     Reports both computation routes, the deviation of the direct torsion
@@ -296,7 +287,7 @@ def run_closed_form(ms=tuple(range(0, 6)), jobs=1, cfg: QuadConfig = DEFAULT_QUA
     the Quillen-metric law, whose Gillet-Soule-scale value does not depend
     on m.
     """
-    rows = _map(_closed_row, [(m, cfg) for m in ms], jobs=jobs)
+    rows = _rows([_closed_row(m, cfg) for m in ms])
     return {
         "command": "closed-form",
         "inputs": {"ms": list(ms)},

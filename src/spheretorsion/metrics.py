@@ -129,7 +129,10 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
         raise ValueError(f"zhang iterate needs p >= 2, got {p}")
     if n < 0:
         raise ValueError(f"zhang iterate needs n >= 0, got {n}")
-    lam = float(p) ** n
+    try:
+        lam = float(p) ** n
+    except OverflowError:
+        raise ValueError(f"zhang iterate scale p^n = {p}^{n} overflows a float") from None
     dens = base.curvature_density
     splits = sorted(
         set(k / lam for k in base.kinks) | set(_concentration_splits(lam))
@@ -156,8 +159,8 @@ def lse(m: int, a: float) -> RadialPotential:
     k = 0..9, as the dilation iterates.
     """
     m, a = int(m), float(a)
-    if a <= 0:
-        raise ValueError(f"lse sharpness must be positive, got {a}")
+    if not (a > 0 and math.isfinite(a)):
+        raise ValueError(f"lse sharpness must be positive and finite, got {a}")
     return RadialPotential(
         degree=m,
         phi=lambda t, _m=m, _a=a: (_m / _a) * _softplus(_a * np.asarray(t)),
@@ -177,8 +180,8 @@ def mollified_max(m: int, eps: float) -> RadialPotential:
     Curvature density is the bump itself, so positivity is manifest.
     """
     m, eps = int(m), float(eps)
-    if eps <= 0:
-        raise ValueError(f"mollifier width must be positive, got {eps}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"mollifier width must be positive and finite, got {eps}")
 
     # P and Q in Horner form in x^2, with no float pow
     def _P(x, x2):
@@ -305,8 +308,8 @@ class CounterexampleParams:
     gamma: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"need c > 0, got c={self.c}")
+        if not (self.c > 0 and math.isfinite(self.c)):
+            raise ValueError(f"need finite c > 0, got c={self.c}")
         if not 0 < self.eps < 0.5:
             raise ValueError(f"need 0 < eps < 1/2, got eps={self.eps}")
         if not 0 < self.delta < self.eps / 4:

@@ -110,16 +110,16 @@ _GRADED = np.array([0.0, 1 / 16, 1 / 8, 3 / 16, 1 / 4, 1 / 2, 3 / 4, 1.0])
 _PER = len(_GRADED) - 1
 
 
-def _clean_splits(splits, lo, hi):
-    """The sorted split points strictly inside (lo, hi), as an array.
+def _clean_splits(splits):
+    """The sorted finite split points, as an array.
 
     A point at most 1e-13 max(1, |p|) above its sorted predecessor is
     dropped, since near-duplicate breakpoints only add panels. The
     predecessor counts whether it is kept or not, so a chain of such
     points collapses to its first.
     """
-    pts = np.sort(np.asarray(splits, dtype=float))
-    pts = pts[pts.searchsorted(lo, "right") : pts.searchsorted(hi)]
+    pts = np.asarray(splits, dtype=float)
+    pts = np.sort(pts[np.isfinite(pts)])
     if pts.size < 2:  # no point has a predecessor to duplicate
         return pts
     far = np.ones(pts.size, dtype=bool)
@@ -127,33 +127,29 @@ def _clean_splits(splits, lo, hi):
     return pts[far]
 
 
-def _first_pass(pts, lo, hi):
-    """The first-pass table of [lo, hi] cut at the cleaned split points pts.
+def _first_pass(pts):
+    """The first-pass table of the line cut at the cleaned split points pts.
 
-    Returns (iv, panel, nf, half): iv has one column per subinterval, rows
-    as quad reads them: the nf finite panels, then the `half` mapped half
-    lines beyond the outermost finite edges, each cut at the u-edges
-    _GRADED: the cuts the first two rounds nearly always make, since a tail
-    decaying like e^{-c|t|} reads e^{-c(1-u)/u}/u^2 in u. panel holds the
-    panel of each column: the finite panels, then the half lines. A whole
-    line with no splits is cut at 0.
+    Returns (iv, panel, nf): iv has one column per subinterval, rows as
+    quad reads them: the nf finite panels between the split points, then
+    the two mapped half lines beyond the outermost ones, each cut at the
+    u-edges _GRADED: the cuts the first two rounds nearly always make,
+    since a tail decaying like e^{-c|t|} reads e^{-c(1-u)/u}/u^2 in u.
+    panel holds the panel of each column: the finite panels, then the half
+    lines. A line with no splits is cut at 0.
     """
-    left, right = lo == -math.inf, hi == math.inf
-    if not pts.size and left and right:
+    if not pts.size:
         pts = np.zeros(1)
-    edges = np.concatenate(([lo], pts, [hi]))[left : pts.size + 2 - right]
-    nf, half = edges.size - 1, left + right
-    iv = np.zeros((4, nf + _PER * half))
-    iv[0, :nf], iv[1, :nf] = edges[:-1], edges[1:]
-    graded = iv[:, nf:].reshape(4, half, _PER)
+    nf = pts.size - 1
+    iv = np.zeros((4, nf + 2 * _PER))
+    iv[0, :nf], iv[1, :nf] = pts[:-1], pts[1:]
+    graded = iv[:, nf:].reshape(4, 2, _PER)
     graded[0], graded[1] = _GRADED[:-1], _GRADED[1:]
-    if left:
-        graded[2, 0], graded[3, 0] = -1.0, edges[0]
-    if right:
-        graded[2, -1], graded[3, -1] = 1.0, edges[-1]
+    graded[2, 0], graded[3, 0] = -1.0, pts[0]
+    graded[2, 1], graded[3, 1] = 1.0, pts[-1]
     panel = np.arange(iv.shape[1])
     panel[nf:], panel[nf + _PER :] = nf, nf + 1
-    return iv, panel, nf, half
+    return iv, panel, nf
 
 
 def _cuts(a, b):
@@ -246,7 +242,7 @@ def quad(f, iv):
 # every call on a smooth metric, and quad's nodes and dt/du for it: built
 # once and read-only, so each such call reuses them, while refinement and
 # the fall-back pass merge into new arrays
-_UNSPLIT = _first_pass(np.zeros(0), -math.inf, math.inf)
+_UNSPLIT = _first_pass(np.zeros(0))
 _UNSPLIT_IV = _UNSPLIT[0]
 _UNSPLIT_NODES = _nodes(_UNSPLIT_IV)
 for _a in (*_UNSPLIT[:2], *_UNSPLIT_NODES):
@@ -281,8 +277,8 @@ def _refine(cuts, panel, err, floor, tol, short):
     return sel
 
 
-def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
-    """Integrate f(t) dt over the line (or over `support`), splitting at knots.
+def integrate_line(f, splits=(), cfg: QuadConfig = DEFAULT_QUAD):
+    """Integrate f(t) dt over the line, splitting at knots.
 
     f takes an array of N nodes and returns N values, or shape (K, N) for K
     integrands sharing the evaluation; then the value has shape (K,). The
@@ -290,46 +286,38 @@ def integrate_line(f, splits=(), support=None, cfg: QuadConfig = DEFAULT_QUAD):
     an array it keeps between calls. The first pass evaluates every finite
     panel whole and, speculatively, each mapped half line already graded:
     four equal u-parts, the outermost (u in [0, 1/4]) cut into four equal
-    parts again, seven in all; a pass holding such parts runs with numpy's
-    overflow and invalid-value warnings off. A half line keeps its parts
-    when every one of them is finite; otherwise one more pass evaluates it
-    whole, under the caller's numpy error settings, as if the cut had not
-    been tried, so a tail the integrand cannot evaluate (0 * inf where e^t
-    overflows, say) is entered only where the estimate asks for it. Each
-    round then cuts the subintervals holding the most error into four equal
-    parts until the summed estimate meets max(_EPSABS, _EPSREL |I|) for every
-    component, no subinterval above the rounding floor is left, or no panel
-    between splits has room for three more subintervals under _LIMIT. A
-    whole line with no splits is cut at 0; its table, the one of every
-    whole-line call whose splits are all 0, is built once at import.
+    parts again, seven in all; it runs with numpy's overflow and
+    invalid-value warnings off. A half line keeps its parts when every one
+    of them is finite; otherwise one more pass evaluates it whole, under
+    the caller's numpy error settings, as if the cut had not been tried, so
+    a tail the integrand cannot evaluate (0 * inf where e^t overflows, say)
+    is entered only where the estimate asks for it. Each round then cuts
+    the subintervals holding the most error into four equal parts until the
+    summed estimate meets max(_EPSABS, _EPSREL |I|) for every component, no
+    subinterval above the rounding floor is left, or no panel between
+    splits has room for three more subintervals under _LIMIT. A line with
+    no splits is cut at 0; its table, the one of every call whose splits
+    are all 0, is built once at import.
 
     Returns (value, err), err an ErrorEstimate: the estimate summed over all
     panels, with err.parts the sum per component. Raises NumericalError
-    when err exceeds cfg.fail_tol or the value is not finite. An empty
-    support gives zeros shaped like f(np.empty(0)) without its last axis.
+    when err exceeds cfg.fail_tol or the value is not finite.
     """
-    if support is None:
-        lo, hi = -math.inf, math.inf
+    if not any(splits):
+        iv, panel, nf = _UNSPLIT
     else:
-        lo, hi = float(support[0]), float(support[1])
-        if not lo < hi:
-            zero = np.zeros(np.shape(f(np.empty(0)))[:-1])
-            return (float(zero) if zero.ndim == 0 else zero), ErrorEstimate(zero)
-    if lo == -math.inf and hi == math.inf and not any(splits):
-        iv, panel, nf, half = _UNSPLIT
-    else:
-        iv, panel, nf, half = _first_pass(_clean_splits(splits, lo, hi), lo, hi)
+        iv, panel, nf = _first_pass(_clean_splits(splits))
     # a half line whose parts are not all finite is evaluated uncut instead,
     # at the cost of one more pass, so a tail the integrand cannot reach is
     # only entered where the estimate asks for it. The nodes it throws away
     # may overflow, so that pass is silent about it; a non-finite value
     # that is kept still ends in the "diverged" error below.
-    with np.errstate(over="ignore", invalid="ignore") if half else np.errstate():
+    with np.errstate(over="ignore", invalid="ignore"):
         val, err, floor = quad(f, iv)
     # a part is at most 1/4 wide in u and its estimate is floored at 50 eps
     # times the rule on |f|, so a finite estimate implies a finite value
-    if half and not np.isfinite(err[..., nf:]).all():
-        ok = np.isfinite(err[..., nf:]).reshape(-1, half, _PER).all(axis=(0, 2))
+    if not np.isfinite(err[..., nf:]).all():
+        ok = np.isfinite(err[..., nf:]).reshape(-1, 2, _PER).all(axis=(0, 2))
         whole = iv[:, nf::_PER][:, ~ok]
         whole[0], whole[1] = 0.0, 1.0
         keep = np.concatenate((np.ones(nf, dtype=bool), ok.repeat(_PER)))

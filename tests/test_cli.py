@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from spheretorsion import cli
+from spheretorsion import cli, quadrature
 from spheretorsion.cli import ENV_CONFIG, main
 
 from conftest import LOG2, ZPRIME_UNIT
@@ -256,20 +256,37 @@ def test_exit_2_on_an_empty_sweep(capsys):
             {"command": ["zhang", "--base", "fs:2"], "argv": ["--quad-tol", "-1"]},
             id="zhang-negative-quad-tol",
         ),
-        # a worker count below 1 is refused, not quietly run serially
-        pytest.param(
-            {"command": ["counterexample", "--deltas", "1e-2"], "argv": ["--jobs", "0"]},
-            id="zero-jobs",
-        ),
+        # jobs is no config key: refused, not ignored
         pytest.param({"config": '{"jobs": 0}'}, id="zero-jobs-config"),
-        pytest.param(
-            {"command": ["closed-form", "--m-max", "0"], "argv": ["--jobs", "-3"]},
-            id="closed-form-negative-jobs",
-        ),
         pytest.param(
             {"command": ["closed-form", "--m-max", "0"], "config": '{"jobs": -3}'},
             id="closed-form-negative-jobs-config",
         ),
+        pytest.param({"config": '{"jobs": 1}', "says": "unknown config key"}, id="jobs-config"),
+        # catalog parameters that are not finite
+        pytest.param({"metric": "lse:m=2,a=nan"}, id="nan-lse-sharpness"),
+        pytest.param({"metric": "mollmax:m=2,eps=inf"}, id="inf-mollifier-width"),
+        pytest.param({"metric": "cex:c=inf,delta=1e-3"}, id="inf-cex-height"),
+        pytest.param({"metric": "zhang:base=fs:2,p=2,n=1100"}, id="overflowing-zhang-spec"),
+        pytest.param(
+            {"command": ["zhang", "--base", "fs:2", "--n", "1100"]}, id="overflowing-zhang"
+        ),
+        # an output path that cannot be written, named in the one line
+        pytest.param(
+            {"metric": "fs:2", "argv": ["--json", "absent/x.json"], "says": "absent/x.json"},
+            id="unwritable-json",
+        ),
+        pytest.param(
+            {
+                "command": ["closed-form", "--m-max", "0"],
+                "argv": ["--csv", "absent/x.csv"],
+                "says": "absent/x.csv",
+            },
+            id="unwritable-csv",
+        ),
+        # a study's tolerance must be positive and finite, as the budget is
+        pytest.param({"command": ["bt-check", "--tol", "0"]}, id="zero-bt-tol"),
+        pytest.param({"command": ["double-limit", "--tol", "inf"]}, id="inf-double-limit-tol"),
     ],
 )
 def test_exit_2_on_bad_outside_input(capsys, tmp_path, monkeypatch, case):
@@ -284,6 +301,7 @@ def test_exit_2_on_bad_outside_input(capsys, tmp_path, monkeypatch, case):
         monkeypatch.setenv(ENV_CONFIG, case["env"])
     rc, out, err = run(capsys, *argv, *case.get("argv", ()))
     assert rc == 2 and out == "" and len(err.splitlines()) == 1, err
+    assert case.get("says", "") in err
 
 
 def test_exit_3_on_impossible_budget(capsys):
@@ -376,7 +394,8 @@ def test_closed_form_csv_rows(capsys, tmp_path):
     assert [int(r.split(",")[col]) for r in rows] == [r["m"] for r in doc["rows"]] == [0, 1]
 
 
-NOT_SWEEPS = [argv for argv in INTEGRATING if argv[0] not in ("counterexample", "closed-form")]
+SWEEPS = [argv for argv in INTEGRATING if argv[0] in ("counterexample", "closed-form")]
+NOT_SWEEPS = [argv for argv in INTEGRATING if argv not in SWEEPS]
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--jobs"])
@@ -384,11 +403,31 @@ NOT_SWEEPS = [argv for argv in INTEGRATING if argv[0] not in ("counterexample", 
     "argv", NOT_SWEEPS + [("zhang", "--base", "fs:2")], ids=lambda a: "-".join(a[:3:2])
 )
 def test_only_the_sweeps_take_csv_and_jobs(capsys, tmp_path, argv, flag):
-    # a subcommand with no rows refuses the flags rather than ignoring them
+    # a subcommand with no rows refuses the flags rather than ignoring them;
+    # no subcommand takes --jobs (the sweeps: below)
     p = tmp_path / "rows.csv"
     rc, out, err = run(capsys, *argv, flag, str(p) if flag == "--csv" else "2", "--no-meta")
     assert rc == 2 and out == "" and f"unrecognized arguments: {flag}" in err
     assert not p.exists()
+
+
+@pytest.mark.parametrize("argv", SWEEPS, ids=lambda a: a[0])
+def test_the_sweeps_take_no_jobs(capsys, argv):
+    # every row runs in process; there is no worker count to set
+    rc, out, err = run(capsys, *argv, "--jobs", "2", "--no-meta")
+    assert rc == 2 and out == "" and "unrecognized arguments: --jobs" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("bt-check", "--tol", "-1"), ("double-limit", "--tol", "nan")], ids=lambda a: a[0]
+)
+def test_a_bad_study_tol_is_refused_before_any_kernel_call(capsys, monkeypatch, argv):
+    def no_kernel(f, iv):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(quadrature, "quad", no_kernel)
+    rc, out, err = run(capsys, *argv, "--verify", "--no-meta")
+    assert rc == 2 and out == "" and "--tol must be positive and finite" in err
 
 
 # --- config handling ---

@@ -25,7 +25,6 @@ from spheretorsion import (
     zhang_iterate,
 )
 from spheretorsion.experiments import (
-    _map,
     _round15,
     canonical_quillen_law,
     closed_form_target,
@@ -265,8 +264,3 @@ def test_write_csv_round_trip(tmp_path):
     assert "extra" not in back[0]
     write_csv([], str(tmp_path / "empty.csv"))
     assert not (tmp_path / "empty.csv").exists()
-
-
-def test_map_serial_and_parallel():
-    assert _map(str, [1, 2]) == ["1", "2"]
-    assert _map(math.sqrt, [1.0, 4.0], jobs=2) == [1.0, 2.0]

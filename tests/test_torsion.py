@@ -239,11 +239,13 @@ def test_runtime_depends_on_numpy_only():
 
 
 def test_cli_call_does_not_load_process_pool():
-    # only --jobs > 1 needs a pool; a plain call must not pay for its import
+    # every call, the two sweeps included, runs in process
     code = (
         "import sys\n"
         "from spheretorsion import cli\n"
         "assert cli.main(['torsion', '--metric', 'fs:20', '--no-meta']) == 0\n"
+        "assert cli.main(['closed-form', '--m-max', '1', '--no-meta']) == 0\n"
+        "assert cli.main(['counterexample', '--deltas', '1e-2', '--no-meta']) == 0\n"
         "pool = ('concurrent.futures.process', 'multiprocessing')\n"
         "loaded = [m for m in pool if m in sys.modules]\n"
         "assert not loaded, loaded\n"
