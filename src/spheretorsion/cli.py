@@ -5,17 +5,22 @@ closed-form, double-limit, bt-check. Metrics and volumes use the mini
 language of metrics.parse_spec / parse_volume. Output is JSON on stdout
 (floats at 15 significant digits); --json / --csv write files; --no-meta
 drops the timestamped meta block for byte-identical reruns. Only the
-sweeps, counterexample and closed-form, take --csv.
+sweeps, counterexample and closed-form, take --csv. A reader that closes
+stdout early (| head) ends the output without a traceback.
+
+Every integral runs on one fixed quadrature failure budget,
+quadrature.DEFAULT_QUAD.fail_tol = 5e-8; nothing on the command line or
+in the environment changes it.
 
 Exit codes: 0 ok, 1 a --verify verdict failed, 2 usage or spec error,
-3 numerical failure.
+3 numerical failure (an integral over the budget, a result that is not
+finite).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -33,66 +38,24 @@ from .metrics import (
     sup_distance,
     zhang_iterate,
 )
-from .quadrature import NumericalError, QuadConfig
+from .quadrature import NumericalError
 from .radial import measure_mass
 from .torsion import bundle_anomaly, quillen, torsion, volume_anomaly
 
-ENV_CONFIG = "SPHERETORSION_CONFIG"
 
-
-@dataclasses.dataclass
-class RunConfig:
-    quad_fail_tol: float = 5e-8
-    no_meta: bool = False
-
-
-def _load_config(path):
-    """The RunConfig of a JSON object file; SpecError on anything else in it."""
-    cfg = RunConfig()
-    if path is None:
-        path = os.environ.get(ENV_CONFIG)
-    if not path:
-        return cfg
+def _emit(payload: dict, args) -> None:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SpecError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SpecError(f"config {path} must hold a JSON object, got {type(data).__name__}")
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
-    for key, value in data.items():
-        if key not in kinds:
-            raise SpecError(f"unknown config key {key!r}, expected one of {sorted(kinds)}")
-        want = kinds[key]
-        # a JSON integer is a valid float; a boolean is never a number
-        if not (type(value) is want or (want is float and type(value) is int)):
-            raise SpecError(f"config key {key!r} must be of type {want.__name__}, got {value!r}")
-        setattr(cfg, key, value)
-    return cfg
-
-
-def _merge_cli(cfg: RunConfig, args) -> RunConfig:
-    # precedence: CLI flags over config file over defaults
-    if getattr(args, "quad_tol", None) is not None:
-        cfg.quad_fail_tol = args.quad_tol
-    if getattr(args, "no_meta", False):
-        cfg.no_meta = True
-    # a study's tolerance, refused before any kernel call like a bad budget
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (tol > 0 and math.isfinite(tol)):
-        raise SpecError(f"--tol must be positive and finite, got {tol!r}")
-    return cfg
-
-
-def _emit(payload: dict, args, cfg: RunConfig) -> None:
-    try:
-        text = experiments.write_json(payload, path=args.json_path, no_meta=cfg.no_meta)
+        text = experiments.write_json(payload, path=args.json_path, no_meta=args.no_meta)
         if getattr(args, "csv_path", None) and "rows" in payload:
             experiments.write_csv(payload["rows"], args.csv_path)
     except OSError as exc:
         raise SpecError(f"cannot write output: {exc}") from exc
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left early (| head): as the Python docs advise, point
+        # stdout at devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _verify_block(checks: dict) -> dict:
@@ -102,17 +65,17 @@ def _verify_block(checks: dict) -> dict:
 # --- subcommand handlers ---
 
 
-def _cmd_torsion(args, cfg, quad):
+def _cmd_torsion(args):
     p = parse_spec(args.metric)
     w = parse_volume(args.volume)
-    res = torsion(p, w, cfg=quad)
+    res = torsion(p, w)
     payload = {
         "command": "torsion",
         "inputs": {"metric": args.metric, "volume": args.volume},
         "results": dataclasses.asdict(res),
     }
     if args.verify:
-        mass = measure_mass(p, cfg=quad)
+        mass = measure_mass(p)
         checks = {
             "mass_equals_degree_1e-9": abs(mass - p.degree) <= 1e-9,
             "error_budget": res.err <= 1e-6,
@@ -121,10 +84,10 @@ def _cmd_torsion(args, cfg, quad):
     return payload
 
 
-def _cmd_quillen(args, cfg, quad):
+def _cmd_quillen(args):
     p = parse_spec(args.metric)
     w = parse_volume(args.volume)
-    res = quillen(p, w, cfg=quad)
+    res = quillen(p, w)
     payload = {
         "command": "quillen",
         "inputs": {"metric": args.metric, "volume": args.volume},
@@ -133,17 +96,17 @@ def _cmd_quillen(args, cfg, quad):
     if args.verify:
         # the anomaly identity at this point against the reference metric
         ref = fubini_study(p.degree)
-        lhs = res.log_quillen - quillen(ref, w, cfg=quad).log_quillen
-        rhs = -bundle_anomaly(p, ref, w, cfg=quad).value
+        lhs = res.log_quillen - quillen(ref, w).log_quillen
+        rhs = -bundle_anomaly(p, ref, w).value
         checks = {"anomaly_identity_1e-8": abs(lhs - rhs) <= 1e-8}
         payload["verify"] = _verify_block(checks)
     return payload
 
 
-def _cmd_gram(args, cfg, quad):
+def _cmd_gram(args):
     p = parse_spec(args.metric)
     w = parse_volume(args.volume)
-    g = gram(p, w, cfg=quad)
+    g = gram(p, w)
     payload = {
         "command": "gram",
         "inputs": {"metric": args.metric, "volume": args.volume},
@@ -161,19 +124,19 @@ def _cmd_gram(args, cfg, quad):
     return payload
 
 
-def _cmd_anomaly(args, cfg, quad):
+def _cmd_anomaly(args):
     if args.kind == "bundle":
         if not args.metric2:
             raise SpecError("bundle anomaly needs --metric2")
         x, y = parse_spec(args.metric), parse_spec(args.metric2)
         w = parse_volume(args.volume)
-        anomaly = lambda a, b: bundle_anomaly(a, b, w, cfg=quad)
+        anomaly = lambda a, b: bundle_anomaly(a, b, w)
     elif args.kind == "volume":
         if not args.volume2:
             raise SpecError("volume anomaly needs --volume2")
         p = parse_spec(args.metric)
         x, y = parse_volume(args.volume), parse_volume(args.volume2)
-        anomaly = lambda a, b: volume_anomaly(p, a, b, cfg=quad)
+        anomaly = lambda a, b: volume_anomaly(p, a, b)
     else:
         raise SpecError(f"unknown anomaly kind {args.kind!r}")
     term = anomaly(x, y)
@@ -196,7 +159,7 @@ def _cmd_anomaly(args, cfg, quad):
     return payload
 
 
-def _cmd_zhang(args, cfg, quad):
+def _cmd_zhang(args):
     base = parse_spec(args.base)
     it = zhang_iterate(base, args.p, args.n)
     limit = canonical(base.degree)
@@ -219,12 +182,10 @@ def _cmd_zhang(args, cfg, quad):
     return payload
 
 
-def _cmd_counterexample(args, cfg, quad):
+def _cmd_counterexample(args):
     cs = [float(x) for x in args.c.split(",")]
     deltas = [float(x) for x in args.deltas.split(",")]
-    res = experiments.run_counterexample(
-        cs=cs, deltas=deltas, eps=args.eps, gamma=args.gamma, cfg=quad
-    )
+    res = experiments.run_counterexample(cs=cs, deltas=deltas, eps=args.eps, gamma=args.gamma)
     if args.verify:
         res["verify"] = _verify_block(
             {
@@ -236,9 +197,9 @@ def _cmd_counterexample(args, cfg, quad):
     return res
 
 
-def _cmd_closed_form(args, cfg, quad):
+def _cmd_closed_form(args):
     ms = tuple(range(0, args.m_max + 1))
-    res = experiments.run_closed_form(ms=ms, cfg=quad)
+    res = experiments.run_closed_form(ms=ms)
     if args.verify:
         res["verify"] = _verify_block(
             {
@@ -250,17 +211,15 @@ def _cmd_closed_form(args, cfg, quad):
     return res
 
 
-def _cmd_double_limit(args, cfg, quad):
-    res = experiments.run_double_limit_study(
-        m=args.m, n_max=args.n_max, tol=args.tol, cfg=quad
-    )
+def _cmd_double_limit(args):
+    res = experiments.run_double_limit_study(m=args.m, n_max=args.n_max, tol=args.tol)
     if args.verify:
         res["verify"] = _verify_block(dict(res["verdicts"]))
     return res
 
 
-def _cmd_bt_check(args, cfg, quad):
-    res = experiments.run_bt_suite(m=args.m, tol=args.tol, cfg=quad)
+def _cmd_bt_check(args):
+    res = experiments.run_bt_suite(m=args.m, tol=args.tol)
     if args.verify:
         res["verify"] = _verify_block(dict(res["verdicts"]))
     return res
@@ -273,8 +232,6 @@ def _add_common(sp):
     sp.add_argument("--verify", action="store_true", help="run built-in checks; exit 1 on failure")
     sp.add_argument("--json", dest="json_path", default=None, help="also write JSON to this path")
     sp.add_argument("--no-meta", action="store_true", help="omit timestamped metadata")
-    sp.add_argument("--quad-tol", type=float, default=None, help="quadrature failure budget")
-    sp.add_argument("--config", default=None, help=f"config JSON (or ${ENV_CONFIG})")
 
 
 def _add_sweep(sp):
@@ -363,11 +320,12 @@ def main(argv=None) -> int:
         # argparse already printed the message; normalize usage errors to 2
         return 0 if exc.code in (0, None) else 2
     try:
-        cfg = _merge_cli(_load_config(args.config), args)
-        # built once, so a bad budget is refused by every subcommand alike
-        quad = QuadConfig(fail_tol=cfg.quad_fail_tol)
-        payload = args.handler(args, cfg, quad)
-        _emit(payload, args, cfg)
+        # a study's tolerance is refused before any kernel call
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (tol > 0 and math.isfinite(tol)):
+            raise SpecError(f"--tol must be positive and finite, got {tol!r}")
+        payload = args.handler(args)
+        _emit(payload, args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from .metrics import (
     volume_fs,
     zhang_iterate,
 )
-from .quadrature import DEFAULT_QUAD, QuadConfig
+from .quadrature import NumericalError
 from .radial import bedford_taylor_check, volume_from_potential
 from .torsion import (
     SPECTRUM_SCALE,
@@ -120,12 +120,20 @@ def _meta():
 
 
 def write_json(obj: dict, path=None, no_meta=False):
+    """obj as indented JSON text, also written to path when given.
+
+    A value that is not finite has no JSON spelling and raises
+    NumericalError, so no document carries NaN or Infinity.
+    """
     out = dict(obj)
     if no_meta:
         out.pop("meta", None)
     else:
         out.setdefault("meta", _meta())
-    text = json.dumps(_round15(out), indent=2, sort_keys=True)
+    try:
+        text = json.dumps(_round15(out), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"a result is not finite: {exc}") from exc
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -153,7 +161,7 @@ def _rows(rows):
 # --- counterexample study ---
 
 
-def _cex_row(c, delta, eps, gamma, cfg):
+def _cex_row(c, delta, eps, gamma):
     pot = counterexample_potential(c, delta, eps=eps, gamma=gamma)
     oracle = counterexample_energy_oracle(pot)
     flat = fubini_study(0)
@@ -161,7 +169,7 @@ def _cex_row(c, delta, eps, gamma, cfg):
     sup = sup_distance(pot, flat)
     # the chain's K(pot, fs_0; omega_fs) is K(pot, flat; w): one kernel call;
     # the flat metric on the round volume is the reference pair at m = 0
-    q, K = _transfer(pot, w, cfg)
+    q, K = _transfer(pot, w)
     t_cex, g, t_flat = q.torsion, q.gram, fs_reference_torsion(0)
     scale = c * math.sqrt(delta)
     m_delta = abs(K.diagnostics["pair_todd"]) / scale
@@ -197,7 +205,6 @@ def run_counterexample(
     deltas=(1e-2, 1e-3, 1e-4),
     eps=0.2,
     gamma=None,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> dict:
     """Uniform convergence of the metrics against persistence of the torsion gap.
 
@@ -207,7 +214,7 @@ def run_counterexample(
     operator constant M, the L^2 Gram convergence, and the torsion gap with
     its -c^2/2 + M c sqrt(delta) bound.
     """
-    rows = _rows([_cex_row(c, d, eps, gamma, cfg) for c in cs for d in deltas])
+    rows = _rows([_cex_row(c, d, eps, gamma) for c in cs for d in deltas])
     sup_ok = all(r["sup_over_scale"] <= 2.0 + 1e-12 for r in rows)
     dir_ok = all(r["dirichlet_abs_err"] <= 1e-6 for r in rows)
     bound_ok = all(r["torsion_gap"] <= r["gap_bound"] + 1e-9 for r in rows)
@@ -247,23 +254,22 @@ def run_counterexample(
 
 
 @functools.lru_cache(maxsize=None)
-def _dilation_volume(n, cfg):
-    # the volume family is the same for every m; built once per process and cfg
-    return volume_from_potential(zhang_iterate(fubini_study(2), 2, n), cfg=cfg)
+def _dilation_volume(n):
+    # the volume family is the same for every m; built once per process
+    return volume_from_potential(zhang_iterate(fubini_study(2), 2, n))
 
 
-def _dilation_limit(m, indices, grid_indices, tol, cfg):
+def _dilation_limit(m, indices, grid_indices, tol):
     """Quillen limit along the dilation iterates of fs_m and of the fs volume."""
     bundles = lambda n: zhang_iterate(fubini_study(m), 2, n)
-    volumes = lambda n: _dilation_volume(n, cfg)
-    return generalized_quillen_limit(bundles, volumes, indices, grid_indices, tol, cfg=cfg)
+    return generalized_quillen_limit(bundles, _dilation_volume, indices, grid_indices, tol)
 
 
-def _closed_row(m, cfg):
+def _closed_row(m):
     target = closed_form_target(m)
-    direct = quillen(canonical(m), volume_canonical(), cfg=cfg)
+    direct = quillen(canonical(m), volume_canonical())
     t_direct, g_can = direct.torsion, direct.gram
-    lim = _dilation_limit(m, tuple(range(0, 33, 2)), (), 1e-6, cfg)
+    lim = _dilation_limit(m, tuple(range(0, 33, 2)), (), 1e-6)
     t_general = lim.value - g_can.log_det
     law = canonical_quillen_law(m)
     return {
@@ -279,7 +285,7 @@ def _closed_row(m, cfg):
     }
 
 
-def run_closed_form(ms=tuple(range(0, 6)), cfg: QuadConfig = DEFAULT_QUAD) -> dict:
+def run_closed_form(ms=tuple(range(0, 6))) -> dict:
     """Sweep the canonical-metric torsion against its closed form.
 
     Reports both computation routes, the deviation of the direct torsion
@@ -287,7 +293,7 @@ def run_closed_form(ms=tuple(range(0, 6)), cfg: QuadConfig = DEFAULT_QUAD) -> di
     the Quillen-metric law, whose Gillet-Soule-scale value does not depend
     on m.
     """
-    rows = _rows([_closed_row(m, cfg) for m in ms])
+    rows = _rows([_closed_row(m) for m in ms])
     return {
         "command": "closed-form",
         "inputs": {"ms": list(ms)},
@@ -305,9 +311,7 @@ def run_closed_form(ms=tuple(range(0, 6)), cfg: QuadConfig = DEFAULT_QUAD) -> di
 # --- double limit study ---
 
 
-def run_double_limit_study(
-    m: int = 1, n_max: int = 32, tol: float = 1e-6, cfg: QuadConfig = DEFAULT_QUAD
-) -> dict:
+def run_double_limit_study(m: int = 1, n_max: int = 32, tol: float = 1e-6) -> dict:
     """Route agreement at the canonical point of O(m) over the singular volume.
 
     (a) double-sequence Quillen limit along dilation iterates, (b) direct
@@ -315,8 +319,8 @@ def run_double_limit_study(
     positive decompositions of the volume potential. All four numbers must
     coincide within tol, and the diagonal must be Cauchy at tol.
     """
-    lim = _dilation_limit(m, tuple(range(0, n_max + 1, 2)), tuple(range(0, 6)), tol, cfg)
-    direct_q = quillen(canonical(m), volume_canonical(), cfg=cfg)
+    lim = _dilation_limit(m, tuple(range(0, n_max + 1, 2)), tuple(range(0, 6)), tol)
+    direct_q = quillen(canonical(m), volume_canonical())
     t_direct = direct_q.torsion.value
 
     decomp_a = (
@@ -328,7 +332,7 @@ def run_double_limit_study(
         lambda n: lse(2, 2.0 * 3.0**n),
     )
     curve = generalized_torsion_curve(
-        canonical(m), [decomp_a, decomp_b], indices=tuple(range(2, 31, 2)), tol=tol, cfg=cfg
+        canonical(m), [decomp_a, decomp_b], indices=tuple(range(2, 31, 2)), tol=tol
     )
     decomposition_vs_direct = max(abs(v - t_direct) for v in curve["limits"])
     return {
@@ -375,7 +379,7 @@ def _bt_test_functions():
     return {"gauss": gauss, "bump": bump, "sech": sech}
 
 
-def run_bt_suite(m: int = 1, tol: float = 1e-7, cfg: QuadConfig = DEFAULT_QUAD) -> dict:
+def run_bt_suite(m: int = 1, tol: float = 1e-7) -> dict:
     """Weak-* convergence of curvature measures: three families, three tests.
 
     Dilation iterates, soft-max sharpening and mollified-max all converge to
@@ -392,7 +396,7 @@ def run_bt_suite(m: int = 1, tol: float = 1e-7, cfg: QuadConfig = DEFAULT_QUAD) 
     reports = {}
     for fam_name, (fam, idx) in families.items():
         for fn_name, fn in tests.items():
-            rep = bedford_taylor_check(fam, limit, fn, indices=idx, tol=tol, cfg=cfg)
+            rep = bedford_taylor_check(fam, limit, fn, indices=idx, tol=tol)
             reports[f"{fam_name}/{fn_name}"] = rep
     ok = all(r.verdict == "converged" and r.gaps[-1] < tol for r in reports.values())
     return {

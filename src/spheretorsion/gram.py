@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUAD, QuadConfig
 from .radial import ConvergenceReport, RadialPotential, VolumeForm, _normed_pairings
 
 
@@ -35,11 +34,11 @@ class GramData:
     err: float  # bounds the error of log_det
 
 
-def gram(p: RadialPotential, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> GramData:
+def gram(p: RadialPotential, w: VolumeForm) -> GramData:
     """Diagonal Gram entries of the monomial basis, by quadrature."""
     if p.degree < 0:
         raise ValueError(f"Gram data needs degree >= 0, got {p.degree}")
-    ((raw, parts),), (norm,) = _normed_pairings([_gram_rows(p, w)], (w,), cfg)
+    ((raw, parts),), (norm,) = _normed_pairings([_gram_rows(p, w)], (w,))
     return _gram_data(raw, parts, *norm)
 
 
@@ -122,7 +121,6 @@ def gram_convergence(
     target: GramData,
     indices=tuple(range(1, 9)),
     tol: float = 1e-8,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> ConvergenceReport:
     """Convergence of log-determinants along an approximating family.
 
@@ -130,6 +128,6 @@ def gram_convergence(
     makes this a Lipschitz functional of the potential, so uniform
     convergence of potentials forces the verdict here.
     """
-    vals = [gram(family(n), w, cfg=cfg).log_det for n in indices]
+    vals = [gram(family(n), w).log_det for n in indices]
     msg = "log det Gram vs target, tol={tol:g}"
     return ConvergenceReport.of(indices, vals, tol, msg, target.log_det)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import NumericalError
 from .radial import (
     REGULARITIES,
     RadialPotential,
@@ -266,12 +267,25 @@ def sup_distance(p1: RadialPotential, p2: RadialPotential, t_range=(-60.0, 60.0)
 
     Grid scan with geometric clustering around kinks (glue windows can be
     as narrow as the delta parameter of the counterexample family), then
-    local refinement around the incumbent maximum.
+    local refinement around the incumbent maximum. A difference that is not
+    finite at a scanned point (a potential overflowing there) raises
+    NumericalError.
     """
     if p1.degree != p2.degree:
         raise ValueError(
             f"sup distance needs equal degrees, got {p1.degree} and {p2.degree}"
         )
+
+    def gap(t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.abs(np.asarray(p1.phi(t), dtype=float) - np.asarray(p2.phi(t), dtype=float))
+        if not np.isfinite(d).all():
+            raise NumericalError(
+                f"sup distance of {p1.label or 'anonymous'} and {p2.label or 'anonymous'} "
+                "is not finite on the scanned grid"
+            )
+        return d
+
     pts = [np.linspace(t_range[0], t_range[1], 8001)]
     for k in sorted(set(p1.kinks) | set(p2.kinks)):
         offs = np.geomspace(1e-9, 1.0, 46)
@@ -282,14 +296,14 @@ def sup_distance(p1: RadialPotential, p2: RadialPotential, t_range=(-60.0, 60.0)
     ts = np.sort(np.concatenate(pts))
     ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
     ts = ts[(ts >= t_range[0]) & (ts <= t_range[1])]
-    diff = np.abs(np.asarray(p1.phi(ts), dtype=float) - np.asarray(p2.phi(ts), dtype=float))
+    diff = gap(ts)
     i = int(np.argmax(diff))
     best = float(diff[i])
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, len(ts) - 1)]
     for _ in range(4):
         loc = np.linspace(lo, hi, 401)
-        d = np.abs(np.asarray(p1.phi(loc), dtype=float) - np.asarray(p2.phi(loc), dtype=float))
+        d = gap(loc)
         j = int(np.argmax(d))
         best = max(best, float(d[j]))
         lo = loc[max(j - 1, 0)]

@@ -22,7 +22,6 @@ metric, is built once at import with its nodes and dt/du, read-only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +51,9 @@ class QuadConfig:
     # hard budget on the summed error estimate of one integrate_line call
     fail_tol: float = 5e-8
 
-    def __post_init__(self):
-        if not (self.fail_tol > 0 and math.isfinite(self.fail_tol)):
-            raise ValueError(f"fail_tol must be positive and finite, got {self.fail_tol!r}")
 
-
+# the one failure budget of every integral, a constant as _EPSABS below is;
+# integrate_line reads DEFAULT_QUAD.fail_tol when it is called
 DEFAULT_QUAD = QuadConfig()
 
 # the stop rule: each component's summed estimate meets max(_EPSABS, _EPSREL |I|)
@@ -277,7 +274,7 @@ def _refine(cuts, panel, err, floor, tol, short):
     return sel
 
 
-def integrate_line(f, splits=(), cfg: QuadConfig = DEFAULT_QUAD):
+def integrate_line(f, splits=()):
     """Integrate f(t) dt over the line, splitting at knots.
 
     f takes an array of N nodes and returns N values, or shape (K, N) for K
@@ -301,7 +298,7 @@ def integrate_line(f, splits=(), cfg: QuadConfig = DEFAULT_QUAD):
 
     Returns (value, err), err an ErrorEstimate: the estimate summed over all
     panels, with err.parts the sum per component. Raises NumericalError
-    when err exceeds cfg.fail_tol or the value is not finite.
+    when err exceeds DEFAULT_QUAD.fail_tol or the value is not finite.
     """
     if not any(splits):
         iv, panel, nf = _UNSPLIT
@@ -341,9 +338,7 @@ def integrate_line(f, splits=(), cfg: QuadConfig = DEFAULT_QUAD):
         keep = ~sel
         iv, panel = _merge(iv, keep, parts), _merge(panel, keep, np.repeat(panel[sel], _SPLIT))
         val, err, floor = _merge(val, keep, v), _merge(err, keep, e), _merge(floor, keep, fl)
-    err = ErrorEstimate(est)
-    if not err <= cfg.fail_tol:
-        raise NumericalError(
-            f"quadrature error estimate {err:.3e} exceeds budget {cfg.fail_tol:.1e}"
-        )
+    err, budget = ErrorEstimate(est), DEFAULT_QUAD.fail_tol
+    if not err <= budget:
+        raise NumericalError(f"quadrature error estimate {err:.3e} exceeds budget {budget:.1e}")
     return (float(total) if total.ndim == 0 else total), err

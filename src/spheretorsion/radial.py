@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUAD, ErrorEstimate, NumericalError, QuadConfig, integrate_line
+from .quadrature import ErrorEstimate, NumericalError, integrate_line
 
 REGULARITIES = ("smooth", "continuous-piecewise", "continuous")
 
@@ -87,14 +87,14 @@ class RadialMeasure:
     density: Optional[Callable] = None
     splits: tuple = ()
 
-    def integrate(self, f, cfg: QuadConfig = DEFAULT_QUAD, extra_splits=()):
+    def integrate(self, f, extra_splits=()):
         """(int f dmu, err) for a callable f of numpy arrays, err as in integrate_line."""
         acc = self._at_atoms(f) if self.atoms else 0.0
         if self.density is None:
             err = ErrorEstimate(np.zeros(np.shape(acc)))
         else:
             splits = (*self.splits, *extra_splits)
-            val, err = integrate_line(lambda t: self._weigh(f(t), t), splits, cfg=cfg)
+            val, err = integrate_line(lambda t: self._weigh(f(t), t), splits)
             acc = acc + val
         return (float(acc) if np.ndim(acc) == 0 else acc), err
 
@@ -146,7 +146,7 @@ class _Stack(RadialMeasure):
         return y
 
 
-def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
+def _pairings(blocks):
     """Every row of every block from one stacked kernel call.
 
     A block is (potentials, row_fn, over): row_fn(t, *phi values) returns
@@ -203,7 +203,7 @@ def _pairings(blocks, cfg: QuadConfig = DEFAULT_QUAD):
     stack = _Stack(
         tuple(atoms), density if dense else None, splits, weights, tuple(atom_blocks), tuple(atom_rows)
     )
-    vals, err = stack.integrate(rows, cfg=cfg)
+    vals, err = stack.integrate(rows)
     return [(vals[span], err.parts[span]) for span, _, _ in spans]
 
 
@@ -218,7 +218,7 @@ class VolumeForm:
     each pass that needs it integrates it as a dt row (_normed_pairings),
     whose estimate is norm_err there, so no result depends on what was
     computed or read before. Reading norm, norm_err or rho of such a volume
-    integrates that row alone, once, with the cfg it was built with.
+    integrates that row alone, once.
     """
 
     def __init__(
@@ -226,7 +226,7 @@ class VolumeForm:
     ):
         self.psi, self.label = psi, label
         self._given = None if norm is None else (norm, norm_err)
-        self._cfg, self._read = DEFAULT_QUAD, None
+        self._read = None
 
     @property
     def norm(self) -> float:
@@ -240,7 +240,7 @@ class VolumeForm:
         if self._given is not None:
             return self._given
         if self._read is None:
-            self._read = _normed_pairings([], (self,), self._cfg)[1][0]
+            self._read = _normed_pairings([], (self,))[1][0]
         return self._read
 
     @property
@@ -252,7 +252,7 @@ class VolumeForm:
         )
 
 
-def _normed_pairings(blocks, volumes, cfg: QuadConfig = DEFAULT_QUAD):
+def _normed_pairings(blocks, volumes):
     """_pairings(blocks) and the (norm, norm_err) of each volume, from one kernel call.
 
     A volume with a given norm gives it. The norm of each other volume is
@@ -261,10 +261,10 @@ def _normed_pairings(blocks, volumes, cfg: QuadConfig = DEFAULT_QUAD):
     """
     lazy = list({id(w): w for w in volumes if w._given is None}.values())
     if not lazy:
-        return _pairings(blocks, cfg), [w._given for w in volumes]
+        return _pairings(blocks), [w._given for w in volumes]
     psis = tuple(w.psi for w in lazy)
     norm_rows = psis, lambda t, *vals: np.exp(t - np.array(vals)), (None,) * len(lazy)
-    *out, (vals, parts) = _pairings([*blocks, norm_rows], cfg)
+    *out, (vals, parts) = _pairings([*blocks, norm_rows])
     for norm in vals:
         if not (norm > 0 and math.isfinite(norm)):
             raise NumericalError(f"volume normalization failed: int e^(t-psi) = {norm}")
@@ -337,7 +337,7 @@ def _as_callable(f):
     return f, ()
 
 
-def pair(f, p: RadialPotential, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def pair(f, p: RadialPotential) -> float:
     """Pair a bounded degree-0 function against the curvature of p.
 
         pair(f, p) = int f dmu_p.
@@ -347,18 +347,18 @@ def pair(f, p: RadialPotential, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     pair(1, p) = degree(p) in these units.
     """
     fc, fk = _as_callable(f)
-    return c1_measure(p).integrate(fc, cfg=cfg, extra_splits=fk)[0]
+    return c1_measure(p).integrate(fc, extra_splits=fk)[0]
 
 
-def integrate_volume(f, w: VolumeForm, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def integrate_volume(f, w: VolumeForm) -> float:
     """int f drho_w over the sphere (rho_w has total mass 2)."""
     fc, fk = _as_callable(f)
-    return w.rho.integrate(fc, cfg=cfg, extra_splits=fk)[0]
+    return w.rho.integrate(fc, extra_splits=fk)[0]
 
 
-def measure_mass(p: RadialPotential, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def measure_mass(p: RadialPotential) -> float:
     """Total curvature mass, which must equal the degree (Lelong units)."""
-    return c1_measure(p).integrate(lambda t: 1.0, cfg=cfg)[0]
+    return c1_measure(p).integrate(lambda t: 1.0)[0]
 
 
 # --- volume form constructors ---
@@ -373,20 +373,16 @@ def logistic_density(t):
     return e / (1.0 + e) ** 2
 
 
-def volume_from_potential(
-    psi: RadialPotential, cfg: QuadConfig = DEFAULT_QUAD, label: str = ""
-) -> VolumeForm:
+def volume_from_potential(psi: RadialPotential, label: str = "") -> VolumeForm:
     """The volume form of a degree-2 potential psi, its norm integrated where it is used.
 
     No quadrature runs here: a pass that needs the norm integrates it as a
     row of its own (VolumeForm), and reading norm, norm_err or rho
-    integrates it with cfg.
+    integrates that row alone.
     """
     if psi.degree != 2:
         raise ValueError(f"volume potential must have degree 2, got {psi.degree}")
-    w = VolumeForm(psi, None, label or psi.label)
-    w._cfg = cfg
-    return w
+    return VolumeForm(psi, None, label or psi.label)
 
 
 # --- weak convergence checks ---
@@ -424,7 +420,6 @@ def bedford_taylor_check(
     test_fn,
     indices: Sequence[int] = tuple(range(3, 11)),
     tol: float = 1e-7,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> ConvergenceReport:
     """Weak-* convergence of curvature measures along an approximating family.
 
@@ -433,6 +428,6 @@ def bedford_taylor_check(
     whole approximation scheme rests on (decreasing or uniform limits of
     admissible potentials).
     """
-    target = pair(test_fn, limit, cfg=cfg)
-    vals = [pair(test_fn, family(n), cfg=cfg) for n in indices]
+    target = pair(test_fn, limit)
+    vals = [pair(test_fn, family(n)) for n in indices]
     return ConvergenceReport.of(indices, vals, tol, "weak pairing vs limit, tol={tol:g}", target)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .gram import GramData, _gram_data, _gram_rows
 from .metrics import dual, fubini_study, tensor, volume_fs
-from .quadrature import DEFAULT_QUAD, NumericalError, QuadConfig
+from .quadrature import NumericalError
 from .radial import ConvergenceReport, RadialPotential, VolumeForm, _normed_pairings, _pairings
 from .radial import volume_from_potential
 
@@ -113,7 +113,6 @@ def bundle_anomaly(
     p1: RadialPotential,
     p2: RadialPotential,
     w: VolumeForm,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> AnomalyTerm:
     """Anomaly of the Quillen metric under a change of bundle metric.
 
@@ -134,7 +133,7 @@ def bundle_anomaly(
         raise ValueError(
             f"bundle anomaly needs equal degrees, got {p1.degree} and {p2.degree}"
         )
-    ((vals, err),) = _pairings([_bundle_rows(p1, p2, w)], cfg)
+    ((vals, err),) = _pairings([_bundle_rows(p1, p2, w)])
     return _bundle_term(vals, err.sum())
 
 
@@ -166,7 +165,6 @@ def volume_anomaly(
     p: RadialPotential,
     w1: VolumeForm,
     w2: VolumeForm,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> AnomalyTerm:
     """Anomaly of the Quillen metric under a change of volume form.
 
@@ -191,7 +189,7 @@ def volume_anomaly(
     slot carries the same coefficient as the tangent slot of the bundle
     anomaly, which the mixed-change consistency identity forces.
     """
-    ((vals, err),), norms = _normed_pairings([_volume_rows(p, w1, w2)], (w1, w2), cfg)
+    ((vals, err),), norms = _normed_pairings([_volume_rows(p, w1, w2)], (w1, w2))
     return _volume_term(vals, err.sum(), p, w1, w2, norms)
 
 
@@ -230,7 +228,7 @@ def _volume_term(
 # --- the transfer chain ---
 
 
-def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
+def _chain(p: RadialPotential, w: VolumeForm):
     """Gram data and both anomaly terms of quillen(p, w), from one kernel call.
 
     One _pairings call stacks up to four blocks: the Gram, a guard block, 1
@@ -250,7 +248,7 @@ def _chain(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
     blocks = [_gram_rows(p, w), ((), lambda t: 1.0, guarded)]
     blocks += [_bundle_rows(p, p_ref, w_ref)] if p is not p_ref else []
     blocks += [_volume_rows(p, w, w_ref)] if w is not w_ref else []
-    ((g, g_err), (mass, mass_err), *rest), norms = _normed_pairings(blocks, (w, w_ref), cfg)
+    ((g, g_err), (mass, mass_err), *rest), norms = _normed_pairings(blocks, (w, w_ref))
     zero = (np.zeros(3), np.zeros(3))
     k, k_err = rest.pop(0) if p is not p_ref else zero
     v, v_err = rest.pop(0) if w is not w_ref else zero
@@ -277,12 +275,12 @@ def _quillen_fs(m: int) -> float:
     return math.fsum((*terms, -math.log(SPECTRUM_SCALE) * zeta_zero(m)))
 
 
-def _transfer(p: RadialPotential, w: VolumeForm, cfg: QuadConfig):
+def _transfer(p: RadialPotential, w: VolumeForm):
     """(quillen(p, w), K): the body of quillen, with the bundle term it was built from."""
     m = p.degree
     if m < 0:
         raise ValueError(f"torsion needs a degree >= 0 bundle, got {m}")
-    gd, K, V = _chain(p, w, cfg)
+    gd, K, V = _chain(p, w)
     ref = _quillen_fs(m)
     log_q = ref - K.value - V.value
     components = {
@@ -306,11 +304,7 @@ class QuillenResult:
     gram: GramData
 
 
-def quillen(
-    p: RadialPotential,
-    w: VolumeForm,
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> QuillenResult:
+def quillen(p: RadialPotential, w: VolumeForm) -> QuillenResult:
     """log of the Quillen metric on det H^0, and its split into L^2 part and torsion.
 
     log h_Q(p, w) = Q_fs(m) - K(p, fs_m; omega_fs) - V(p; w, omega_fs) and
@@ -319,20 +313,16 @@ def quillen(
     non-smooth data the pairings are the generalized ones, which is exactly
     the regularized value the approximation theorem assigns.
     """
-    return _transfer(p, w, cfg)[0]
+    return _transfer(p, w)[0]
 
 
-def torsion(
-    p: RadialPotential,
-    w: VolumeForm,
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> TorsionResult:
+def torsion(p: RadialPotential, w: VolumeForm) -> TorsionResult:
     """Analytic torsion of (O(m), e^{-phi}) over the sphere with volume w: quillen(p, w).torsion.
 
     Limits along explicit approximating families are
     generalized_quillen_limit and generalized_torsion_curve.
     """
-    return _transfer(p, w, cfg)[0].torsion
+    return _transfer(p, w)[0].torsion
 
 
 # --- limits along approximating families ---
@@ -368,7 +358,6 @@ def generalized_quillen_limit(
     grid_indices: Sequence[int] = tuple(range(0, 6)),
     tol: float = 1e-6,
     tail: int = 4,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> GeneralizedLimit:
     """Double-sequence Quillen limit along positive approximating families.
 
@@ -384,7 +373,7 @@ def generalized_quillen_limit(
         volumes[i] = volume_family(i)
         _require_positive(volumes[i].psi, "volume family", i)
     vals = {
-        (i, j): quillen(bundles[i], volumes[j], cfg=cfg).log_quillen
+        (i, j): quillen(bundles[i], volumes[j]).log_quillen
         for i in grid_indices
         for j in grid_indices
     }
@@ -392,7 +381,7 @@ def generalized_quillen_limit(
     if grid_indices:
         grid = np.array([[vals[i, j] for j in grid_indices] for i in grid_indices])
     diag = [
-        vals[n, n] if (n, n) in vals else quillen(bundles[n], volumes[n], cfg=cfg).log_quillen
+        vals[n, n] if (n, n) in vals else quillen(bundles[n], volumes[n]).log_quillen
         for n in indices
     ]
     msg = "max pairwise gap over last {tail} diagonal entries = {spread:.3e}, tol={tol:g}"
@@ -404,7 +393,6 @@ def generalized_torsion_curve(
     decompositions,
     indices: Sequence[int] = tuple(range(2, 31, 2)),
     tol: float = 1e-6,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> dict:
     """Torsion along degenerating volumes built from positive decompositions.
 
@@ -426,8 +414,8 @@ def generalized_torsion_curve(
             _require_positive(plus, f"decomposition {d_idx} plus factor", n)
             _require_positive(minus, f"decomposition {d_idx} minus factor", n)
             psi = tensor(plus, dual(minus))
-            w = volume_from_potential(psi, cfg=cfg, label=f"decomp{d_idx}:n={n}")
-            vals.append(torsion(p, w, cfg=cfg).value)
+            w = volume_from_potential(psi, label=f"decomp{d_idx}:n={n}")
+            vals.append(torsion(p, w).value)
             if len(vals) >= 4 and max(vals[-3:]) - min(vals[-3:]) < tol / 10.0:
                 break
         msg = f"decomposition {d_idx}: tail spread {{spread:.3e}}"

@@ -1,12 +1,5 @@
 import math
 
-import pytest
-
-from spheretorsion import QuadConfig
-
-# one shared quadrature config so the whole suite runs on the same budget
-QUAD = QuadConfig()
-
 LOG2 = math.log(2.0)
 LOGPI = math.log(math.pi)
 
@@ -26,8 +19,3 @@ ZPRIME_UNIT = {
 }
 
 ZETA_PRIME_M1 = -0.16542114370045092921
-
-
-@pytest.fixture(scope="session")
-def quad():
-    return QUAD

@@ -38,7 +38,7 @@ from spheretorsion.experiments import (
     run_double_limit_study,
 )
 
-from conftest import QUAD, ZETA_PRIME_M1
+from conftest import ZETA_PRIME_M1
 from zeta_oracle import zeta_prime_minus1_em
 
 T0 = time.monotonic()
@@ -56,7 +56,7 @@ def test_criterion_1_closed_form_sweep():
     assert abs(zeta_prime_minus1_em() - ZETA_PRIME_M1) < 1e-12
     devs = {}
     for m in range(6):
-        t = torsion(canonical(m), WCAN, cfg=QUAD).value
+        t = torsion(canonical(m), WCAN).value
         devs[m] = t - closed_form_target(m)
     worst = max(abs(v) for v in devs.values())
     ok = worst < 1e-6
@@ -75,7 +75,7 @@ def test_criterion_1_companion_certificate():
     want = 4.0 * ZETA_PRIME_M1 - 1.0 / 6.0
     resids = []
     for m in range(6):
-        log_q = quillen(canonical(m), WCAN, cfg=QUAD).log_quillen
+        log_q = quillen(canonical(m), WCAN).log_quillen
         resids.append(abs(log_q + zeta_zero(m) * math.log(2.0 * math.pi) - want))
         assert canonical_quillen_law(m) == pytest.approx(log_q, abs=1e-7)
     worst = max(resids)
@@ -92,7 +92,7 @@ def test_criterion_1_companion_certificate():
 def test_criterion_2_gram_closed_form():
     worst_det, worst_entry = 0.0, 0.0
     for m in range(9):
-        g = gram(canonical(m), WCAN, cfg=QUAD)
+        g = gram(canonical(m), WCAN)
         det_target = (m + 2.0) ** (m + 1) / math.factorial(m + 1) ** 2
         worst_det = max(worst_det, abs(g.det - det_target))
         ks = np.arange(m + 1)
@@ -141,20 +141,20 @@ def test_criterion_4_anomaly_identity_and_cocycles():
     ]
     worst_id = 0.0
     for p1, p2, w in pairs:
-        lhs = quillen(p1, w, cfg=QUAD).log_quillen - quillen(p2, w, cfg=QUAD).log_quillen
-        rhs = -bundle_anomaly(p1, p2, w, cfg=QUAD).value
+        lhs = quillen(p1, w).log_quillen - quillen(p2, w).log_quillen
+        rhs = -bundle_anomaly(p1, p2, w).value
         worst_id = max(worst_id, abs(lhs - rhs))
 
     kc = abs(
-        bundle_anomaly(fubini_study(2), lse(2, 3.0), WFS, cfg=QUAD).value
-        - bundle_anomaly(fubini_study(2), mollified_max(2, 0.5), WFS, cfg=QUAD).value
-        - bundle_anomaly(mollified_max(2, 0.5), lse(2, 3.0), WFS, cfg=QUAD).value
+        bundle_anomaly(fubini_study(2), lse(2, 3.0), WFS).value
+        - bundle_anomaly(fubini_study(2), mollified_max(2, 0.5), WFS).value
+        - bundle_anomaly(mollified_max(2, 0.5), lse(2, 3.0), WFS).value
     )
     p = fubini_study(1)
     vc = abs(
-        volume_anomaly(p, WFS, wl, cfg=QUAD).value
-        - volume_anomaly(p, WFS, WCAN, cfg=QUAD).value
-        - volume_anomaly(p, WCAN, wl, cfg=QUAD).value
+        volume_anomaly(p, WFS, wl).value
+        - volume_anomaly(p, WFS, WCAN).value
+        - volume_anomaly(p, WCAN, wl).value
     )
     ok = worst_id < 1e-8 and kc < 1e-9 and vc < 1e-9
     report(
@@ -216,7 +216,6 @@ def test_criterion_7_negative_control_and_budget():
             lambda n: WFS,
             indices=(0, 1),
             grid_indices=(),
-            cfg=QUAD,
         )
     except ValueError:
         rejected = True

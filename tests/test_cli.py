@@ -1,16 +1,22 @@
-"""CLI behavior: subcommand smoke, exit codes, config precedence, determinism.
+"""CLI behavior: subcommand smoke, exit codes, output plumbing, determinism.
 
-Everything runs in-process through cli.main(argv) with capsys; no subprocess
-overhead. Exit code contract: 0 ok, 1 verify failed, 2 spec/usage, 3 numerics.
+Everything runs in-process through cli.main(argv) with capsys, except the
+one test that needs a real closed pipe. Exit code contract: 0 ok, 1 verify
+failed, 2 spec/usage, 3 numerics.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spheretorsion
 from spheretorsion import cli, quadrature
-from spheretorsion.cli import ENV_CONFIG, main
+from spheretorsion.cli import main
+from spheretorsion.quadrature import QuadConfig
 
 from conftest import LOG2, ZPRIME_UNIT
 
@@ -240,29 +246,7 @@ def test_exit_2_on_an_empty_sweep(capsys):
 @pytest.mark.parametrize(
     "case",
     [
-        pytest.param({"argv": ["--config", "absent.json"]}, id="missing-config"),
-        pytest.param({"env": "absent.json"}, id="missing-env-config"),
         pytest.param({"metric": "grid:absent.csv"}, id="missing-grid-csv"),
-        pytest.param({"config": '{"jobs": "2"}'}, id="string-jobs"),
-        pytest.param({"config": '{"quad_fail_tol": "1e-8"}'}, id="string-fail-tol"),
-        pytest.param({"config": "[1]"}, id="config-array"),
-        pytest.param({"config": '{"quad_tol": 1e-8}'}, id="unknown-config-key"),
-        pytest.param({"argv": ["--quad-tol", "-1"]}, id="negative-quad-tol"),
-        pytest.param({"argv": ["--quad-tol", "0"]}, id="zero-quad-tol"),
-        pytest.param({"argv": ["--quad-tol", "nan"]}, id="nan-quad-tol"),
-        pytest.param({"argv": ["--quad-tol", "inf"]}, id="inf-quad-tol"),
-        # zhang integrates nothing, but a bad budget is refused all the same
-        pytest.param(
-            {"command": ["zhang", "--base", "fs:2"], "argv": ["--quad-tol", "-1"]},
-            id="zhang-negative-quad-tol",
-        ),
-        # jobs is no config key: refused, not ignored
-        pytest.param({"config": '{"jobs": 0}'}, id="zero-jobs-config"),
-        pytest.param(
-            {"command": ["closed-form", "--m-max", "0"], "config": '{"jobs": -3}'},
-            id="closed-form-negative-jobs-config",
-        ),
-        pytest.param({"config": '{"jobs": 1}', "says": "unknown config key"}, id="jobs-config"),
         # catalog parameters that are not finite
         pytest.param({"metric": "lse:m=2,a=nan"}, id="nan-lse-sharpness"),
         pytest.param({"metric": "mollmax:m=2,eps=inf"}, id="inf-mollifier-width"),
@@ -284,31 +268,28 @@ def test_exit_2_on_an_empty_sweep(capsys):
             },
             id="unwritable-csv",
         ),
-        # a study's tolerance must be positive and finite, as the budget is
+        # a study's tolerance must be positive and finite
         pytest.param({"command": ["bt-check", "--tol", "0"]}, id="zero-bt-tol"),
         pytest.param({"command": ["double-limit", "--tol", "inf"]}, id="inf-double-limit-tol"),
     ],
 )
 def test_exit_2_on_bad_outside_input(capsys, tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(ENV_CONFIG, raising=False)
     torsion_argv = ["torsion", "--metric", case.get("metric", "canonical:1"), "--volume", "canonical"]
     argv = case.get("command", torsion_argv)
-    if "config" in case:
-        (tmp_path / "cfg.json").write_text(case["config"])
-        argv += ["--config", "cfg.json"]
-    if "env" in case:
-        monkeypatch.setenv(ENV_CONFIG, case["env"])
     rc, out, err = run(capsys, *argv, *case.get("argv", ()))
     assert rc == 2 and out == "" and len(err.splitlines()) == 1, err
     assert case.get("says", "") in err
 
 
-def test_exit_3_on_impossible_budget(capsys):
-    rc, _, err = run(
-        capsys, "torsion", "--metric", "canonical:1", "--volume", "canonical",
-        "--quad-tol", "1e-18",
-    )
+@pytest.fixture
+def impossible_budget(monkeypatch):
+    # the one budget, set in process: nothing outside the program reaches it
+    monkeypatch.setattr(quadrature, "DEFAULT_QUAD", QuadConfig(fail_tol=1e-18))
+
+
+def test_exit_3_on_impossible_budget(capsys, impossible_budget):
+    rc, _, err = run(capsys, "torsion", "--metric", "canonical:1", "--volume", "canonical")
     assert rc == 3 and "numerical failure" in err
 
 
@@ -326,10 +307,48 @@ INTEGRATING = [
 
 
 @pytest.mark.parametrize("argv", INTEGRATING, ids=lambda a: "-".join(a[:3:2]))
-def test_every_integrating_subcommand_honours_quad_tol(capsys, argv):
-    # an accepted budget is never dropped on the way to the kernel
-    rc, _, err = run(capsys, *argv, "--quad-tol", "1e-18", "--no-meta")
-    assert rc == 3 and "numerical failure" in err
+def test_every_integrating_subcommand_honours_quad_tol(capsys, impossible_budget, argv):
+    # every integral reads the one budget, so none can pass over it
+    rc, out, err = run(capsys, *argv, "--no-meta")
+    assert rc == 3 and out == "" and "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "flag", [("--quad-tol", "1e-8"), ("--config", "x.json")], ids=lambda f: f[0]
+)
+@pytest.mark.parametrize(
+    "argv", INTEGRATING + [("zhang", "--base", "fs:2")], ids=lambda a: "-".join(a[:3:2])
+)
+def test_no_subcommand_takes_a_budget_or_a_config(capsys, argv, flag):
+    # the budget is fixed: no flag or file sets it, and none is ignored
+    rc, out, err = run(capsys, *argv, *flag, "--no-meta")
+    assert rc == 2 and out == "" and f"unrecognized arguments: {flag[0]}" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_exit_3_on_a_sup_distance_that_is_not_finite(capsys):
+    # p^n is finite, but phi(p^n t) overflows on the scan: no Infinity in the JSON
+    rc, out, err = run(capsys, "zhang", "--base", "fs:2", "--n", "1023", "--verify", "--no-meta")
+    assert rc == 3 and out == "" and len(err.splitlines()) == 1, err
+    assert "not finite" in err
+
+
+def test_a_closed_stdout_leaves_no_traceback():
+    # the reader is gone before the child prints, as with `| head -1`
+    src = os.path.dirname(os.path.dirname(spheretorsion.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "spheretorsion.cli", "torsion", "--metric", "fs:3", "--no-meta"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        )
+    finally:
+        os.close(write)
+    # nothing on stderr, and the exit code is the run's own
+    assert res.stderr == "" and res.returncode == 0, res.stderr
 
 
 def test_exit_1_on_failed_verify(capsys):
@@ -430,35 +449,13 @@ def test_a_bad_study_tol_is_refused_before_any_kernel_call(capsys, monkeypatch, 
     assert rc == 2 and out == "" and "--tol must be positive and finite" in err
 
 
-# --- config handling ---
-
-
-def test_config_file_applies(capsys, tmp_path):
-    cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps({"quad_fail_tol": 1e-18}))
-    rc, _, err = run(
-        capsys, "torsion", "--metric", "canonical:1", "--volume", "canonical",
-        "--config", str(cfgp),
-    )
-    assert rc == 3, err
-
-
-def test_cli_flag_beats_config_file(capsys, tmp_path):
-    cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps({"quad_fail_tol": 1e-18}))
-    rc, _, _ = run(
-        capsys, "torsion", "--metric", "canonical:1", "--volume", "canonical",
-        "--config", str(cfgp), "--quad-tol", "5e-8",
-    )
-    assert rc == 0
-
-
 def test_env_config(capsys, tmp_path, monkeypatch):
+    # $SPHERETORSION_CONFIG is not read: a file there asking for an
+    # impossible budget changes neither the output nor the exit code
+    argv = ("torsion", "--metric", "canonical:1", "--volume", "canonical", "--no-meta")
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"quad_fail_tol": 1e-18}))
-    monkeypatch.setenv(ENV_CONFIG, str(cfgp))
-    rc, _, _ = run(capsys, "torsion", "--metric", "canonical:1", "--volume", "canonical")
-    assert rc == 3
-    monkeypatch.delenv(ENV_CONFIG)
-    rc, _, _ = run(capsys, "torsion", "--metric", "canonical:1", "--volume", "canonical")
-    assert rc == 0
+    monkeypatch.setenv("SPHERETORSION_CONFIG", str(cfgp))
+    with_env = run(capsys, *argv)
+    monkeypatch.delenv("SPHERETORSION_CONFIG")
+    assert with_env == run(capsys, *argv) and with_env[0] == 0

@@ -16,6 +16,7 @@ import math
 import pytest
 
 from spheretorsion import (
+    NumericalError,
     canonical,
     experiments,
     fubini_study,
@@ -36,7 +37,7 @@ from spheretorsion.experiments import (
     write_json,
 )
 
-from conftest import QUAD, ZETA_PRIME_M1
+from conftest import ZETA_PRIME_M1
 
 
 def _lginf(m):
@@ -63,7 +64,7 @@ def test_certificate_formula(m):
 
 @pytest.mark.parametrize("m", (0, 1, 2))
 def test_certificate_closes_the_gap(m):
-    q = quillen(canonical(m), volume_canonical(), cfg=QUAD)
+    q = quillen(canonical(m), volume_canonical())
     assert abs(q.torsion.value - closed_form_target(m)) < 1e-7
     assert abs(q.log_quillen - canonical_quillen_law(m)) < 1e-7
 
@@ -174,7 +175,7 @@ def test_counterexample_row_is_one_kernel_call(monkeypatch):
     radial = importlib.import_module("spheretorsion.radial")
     calls = []
     monkeypatch.setattr(radial, "integrate_line", _counting(calls, radial.integrate_line))
-    run_counterexample(deltas=(1e-2,), cfg=QUAD)
+    run_counterexample(deltas=(1e-2,))
     assert len(calls) == 1
 
 
@@ -251,6 +252,15 @@ def test_write_json_to_path(tmp_path):
     text = write_json({"v": 0.1 + 0.2}, path=str(p), no_meta=True)
     assert p.read_text() == text + "\n"
     assert json.loads(text)["v"] == float(f"{0.1 + 0.2:.15g}")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_a_value_that_is_not_finite(tmp_path, bad):
+    # NaN and Infinity are not JSON; nothing is written
+    p = tmp_path / "out.json"
+    with pytest.raises(NumericalError, match="not finite"):
+        write_json({"rows": [{"v": bad}]}, path=str(p), no_meta=True)
+    assert not p.exists()
 
 
 def test_write_csv_round_trip(tmp_path):

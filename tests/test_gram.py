@@ -24,12 +24,10 @@ from spheretorsion import (
     zhang_iterate,
 )
 
-from conftest import QUAD
-
 
 @pytest.mark.parametrize("m", range(0, 9))
 def test_fs_gram_matches_beta_closed_form(m):
-    g = gram(fubini_study(m), volume_fs(), cfg=QUAD)
+    g = gram(fubini_study(m), volume_fs())
     want = gram_fs_closed(m)
     assert np.max(np.abs(g.entries - want)) < 1e-10
     assert abs(g.log_det - log_det_fs_closed(m)) < 1e-10
@@ -46,7 +44,7 @@ def test_gram_rows_carry_honest_per_entry_estimates(potential, volume, closed, m
     p = potential(m)
     ks = np.arange(m + 1.0)[:, None]
     g, err = volume().rho.integrate(
-        lambda t: np.exp(ks * t - p.phi(t)), cfg=QUAD, extra_splits=p.kinks
+        lambda t: np.exp(ks * t - p.phi(t)), extra_splits=p.kinks
     )
     assert err.parts.shape == g.shape == (m + 1,)
     assert np.all(np.abs(g - closed(m)) <= err.parts + 1e-13 * g)
@@ -54,7 +52,7 @@ def test_gram_rows_carry_honest_per_entry_estimates(potential, volume, closed, m
 
 @pytest.mark.parametrize("m", range(0, 9))
 def test_canonical_gram_matches_harmonic_closed_form(m):
-    g = gram(canonical(m), volume_canonical(), cfg=QUAD)
+    g = gram(canonical(m), volume_canonical())
     want = gram_canonical_closed(m)
     assert np.max(np.abs(g.entries - want)) < 1e-10
     assert abs(g.log_det - log_det_canonical_closed(m)) < 1e-10
@@ -88,7 +86,7 @@ def test_fs_gram_against_two_dimensional_oracle(m):
             0.0, np.inf, epsabs=1e-13, epsrel=1e-13,
         )
         assert gram_fs_closed(m)[k] == pytest.approx(want, abs=1e-12)
-        got = gram(fubini_study(m), volume_fs(), cfg=QUAD).entries[k]
+        got = gram(fubini_study(m), volume_fs()).entries[k]
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -104,8 +102,8 @@ def test_gram_rescaling_law():
         curvature_density=base.curvature_density,
         label="fs-shifted",
     )
-    g0 = gram(base, volume_fs(), cfg=QUAD)
-    g1 = gram(shifted, volume_fs(), cfg=QUAD)
+    g0 = gram(base, volume_fs())
+    g1 = gram(shifted, volume_fs())
     assert np.max(np.abs(g1.entries - math.exp(-a) * g0.entries)) < 1e-10
     assert g1.log_det == pytest.approx(g0.log_det - (m + 1) * a, abs=1e-10)
 
@@ -115,8 +113,8 @@ def test_gram_sandwich_monotone_in_potential():
     # antitone in phi, so entries sandwich with ratio at most 2^m
     m = 2
     w = volume_fs()
-    g_fs = gram(fubini_study(m), w, cfg=QUAD).entries
-    g_can = gram(canonical(m), w, cfg=QUAD).entries
+    g_fs = gram(fubini_study(m), w).entries
+    g_can = gram(canonical(m), w).entries
     assert np.all(g_fs <= g_can + 1e-12)
     assert np.all(g_can <= 2.0**m * g_fs + 1e-12)
 
@@ -125,7 +123,7 @@ def test_log_det_lipschitz_sandwich():
     # |log det G(p1) - log det G(p2)| <= (m+1) sup|phi1 - phi2|
     m = 2
     w = volume_fs()
-    lhs = abs(gram(fubini_study(m), w, cfg=QUAD).log_det - gram(canonical(m), w, cfg=QUAD).log_det)
+    lhs = abs(gram(fubini_study(m), w).log_det - gram(canonical(m), w).log_det)
     assert lhs <= (m + 1) * m * math.log(2.0) + 1e-12
 
 
@@ -133,14 +131,14 @@ def test_gram_rejects_negative_degree():
     from spheretorsion import dual
 
     with pytest.raises(ValueError, match="degree >= 0"):
-        gram(dual(fubini_study(1)), volume_fs(), cfg=QUAD)
+        gram(dual(fubini_study(1)), volume_fs())
 
 
 def test_gram_convergence_zhang_to_canonical():
     m = 2
-    target = gram(canonical(m), volume_canonical(), cfg=QUAD)
+    target = gram(canonical(m), volume_canonical())
     fam = lambda n: zhang_iterate(fubini_study(m), 2, n)
-    rep = gram_convergence(fam, volume_canonical(), target, indices=range(2, 9), tol=1e-3, cfg=QUAD)
+    rep = gram_convergence(fam, volume_canonical(), target, indices=range(2, 9), tol=1e-3)
     assert rep.verdict == "converged"
     # Lipschitz in sup distance, so gaps contract at least geometrically
     assert rep.gaps[-1] < rep.gaps[0] / 30.0
@@ -148,7 +146,7 @@ def test_gram_convergence_zhang_to_canonical():
 
 def test_gram_convergence_lse_to_canonical():
     m = 1
-    target = gram(canonical(m), volume_canonical(), cfg=QUAD)
+    target = gram(canonical(m), volume_canonical())
     fam = lambda n: lse(m, 2.0**n)
-    rep = gram_convergence(fam, volume_canonical(), target, indices=range(2, 11), tol=1e-3, cfg=QUAD)
+    rep = gram_convergence(fam, volume_canonical(), target, indices=range(2, 11), tol=1e-3)
     assert rep.verdict == "converged"

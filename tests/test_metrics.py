@@ -35,7 +35,7 @@ from spheretorsion import (
 from spheretorsion import cli
 from spheretorsion.metrics import _concentration_splits, _softplus
 
-from conftest import LOG2, QUAD
+from conftest import LOG2
 
 
 # --- catalog point values ---
@@ -167,7 +167,7 @@ def test_tensor_adds_degrees_potentials_and_mass(m1, m2):
         assert float(pt.phi(t)) == pytest.approx(
             float(p1.phi(t)) + float(p2.phi(t)), rel=1e-13, abs=1e-13
         )
-    assert abs(measure_mass(pt, cfg=QUAD) - (m1 + m2)) < 1e-9
+    assert abs(measure_mass(pt) - (m1 + m2)) < 1e-9
 
 
 def test_dual_negates_and_tensor_with_dual_is_flat():
@@ -178,14 +178,14 @@ def test_dual_negates_and_tensor_with_dual_is_flat():
     assert flat.degree == 0
     ts = np.linspace(-5, 5, 101)
     assert np.max(np.abs(np.asarray(flat.phi(ts)))) < 1e-14
-    assert abs(measure_mass(flat, cfg=QUAD)) < 1e-10
+    assert abs(measure_mass(flat)) < 1e-10
 
 
 def test_tensor_with_atoms_keeps_atoms():
     pt = tensor(canonical(2), fubini_study(1))
     assert pt.curvature_atoms == ((0.0, 2.0),)
     assert pt.regularity == "continuous"
-    assert abs(measure_mass(pt, cfg=QUAD) - 3.0) < 1e-10
+    assert abs(measure_mass(pt) - 3.0) < 1e-10
 
 
 # --- the counterexample family ---
@@ -245,14 +245,14 @@ def test_counterexample_quadrature_matches_polynomial_oracle():
     # (QUADPACK over the t-density) and polynomial antiderivatives
     pot = counterexample_potential(1.0, 1e-3)
     orc = counterexample_energy_oracle(pot)
-    assert 2.0 * pair(pot, pot, cfg=QUAD) == pytest.approx(
+    assert 2.0 * pair(pot, pot) == pytest.approx(
         orc["dirichlet_term"], abs=1e-6
     )
 
 
 def test_counterexample_mass_is_zero():
     # degree 0: the ridge carries no net curvature
-    assert abs(measure_mass(counterexample_potential(1.0, 1e-3), cfg=QUAD)) < 1e-8
+    assert abs(measure_mass(counterexample_potential(1.0, 1e-3))) < 1e-8
 
 
 # --- grids ---
@@ -269,7 +269,7 @@ def test_grid_round_trip(tmp_path):
     assert err < 5e-5
     # interpolated curvature still carries exact total mass: the density
     # integrates to the boundary slope difference knot by knot
-    assert abs(measure_mass(q, cfg=QUAD) - 2.0) < 1e-9
+    assert abs(measure_mass(q) - 2.0) < 1e-9
 
 
 def test_grid_at_default_knots_is_sandwiched(tmp_path):
@@ -281,9 +281,9 @@ def test_grid_at_default_knots_is_sandwiched(tmp_path):
     g = load_grid(path)
     assert len(g.kinks) == 2001
     w = volume_fs()
-    gap = quillen(g, w, cfg=QUAD).log_quillen - quillen(p, w, cfg=QUAD).log_quillen
+    gap = quillen(g, w).log_quillen - quillen(p, w).log_quillen
     assert abs(gap) <= (p.degree + 1) * sup_distance(g, p)
-    assert abs(measure_mass(g, cfg=QUAD) - 2.0) < 1e-9
+    assert abs(measure_mass(g) - 2.0) < 1e-9
 
 
 def test_grid_slope_validation(tmp_path):
@@ -475,6 +475,6 @@ def test_parse_volume():
     assert parse_volume("fs").label == "fs"
     assert parse_volume("canonical").label == "canonical"
     w = parse_volume("lse:m=2,a=4")
-    assert abs(integrate_volume(lambda t: 1.0, w, cfg=QUAD) - 2.0) < 1e-10
+    assert abs(integrate_volume(lambda t: 1.0, w) - 2.0) < 1e-10
     with pytest.raises(SpecError, match="degree"):
         parse_volume("fs:1")

@@ -5,6 +5,7 @@ Oracle conventions. [TRIVIAL] facts are asserted against hand values,
 scipy.integrate.quad (never through the library's own integrate_line).
 """
 
+import inspect
 import math
 import warnings
 
@@ -17,7 +18,6 @@ from scipy.integrate import quad as sciquad
 
 from spheretorsion import (
     NumericalError,
-    QuadConfig,
     bedford_taylor_check,
     c1_measure,
     canonical,
@@ -39,17 +39,20 @@ from spheretorsion import (
     write_grid,
     zhang_iterate,
 )
-from spheretorsion import quadrature, radial
+import spheretorsion
+from spheretorsion import experiments, quadrature, radial
 from spheretorsion.metrics import _concentration_splits
+from spheretorsion.quadrature import QuadConfig
 from spheretorsion.radial import (
     ConvergenceReport,
+    RadialMeasure,
     RadialPotential,
     _fit_rate,
     _pairings,
     sequence_verdict,
 )
 
-from conftest import QUAD
+FAIL_TOL = quadrature.DEFAULT_QUAD.fail_tol
 
 
 def bump(t):
@@ -76,20 +79,20 @@ def bump_prime(t):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8])
 def test_fs_mass_is_degree(m):
-    assert abs(measure_mass(fubini_study(m), cfg=QUAD) - m) < 1e-10
+    assert abs(measure_mass(fubini_study(m)) - m) < 1e-10
 
 
 @pytest.mark.parametrize("m", [0, 1, 4])
 def test_canonical_mass_is_degree(m):
     # pure atom, no quadrature at all
-    assert measure_mass(canonical(m), cfg=QUAD) == pytest.approx(m, abs=0)
+    assert measure_mass(canonical(m)) == pytest.approx(m, abs=0)
 
 
 @given(m=st.integers(min_value=0, max_value=9))
 @settings(max_examples=10, deadline=None)
 def test_smooth_families_mass_is_degree(m):
     for p in (lse(m, 3.0), mollified_max(m, 0.4)):
-        assert abs(measure_mass(p, cfg=QUAD) - m) < 1e-9
+        assert abs(measure_mass(p) - m) < 1e-9
 
 
 @pytest.mark.parametrize("n", [0, 3, 9, 14, 20])
@@ -97,12 +100,12 @@ def test_zhang_iterate_preserves_mass(n):
     # the n = 14 entry is the regression guard for the concentration bug:
     # without the bracket splits QUADPACK steps over the width-2^-n bump
     p = zhang_iterate(fubini_study(2), 2, n)
-    assert abs(measure_mass(p, cfg=QUAD) - 2.0) < 1e-9
+    assert abs(measure_mass(p) - 2.0) < 1e-9
 
 
 def test_sharp_lse_keeps_its_mass():
     p = lse(3, 3.0**9)
-    assert abs(measure_mass(p, cfg=QUAD) - 3.0) < 1e-9
+    assert abs(measure_mass(p) - 3.0) < 1e-9
 
 
 def test_degree_zero_without_curvature_is_the_zero_measure():
@@ -110,7 +113,7 @@ def test_degree_zero_without_curvature_is_the_zero_measure():
         degree=0, phi=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         regularity="smooth", positive=True,
     )
-    assert measure_mass(p, cfg=QUAD) == 0.0
+    assert measure_mass(p) == 0.0
 
 
 def test_missing_curvature_data_refused():
@@ -133,7 +136,7 @@ def test_bad_regularity_refused():
 def test_lelong_atom_pairs_to_point_value():
     # [TRIVIAL] mu_{m max(0,t)} = m delta_0
     for m in (1, 2, 5):
-        assert pair(bump, canonical(m), cfg=QUAD) == pytest.approx(m * bump(0.0), abs=0)
+        assert pair(bump, canonical(m)) == pytest.approx(m * bump(0.0), abs=0)
 
 
 def test_pair_against_fs_matches_by_parts_oracle():
@@ -145,21 +148,21 @@ def test_pair_against_fs_matches_by_parts_oracle():
         return -bump_prime(t) * m / (1.0 + math.exp(-t))
 
     want, _ = sciquad(oracle, -3.0, 2.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    got = pair(bump, fubini_study(m), cfg=QUAD)
+    got = pair(bump, fubini_study(m))
     assert abs(got - want) < 1e-8
 
 
 def test_pair_accepts_degree_zero_potentials_and_uses_their_kinks():
     f = tensor(mollified_max(2, 0.7), dual(fubini_study(2)))
     assert f.degree == 0
-    got = pair(f, fubini_study(1), cfg=QUAD)
-    want = pair(lambda t: np.asarray(f.phi(t), dtype=float), fubini_study(1), cfg=QUAD)
+    got = pair(f, fubini_study(1))
+    want = pair(lambda t: np.asarray(f.phi(t), dtype=float), fubini_study(1))
     assert abs(got - want) < 1e-10
 
 
 def test_pair_refuses_nonzero_degree_integrand():
     with pytest.raises(ValueError, match="degree 0"):
-        pair(fubini_study(1), fubini_study(1), cfg=QUAD)
+        pair(fubini_study(1), fubini_study(1))
 
 
 @given(
@@ -170,9 +173,9 @@ def test_pair_refuses_nonzero_degree_integrand():
 def test_pair_is_bilinear_in_the_function_slot(a, b):
     p = fubini_study(2)
     f = lambda t: a * bump(t) + b * bump(np.asarray(t) - 0.3)
-    lhs = pair(f, p, cfg=QUAD)
-    rhs = a * pair(bump, p, cfg=QUAD) + b * pair(
-        lambda t: bump(np.asarray(t) - 0.3), p, cfg=QUAD
+    lhs = pair(f, p)
+    rhs = a * pair(bump, p) + b * pair(
+        lambda t: bump(np.asarray(t) - 0.3), p
     )
     assert abs(lhs - rhs) < 1e-10
 
@@ -181,7 +184,7 @@ def test_pair_is_symmetric_on_degree_zero_potentials():
     # pair(f, mu_g) = -int f' g' dt = pair(g, mu_f) for degree-0 f, g
     f = tensor(mollified_max(2, 0.7), dual(fubini_study(2)))
     g = tensor(lse(1, 3.0), dual(fubini_study(1)))
-    assert abs(pair(f, g, cfg=QUAD) - pair(g, f, cfg=QUAD)) < 1e-8
+    assert abs(pair(f, g) - pair(g, f)) < 1e-8
 
 
 def test_pair_symmetric_slot_matches_dirichlet_oracle():
@@ -201,7 +204,7 @@ def test_pair_symmetric_slot_matches_dirichlet_oracle():
         lambda t: -fprime(t) * gprime(t), -40.0, 40.0,
         points=[-0.7, 0.0, 0.7], epsabs=1e-12, epsrel=1e-12, limit=400,
     )
-    assert abs(pair(f, g, cfg=QUAD) - want) < 1e-6
+    assert abs(pair(f, g) - want) < 1e-6
 
 
 # --- stacked measures: one kernel call for several pairings ---
@@ -214,10 +217,10 @@ def smooth_test_fn(t):
 def test_pairings_pair_each_row_like_its_measure_alone():
     # atoms, a compactly supported density and a density on the whole line
     pots = [canonical(2), mollified_max(1, 0.3), fubini_study(3)]
-    ((vals, parts),) = _pairings([((), smooth_test_fn, pots)], cfg=QUAD)
-    assert vals.shape == parts.shape == (3,) and parts.sum() <= QUAD.fail_tol
+    ((vals, parts),) = _pairings([((), smooth_test_fn, pots)])
+    assert vals.shape == parts.shape == (3,) and parts.sum() <= FAIL_TOL
     for row, p in zip(vals, pots):
-        assert abs(row - c1_measure(p).integrate(smooth_test_fn, cfg=QUAD)[0]) < 1e-13
+        assert abs(row - c1_measure(p).integrate(smooth_test_fn)[0]) < 1e-13
 
 
 def test_pairings_of_atoms_alone_make_no_kernel_call(monkeypatch):
@@ -225,7 +228,7 @@ def test_pairings_of_atoms_alone_make_no_kernel_call(monkeypatch):
         raise AssertionError("a stack of atoms called the kernel")
 
     monkeypatch.setattr("spheretorsion.radial.integrate_line", no_kernel)
-    ((vals, parts),) = _pairings([((), smooth_test_fn, [canonical(2), canonical(3)])], cfg=QUAD)
+    ((vals, parts),) = _pairings([((), smooth_test_fn, [canonical(2), canonical(3)])])
     assert vals == pytest.approx([2.0 * smooth_test_fn(0.0), 3.0 * smooth_test_fn(0.0)], abs=1e-15)
     assert not parts.any()
 
@@ -236,13 +239,13 @@ def test_pairings_stack_density_is_the_density_of_its_rows(monkeypatch):
     # base class's weighing gives the stack's own
     stacks = []
 
-    def recording_integrate(self, f, cfg, _integrate=radial._Stack.integrate):
+    def recording_integrate(self, f, _integrate=radial._Stack.integrate):
         stacks.append(self)
-        return _integrate(self, f, cfg=cfg)
+        return _integrate(self, f)
 
     monkeypatch.setattr(radial._Stack, "integrate", recording_integrate)
     mm, fs = mollified_max(1, 0.3), fubini_study(3)
-    _pairings([((), smooth_test_fn, [canonical(2), None, mm, fs, mm])], cfg=QUAD)
+    _pairings([((), smooth_test_fn, [canonical(2), None, mm, fs, mm])])
     (stack,) = stacks
     t = np.linspace(-3.0, 3.0, 41)
     d = [c1_measure(p).density(t) for p in (mm, fs)]
@@ -287,8 +290,8 @@ def test_logistic_density_is_the_two_exp_form_and_vanishes_at_infinity():
 
 def test_volume_masses_are_two():
     one = lambda t: 1.0
-    assert abs(integrate_volume(one, volume_fs(), cfg=QUAD) - 2.0) < 1e-10
-    assert abs(integrate_volume(one, volume_canonical(), cfg=QUAD) - 2.0) < 1e-10
+    assert abs(integrate_volume(one, volume_fs()) - 2.0) < 1e-10
+    assert abs(integrate_volume(one, volume_canonical()) - 2.0) < 1e-10
 
 
 def test_fs_volume_norm_and_density():
@@ -308,9 +311,9 @@ def test_canonical_volume_density_is_exact_exponential():
 
 def test_volume_from_potential_reproduces_both_catalog_forms():
     # rebuilding from the degree-2 potential must reproduce norm and density
-    w1 = volume_from_potential(volume_fs().psi, cfg=QUAD)
+    w1 = volume_from_potential(volume_fs().psi)
     assert abs(w1.norm - 1.0) < 1e-10
-    w2 = volume_from_potential(volume_canonical().psi, cfg=QUAD)
+    w2 = volume_from_potential(volume_canonical().psi)
     assert abs(w2.norm - 2.0) < 1e-10
     for t in (-1.0, 0.0, 0.25, 3.0):
         assert abs(float(w2.rho.density(t)) - math.exp(-abs(t))) < 1e-10
@@ -319,7 +322,7 @@ def test_volume_from_potential_reproduces_both_catalog_forms():
 @pytest.mark.parametrize("a", [1.5, 4.5, 1093.5])
 def test_volume_norm_err_bounds_the_norm(a):
     # [DERIVED] int e^t (1 + e^{at})^{-2/a} dt = B(1/a, 1/a) / a, by x = e^{at}
-    w = volume_from_potential(lse(2, a), cfg=QUAD)
+    w = volume_from_potential(lse(2, a))
     want = mpmath.beta(1 / mpmath.mpf(a), 1 / mpmath.mpf(a)) / a
     assert 0.0 < w.norm_err and abs(w.norm - want) <= w.norm_err
     assert volume_fs().norm_err == volume_canonical().norm_err == 0.0
@@ -327,7 +330,7 @@ def test_volume_norm_err_bounds_the_norm(a):
 
 def test_volume_from_potential_rejects_wrong_degree():
     with pytest.raises(ValueError, match="degree 2"):
-        volume_from_potential(fubini_study(1), cfg=QUAD)
+        volume_from_potential(fubini_study(1))
 
 
 def test_integrate_volume_fs_oracle():
@@ -336,22 +339,23 @@ def test_integrate_volume_fs_oracle():
         lambda t: bump(t) * 2.0 * math.exp(t) / (1.0 + math.exp(t)) ** 2,
         -3.0, 2.0, epsabs=1e-13, epsrel=1e-13,
     )
-    assert abs(integrate_volume(bump, volume_fs(), cfg=QUAD) - want) < 1e-10
+    assert abs(integrate_volume(bump, volume_fs()) - want) < 1e-10
 
 
 # --- quadrature plumbing ---
 
 
 def test_integrate_line_splits_and_error_budget():
-    val, err = integrate_line(lambda t: np.exp(-np.abs(t)), splits=(0.0,), cfg=QUAD)
+    val, err = integrate_line(lambda t: np.exp(-np.abs(t)), splits=(0.0,))
     assert abs(val - 2.0) < 1e-12
-    assert err < QUAD.fail_tol
+    assert err < FAIL_TOL
 
 
-def test_integrate_line_fails_loudly_on_impossible_budget():
-    strict = QuadConfig(fail_tol=1e-18)
+def test_integrate_line_fails_loudly_on_impossible_budget(monkeypatch):
+    # the budget is read when integrate_line is called
+    monkeypatch.setattr(quadrature, "DEFAULT_QUAD", QuadConfig(fail_tol=1e-18))
     with pytest.raises(NumericalError, match="error estimate"):
-        integrate_line(lambda t: np.exp(-np.abs(t)), splits=(0.0,), cfg=strict)
+        integrate_line(lambda t: np.exp(-np.abs(t)), splits=(0.0,))
 
 
 def test_clean_splits_sorts_drops_outside_and_collapses_near_duplicates():
@@ -371,7 +375,19 @@ def test_clean_splits_sorts_drops_outside_and_collapses_near_duplicates():
 def test_integrate_line_takes_no_support():
     # every integral runs over the whole line; an interval is a zero-outside integrand
     with pytest.raises(TypeError, match="support"):
-        integrate_line(lambda t: np.exp(-t * t), support=(0.0, 1.0), cfg=QUAD)
+        integrate_line(lambda t: np.exp(-t * t), support=(0.0, 1.0))
+
+
+def test_no_public_callable_takes_a_budget():
+    # the one budget is quadrature.DEFAULT_QUAD.fail_tol: no argument reaches it
+    public = [getattr(m, name) for m in (spheretorsion, experiments) for name in m.__all__]
+    # exception classes have no signature to read
+    fns = [f for f in public if callable(f)]
+    fns = [f for f in fns if not (isinstance(f, type) and issubclass(f, Exception))]
+    for fn in fns + [RadialMeasure.integrate]:
+        assert "cfg" not in inspect.signature(fn).parameters, fn
+    for name in ("QuadConfig", "DEFAULT_QUAD"):
+        assert name not in spheretorsion.__all__ and not hasattr(spheretorsion, name)
 
 
 def _zero_outside(f, lo, hi):
@@ -402,9 +418,9 @@ def test_integrate_line_matches_quadpack(f, support):
     lo, hi = support if support is not None else (-np.inf, np.inf)
     want, _ = sciquad(lambda t: float(f(t)), lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
     ends = tuple(x for x in (lo, hi) if math.isfinite(x))
-    got, err = integrate_line(_zero_outside(f, lo, hi), splits=ends, cfg=QUAD)
+    got, err = integrate_line(_zero_outside(f, lo, hi), splits=ends)
     assert abs(got - want) < 1e-11
-    assert err < QUAD.fail_tol
+    assert err < FAIL_TOL
 
 
 def test_integrate_line_finds_bracketed_bump():
@@ -416,7 +432,7 @@ def test_integrate_line_finds_bracketed_bump():
         lambda s: float(logistic_density(s)) * math.exp(s / lam),
         -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13,
     )
-    got, _ = integrate_line(f, splits=_concentration_splits(lam), cfg=QUAD)
+    got, _ = integrate_line(f, splits=_concentration_splits(lam))
     assert abs(got - want) < 1e-11
 
 
@@ -434,7 +450,7 @@ def test_integrate_line_finds_bracketed_bump_at_every_width(k):
     # the speculative pass throws those nodes away without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, _ = integrate_line(f, splits=_concentration_splits(lam), cfg=QUAD)
+        got, _ = integrate_line(f, splits=_concentration_splits(lam))
     assert abs(got - want) < 1e-11
 
 
@@ -443,7 +459,7 @@ def test_integrate_line_fails_loudly_on_a_tail_it_cannot_evaluate():
     # right half line reaches: the call must say so, not drop the tail
     with pytest.warns(RuntimeWarning):
         with pytest.raises(NumericalError, match="diverged"):
-            integrate_line(lambda t: np.exp(t) / np.cosh(t) ** 2, cfg=QUAD)
+            integrate_line(lambda t: np.exp(t) / np.cosh(t) ** 2)
 
 
 def test_integrate_line_falls_back_on_the_half_line_its_graded_parts_overflow(monkeypatch):
@@ -461,12 +477,12 @@ def test_integrate_line_falls_back_on_the_half_line_its_graded_parts_overflow(mo
     f = lambda t: np.exp(t / 8.0) * np.exp(-t / 8.0 - 16.0 * t * t)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, _ = integrate_line(f, cfg=QUAD)
+        got, _ = integrate_line(f)
     assert abs(got - math.sqrt(math.pi) / 4.0) <= 1e-15
     assert [iv.shape[1] for iv in passes] == [14, 1, 4]
     assert passes[1][:3, 0].tolist() == [0.0, 1.0, 1.0]
     with np.errstate(over="raise"):
-        assert integrate_line(f, cfg=QUAD)[0] == got
+        assert integrate_line(f)[0] == got
 
 
 # the graded u-parts of a mapped half line, lower and upper edges
@@ -507,7 +523,7 @@ def test_integrate_line_first_pass_table(monkeypatch, f, splits, table, value, e
         return _quad(f, iv)
 
     monkeypatch.setattr(quadrature, "quad", recording_quad)
-    got, est = integrate_line(f, splits=splits, cfg=QUAD)
+    got, est = integrate_line(f, splits=splits)
     assert passes[0].tolist() == table
     assert got == pytest.approx(float.fromhex(value), rel=1e-15, abs=0.0)
     assert est == pytest.approx(float.fromhex(err), rel=1e-4, abs=0.0)
@@ -535,8 +551,8 @@ def test_integrand_writing_into_its_nodes_leaves_the_next_call_alone():
         t[:] = 0.0
         return y
 
-    first = integrate_line(scribble, cfg=QUAD)
-    assert integrate_line(scribble, cfg=QUAD) == first
+    first = integrate_line(scribble)
+    assert integrate_line(scribble) == first
     assert first[0] == pytest.approx(math.sqrt(math.pi), abs=1e-12)
 
 
@@ -549,9 +565,9 @@ def test_integrate_line_takes_a_read_only_integrand_result():
         y.flags.writeable = False
         return y
 
-    got, _ = integrate_line(frozen, cfg=QUAD)
+    got, _ = integrate_line(frozen)
     assert got == pytest.approx(2.0, abs=1e-12)
-    got, _ = integrate_line(lambda t: np.broadcast_to(np.exp(-t * t), (2, t.size)), cfg=QUAD)
+    got, _ = integrate_line(lambda t: np.broadcast_to(np.exp(-t * t), (2, t.size)))
     assert got == pytest.approx([math.sqrt(math.pi)] * 2, abs=1e-12)
 
 
@@ -561,10 +577,10 @@ def test_integrate_line_vector_integrand_matches_components():
         lambda t: np.exp(-t * t) * t * t,
         lambda t: 4.0 * logistic_density(2.0 * t),  # sech^2
     ]
-    vec, err = integrate_line(lambda t: np.array([f(t) for f in fs]), splits=(0.0,), cfg=QUAD)
-    assert vec.shape == (3,) and err < QUAD.fail_tol
+    vec, err = integrate_line(lambda t: np.array([f(t) for f in fs]), splits=(0.0,))
+    assert vec.shape == (3,) and err < FAIL_TOL
     for got, f in zip(vec, fs):
-        want, _ = integrate_line(f, splits=(0.0,), cfg=QUAD)
+        want, _ = integrate_line(f, splits=(0.0,))
         assert abs(got - want) < 1e-11
     assert abs(vec[2] - 2.0) < 1e-11
 
@@ -572,12 +588,12 @@ def test_integrate_line_vector_integrand_matches_components():
 def test_integrate_line_err_parts_sum_to_the_summed_estimate():
     # err is the summed estimate the budget reads; its parts split it by row
     fs = (lambda t: np.exp(-np.abs(t)), lambda t: np.exp(-t * t) * np.cos(5.0 * t))
-    vec, err = integrate_line(lambda t: np.array([f(t) for f in fs]), splits=(0.0,), cfg=QUAD)
-    assert isinstance(err, float) and err < QUAD.fail_tol
+    vec, err = integrate_line(lambda t: np.array([f(t) for f in fs]), splits=(0.0,))
+    assert isinstance(err, float) and err < FAIL_TOL
     assert err.parts.shape == vec.shape == (2,)
     assert np.all(err.parts >= 0.0)
     assert float(err) == pytest.approx(float(np.sum(err.parts)), rel=1e-15)
-    _, scalar = integrate_line(fs[0], splits=(0.0,), cfg=QUAD)
+    _, scalar = integrate_line(fs[0], splits=(0.0,))
     assert isinstance(scalar, float) and scalar.parts.shape == ()
 
 
@@ -599,7 +615,7 @@ def _subintervals_per_pass(monkeypatch, f, limit, splits=()):
 
     monkeypatch.setattr(quadrature, "_LIMIT", limit)
     with pytest.raises(NumericalError, match="error estimate"):
-        integrate_line(counting, splits=edges, cfg=QUAD)
+        integrate_line(counting, splits=edges)
     cuts = np.cumsum(passes[1:], axis=0) // 84
     return [[1] * (len(splits) + 1)] + (1 + 3 * cuts).tolist()
 
@@ -620,7 +636,7 @@ def test_integrate_line_caps_subintervals_per_panel(monkeypatch):
 
 def test_integrate_line_fails_loudly_on_nan():
     with pytest.raises(NumericalError, match="diverged"):
-        integrate_line(lambda t: np.where(t > 1.0, np.nan, np.exp(-t * t)), cfg=QUAD)
+        integrate_line(lambda t: np.where(t > 1.0, np.nan, np.exp(-t * t)))
 
 
 # --- weak convergence battery ---
@@ -629,7 +645,7 @@ def test_integrate_line_fails_loudly_on_nan():
 def test_bedford_taylor_zhang_to_canonical():
     fam = lambda n: zhang_iterate(fubini_study(1), 2, n)
     rep = bedford_taylor_check(
-        fam, canonical(1), bump, indices=range(3, 9), tol=1e-4, cfg=QUAD
+        fam, canonical(1), bump, indices=range(3, 9), tol=1e-4
     )
     assert rep.verdict == "converged"
     assert rep.target == pytest.approx(bump(0.0), abs=1e-12)

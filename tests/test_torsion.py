@@ -70,7 +70,7 @@ from spheretorsion import (
 )
 from spheretorsion.torsion import ZETA_PRIME_MINUS1, _chain
 
-from conftest import LOG2, LOGPI, QUAD, ZETA_PRIME_M1, ZPRIME_UNIT
+from conftest import LOG2, LOGPI, ZETA_PRIME_M1, ZPRIME_UNIT
 from zeta_oracle import zeta_prime_minus1_em
 
 WFS = volume_fs()
@@ -290,8 +290,8 @@ def test_reference_default_scale_is_geometric():
 
 def test_anomalies_vanish_on_equal_arguments():
     p = mollified_max(2, 0.5)
-    assert bundle_anomaly(p, p, WFS, cfg=QUAD).value == pytest.approx(0.0, abs=1e-13)
-    assert volume_anomaly(p, WFS, WFS, cfg=QUAD).value == pytest.approx(0.0, abs=1e-13)
+    assert bundle_anomaly(p, p, WFS).value == pytest.approx(0.0, abs=1e-13)
+    assert volume_anomaly(p, WFS, WFS).value == pytest.approx(0.0, abs=1e-13)
 
 
 def test_bundle_anomaly_antisymmetric():
@@ -301,16 +301,16 @@ def test_bundle_anomaly_antisymmetric():
         (lse(3, 4.0), fubini_study(3)),
     ]
     for p1, p2 in pairs:
-        a = bundle_anomaly(p1, p2, WFS, cfg=QUAD).value
-        b = bundle_anomaly(p2, p1, WFS, cfg=QUAD).value
+        a = bundle_anomaly(p1, p2, WFS).value
+        b = bundle_anomaly(p2, p1, WFS).value
         assert abs(a + b) < 1e-10
 
 
 def test_volume_anomaly_antisymmetric():
     wl = parse_volume("lse:m=2,a=4")
     for w1, w2 in [(WFS, WCAN), (WFS, wl), (WCAN, wl)]:
-        a = volume_anomaly(fubini_study(1), w1, w2, cfg=QUAD).value
-        b = volume_anomaly(fubini_study(1), w2, w1, cfg=QUAD).value
+        a = volume_anomaly(fubini_study(1), w1, w2).value
+        b = volume_anomaly(fubini_study(1), w2, w1).value
         assert abs(a + b) < 1e-10
 
 
@@ -322,9 +322,9 @@ def test_bundle_cocycle():
     ]
     for a, b, c in trios:
         gap = (
-            bundle_anomaly(a, c, w, cfg=QUAD).value
-            - bundle_anomaly(a, b, w, cfg=QUAD).value
-            - bundle_anomaly(b, c, w, cfg=QUAD).value
+            bundle_anomaly(a, c, w).value
+            - bundle_anomaly(a, b, w).value
+            - bundle_anomaly(b, c, w).value
         )
         assert abs(gap) < 1e-9
 
@@ -337,9 +337,9 @@ def test_volume_cocycle():
     p = fubini_study(1)
     for a, b, c in [(WFS, WCAN, wl), (WFS, wm, wl), (WCAN, wm, WFS)]:
         gap = (
-            volume_anomaly(p, a, c, cfg=QUAD).value
-            - volume_anomaly(p, a, b, cfg=QUAD).value
-            - volume_anomaly(p, b, c, cfg=QUAD).value
+            volume_anomaly(p, a, c).value
+            - volume_anomaly(p, a, b).value
+            - volume_anomaly(p, b, c).value
         )
         assert abs(gap) < 1e-9
 
@@ -347,22 +347,22 @@ def test_volume_cocycle():
 def test_mixed_square_commutes():
     # change bundle then volume vs volume then bundle
     p1, p2 = fubini_study(2), mollified_max(2, 0.5)
-    lhs = bundle_anomaly(p1, p2, WCAN, cfg=QUAD).value - bundle_anomaly(p1, p2, WFS, cfg=QUAD).value
-    rhs = volume_anomaly(p1, WCAN, WFS, cfg=QUAD).value - volume_anomaly(p2, WCAN, WFS, cfg=QUAD).value
+    lhs = bundle_anomaly(p1, p2, WCAN).value - bundle_anomaly(p1, p2, WFS).value
+    rhs = volume_anomaly(p1, WCAN, WFS).value - volume_anomaly(p2, WCAN, WFS).value
     assert abs(lhs - rhs) < 1e-9
 
 
 def test_bundle_anomaly_degree_mismatch_refused():
     with pytest.raises(ValueError, match="equal degrees"):
-        bundle_anomaly(fubini_study(1), fubini_study(2), WFS, cfg=QUAD)
+        bundle_anomaly(fubini_study(1), fubini_study(2), WFS)
 
 
 def test_m1_anchor_values():
-    K = bundle_anomaly(canonical(1), fubini_study(1), WFS, cfg=QUAD)
+    K = bundle_anomaly(canonical(1), fubini_study(1), WFS)
     assert K.value == pytest.approx(LOG2 - 1.5, abs=1e-11)
     assert K.diagnostics["pair_mu1"] == pytest.approx(-LOG2, abs=1e-12)
     assert K.diagnostics["pair_mu2"] == pytest.approx(LOG2 - 1.0, abs=1e-11)
-    V = volume_anomaly(canonical(1), WCAN, WFS, cfg=QUAD)
+    V = volume_anomaly(canonical(1), WCAN, WFS)
     assert V.value == pytest.approx(-LOG2 / 6.0 - 1.0 / 3.0, abs=1e-11)
     assert V.diagnostics["pair_mu"] == pytest.approx(-2.0 * LOG2, abs=1e-12)
     assert V.diagnostics["pair_todd1"] == pytest.approx(-4.0 * LOG2, abs=1e-12)
@@ -385,7 +385,7 @@ def test_bundle_anomaly_canonical_to_fs_closed_form(m):
     So K = (1/2)(-m^2 log 2 - m^2 I) + (1/2)(-2 m I) = -m^2/2 - m (1 - log 2),
     with no term the engine knows in closed form.
     """
-    K = bundle_anomaly(canonical(m), fubini_study(m), WFS, cfg=QUAD)
+    K = bundle_anomaly(canonical(m), fubini_study(m), WFS)
     assert abs(K.value - (-(m**2) / 2.0 - m * (1.0 - LOG2))) <= 1e-10
 
 
@@ -393,14 +393,14 @@ def test_bundle_anomaly_canonical_to_fs_closed_form(m):
 
 
 def test_torsion_m1_anchor():
-    t = torsion(canonical(1), WCAN, cfg=QUAD)
+    t = torsion(canonical(1), WCAN)
     want = fs_reference_torsion(1).value + 11.0 / 6.0 - (5.0 / 6.0) * LOG2 - 2.0 * math.log(1.5)
     assert t.value == pytest.approx(want, abs=1e-10)
     assert set(t.components) == COMPONENTS
 
 
 def test_quillen_bookkeeping_identity():
-    q = quillen(canonical(1), WCAN, cfg=QUAD)
+    q = quillen(canonical(1), WCAN)
     assert q.torsion.value == q.log_quillen - q.log_l2
     assert q.log_l2 == pytest.approx(2.0 * math.log(1.5), abs=1e-11)
     assert q.log_quillen == pytest.approx(
@@ -428,11 +428,11 @@ def _canonical_torsion_mp(m):
 def test_reported_err_bounds_the_torsion(m):
     # fs_m on a volume built from fs_2 is the reference pair geometrically,
     # with a norm found by quadrature, so its true T is T_fs(m)
-    w = volume_from_potential(fubini_study(2), cfg=QUAD)
-    t = torsion(fubini_study(m), w, cfg=QUAD)
+    w = volume_from_potential(fubini_study(2))
+    t = torsion(fubini_study(m), w)
     with mp.workdps(50):
         assert abs(mpf(t.value) - _fs_pair_mp(m)[1]) <= t.err
-    t = torsion(canonical(m), WCAN, cfg=QUAD)
+    t = torsion(canonical(m), WCAN)
     with mp.workdps(50):
         assert abs(mpf(t.value) - _canonical_torsion_mp(m)) <= t.err
 
@@ -440,7 +440,7 @@ def test_reported_err_bounds_the_torsion(m):
 def test_quillen_metric_needs_no_gram_closed_form():
     # log h_Q is the closed form Q_fs(m) less the anomaly terms: no Gram
     # log-determinant near -1300 enters it at m = 50
-    q = quillen(fubini_study(50), volume_from_potential(fubini_study(2), cfg=QUAD), cfg=QUAD)
+    q = quillen(fubini_study(50), volume_from_potential(fubini_study(2)))
     with mp.workdps(50):
         assert abs(mpf(q.log_quillen) - _fs_pair_mp(50)[0]) <= 1e-12
 
@@ -458,16 +458,16 @@ def test_anomaly_identity_many_pairs():
         (zhang_iterate(fubini_study(2), 2, 3), fubini_study(2), WFS),
     ]
     for p1, p2, w in cases:
-        lhs = quillen(p1, w, cfg=QUAD).log_quillen - quillen(p2, w, cfg=QUAD).log_quillen
-        rhs = -bundle_anomaly(p1, p2, w, cfg=QUAD).value
+        lhs = quillen(p1, w).log_quillen - quillen(p2, w).log_quillen
+        rhs = -bundle_anomaly(p1, p2, w).value
         assert abs(lhs - rhs) < 1e-8, (p1.label, p2.label, w.label)
 
 
 def test_volume_change_identity():
     # same shape in the volume slot
     for p in (fubini_study(1), mollified_max(2, 0.5)):
-        lhs = quillen(p, WCAN, cfg=QUAD).log_quillen - quillen(p, WFS, cfg=QUAD).log_quillen
-        rhs = -volume_anomaly(p, WCAN, WFS, cfg=QUAD).value
+        lhs = quillen(p, WCAN).log_quillen - quillen(p, WFS).log_quillen
+        rhs = -volume_anomaly(p, WCAN, WFS).value
         assert abs(lhs - rhs) < 1e-9
 
 
@@ -475,20 +475,20 @@ def test_reference_pair_lands_on_the_reference_torsion():
     # the reference pair runs the chain like every other pair: T is Q_fs(m)
     # less a quadrature Gram, and lands on T_fs(m)
     for m in range(25):
-        t = torsion(fubini_study(m), WFS, cfg=QUAD)
+        t = torsion(fubini_study(m), WFS)
         assert abs(t.value - fs_reference_torsion(m).value) <= 1e-12, m
-        assert t.value == quillen(fubini_study(m), WFS, cfg=QUAD).torsion.value
+        assert t.value == quillen(fubini_study(m), WFS).torsion.value
 
 
 def test_values_do_not_depend_on_labels():
     # a volume labelled "fs" is not the round volume, and a copy of fs_1
     # under another metric's label is not fs_1: only the geometry counts
-    lse_vol = lambda **kw: volume_from_potential(lse(2, 3.0), cfg=QUAD, **kw)
-    named = torsion(fubini_study(1), lse_vol(label="fs"), cfg=QUAD)
-    assert named.value == torsion(fubini_study(1), lse_vol(), cfg=QUAD).value
+    lse_vol = lambda **kw: volume_from_potential(lse(2, 3.0), **kw)
+    named = torsion(fubini_study(1), lse_vol(label="fs"))
+    assert named.value == torsion(fubini_study(1), lse_vol()).value
     assert abs(named.value - fs_reference_torsion(1).value) > 1e-3
     posing = dataclasses.replace(lse(1, 3.0), label="fs:1")
-    assert torsion(posing, WFS, cfg=QUAD).value == torsion(lse(1, 3.0), WFS, cfg=QUAD).value
+    assert torsion(posing, WFS).value == torsion(lse(1, 3.0), WFS).value
 
 
 def test_every_pair_reports_the_same_components_and_refusals():
@@ -500,22 +500,22 @@ def test_every_pair_reports_the_same_components_and_refusals():
         (fubini_study(2), WCAN),
     )
     for p, w in pairs:
-        assert set(torsion(p, w, cfg=QUAD).components) == COMPONENTS
+        assert set(torsion(p, w).components) == COMPONENTS
     with pytest.raises(TypeError):
-        torsion(fubini_study(1), WFS, route="auto", cfg=QUAD)
+        torsion(fubini_study(1), WFS, route="auto")
     with pytest.raises(ValueError, match="degree >= 0"):
-        torsion(dual(fubini_study(1)), WFS, cfg=QUAD)
+        torsion(dual(fubini_study(1)), WFS)
 
 
 def test_torsion_deterministic():
-    a = torsion(canonical(1), WCAN, cfg=QUAD).value
-    b = torsion(canonical(1), WCAN, cfg=QUAD).value
+    a = torsion(canonical(1), WCAN).value
+    b = torsion(canonical(1), WCAN).value
     assert a == b
 
 
 def test_each_anomaly_term_is_one_kernel_call(monkeypatch):
     radial = importlib.import_module("spheretorsion.radial")
-    p, w = lse(2, 9.0), volume_from_potential(lse(2, 4.0), cfg=QUAD)
+    p, w = lse(2, 9.0), volume_from_potential(lse(2, 4.0))
     calls = []
 
     def counting(*args, **kwargs):
@@ -524,14 +524,14 @@ def test_each_anomaly_term_is_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(radial, "integrate_line", counting)
     for run, want in (
-        (lambda: gram(p, w, cfg=QUAD), 1),
-        (lambda: bundle_anomaly(p, fubini_study(2), w, cfg=QUAD), 1),
-        (lambda: volume_anomaly(p, w, WFS, cfg=QUAD), 1),
+        (lambda: gram(p, w), 1),
+        (lambda: bundle_anomaly(p, fubini_study(2), w), 1),
+        (lambda: volume_anomaly(p, w, WFS), 1),
         # the Gram and the two anomaly terms share one stacked pairing
-        (lambda: quillen(p, w, cfg=QUAD), 1),
-        (lambda: torsion(p, w, cfg=QUAD), 1),
+        (lambda: quillen(p, w), 1),
+        (lambda: torsion(p, w), 1),
         # the reference pair runs the same chain
-        (lambda: quillen(fubini_study(2), WFS, cfg=QUAD), 1),
+        (lambda: quillen(fubini_study(2), WFS), 1),
     ):
         calls.clear()
         run()
@@ -557,7 +557,7 @@ def test_chain_evaluates_the_fs_volume_once_per_round(monkeypatch):
 
     monkeypatch.setattr(metrics, "logistic_density", counting)
     monkeypatch.setattr(quadrature, "quad", counting_quad)
-    quillen(p, volume_fs(), cfg=QUAD)
+    quillen(p, volume_fs())
     # the first pass holds the half lines already graded, and no round is left
     assert len(passes) == len(rounds) == 1
     assert len(dens) == 3 * len(rounds)
@@ -569,7 +569,7 @@ def test_chain_evaluates_no_block_at_an_atom_it_does_not_pair():
     # against the atom of canonical_2 at 0, and neither evaluates p
     base, sizes = lse(12, 4.5), []
     p = dataclasses.replace(base, phi=lambda t: sizes.append(np.size(t)) or base.phi(t))
-    quillen(p, volume_canonical(), cfg=QUAD)
+    quillen(p, volume_canonical())
     assert sizes and sizes.count(1) == 0
 
 
@@ -595,10 +595,10 @@ def _passes(monkeypatch, run):
         lambda: (lse(12, 4.5), WCAN),
         # the sharp members on their degree-2 twin's volume: the octave
         # brackets hold every cut near the bump, so no round is left
-        lambda: (lse(1, 1.5 * 3.0**20), volume_from_potential(lse(2, 1.5 * 3.0**20), cfg=QUAD)),
+        lambda: (lse(1, 1.5 * 3.0**20), volume_from_potential(lse(2, 1.5 * 3.0**20))),
         lambda: (
             zhang_iterate(lse(1, 1.5), 2, 28),
-            volume_from_potential(zhang_iterate(lse(2, 1.5), 2, 28), cfg=QUAD),
+            volume_from_potential(zhang_iterate(lse(2, 1.5), 2, 28)),
         ),
     ],
     ids=["fs6-fs", "fs24-fs", "lse12-can", "lse1-sharp-twin", "zhang1-sharp-twin"],
@@ -607,7 +607,7 @@ def test_quillen_kernel_passes(monkeypatch, case):
     # the first pass already holds each half line graded as the first round
     # of refinement would cut it, and each bracket panel an octave
     p, w = case()
-    assert _passes(monkeypatch, lambda: quillen(p, w, cfg=QUAD)) == 1
+    assert _passes(monkeypatch, lambda: quillen(p, w)) == 1
 
 
 # the smooth metrics of the high-degree study, as families in the degree m:
@@ -636,7 +636,7 @@ def test_a_smooth_metric_takes_one_pass_on_the_unsplit_table(monkeypatch, fam, m
         return _quad(f, iv)
 
     monkeypatch.setattr(quadrature, "quad", recording_quad)
-    quillen(fam(m), w, cfg=QUAD)
+    quillen(fam(m), w)
     assert len(tables) == 1 and tables[0] is quadrature._UNSPLIT_IV
 
 
@@ -645,7 +645,7 @@ def test_reference_pair_lands_on_the_reference_torsion_above_degree_100(m):
     # at m = 300 the call refines from the unsplit table. Only the value is
     # checked: the middle Gram entries there are below the absolute stop
     # rule, and T.err (2e-5 at m = 300) overstates the true error
-    t = torsion(fubini_study(m), WFS, cfg=QUAD)
+    t = torsion(fubini_study(m), WFS)
     with mp.workdps(50):
         assert abs(mpf(t.value) - _fs_pair_mp(m)[1]) <= 1e-9
 
@@ -664,7 +664,7 @@ LIMITS_TWINS = {
 def test_volume_normalization_takes_one_kernel_pass(monkeypatch, fam):
     # read alone, the norm converges in the graded first pass
     psi = fam(2)
-    assert _passes(monkeypatch, lambda: volume_from_potential(psi, cfg=QUAD).norm) == 1
+    assert _passes(monkeypatch, lambda: volume_from_potential(psi).norm) == 1
 
 
 @pytest.mark.parametrize("fam", LIMITS_TWINS.values(), ids=LIMITS_TWINS.keys())
@@ -672,8 +672,8 @@ def test_a_limits_op_takes_one_kernel_pass(monkeypatch, fam):
     # a member on its degree-2 twin's volume: building the volume integrates
     # nothing, and its norm is a row of quillen's own pass
     p, psi = fam(1), fam(2)
-    assert _passes(monkeypatch, lambda: volume_from_potential(psi, cfg=QUAD)) == 0
-    op = lambda: quillen(p, volume_from_potential(psi, cfg=QUAD), cfg=QUAD)
+    assert _passes(monkeypatch, lambda: volume_from_potential(psi)) == 0
+    op = lambda: quillen(p, volume_from_potential(psi))
     assert _passes(monkeypatch, op) == 1
 
 
@@ -688,16 +688,16 @@ def test_results_do_not_depend_on_what_the_volume_did_before():
         # vol() is the volume of each call
         vals = []
         for p in (lse(2, 9.0), mollified_max(2, 0.5)):
-            q, g = quillen(p, vol(), cfg=QUAD), gram(p, vol(), cfg=QUAD)
-            v = volume_anomaly(p, vol(), WFS, cfg=QUAD)
+            q, g = quillen(p, vol()), gram(p, vol())
+            v = volume_anomaly(p, vol(), WFS)
             vals += [q.log_quillen, q.torsion.value, q.torsion.err, *g.entries, g.err, v.value, v.err]
         return [float(x).hex() for x in vals]
 
-    want = results(lambda: volume_from_potential(psi, cfg=QUAD))
-    read, used = volume_from_potential(psi, cfg=QUAD), volume_from_potential(psi, cfg=QUAD)
+    want = results(lambda: volume_from_potential(psi))
+    read, used = volume_from_potential(psi), volume_from_potential(psi)
     assert read.norm > 0 and read.rho.density is not None
     assert results(lambda: read) == want
-    quillen(fubini_study(3), used, cfg=QUAD)
+    quillen(fubini_study(3), used)
     assert results(lambda: used) == want
 
 
@@ -712,11 +712,11 @@ def test_a_volume_without_a_finite_norm_fails_where_its_norm_is_used():
         curvature_atoms=((0.0, 1.0),),
         label="flat-tail",
     )
-    w, p = volume_from_potential(psi, cfg=QUAD), lse(2, 9.0)
+    w, p = volume_from_potential(psi), lse(2, 9.0)
     for use in (
-        lambda: quillen(p, w, cfg=QUAD),
-        lambda: gram(p, w, cfg=QUAD),
-        lambda: volume_anomaly(p, w, WFS, cfg=QUAD),
+        lambda: quillen(p, w),
+        lambda: gram(p, w),
+        lambda: volume_anomaly(p, w, WFS),
         lambda: w.norm,
     ):
         with pytest.raises(NumericalError):
@@ -727,15 +727,15 @@ def test_gram_and_volume_anomaly_charge_the_norm_err():
     # every Gram entry carries 1/norm, and V the gauge log norm times m/2 + 1/3;
     # both volumes carry the integrated norm, one with its estimate, one exact
     psi = lse(2, 3.0)
-    read = volume_from_potential(psi, cfg=QUAD)
+    read = volume_from_potential(psi)
     w = VolumeForm(psi, read.norm, norm_err=read.norm_err)
     exact = VolumeForm(psi, read.norm)
     p, rel = lse(6, 4.5), w.norm_err / w.norm
     assert rel > 0
-    assert gram(p, w, cfg=QUAD).err - gram(p, exact, cfg=QUAD).err == pytest.approx(7 * rel)
-    charge = volume_anomaly(p, w, WFS, cfg=QUAD).err - volume_anomaly(p, exact, WFS, cfg=QUAD).err
+    assert gram(p, w).err - gram(p, exact).err == pytest.approx(7 * rel)
+    charge = volume_anomaly(p, w, WFS).err - volume_anomaly(p, exact, WFS).err
     assert charge == pytest.approx((3 + 1 / 3) * rel)
-    T, T_exact = quillen(p, w, cfg=QUAD).torsion, quillen(p, exact, cfg=QUAD).torsion
+    T, T_exact = quillen(p, w).torsion, quillen(p, exact).torsion
     assert T.value == T_exact.value and T.err > T_exact.err
 
 
@@ -751,9 +751,9 @@ def _fused_cases(tmp_path):
         lambda m: lse(m, 1.5 * 3.0**20),
         lambda m: mollified_max(m, 1.5 * 2.0**-30),
     )
-    yield lse(2, 9.0), volume_from_potential(lse(2, 4.0), cfg=QUAD)
+    yield lse(2, 9.0), volume_from_potential(lse(2, 4.0))
     for fam in twins:
-        yield fam(1), volume_from_potential(fam(2), cfg=QUAD)
+        yield fam(1), volume_from_potential(fam(2))
     yield fubini_study(20), WCAN
     yield tensor(fubini_study(1), counterexample_potential(1.0, 0.01)), WFS
     yield _grid(tmp_path, lse(2, 2.0), 161), WFS
@@ -762,11 +762,11 @@ def _fused_cases(tmp_path):
 def test_fused_chain_matches_the_single_term_paths(tmp_path):
     # every row of the one stacked pairing against the term computed alone
     for p, w in _fused_cases(tmp_path):
-        gd, K, V = _chain(p, w, QUAD)
+        gd, K, V = _chain(p, w)
         alone = (
-            (gd.entries, gram(p, w, cfg=QUAD).entries),
-            (K.diagnostics, bundle_anomaly(p, fubini_study(p.degree), WFS, cfg=QUAD).diagnostics),
-            (V.diagnostics, volume_anomaly(p, w, WFS, cfg=QUAD).diagnostics),
+            (gd.entries, gram(p, w).entries),
+            (K.diagnostics, bundle_anomaly(p, fubini_study(p.degree), WFS).diagnostics),
+            (V.diagnostics, volume_anomaly(p, w, WFS).diagnostics),
         )
         assert gd.entries.shape == (p.degree + 1,)
         for fused, single in alone:
@@ -796,8 +796,8 @@ def test_curvature_mass_guard_catches_an_unbracketed_bump():
     # without its brackets the bump falls between the nodes: its mass d is
     # lost and log_quillen would be off by about 1.6e-8
     with pytest.raises(NumericalError, match="curvature mass of bump"):
-        quillen(_bump_potential(bracketed=False), WFS, cfg=QUAD)
-    q = quillen(_bump_potential(bracketed=True), WFS, cfg=QUAD)
+        quillen(_bump_potential(bracketed=False), WFS)
+    q = quillen(_bump_potential(bracketed=True), WFS)
     assert math.isfinite(q.log_quillen)
 
 
@@ -811,9 +811,9 @@ def test_curvature_mass_guard_catches_a_wrong_density():
         label="half",
     )
     with pytest.raises(NumericalError, match="curvature mass of half"):
-        quillen(half, WFS, cfg=QUAD)
+        quillen(half, WFS)
     with pytest.raises(NumericalError, match="curvature mass of half"):
-        torsion(half, WFS, cfg=QUAD)
+        torsion(half, WFS)
 
 
 # --- invariance identities that hold independently of this code ---
@@ -830,8 +830,8 @@ def test_torsion_invariant_under_constant_rescaling_of_h(m, w):
     # h -> e^{-a} h leaves dbar* dbar unchanged, so T cannot move
     # (Riemann-Roch: the anomaly of the shift is chi(O(m)) a = (m+1) a)
     for p in (fubini_study(m), canonical(m)):
-        t0 = torsion(p, w, cfg=QUAD).value
-        t1 = torsion(_shifted(p, 0.7), w, cfg=QUAD).value
+        t0 = torsion(p, w).value
+        t1 = torsion(_shifted(p, 0.7), w).value
         assert abs(t1 - t0) < 1e-12, (p.label, w.label, t1 - t0)
 
 
@@ -839,11 +839,11 @@ def test_torsion_invariant_under_volume_potential_constant():
     # psi and psi + b define the same area measure, hence the same geometry
     ts = np.linspace(-20.0, 20.0, 101)
     for psi in (WFS.psi, parse_spec("lse:m=2,a=4"), parse_spec("mollmax:m=2,eps=0.6")):
-        w0 = volume_from_potential(psi, cfg=QUAD)
-        w1 = volume_from_potential(_shifted(psi, 0.9), cfg=QUAD)
+        w0 = volume_from_potential(psi)
+        w1 = volume_from_potential(_shifted(psi, 0.9))
         np.testing.assert_allclose(w1.rho.density(ts), w0.rho.density(ts), rtol=1e-13, atol=0)
         for p in (fubini_study(1), canonical(2)):
-            gap = torsion(p, w1, cfg=QUAD).value - torsion(p, w0, cfg=QUAD).value
+            gap = torsion(p, w1).value - torsion(p, w0).value
             assert abs(gap) < 1e-12, (psi.label, p.label, gap)
 
 
@@ -878,7 +878,7 @@ def test_polyakov_formula_at_m0(spec):
     derivative = pytest.importorskip("scipy.differentiate").derivative
     w = parse_volume(spec)
     flat = fubini_study(0)
-    lhs = torsion(flat, w, cfg=QUAD).value - torsion(flat, WFS, cfg=QUAD).value
+    lhs = torsion(flat, w).value - torsion(flat, WFS).value
     rhs = _polyakov_rhs(w, derivative)
     assert abs(rhs) > 1e-2  # a genuine change of geometry
     assert abs(lhs - rhs) < 1e-11, (spec, lhs, rhs)
@@ -894,16 +894,16 @@ def test_generalized_limit_refuses_nonpositive():
     fam = lambda n: tensor(fubini_study(1), ridge)
     vols = lambda n: WFS
     with pytest.raises(ValueError, match="not positive"):
-        generalized_quillen_limit(fam, vols, indices=(0, 1), grid_indices=(), cfg=QUAD)
+        generalized_quillen_limit(fam, vols, indices=(0, 1), grid_indices=())
 
 
 def test_generalized_limit_constant_family_converges_immediately():
     fam = lambda n: fubini_study(1)
     vols = lambda n: WFS
-    lim = generalized_quillen_limit(fam, vols, indices=range(4), grid_indices=(), cfg=QUAD)
+    lim = generalized_quillen_limit(fam, vols, indices=range(4), grid_indices=())
     assert lim.report.verdict == "converged"
     assert lim.grid is None
-    assert lim.value == pytest.approx(quillen(fubini_study(1), WFS, cfg=QUAD).log_quillen, abs=1e-12)
+    assert lim.value == pytest.approx(quillen(fubini_study(1), WFS).log_quillen, abs=1e-12)
     assert max(lim.diagonal) - min(lim.diagonal) == 0.0
 
 
@@ -913,11 +913,11 @@ def test_generalized_limit_reaches_canonical_quillen():
     fam = lambda n: lse(1, 2.0**n)
     vols = lambda n: WFS
     lim = generalized_quillen_limit(
-        fam, vols, indices=range(8, 25, 2), grid_indices=range(3), tol=1e-4, cfg=QUAD
+        fam, vols, indices=range(8, 25, 2), grid_indices=range(3), tol=1e-4
     )
     assert lim.report.verdict == "converged"
     assert lim.grid is not None and lim.grid.shape == (3, 3)
-    want = quillen(canonical(1), WFS, cfg=QUAD).log_quillen
+    want = quillen(canonical(1), WFS).log_quillen
     assert abs(lim.value - want) < 1e-4
 
 
@@ -927,10 +927,10 @@ def test_generalized_torsion_curve_decomposition_independence():
         (lambda n: lse(3, 2.0**n), lambda n: lse(1, 2.0**n)),
         (lambda n: zhang_iterate(fubini_study(4), 2, n), lambda n: zhang_iterate(fubini_study(2), 2, n)),
     ]
-    out = generalized_torsion_curve(p, decs, indices=range(2, 25, 2), tol=1e-5, cfg=QUAD)
+    out = generalized_torsion_curve(p, decs, indices=range(2, 25, 2), tol=1e-5)
     assert out["verdict"] == "converged"
     assert out["agreement"] < 1e-5
-    want = torsion(p, WCAN, cfg=QUAD).value
+    want = torsion(p, WCAN).value
     for lim in out["limits"]:
         assert abs(lim - want) < 1e-5
 
@@ -939,19 +939,19 @@ def test_generalized_curve_refuses_nonpositive_factor():
     p = fubini_study(1)
     bad = (lambda n: dual(fubini_study(3)), lambda n: fubini_study(1))
     with pytest.raises(ValueError, match="not positive"):
-        generalized_torsion_curve(p, [bad], indices=(2, 4), cfg=QUAD)
+        generalized_torsion_curve(p, [bad], indices=(2, 4))
 
 
 # --- result plumbing ---
 
 
 def test_result_dicts_round_trip():
-    t = torsion(canonical(1), WCAN, cfg=QUAD)
+    t = torsion(canonical(1), WCAN)
     d = dataclasses.asdict(t)
     assert set(d) == {"value", "components", "err"} and d["value"] == t.value
     assert isinstance(d["components"], dict) and d["err"] < 1e-7
-    q = quillen(fubini_study(1), WFS, cfg=QUAD)
+    q = quillen(fubini_study(1), WFS)
     qd = dataclasses.asdict(q)
     assert set(qd) == {"log_quillen", "log_l2", "torsion", "gram"}
-    g = dataclasses.asdict(gram(fubini_study(1), WFS, cfg=QUAD))
+    g = dataclasses.asdict(gram(fubini_study(1), WFS))
     assert g["m"] == 1 and len(g["entries"]) == 2

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import spheretorsion as st
 
-from conftest import QUAD
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -18,11 +17,11 @@ def test_span_tracer_sees_the_kernel_and_the_pairings(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
-    p, w = st.lse(2, 9.0), st.volume_from_potential(st.lse(2, 4.0), cfg=QUAD)
+    p, w = st.lse(2, 9.0), st.volume_from_potential(st.lse(2, 4.0))
     tracer = spans.Tracer()
     tracer.install()
     try:
-        st.quillen(p, w, cfg=QUAD)
+        st.quillen(p, w)
     finally:
         tracer.uninstall()
     calls = tracer.summary()["calls"]
