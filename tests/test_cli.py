@@ -325,6 +325,16 @@ def test_no_subcommand_takes_a_budget_or_a_config(capsys, argv, flag):
     assert rc == 2 and out == "" and f"unrecognized arguments: {flag[0]}" in err
 
 
+@pytest.mark.parametrize(
+    "tol", ["-1", "0", "nan", "inf"], ids=["negative", "zero", "nan", "inf"]
+)
+def test_a_budget_is_refused_whatever_its_value(capsys, tol):
+    # no value of the removed flag is read, a bad one included
+    argv = ("torsion", "--metric", "canonical:1", "--volume", "canonical")
+    rc, out, err = run(capsys, *argv, "--quad-tol", tol, "--no-meta")
+    assert rc == 2 and out == "" and "unrecognized arguments: --quad-tol" in err
+
+
 @pytest.mark.filterwarnings("error")
 def test_exit_3_on_a_sup_distance_that_is_not_finite(capsys):
     # p^n is finite, but phi(p^n t) overflows on the scan: no Infinity in the JSON
