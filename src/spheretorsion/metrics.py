@@ -586,7 +586,7 @@ def load_grid(path: str) -> RadialPotential:
         rd = csv.reader(fh)
         header = next(rd, [])
         if [h.strip() for h in header[:2]] != ["t", "phi"]:
-            raise SpecError(f"grid CSV must start with header 't,phi', got {header}")
+            raise SpecError(f"grid CSV {path} must start with header 't,phi', got {header}")
         for row in rd:
             if not row or not row[0].strip():
                 continue
@@ -597,13 +597,14 @@ def load_grid(path: str) -> RadialPotential:
                 raise SpecError(
                     f"grid CSV {path} line {rd.line_num}: expected two numbers t,phi, got {row}"
                 ) from exc
-    degree, regularity, positive, side_kinks = _read_sidecar(os.path.splitext(path)[0] + ".json")
+    side = os.path.splitext(path)[0] + ".json"
+    degree, regularity, positive, side_kinks = _read_sidecar(side)
     t = np.asarray(ts, dtype=float)
     v = np.asarray(vs, dtype=float)
     if not (np.isfinite(t).all() and np.isfinite(v).all()):
         raise SpecError(f"grid CSV {path} holds a non-finite t or phi")
     if len(t) < 4 or np.any(np.diff(t) <= 0):
-        raise SpecError("grid needs at least 4 strictly increasing t values")
+        raise SpecError(f"grid CSV {path} needs at least 4 strictly increasing t values")
     c = _monotone_cubic(t, v)
     # the end slopes: the first cell's at s = 0, the last cell's at s = h
     h = t[-1] - t[-2]
@@ -611,33 +612,43 @@ def load_grid(path: str) -> RadialPotential:
     s_hi = float(c[2, -1] + 2 * c[1, -1] * h + 3 * c[0, -1] * (h * h))
     if abs(s_hi - degree) > 0.1 or abs(s_lo) > 0.1:
         raise SpecError(
-            f"grid slopes ({s_lo:.3f}, {s_hi:.3f}) inconsistent with degree {degree}"
+            f"grid CSV {path}: slopes ({s_lo:.3f}, {s_hi:.3f}) inconsistent with "
+            f"degree {degree} of {side}"
         )
     lo, hi = float(t[0]), float(t[-1])
     v_lo, v_hi = float(v[0]), float(v[-1])
-    # phi'' = b + a s on each cell, the factors 6 and 2 applied once here
-    a, b = 6 * c[0], 2 * c[1]
+    last = len(t) - 2
+    # contiguous coefficient rows, gathered with take; phi'' = b + a s on
+    # each cell, the factors 6 and 2 applied once here
+    c0, c1, c2, c3 = c
+    a, b = 6 * c0, 2 * c1
 
     def cell(x):
-        x = np.clip(x, lo, hi)
-        i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
-        return i, x - t[i]
+        # np.maximum(lo, x) keeps x where x == lo and NaN where x is NaN, as
+        # np.clip does; a clamped x lies in the cells 0..last, NaN in last
+        x = np.minimum(hi, np.maximum(lo, x))
+        i = np.minimum(np.searchsorted(t, x, side="right") - 1, last)
+        return i, x - t.take(i)
 
     def phi(x):
         x = np.asarray(x, dtype=float)
         i, s = cell(x)
-        c0, c1, c2, c3 = c[:, i]
         s2 = s * s
-        return np.where(
-            x < lo,
-            v_lo + s_lo * (x - lo),
-            np.where(x > hi, v_hi + s_hi * (x - hi), c3 + c2 * s + c1 * s2 + c0 * (s2 * s)),
-        )
+        # a 0-d x gives a numpy scalar here; asarray makes it a writable 0-d array
+        y = np.asarray(c3.take(i) + c2.take(i) * s + c1.take(i) * s2 + c0.take(i) * (s2 * s))
+        # the linear continuation, computed only where it applies
+        out = x < lo
+        if out.any():
+            y[out] = v_lo + s_lo * (x[out] - lo)
+        out = x > hi
+        if out.any():
+            y[out] = v_hi + s_hi * (x[out] - hi)
+        return y
 
     def dens(x):
         x = np.asarray(x, dtype=float)
         i, s = cell(x)
-        return np.where((x > lo) & (x < hi), b[i] + a[i] * s, 0.0)
+        return np.where((x > lo) & (x < hi), b.take(i) + a.take(i) * s, 0.0)
 
     kinks = np.sort(np.concatenate((side_kinks, t)))
     kinks = kinks[np.concatenate(([True], kinks[1:] != kinks[:-1]))]
@@ -652,22 +663,50 @@ def load_grid(path: str) -> RadialPotential:
     )
 
 
+def _rewrite(path: str, text: str, newline=None) -> None:
+    """Write text to path in place: what open(path, "w") gives, without its truncation.
+
+    A new file gets the mode 0o666 & ~umask. An existing one is overwritten
+    from the start and then cut at the end of text, so a same-length rewrite
+    frees no blocks and a shorter one leaves no stale tail. Not atomic.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def write_grid(p: RadialPotential, path: str, t_lo=-30.0, t_hi=30.0, n=2001):
-    """Sample a potential to CSV + sidecar, the inverse of load_grid."""
+    """Sample a potential to CSV + sidecar, the inverse of load_grid.
+
+    n knots spaced evenly over [t_lo, t_hi]. An n that is not an integer
+    >= 4, or a range whose ends are not finite with t_lo < t_hi, raises
+    ValueError; a sample that is not finite raises NumericalError naming
+    the potential. Both are raised before either file is touched. Each file
+    is rewritten in place (see _rewrite), CSV first; neither write is atomic.
+    """
+    if not (isinstance(n, (int, np.integer)) and n >= 4):
+        raise ValueError(f"grid needs an integer number of knots >= 4, got {n!r}")
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
+        raise ValueError(f"grid needs finite t_lo < t_hi, got {t_lo!r} and {t_hi!r}")
     ts = np.linspace(t_lo, t_hi, n)
-    vs = np.asarray(p.phi(ts), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vs = np.asarray(p.phi(ts), dtype=float)
+    if not np.isfinite(vs).all():
+        raise NumericalError(
+            f"grid of {p.label or 'anonymous'} holds a sample that is not finite on "
+            f"[{t_lo!r}, {t_hi!r}]"
+        )
     # the text csv.writer makes of these cells: no cell needs quoting
     rows = "".join("%.15g,%.15g\r\n" % ab for ab in zip(ts.tolist(), vs.tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("t,phi\r\n" + rows)
+    _rewrite(path, "t,phi\r\n" + rows, newline="")
     meta = {
         "degree": p.degree,
         "regularity": p.regularity,
         "positive": p.positive,
         "kinks": [k for k in p.kinks if t_lo < k < t_hi],
     }
-    with open(os.path.splitext(path)[0] + ".json", "w") as fh:
-        fh.write(json.dumps(meta, indent=2))
+    _rewrite(os.path.splitext(path)[0] + ".json", json.dumps(meta, indent=2))
 
 
 # --- mini language ---

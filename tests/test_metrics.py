@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from scipy.interpolate import PchipInterpolator
 
 from spheretorsion import (
     CounterexampleParams,
+    NumericalError,
     SpecError,
     canonical,
     counterexample_energy_oracle,
@@ -33,7 +37,7 @@ from spheretorsion import (
     zhang_iterate,
 )
 from spheretorsion import cli
-from spheretorsion.metrics import _concentration_splits, _softplus
+from spheretorsion.metrics import _concentration_splits, _monotone_cubic, _softplus
 
 from conftest import LOG2
 
@@ -257,6 +261,8 @@ def test_counterexample_mass_is_zero():
 
 # --- grids ---
 
+GRID_POTENTIALS = [fubini_study(3), lse(2, 2.5), mollified_max(3, 0.7)]
+
 
 def test_grid_round_trip(tmp_path):
     p = fubini_study(2)
@@ -286,15 +292,173 @@ def test_grid_at_default_knots_is_sandwiched(tmp_path):
     assert abs(measure_mass(g) - 2.0) < 1e-9
 
 
-def test_grid_slope_validation(tmp_path):
+def test_grid_slope_validation(tmp_path, capsys):
     path = str(tmp_path / "fs2.csv")
     write_grid(fubini_study(2), path)
     side = tmp_path / "fs2.json"
     meta = json.loads(side.read_text())
     meta["degree"] = 1  # lie about the degree, slopes no longer match
     side.write_text(json.dumps(meta))
-    with pytest.raises(SpecError, match="slopes"):
+    with pytest.raises(SpecError, match="fs2.csv: slopes"):
         load_grid(path)
+    assert cli.main(["torsion", "--metric", f"grid:{path}", "--no-meta"]) == 2
+    assert "fs2.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        pytest.param(["t,phi", "-1,0", "0,0.5", "1,1"], "at least 4", id="three-rows"),
+        pytest.param(["t,phi", "-2,0", "-1,0.1", "-1,0.2", "1,1"], "increasing", id="repeated-t"),
+        pytest.param(["t,phi", "-2,0", "0,0.5", "-0.5,0.7", "1,1"], "increasing", id="decreasing-t"),
+        pytest.param(["x,phi", "-2,0", "-1,0.1", "0,0.5", "1,1"], "header", id="bad-header"),
+    ],
+)
+def test_grid_knot_and_header_refusals_name_the_file(tmp_path, capsys, rows, match):
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(rows) + "\n")
+    meta = {"degree": 1, "regularity": "continuous", "positive": False, "kinks": []}
+    path.with_suffix(".json").write_text(json.dumps(meta))
+    with pytest.raises(SpecError, match=f"short.csv .*{match}"):
+        load_grid(str(path))
+    assert cli.main(["torsion", "--metric", f"grid:{path}", "--no-meta"]) == 2
+    assert "short.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "p, kwargs, error",
+    [
+        pytest.param(fubini_study(2), {"n": 3}, ValueError, id="three-knots"),
+        pytest.param(fubini_study(2), {"n": 41.0}, ValueError, id="float-knots"),
+        pytest.param(fubini_study(2), {"t_lo": 5, "t_hi": -5, "n": 41}, ValueError, id="reversed"),
+        pytest.param(fubini_study(2), {"t_lo": 5, "t_hi": 5, "n": 41}, ValueError, id="empty"),
+        pytest.param(fubini_study(2), {"t_hi": math.inf}, ValueError, id="infinite-end"),
+        pytest.param(fubini_study(2), {"t_lo": math.nan}, ValueError, id="nan-end"),
+        pytest.param(
+            zhang_iterate(fubini_study(2), 2, 1023), {"n": 41}, NumericalError, id="overflow"
+        ),
+    ],
+)
+def test_write_grid_refuses_before_touching_the_file(tmp_path, p, kwargs, error):
+    # what load_grid would refuse, or could not use, is refused without a
+    # warning, and a good grid already at the path stays as it was
+    path = tmp_path / "g.csv"
+    write_grid(fubini_study(3), str(path), n=41)
+    before = path.read_bytes(), path.with_suffix(".json").read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="zhang" if error is NumericalError else "grid needs"):
+            write_grid(p, str(path), **kwargs)
+    assert (path.read_bytes(), path.with_suffix(".json").read_bytes()) == before
+
+
+def _truncating_write_grid(p, path, t_lo=-30.0, t_hi=30.0, n=2001):
+    # [REFERENCE] the writer before in-place rewrites: open(path, "w")
+    # truncates each file before writing it
+    ts = np.linspace(t_lo, t_hi, n)
+    vs = np.asarray(p.phi(ts), dtype=float)
+    rows = "".join("%.15g,%.15g\r\n" % ab for ab in zip(ts.tolist(), vs.tolist()))
+    with open(path, "w", newline="") as fh:
+        fh.write("t,phi\r\n" + rows)
+    meta = {
+        "degree": p.degree,
+        "regularity": p.regularity,
+        "positive": p.positive,
+        "kinks": [k for k in p.kinks if t_lo < k < t_hi],
+    }
+    with open(os.path.splitext(path)[0] + ".json", "w") as fh:
+        fh.write(json.dumps(meta, indent=2))
+
+
+@pytest.mark.parametrize("n", [41, 161, 2001])
+@pytest.mark.parametrize("p", GRID_POTENTIALS, ids=lambda p: p.label)
+def test_write_grid_files_match_the_truncating_writer(tmp_path, p, n):
+    ref = tmp_path / "ref.csv"
+    path = tmp_path / "g.csv"
+
+    def files(csv_path):
+        return csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()
+
+    umask = os.umask(0o002)
+    try:
+        _truncating_write_grid(p, str(ref), n=n)
+        write_grid(p, str(path), n=n)
+    finally:
+        os.umask(umask)
+    assert files(path) == files(ref)
+    for f in (path, path.with_suffix(".json")):
+        assert stat.S_IMODE(f.stat().st_mode) == 0o666 & ~0o002
+    # over a longer grid and a longer sidecar (mollified_max carries kinks),
+    # then over a shorter pair: no stale tail is left
+    for q, knots in ((mollified_max(3, 0.7), 2 * n + 1), (fubini_study(3), 4)):
+        _truncating_write_grid(q, str(path), n=knots)
+        write_grid(p, str(path), n=n)
+        assert files(path) == files(ref)
+
+
+def _where_grid(t, v):
+    # [REFERENCE] the grid evaluation before take and patching: np.clip,
+    # fancy indexing and nested full-width np.where
+    c = _monotone_cubic(t, v)
+    h = t[-1] - t[-2]
+    s_lo = float(c[2, 0])
+    s_hi = float(c[2, -1] + 2 * c[1, -1] * h + 3 * c[0, -1] * (h * h))
+    lo, hi = float(t[0]), float(t[-1])
+    v_lo, v_hi = float(v[0]), float(v[-1])
+    a, b = 6 * c[0], 2 * c[1]
+
+    def cell(x):
+        x = np.clip(x, lo, hi)
+        i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(t) - 2)
+        return i, x - t[i]
+
+    def phi(x):
+        x = np.asarray(x, dtype=float)
+        i, s = cell(x)
+        c0, c1, c2, c3 = c[:, i]
+        s2 = s * s
+        return np.where(
+            x < lo,
+            v_lo + s_lo * (x - lo),
+            np.where(x > hi, v_hi + s_hi * (x - hi), c3 + c2 * s + c1 * s2 + c0 * (s2 * s)),
+        )
+
+    def dens(x):
+        x = np.asarray(x, dtype=float)
+        i, s = cell(x)
+        return np.where((x > lo) & (x < hi), b[i] + a[i] * s, 0.0)
+
+    return phi, dens
+
+
+def _hex(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+@pytest.mark.parametrize("n", [41, 161, 2001])
+@pytest.mark.parametrize("p", GRID_POTENTIALS, ids=lambda p: p.label)
+def test_grid_evaluation_matches_the_where_formulas(tmp_path, p, n):
+    path = str(tmp_path / "g.csv")
+    write_grid(p, path, n=n)
+    t, v = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    g = load_grid(path)
+    ref_phi, ref_dens = _where_grid(t, v)
+    gaps = 60.0 * np.geomspace(1e-12, 3, 9)
+    specials = np.array([np.inf, -np.inf, np.nan])
+    x = np.concatenate([t, (t[1:] + t[:-1]) / 2, t[0] - gaps, t[-1] + gaps, specials])
+    # a zero end slope times an infinite t is NaN, with numpy's warning on both sides
+    with np.errstate(invalid="ignore"):
+        for got, want in ((g.phi, ref_phi), (g.curvature_density, ref_dens)):
+            assert _hex(got(x)) == _hex(want(x))  # NaN reads 'nan': NaN positions agree too
+            for xi in (t[0] - 1.0, t[n // 2], t[-1] + 1.0, *specials):
+                y = got(xi)
+                assert isinstance(y, np.ndarray) and y.shape == ()
+                assert _hex(y) == _hex(want(xi))
+            y = got(x[:5].tolist())
+            assert isinstance(y, np.ndarray) and _hex(y) == _hex(want(x[:5]))
+    # the density is 0 wherever (x > lo) & (x < hi) is false, NaN included
+    dens = g.curvature_density(x)
+    assert np.all(dens[~((x > t[0]) & (x < t[-1]))] == 0.0)
 
 
 def test_grid_missing_sidecar(tmp_path):
@@ -329,9 +493,7 @@ def _assert_matches_pchip(g, t, v):
 
 
 @pytest.mark.parametrize("n", [41, 161, 2001])
-@pytest.mark.parametrize(
-    "p", [fubini_study(3), lse(2, 2.5), mollified_max(3, 0.7)], ids=lambda p: p.label
-)
+@pytest.mark.parametrize("p", GRID_POTENTIALS, ids=lambda p: p.label)
 def test_grid_interpolant_matches_scipy_pchip(tmp_path, p, n):
     path = str(tmp_path / "g.csv")
     write_grid(p, path, n=n)
