@@ -140,12 +140,12 @@ def write_json(obj: dict, path=None, no_meta=False):
     return text
 
 
-def write_csv(rows, path, fieldnames=None):
+def write_csv(rows, path):
+    """Rows as CSV, one column per key of the first row; no file for no rows."""
     if not rows:
         return
-    fieldnames = fieldnames or list(rows[0].keys())
     with open(path, "w", newline="") as fh:
-        wr = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
+        wr = csv.DictWriter(fh, fieldnames=list(rows[0]))
         wr.writeheader()
         for row in rows:
             wr.writerow({k: (f"{v:.15g}" if isinstance(v, float) else v) for k, v in row.items()})

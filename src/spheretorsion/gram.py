@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import ConvergenceReport, RadialPotential, VolumeForm, _normed_pairings
+from .radial import RadialPotential, VolumeForm, _normed_pairings
 
 
 @dataclass
@@ -98,11 +98,6 @@ def gram_fs_closed(m: int) -> np.ndarray:
     )
 
 
-def log_det_fs_closed(m: int) -> float:
-    """Exact log det of the FS/FS Gram in the basis of record."""
-    return float(np.sum(np.log(gram_fs_closed(m))))
-
-
 def gram_canonical_closed(m: int) -> np.ndarray:
     """Canonical metric against the singular volume: g_k = 1/(k+1) + 1/(m+1-k)."""
     return np.array([1.0 / (k + 1) + 1.0 / (m + 1 - k) for k in range(m + 1)])
@@ -111,23 +106,3 @@ def gram_canonical_closed(m: int) -> np.ndarray:
 def log_det_canonical_closed(m: int) -> float:
     return float(np.sum(np.log(gram_canonical_closed(m))))
 
-
-# --- sequence studies ---
-
-
-def gram_convergence(
-    family,
-    w: VolumeForm,
-    target: GramData,
-    indices=tuple(range(1, 9)),
-    tol: float = 1e-8,
-) -> ConvergenceReport:
-    """Convergence of log-determinants along an approximating family.
-
-    The sandwich |log det G(p1) - log det G(p2)| <= (m+1) sup|phi1 - phi2|
-    makes this a Lipschitz functional of the potential, so uniform
-    convergence of potentials forces the verdict here.
-    """
-    vals = [gram(family(n), w).log_det for n in indices]
-    msg = "log det Gram vs target, tol={tol:g}"
-    return ConvergenceReport.of(indices, vals, tol, msg, target.log_det)

@@ -31,7 +31,6 @@ import numpy as np
 
 from .quadrature import NumericalError
 from .radial import (
-    REGULARITIES,
     RadialPotential,
     VolumeForm,
     logistic_density,
@@ -41,9 +40,6 @@ from .radial import (
 
 class SpecError(ValueError):
     """Malformed metric/volume mini-language expression (CLI exit code 2)."""
-
-
-_RANK = {"smooth": 0, "continuous-piecewise": 1, "continuous": 2}
 
 
 # --- catalog ---
@@ -63,7 +59,6 @@ def fubini_study(m: int) -> RadialPotential:
     return RadialPotential(
         degree=m,
         phi=lambda t, _m=m: _m * _softplus(t),
-        regularity="smooth",
         positive=True,
         kinks=(),
         curvature_atoms=(),
@@ -80,7 +75,6 @@ def canonical(m: int) -> RadialPotential:
     return RadialPotential(
         degree=m,
         phi=lambda t, _m=m: _m * np.maximum(t, 0.0),
-        regularity="continuous",
         positive=True,
         kinks=(0.0,),
         curvature_atoms=((0.0, float(m)),) if m > 0 else (),
@@ -141,7 +135,6 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
     return RadialPotential(
         degree=base.degree,
         phi=lambda t, _l=lam, _f=base.phi: _f(np.asarray(t) * _l) / _l,
-        regularity=base.regularity,
         positive=base.positive,
         kinks=tuple(splits),
         curvature_atoms=tuple((loc / lam, mass) for loc, mass in base.curvature_atoms),
@@ -165,7 +158,6 @@ def lse(m: int, a: float) -> RadialPotential:
     return RadialPotential(
         degree=m,
         phi=lambda t, _m=m, _a=a: (_m / _a) * _softplus(_a * np.asarray(t)),
-        regularity="smooth",
         positive=True,
         kinks=_concentration_splits(a),
         curvature_density=lambda t, _m=m, _a=a: _m * _a * logistic_density(_a * np.asarray(t)),
@@ -205,7 +197,6 @@ def mollified_max(m: int, eps: float) -> RadialPotential:
     return RadialPotential(
         degree=m,
         phi=phi,
-        regularity="smooth",
         positive=True,
         kinks=(-eps, eps),
         curvature_density=dens,
@@ -227,11 +218,9 @@ def tensor(p1: RadialPotential, p2: RadialPotential) -> RadialPotential:
         dens = d1
     else:
         dens = lambda t, _a=d1, _b=d2: _a(t) + _b(t)
-    reg = max(p1.regularity, p2.regularity, key=lambda r: _RANK[r])
     return RadialPotential(
         degree=p1.degree + p2.degree,
         phi=lambda t, _f=p1.phi, _g=p2.phi: _f(t) + _g(t),
-        regularity=reg,
         positive=p1.positive and p2.positive,
         kinks=tuple(sorted(set(p1.kinks) | set(p2.kinks))),
         curvature_atoms=tuple(p1.curvature_atoms) + tuple(p2.curvature_atoms),
@@ -250,7 +239,6 @@ def dual(p: RadialPotential) -> RadialPotential:
     return RadialPotential(
         degree=-p.degree,
         phi=lambda t, _f=p.phi: -_f(t),
-        regularity=p.regularity,
         positive=False,
         kinks=p.kinks,
         curvature_atoms=tuple((loc, -mass) for loc, mass in p.curvature_atoms),
@@ -262,8 +250,8 @@ def dual(p: RadialPotential) -> RadialPotential:
 # --- sup distance ---
 
 
-def sup_distance(p1: RadialPotential, p2: RadialPotential, t_range=(-60.0, 60.0)) -> float:
-    """sup_t |phi1 - phi2| for two potentials of the same degree.
+def sup_distance(p1: RadialPotential, p2: RadialPotential) -> float:
+    """sup_t |phi1 - phi2| over [-60, 60] for two potentials of the same degree.
 
     Grid scan with geometric clustering around kinks (glue windows can be
     as narrow as the delta parameter of the counterexample family), then
@@ -286,7 +274,8 @@ def sup_distance(p1: RadialPotential, p2: RadialPotential, t_range=(-60.0, 60.0)
             )
         return d
 
-    pts = [np.linspace(t_range[0], t_range[1], 8001)]
+    t_lo, t_hi = -60.0, 60.0
+    pts = [np.linspace(t_lo, t_hi, 8001)]
     for k in sorted(set(p1.kinks) | set(p2.kinks)):
         offs = np.geomspace(1e-9, 1.0, 46)
         pts.append(k + offs)
@@ -295,7 +284,7 @@ def sup_distance(p1: RadialPotential, p2: RadialPotential, t_range=(-60.0, 60.0)
     # sorted and deduplicated with a mask: np.unique imports numpy.ma
     ts = np.sort(np.concatenate(pts))
     ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
-    ts = ts[(ts >= t_range[0]) & (ts <= t_range[1])]
+    ts = ts[(ts >= t_lo) & (ts <= t_hi)]
     diff = gap(ts)
     i = int(np.argmax(diff))
     best = float(diff[i])
@@ -457,7 +446,6 @@ def counterexample_potential(
     pot = RadialPotential(
         degree=0,
         phi=phi,
-        regularity="continuous-piecewise",
         positive=False,
         kinks=junction_ts,
         curvature_atoms=(),
@@ -531,7 +519,10 @@ def _monotone_cubic(t: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _read_sidecar(side: str) -> tuple:
-    """(degree, regularity, positive, kinks) of a grid sidecar; SpecError naming it otherwise."""
+    """(degree, positive, kinks) of a grid sidecar; SpecError naming it otherwise.
+
+    Other keys are ignored, so a sidecar with further keys loads as one without them.
+    """
     try:
         with open(side) as fh:
             meta = json.load(fh)
@@ -541,37 +532,58 @@ def _read_sidecar(side: str) -> tuple:
         raise SpecError(f"cannot read grid sidecar {side}: {exc}") from exc
     if not isinstance(meta, dict):
         raise SpecError(f"grid sidecar {side} must hold a JSON object, got {type(meta).__name__}")
-    for key in ("degree", "regularity", "positive"):
+    for key in ("degree", "positive"):
         if key not in meta:
             raise SpecError(f"grid sidecar {side} is missing key {key!r}")
-    degree, regularity, positive = meta["degree"], meta["regularity"], meta["positive"]
+    degree, positive = meta["degree"], meta["positive"]
     kinks = meta.get("kinks", [])
     # a boolean is never a number, and a string is no list of kinks
     if type(degree) is not int:
         raise SpecError(f"grid sidecar {side}: degree must be an integer, got {degree!r}")
-    if regularity not in REGULARITIES:
-        raise SpecError(
-            f"grid sidecar {side}: regularity must be one of {REGULARITIES}, got {regularity!r}"
-        )
     if type(positive) is not bool:
         raise SpecError(f"grid sidecar {side}: positive must be true or false, got {positive!r}")
     if not (isinstance(kinks, list) and all(type(k) in (int, float) for k in kinks)):
         raise SpecError(f"grid sidecar {side}: kinks must be a list of numbers, got {kinks!r}")
-    return degree, regularity, positive, tuple(float(k) for k in kinks)
+    return degree, positive, tuple(float(k) for k in kinks)
+
+
+def _grid_cubic(t: np.ndarray, v: np.ndarray, degree: int, path: str, side: str) -> tuple:
+    """(cubic, s_lo, s_hi) of grid data load_grid accepts; SpecError naming path otherwise.
+
+    At least 4 strictly increasing finite t with finite values, and end
+    slopes within 0.1 of 0 and of the degree declared in side.
+    """
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise SpecError(f"grid CSV {path} holds a non-finite t or phi")
+    if len(t) < 4 or np.any(np.diff(t) <= 0):
+        raise SpecError(f"grid CSV {path} needs at least 4 strictly increasing t values")
+    c = _monotone_cubic(t, v)
+    # the end slopes: the first cell's at s = 0, the last cell's at s = h
+    h = t[-1] - t[-2]
+    s_lo = float(c[2, 0])
+    s_hi = float(c[2, -1] + 2 * c[1, -1] * h + 3 * c[0, -1] * (h * h))
+    if abs(s_hi - degree) > 0.1 or abs(s_lo) > 0.1:
+        raise SpecError(
+            f"grid CSV {path}: slopes ({s_lo:.3f}, {s_hi:.3f}) inconsistent with "
+            f"degree {degree} of {side}"
+        )
+    return c, s_lo, s_hi
 
 
 def load_grid(path: str) -> RadialPotential:
     """Load a potential from a CSV grid (header t,phi) plus a JSON sidecar.
 
     The sidecar (same path with .json extension) must be a JSON object
-    with an integer degree, a known regularity, a boolean positive and
-    optionally a list of numeric kinks; anything else is a SpecError
-    naming the sidecar. The CSV needs at least 4 rows of two
+    with an integer degree, a boolean positive and optionally a list of
+    numeric kinks; other keys are ignored, and anything else is a
+    SpecError naming the sidecar. The CSV needs at least 4 rows of two
     finite numbers with strictly increasing t; anything else is a SpecError
-    naming the file. Values are interpolated with the monotone cubic of
-    `_monotone_cubic`, the curvature density is its piecewise-linear second
-    derivative, and outside the grid the potential continues linearly with
-    the boundary slopes, which are validated against the declared degree.
+    naming the file (see _grid_cubic). Values are interpolated with the
+    monotone cubic of `_monotone_cubic`, the curvature density is its
+    piecewise-linear second derivative, and outside the grid the potential
+    continues linearly with the boundary slopes, which are validated
+    against the declared degree; at t = -inf or +inf phi is the limit of
+    that continuation, the end value where the slope is 0.
 
     The interpolant fails to be C^2 at every grid knot, so all knots ride
     along as quadrature splits; each panel between knots is a polynomial,
@@ -598,23 +610,10 @@ def load_grid(path: str) -> RadialPotential:
                     f"grid CSV {path} line {rd.line_num}: expected two numbers t,phi, got {row}"
                 ) from exc
     side = os.path.splitext(path)[0] + ".json"
-    degree, regularity, positive, side_kinks = _read_sidecar(side)
+    degree, positive, side_kinks = _read_sidecar(side)
     t = np.asarray(ts, dtype=float)
     v = np.asarray(vs, dtype=float)
-    if not (np.isfinite(t).all() and np.isfinite(v).all()):
-        raise SpecError(f"grid CSV {path} holds a non-finite t or phi")
-    if len(t) < 4 or np.any(np.diff(t) <= 0):
-        raise SpecError(f"grid CSV {path} needs at least 4 strictly increasing t values")
-    c = _monotone_cubic(t, v)
-    # the end slopes: the first cell's at s = 0, the last cell's at s = h
-    h = t[-1] - t[-2]
-    s_lo = float(c[2, 0])
-    s_hi = float(c[2, -1] + 2 * c[1, -1] * h + 3 * c[0, -1] * (h * h))
-    if abs(s_hi - degree) > 0.1 or abs(s_lo) > 0.1:
-        raise SpecError(
-            f"grid CSV {path}: slopes ({s_lo:.3f}, {s_hi:.3f}) inconsistent with "
-            f"degree {degree} of {side}"
-        )
+    c, s_lo, s_hi = _grid_cubic(t, v, degree, path, side)
     lo, hi = float(t[0]), float(t[-1])
     v_lo, v_hi = float(v[0]), float(v[-1])
     last = len(t) - 2
@@ -636,13 +635,14 @@ def load_grid(path: str) -> RadialPotential:
         s2 = s * s
         # a 0-d x gives a numpy scalar here; asarray makes it a writable 0-d array
         y = np.asarray(c3.take(i) + c2.take(i) * s + c1.take(i) * s2 + c0.take(i) * (s2 * s))
-        # the linear continuation, computed only where it applies
+        # the linear continuation, computed only where it applies; a zero
+        # slope gives the end value, so an infinite x gives no 0 * inf
         out = x < lo
         if out.any():
-            y[out] = v_lo + s_lo * (x[out] - lo)
+            y[out] = v_lo + s_lo * (x[out] - lo) if s_lo else v_lo
         out = x > hi
         if out.any():
-            y[out] = v_hi + s_hi * (x[out] - hi)
+            y[out] = v_hi + s_hi * (x[out] - hi) if s_hi else v_hi
         return y
 
     def dens(x):
@@ -655,7 +655,6 @@ def load_grid(path: str) -> RadialPotential:
     return RadialPotential(
         degree=degree,
         phi=phi,
-        regularity=regularity,
         positive=positive,
         kinks=tuple(kinks.tolist()),
         curvature_density=dens,
@@ -682,8 +681,12 @@ def write_grid(p: RadialPotential, path: str, t_lo=-30.0, t_hi=30.0, n=2001):
     n knots spaced evenly over [t_lo, t_hi]. An n that is not an integer
     >= 4, or a range whose ends are not finite with t_lo < t_hi, raises
     ValueError; a sample that is not finite raises NumericalError naming
-    the potential. Both are raised before either file is touched. Each file
-    is rewritten in place (see _rewrite), CSV first; neither write is atomic.
+    the potential; knots and values that load_grid would refuse as they read
+    back (knots that %.15g prints as equal, a range too narrow for the end
+    slopes to match the degree) raise its SpecError. All are raised before
+    either file is touched. Each file is rewritten in place
+    (see _rewrite), CSV first; neither write is atomic. The sidecar holds
+    degree, positive and the kinks inside the range.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 4):
         raise ValueError(f"grid needs an integer number of knots >= 4, got {n!r}")
@@ -699,14 +702,17 @@ def write_grid(p: RadialPotential, path: str, t_lo=-30.0, t_hi=30.0, n=2001):
         )
     # the text csv.writer makes of these cells: no cell needs quoting
     rows = "".join("%.15g,%.15g\r\n" % ab for ab in zip(ts.tolist(), vs.tolist()))
+    # the knots and values as load_grid reads them back
+    t, v = np.array(rows.replace("\r\n", ",").split(",")[:-1], dtype=float).reshape(-1, 2).T
+    side = os.path.splitext(path)[0] + ".json"
+    _grid_cubic(t, v, p.degree, path, side)
     _rewrite(path, "t,phi\r\n" + rows, newline="")
     meta = {
         "degree": p.degree,
-        "regularity": p.regularity,
         "positive": p.positive,
         "kinks": [k for k in p.kinks if t_lo < k < t_hi],
     }
-    _rewrite(os.path.splitext(path)[0] + ".json", json.dumps(meta, indent=2))
+    _rewrite(side, json.dumps(meta, indent=2))
 
 
 # --- mini language ---

@@ -30,8 +30,6 @@ import numpy as np
 
 from .quadrature import ErrorEstimate, NumericalError, integrate_line
 
-REGULARITIES = ("smooth", "continuous-piecewise", "continuous")
-
 
 # --- core containers ---
 
@@ -51,23 +49,17 @@ class RadialPotential:
     constructor in this library provides them, numerical differentiation is
     never used silently. curvature_density is the density on the whole
     line: it returns exactly 0 where mu_phi has no absolutely continuous
-    mass.
+    mass. What makes a metric integrable in the sense of the paper is this
+    curvature data together with positive; no other label is kept.
     """
 
     degree: int
     phi: Callable
-    regularity: str
     positive: bool
     kinks: tuple = ()
     curvature_atoms: tuple = ()
     curvature_density: Optional[Callable] = None
     label: str = ""
-
-    def __post_init__(self):
-        if self.regularity not in REGULARITIES:
-            raise ValueError(
-                f"regularity must be one of {REGULARITIES}, got {self.regularity!r}"
-            )
 
     def __call__(self, t):
         return self.phi(t)

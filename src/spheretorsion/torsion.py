@@ -357,14 +357,13 @@ def generalized_quillen_limit(
     indices: Sequence[int] = tuple(range(0, 25, 2)),
     grid_indices: Sequence[int] = tuple(range(0, 6)),
     tol: float = 1e-6,
-    tail: int = 4,
 ) -> GeneralizedLimit:
     """Double-sequence Quillen limit along positive approximating families.
 
     Every family element must be flagged positive, otherwise the call is
     refused: this is the hypothesis the limit theorem actually needs. The
     small grid documents joint behavior; the diagonal carries the limit,
-    with a Cauchy verdict over the last `tail` entries.
+    with a Cauchy verdict over the last 4 entries.
     """
     bundles, volumes = {}, {}
     for i in sorted(set(indices) | set(grid_indices)):
@@ -385,7 +384,7 @@ def generalized_quillen_limit(
         for n in indices
     ]
     msg = "max pairwise gap over last {tail} diagonal entries = {spread:.3e}, tol={tol:g}"
-    return GeneralizedLimit(ConvergenceReport.of(indices, diag, tol, msg, tail=tail), grid)
+    return GeneralizedLimit(ConvergenceReport.of(indices, diag, tol, msg, tail=4), grid)
 
 
 def generalized_torsion_curve(

@@ -264,13 +264,14 @@ def test_write_json_refuses_a_value_that_is_not_finite(tmp_path, bad):
 
 
 def test_write_csv_round_trip(tmp_path):
+    # one column per key of the first row, in order; floats at 15 digits
     p = tmp_path / "rows.csv"
-    rows = [{"m": 0, "val": 1.0 / 3.0, "extra": "drop"}, {"m": 1, "val": 2.0 / 3.0, "extra": "drop"}]
-    write_csv(rows, str(p), fieldnames=["m", "val"])
+    rows = [{"m": 0, "val": 1.0 / 3.0, "tag": "a"}, {"m": 1, "val": 2.0 / 3.0, "tag": "b"}]
+    write_csv(rows, str(p))
     with open(p) as fh:
         back = list(csv.DictReader(fh))
+    assert list(back[0]) == ["m", "val", "tag"]
     assert [r["m"] for r in back] == ["0", "1"]
-    assert float(back[1]["val"]) == pytest.approx(2.0 / 3.0, abs=1e-14)
-    assert "extra" not in back[0]
+    assert back[1]["val"] == "0.666666666666667" and back[1]["tag"] == "b"
     write_csv([], str(tmp_path / "empty.csv"))
     assert not (tmp_path / "empty.csv").exists()

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as sciquad
 
 from spheretorsion import (
+    ConvergenceReport,
     RadialPotential,
     canonical,
     fubini_study,
     gram,
     gram_canonical_closed,
-    gram_convergence,
     gram_fs_closed,
     log_det_canonical_closed,
-    log_det_fs_closed,
     lse,
     volume_canonical,
     volume_fs,
@@ -30,7 +29,7 @@ def test_fs_gram_matches_beta_closed_form(m):
     g = gram(fubini_study(m), volume_fs())
     want = gram_fs_closed(m)
     assert np.max(np.abs(g.entries - want)) < 1e-10
-    assert abs(g.log_det - log_det_fs_closed(m)) < 1e-10
+    assert abs(g.log_det - np.log(gram_fs_closed(m)).sum()) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -97,7 +96,6 @@ def test_gram_rescaling_law():
     shifted = RadialPotential(
         degree=m,
         phi=lambda t, _f=base.phi: _f(t) + a,
-        regularity="smooth",
         positive=True,
         curvature_density=base.curvature_density,
         label="fs-shifted",
@@ -134,11 +132,17 @@ def test_gram_rejects_negative_degree():
         gram(dual(fubini_study(1)), volume_fs())
 
 
+def _log_det_convergence(family, indices, target):
+    # log det Gram along a family against the target's, tol 1e-3
+    w = volume_canonical()
+    vals = [gram(family(n), w).log_det for n in indices]
+    return ConvergenceReport.of(indices, vals, 1e-3, "", gram(target, w).log_det)
+
+
 def test_gram_convergence_zhang_to_canonical():
     m = 2
-    target = gram(canonical(m), volume_canonical())
     fam = lambda n: zhang_iterate(fubini_study(m), 2, n)
-    rep = gram_convergence(fam, volume_canonical(), target, indices=range(2, 9), tol=1e-3)
+    rep = _log_det_convergence(fam, range(2, 9), canonical(m))
     assert rep.verdict == "converged"
     # Lipschitz in sup distance, so gaps contract at least geometrically
     assert rep.gaps[-1] < rep.gaps[0] / 30.0
@@ -146,7 +150,6 @@ def test_gram_convergence_zhang_to_canonical():
 
 def test_gram_convergence_lse_to_canonical():
     m = 1
-    target = gram(canonical(m), volume_canonical())
     fam = lambda n: lse(m, 2.0**n)
-    rep = gram_convergence(fam, volume_canonical(), target, indices=range(2, 11), tol=1e-3)
+    rep = _log_det_convergence(fam, range(2, 11), canonical(m))
     assert rep.verdict == "converged"

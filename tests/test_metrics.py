@@ -49,7 +49,7 @@ def test_fs_potential_values():
     p = fubini_study(3)
     for t in (-2.0, 0.0, 1.0, 7.0):
         assert float(p.phi(t)) == pytest.approx(3.0 * math.log1p(math.exp(t)), rel=1e-14)
-    assert p.positive and p.regularity == "smooth" and p.label == "fs:3"
+    assert p.positive and p.label == "fs:3"
 
 
 def test_canonical_potential_values():
@@ -57,7 +57,6 @@ def test_canonical_potential_values():
     assert float(p.phi(-5.0)) == 0.0
     assert float(p.phi(2.5)) == 10.0
     assert p.curvature_atoms == ((0.0, 4.0),)
-    assert p.regularity == "continuous"
 
 
 def test_mollified_max_center_value():
@@ -188,7 +187,6 @@ def test_dual_negates_and_tensor_with_dual_is_flat():
 def test_tensor_with_atoms_keeps_atoms():
     pt = tensor(canonical(2), fubini_study(1))
     assert pt.curvature_atoms == ((0.0, 2.0),)
-    assert pt.regularity == "continuous"
     assert abs(measure_mass(pt) - 3.0) < 1e-10
 
 
@@ -268,6 +266,8 @@ def test_grid_round_trip(tmp_path):
     p = fubini_study(2)
     path = str(tmp_path / "fs2.csv")
     write_grid(p, path)
+    meta = json.loads((tmp_path / "fs2.json").read_text())
+    assert meta == {"degree": 2, "positive": True, "kinks": []}
     q = load_grid(path)
     assert q.degree == 2 and q.label == "grid:fs2.csv"
     ts = np.linspace(-25, 25, 1501)
@@ -317,7 +317,7 @@ def test_grid_slope_validation(tmp_path, capsys):
 def test_grid_knot_and_header_refusals_name_the_file(tmp_path, capsys, rows, match):
     path = tmp_path / "short.csv"
     path.write_text("\n".join(rows) + "\n")
-    meta = {"degree": 1, "regularity": "continuous", "positive": False, "kinks": []}
+    meta = {"degree": 1, "positive": False, "kinks": []}
     path.with_suffix(".json").write_text(json.dumps(meta))
     with pytest.raises(SpecError, match=f"short.csv .*{match}"):
         load_grid(str(path))
@@ -326,20 +326,37 @@ def test_grid_knot_and_header_refusals_name_the_file(tmp_path, capsys, rows, mat
 
 
 @pytest.mark.parametrize(
-    "p, kwargs, error",
+    "p, kwargs, error, match",
     [
-        pytest.param(fubini_study(2), {"n": 3}, ValueError, id="three-knots"),
-        pytest.param(fubini_study(2), {"n": 41.0}, ValueError, id="float-knots"),
-        pytest.param(fubini_study(2), {"t_lo": 5, "t_hi": -5, "n": 41}, ValueError, id="reversed"),
-        pytest.param(fubini_study(2), {"t_lo": 5, "t_hi": 5, "n": 41}, ValueError, id="empty"),
-        pytest.param(fubini_study(2), {"t_hi": math.inf}, ValueError, id="infinite-end"),
-        pytest.param(fubini_study(2), {"t_lo": math.nan}, ValueError, id="nan-end"),
+        pytest.param(fubini_study(2), {"n": 3}, ValueError, "grid needs", id="three-knots"),
+        pytest.param(fubini_study(2), {"n": 41.0}, ValueError, "grid needs", id="float-knots"),
         pytest.param(
-            zhang_iterate(fubini_study(2), 2, 1023), {"n": 41}, NumericalError, id="overflow"
+            fubini_study(2), {"t_lo": 5, "t_hi": -5, "n": 41}, ValueError, "grid needs",
+            id="reversed",
+        ),
+        pytest.param(
+            fubini_study(2), {"t_lo": 5, "t_hi": 5, "n": 41}, ValueError, "grid needs", id="empty"
+        ),
+        pytest.param(fubini_study(2), {"t_hi": math.inf}, ValueError, "grid needs", id="infinite-end"),
+        pytest.param(fubini_study(2), {"t_lo": math.nan}, ValueError, "grid needs", id="nan-end"),
+        pytest.param(
+            zhang_iterate(fubini_study(2), 2, 1023), {"n": 41}, NumericalError, "zhang",
+            id="overflow",
+        ),
+        # load_grid's own refusals, on the knots and values as they read back
+        pytest.param(
+            fubini_study(2), {"t_lo": -1.0, "t_hi": 1.0, "n": 41}, SpecError,
+            r"g.csv: slopes \(0.538, 1.462\) inconsistent with degree 2",
+            id="narrow-range-slopes",
+        ),
+        pytest.param(
+            fubini_study(2), {"t_lo": 1.0, "t_hi": 1.0 + 1e-13, "n": 41}, SpecError,
+            "g.csv needs at least 4 strictly increasing t values",
+            id="knots-equal-when-printed",
         ),
     ],
 )
-def test_write_grid_refuses_before_touching_the_file(tmp_path, p, kwargs, error):
+def test_write_grid_refuses_before_touching_the_file(tmp_path, p, kwargs, error, match):
     # what load_grid would refuse, or could not use, is refused without a
     # warning, and a good grid already at the path stays as it was
     path = tmp_path / "g.csv"
@@ -347,14 +364,15 @@ def test_write_grid_refuses_before_touching_the_file(tmp_path, p, kwargs, error)
     before = path.read_bytes(), path.with_suffix(".json").read_bytes()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error, match="zhang" if error is NumericalError else "grid needs"):
+        with pytest.raises(error, match=match):
             write_grid(p, str(path), **kwargs)
     assert (path.read_bytes(), path.with_suffix(".json").read_bytes()) == before
 
 
 def _truncating_write_grid(p, path, t_lo=-30.0, t_hi=30.0, n=2001):
     # [REFERENCE] the writer before in-place rewrites: open(path, "w")
-    # truncates each file before writing it
+    # truncates each file before writing it; its sidecar less the
+    # regularity key, which no computation read
     ts = np.linspace(t_lo, t_hi, n)
     vs = np.asarray(p.phi(ts), dtype=float)
     rows = "".join("%.15g,%.15g\r\n" % ab for ab in zip(ts.tolist(), vs.tolist()))
@@ -362,7 +380,6 @@ def _truncating_write_grid(p, path, t_lo=-30.0, t_hi=30.0, n=2001):
         fh.write("t,phi\r\n" + rows)
     meta = {
         "degree": p.degree,
-        "regularity": p.regularity,
         "positive": p.positive,
         "kinks": [k for k in p.kinks if t_lo < k < t_hi],
     }
@@ -398,7 +415,8 @@ def test_write_grid_files_match_the_truncating_writer(tmp_path, p, n):
 
 def _where_grid(t, v):
     # [REFERENCE] the grid evaluation before take and patching: np.clip,
-    # fancy indexing and nested full-width np.where
+    # fancy indexing and nested full-width np.where; a zero end slope
+    # continues with the end value, also at an infinite x
     c = _monotone_cubic(t, v)
     h = t[-1] - t[-2]
     s_lo = float(c[2, 0])
@@ -417,10 +435,10 @@ def _where_grid(t, v):
         i, s = cell(x)
         c0, c1, c2, c3 = c[:, i]
         s2 = s * s
+        below = v_lo + s_lo * (x - lo) if s_lo else v_lo
+        above = v_hi + s_hi * (x - hi) if s_hi else v_hi
         return np.where(
-            x < lo,
-            v_lo + s_lo * (x - lo),
-            np.where(x > hi, v_hi + s_hi * (x - hi), c3 + c2 * s + c1 * s2 + c0 * (s2 * s)),
+            x < lo, below, np.where(x > hi, above, c3 + c2 * s + c1 * s2 + c0 * (s2 * s))
         )
 
     def dens(x):
@@ -446,19 +464,34 @@ def test_grid_evaluation_matches_the_where_formulas(tmp_path, p, n):
     gaps = 60.0 * np.geomspace(1e-12, 3, 9)
     specials = np.array([np.inf, -np.inf, np.nan])
     x = np.concatenate([t, (t[1:] + t[:-1]) / 2, t[0] - gaps, t[-1] + gaps, specials])
-    # a zero end slope times an infinite t is NaN, with numpy's warning on both sides
-    with np.errstate(invalid="ignore"):
-        for got, want in ((g.phi, ref_phi), (g.curvature_density, ref_dens)):
-            assert _hex(got(x)) == _hex(want(x))  # NaN reads 'nan': NaN positions agree too
-            for xi in (t[0] - 1.0, t[n // 2], t[-1] + 1.0, *specials):
-                y = got(xi)
-                assert isinstance(y, np.ndarray) and y.shape == ()
-                assert _hex(y) == _hex(want(xi))
-            y = got(x[:5].tolist())
-            assert isinstance(y, np.ndarray) and _hex(y) == _hex(want(x[:5]))
+    for got, want in ((g.phi, ref_phi), (g.curvature_density, ref_dens)):
+        assert _hex(got(x)) == _hex(want(x))  # NaN reads 'nan': NaN positions agree too
+        for xi in (t[0] - 1.0, t[n // 2], t[-1] + 1.0, *specials):
+            y = got(xi)
+            assert isinstance(y, np.ndarray) and y.shape == ()
+            assert _hex(y) == _hex(want(xi))
+        y = got(x[:5].tolist())
+        assert isinstance(y, np.ndarray) and _hex(y) == _hex(want(x[:5]))
     # the density is 0 wherever (x > lo) & (x < hi) is false, NaN included
     dens = g.curvature_density(x)
     assert np.all(dens[~((x > t[0]) & (x < t[-1]))] == 0.0)
+
+
+@pytest.mark.parametrize("p", GRID_POTENTIALS, ids=lambda p: p.label)
+def test_grid_phi_at_infinity_is_the_limit_of_its_continuation(tmp_path, p):
+    # at 41 knots the end-slope rule sets the left slope to 0: phi(-inf) is
+    # the end value, not 0 * inf, and no warning is raised
+    path = str(tmp_path / "g.csv")
+    write_grid(p, path, n=41)
+    t, v = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    assert _monotone_cubic(t, v)[2, 0] == 0.0
+    g = load_grid(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = g.phi(np.array([-np.inf, np.inf]))
+        scalar = g.phi(-np.inf)
+    assert _hex(ends) == _hex([v[0], np.inf])
+    assert _hex(scalar) == _hex(v[0])
 
 
 def test_grid_missing_sidecar(tmp_path):
@@ -471,7 +504,7 @@ def test_grid_missing_sidecar(tmp_path):
 def _write_grid_data(path, t, v, degree):
     # full precision, so the floats read back are exactly t and v
     path.write_text("t,phi\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, v)))
-    meta = {"degree": degree, "regularity": "continuous", "positive": False, "kinks": []}
+    meta = {"degree": degree, "positive": False, "kinks": []}
     path.with_suffix(".json").write_text(json.dumps(meta))
     return load_grid(str(path))
 
@@ -562,7 +595,6 @@ def test_grid_malformed_row_is_a_spec_error(tmp_path, capsys, row):
     [
         pytest.param("{not json", id="invalid-json"),
         pytest.param('["degree", 2]', id="not-an-object"),
-        pytest.param({"regularity": "C1"}, id="unknown-regularity"),
         pytest.param({"degree": "x"}, id="string-degree"),
         pytest.param({"positive": "false"}, id="string-positive"),
         pytest.param({"kinks": "ab"}, id="string-kinks"),
@@ -582,6 +614,23 @@ def test_grid_malformed_sidecar_is_a_spec_error(tmp_path, capsys, sidecar):
         load_grid(str(path))
     assert cli.main(["torsion", "--metric", f"grid:{path}", "--no-meta"]) == 2
     assert "bad.json" in capsys.readouterr().err
+
+
+def test_grid_sidecar_with_a_regularity_key_loads_unchanged(tmp_path):
+    # sidecars written before the regularity grade was dropped still hold
+    # it; keys the loader does not read are ignored, whatever their value
+    plain, old = tmp_path / "plain.csv", tmp_path / "old.csv"
+    p = mollified_max(3, 0.7)
+    write_grid(p, str(plain), n=41)
+    write_grid(p, str(old), n=41)
+    side = old.with_suffix(".json")
+    side.write_text(json.dumps({**json.loads(side.read_text()), "regularity": "C1"}))
+    a, b = load_grid(str(plain)), load_grid(str(old))
+    t = np.loadtxt(plain, delimiter=",", skiprows=1, usecols=0)
+    x = np.concatenate([t, (t[1:] + t[:-1]) / 2, t[[0, -1]] + [-5.0, 5.0]])
+    assert _hex(a.phi(x)) == _hex(b.phi(x))
+    assert _hex(a.curvature_density(x)) == _hex(b.curvature_density(x))
+    assert (a.degree, a.positive, a.kinks) == (b.degree, b.positive, b.kinks)
 
 
 # --- mini language ---

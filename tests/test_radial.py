@@ -111,7 +111,7 @@ def test_sharp_lse_keeps_its_mass():
 def test_degree_zero_without_curvature_is_the_zero_measure():
     p = RadialPotential(
         degree=0, phi=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        regularity="smooth", positive=True,
+        positive=True,
     )
     assert measure_mass(p) == 0.0
 
@@ -119,15 +119,10 @@ def test_degree_zero_without_curvature_is_the_zero_measure():
 def test_missing_curvature_data_refused():
     p = RadialPotential(
         degree=2, phi=lambda t: 2.0 * np.maximum(np.asarray(t, dtype=float), 0.0),
-        regularity="continuous", positive=True,
+        positive=True,
     )
     with pytest.raises(ValueError, match="curvature data"):
         c1_measure(p)
-
-
-def test_bad_regularity_refused():
-    with pytest.raises(ValueError, match="regularity"):
-        RadialPotential(degree=0, phi=lambda t: t, regularity="bogus", positive=True)
 
 
 # --- pairing: atoms, by-parts oracle, bilinearity, symmetry ---

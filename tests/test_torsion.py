@@ -706,7 +706,6 @@ def test_a_volume_without_a_finite_norm_fails_where_its_norm_is_used():
     psi = RadialPotential(
         degree=2,
         phi=lambda t: np.maximum(t, 0.0),
-        regularity="continuous-piecewise",
         positive=False,
         kinks=(0.0,),
         curvature_atoms=((0.0, 1.0),),
@@ -783,7 +782,6 @@ def _bump_potential(bracketed):
     return RadialPotential(
         degree=1,
         phi=lambda t: (1.0 - d) * f1.phi(t) + d * z.phi(t - s),
-        regularity="smooth",
         positive=True,
         kinks=tuple(k + s for k in z.kinks) if bracketed else (),
         curvature_density=lambda t: (1.0 - d) * f1.curvature_density(t)
@@ -805,7 +803,6 @@ def test_curvature_mass_guard_catches_a_wrong_density():
     half = RadialPotential(
         degree=1,
         phi=fubini_study(1).phi,
-        regularity="smooth",
         positive=True,
         curvature_density=lambda t: 0.5 * logistic_density(t),
         label="half",
