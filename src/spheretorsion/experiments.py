@@ -163,7 +163,7 @@ def _rows(rows):
 
 def _cex_row(c, delta, eps, gamma):
     pot = counterexample_potential(c, delta, eps=eps, gamma=gamma)
-    oracle = counterexample_energy_oracle(pot)
+    oracle = counterexample_energy_oracle(c, delta, eps=eps, gamma=gamma)
     flat = fubini_study(0)
     w = volume_fs()
     sup = sup_distance(pot, flat)
@@ -181,7 +181,7 @@ def _cex_row(c, delta, eps, gamma):
         "c": c,
         "delta": delta,
         "eps": eps,
-        "gamma": pot.params.gamma,
+        "gamma": oracle["gamma"],
         "sup_distance": sup,
         "sup_over_scale": sup / scale,
         "dirichlet_term": K.diagnostics["dirichlet_term"],

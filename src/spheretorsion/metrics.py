@@ -390,21 +390,8 @@ class PiecewiseRadial:
         return float(sum(parts)), parts
 
 
-def counterexample_potential(
-    c: float, delta: float, eps: float = 0.2, gamma: float | None = None
-) -> RadialPotential:
-    """The ridge potential f_{c,delta}: height c sqrt(delta), slope c/sqrt(delta).
-
-    Compactly supported in r, identically c sqrt(delta) on a plateau
-    containing [1-gamma, 1+gamma], linear ramps of width delta starting at
-    r = 1 -+ eps, and C^2 quintic glue of width <= delta at the five
-    junctions. sup |f| <= 2 c sqrt(delta) while the Dirichlet integral
-    int r f'^2 dr = 2 c^2 + R with R > 0 the glue remainder: uniform decay
-    of the metric with no decay of the energy, which is the whole point.
-
-    The returned potential carries the exact piecewise representation as
-    the attribute .piecewise (values, derivatives, exact energy).
-    """
+def _ridge(c: float, delta: float, eps: float, gamma: float | None) -> tuple:
+    """(CounterexampleParams, f) of the ridge f_{c,delta}, f exact and piecewise in r."""
     if gamma is None:
         gamma = min(0.01, (eps - delta) / 8.0)
     prm = CounterexampleParams(c=float(c), delta=float(delta), eps=float(eps), gamma=float(gamma))
@@ -427,7 +414,25 @@ def counterexample_potential(
         (r5, delta, np.polynomial.Polynomial([h, -h])),
         (r6, wR, _quintic(wR, 0, -s, 0, 0, 0, 0)),
     ]
-    pw = PiecewiseRadial(pieces)
+    return prm, PiecewiseRadial(pieces)
+
+
+def counterexample_potential(
+    c: float, delta: float, eps: float = 0.2, gamma: float | None = None
+) -> RadialPotential:
+    """The ridge potential f_{c,delta}: height c sqrt(delta), slope c/sqrt(delta).
+
+    Compactly supported in r, identically c sqrt(delta) on a plateau
+    containing [1-gamma, 1+gamma], linear ramps of width delta starting at
+    r = 1 -+ eps, and C^2 quintic glue of width <= delta at the five
+    junctions. sup |f| <= 2 c sqrt(delta) while the Dirichlet integral
+    int r f'^2 dr = 2 c^2 + R with R > 0 the glue remainder: uniform decay
+    of the metric with no decay of the energy, which is the whole point.
+    gamma None is min(0.01, (eps - delta) / 8), and
+    counterexample_energy_oracle of the same parameters gives the exact energy.
+    """
+    prm, pw = _ridge(c, delta, eps, gamma)
+    c, delta, eps, gamma = prm.c, prm.delta, prm.eps, prm.gamma
     t_lo = 2.0 * math.log(pw.breaks[0]) - 1.0
     t_hi = 2.0 * math.log(pw.breaks[-1]) + 1.0
 
@@ -443,7 +448,7 @@ def counterexample_potential(
         return 0.25 * (r * r * _pw.deriv(r, 2) + r * _pw.deriv(r, 1))
 
     junction_ts = tuple(2.0 * math.log(b) for b in pw.breaks)
-    pot = RadialPotential(
+    return RadialPotential(
         degree=0,
         phi=phi,
         positive=False,
@@ -452,21 +457,20 @@ def counterexample_potential(
         curvature_density=dens,
         label=f"cex:c={c:g},delta={delta:g},eps={eps:g},gamma={gamma:g}",
     )
-    object.__setattr__(pot, "piecewise", pw)
-    object.__setattr__(pot, "params", prm)
-    return pot
 
 
-def counterexample_energy_oracle(pot: RadialPotential) -> dict:
-    """Exact Dirichlet data for a counterexample potential.
+def counterexample_energy_oracle(
+    c: float, delta: float, eps: float = 0.2, gamma: float | None = None
+) -> dict:
+    """Exact Dirichlet data for the ridge counterexample_potential(c, delta, eps, gamma).
 
-    Returns the exact int r f'^2 dr split into the two ramps (2 c^2 exactly,
-    the eps and delta dependence cancels) and the glue remainder R > 0, and
-    the resulting paired value -(2 c^2 + R). Polynomial antiderivatives
-    only, so this is an independent oracle for the quadrature route.
+    Returns the ridge's parameters (gamma as resolved from None), the exact
+    int r f'^2 dr split into the two ramps (2 c^2 exactly, the eps and
+    delta dependence cancels) and the glue remainder R > 0, and the
+    resulting paired value -(2 c^2 + R). Polynomial antiderivatives only,
+    so this is an independent oracle for the quadrature route.
     """
-    pw = pot.piecewise
-    prm = pot.params
+    prm, pw = _ridge(c, delta, eps, gamma)
     total, parts = pw.weighted_dirichlet()
     # pieces 1 and 5 are the ramps
     ramps = parts[1] + parts[5]
@@ -474,6 +478,8 @@ def counterexample_energy_oracle(pot: RadialPotential) -> dict:
     return {
         "c": prm.c,
         "delta": prm.delta,
+        "eps": prm.eps,
+        "gamma": prm.gamma,
         "weighted_dirichlet": total,
         "ramp_part": ramps,
         "ramp_exact": 2.0 * prm.c**2,
@@ -519,7 +525,7 @@ def _monotone_cubic(t: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _read_sidecar(side: str) -> tuple:
-    """(degree, positive, kinks) of a grid sidecar; SpecError naming it otherwise.
+    """(degree, positive) of a grid sidecar; SpecError naming it otherwise.
 
     Other keys are ignored, so a sidecar with further keys loads as one without them.
     """
@@ -536,15 +542,12 @@ def _read_sidecar(side: str) -> tuple:
         if key not in meta:
             raise SpecError(f"grid sidecar {side} is missing key {key!r}")
     degree, positive = meta["degree"], meta["positive"]
-    kinks = meta.get("kinks", [])
-    # a boolean is never a number, and a string is no list of kinks
+    # a boolean is never a number
     if type(degree) is not int:
         raise SpecError(f"grid sidecar {side}: degree must be an integer, got {degree!r}")
     if type(positive) is not bool:
         raise SpecError(f"grid sidecar {side}: positive must be true or false, got {positive!r}")
-    if not (isinstance(kinks, list) and all(type(k) in (int, float) for k in kinks)):
-        raise SpecError(f"grid sidecar {side}: kinks must be a list of numbers, got {kinks!r}")
-    return degree, positive, tuple(float(k) for k in kinks)
+    return degree, positive
 
 
 def _grid_cubic(t: np.ndarray, v: np.ndarray, degree: int, path: str, side: str) -> tuple:
@@ -574,43 +577,45 @@ def load_grid(path: str) -> RadialPotential:
     """Load a potential from a CSV grid (header t,phi) plus a JSON sidecar.
 
     The sidecar (same path with .json extension) must be a JSON object
-    with an integer degree, a boolean positive and optionally a list of
-    numeric kinks; other keys are ignored, and anything else is a
-    SpecError naming the sidecar. The CSV needs at least 4 rows of two
-    finite numbers with strictly increasing t; anything else is a SpecError
-    naming the file (see _grid_cubic). Values are interpolated with the
-    monotone cubic of `_monotone_cubic`, the curvature density is its
-    piecewise-linear second derivative, and outside the grid the potential
-    continues linearly with the boundary slopes, which are validated
-    against the declared degree; at t = -inf or +inf phi is the limit of
-    that continuation, the end value where the slope is 0.
+    with an integer degree and a boolean positive; other keys are ignored,
+    and anything else is a SpecError naming the sidecar. The CSV needs to
+    decode as text and hold at least 4 rows of two finite numbers with
+    strictly increasing t; anything else is a SpecError naming the file
+    (see _grid_cubic). Values are interpolated with the monotone cubic of
+    `_monotone_cubic`, the curvature density is its piecewise-linear second
+    derivative, and outside the grid the potential continues linearly with
+    the boundary slopes, which are validated against the declared degree;
+    at t = -inf or +inf phi is the limit of that continuation, the end
+    value where the slope is 0.
 
-    The interpolant fails to be C^2 at every grid knot, so all knots ride
-    along as quadrature splits; each panel between knots is a polynomial,
+    The interpolant fails to be C^2 at every grid knot and nowhere else,
+    so the kinks are the knots; each panel between knots is a polynomial,
     settled by the first batched Kronrod pass.
     """
     ts, vs = [], []
     try:
-        fh = open(path, newline="")
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise SpecError(f"cannot read grid CSV {path}: {exc.strerror}") from exc
-    with fh:
-        rd = csv.reader(fh)
-        header = next(rd, [])
-        if [h.strip() for h in header[:2]] != ["t", "phi"]:
-            raise SpecError(f"grid CSV {path} must start with header 't,phi', got {header}")
-        for row in rd:
-            if not row or not row[0].strip():
-                continue
-            try:
-                ts.append(float(row[0]))
-                vs.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise SpecError(
-                    f"grid CSV {path} line {rd.line_num}: expected two numbers t,phi, got {row}"
-                ) from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"cannot read grid CSV {path}: {exc}") from exc
+    rd = csv.reader(lines)
+    header = next(rd, [])
+    if [h.strip() for h in header[:2]] != ["t", "phi"]:
+        raise SpecError(f"grid CSV {path} must start with header 't,phi', got {header}")
+    for row in rd:
+        if not row or not row[0].strip():
+            continue
+        try:
+            ts.append(float(row[0]))
+            vs.append(float(row[1]))
+        except (ValueError, IndexError) as exc:
+            raise SpecError(
+                f"grid CSV {path} line {rd.line_num}: expected two numbers t,phi, got {row}"
+            ) from exc
     side = os.path.splitext(path)[0] + ".json"
-    degree, positive, side_kinks = _read_sidecar(side)
+    degree, positive = _read_sidecar(side)
     t = np.asarray(ts, dtype=float)
     v = np.asarray(vs, dtype=float)
     c, s_lo, s_hi = _grid_cubic(t, v, degree, path, side)
@@ -650,13 +655,11 @@ def load_grid(path: str) -> RadialPotential:
         i, s = cell(x)
         return np.where((x > lo) & (x < hi), b.take(i) + a.take(i) * s, 0.0)
 
-    kinks = np.sort(np.concatenate((side_kinks, t)))
-    kinks = kinks[np.concatenate(([True], kinks[1:] != kinks[:-1]))]
     return RadialPotential(
         degree=degree,
         phi=phi,
         positive=positive,
-        kinks=tuple(kinks.tolist()),
+        kinks=tuple(t.tolist()),
         curvature_density=dens,
         label=f"grid:{os.path.basename(path)}",
     )
@@ -686,7 +689,7 @@ def write_grid(p: RadialPotential, path: str, t_lo=-30.0, t_hi=30.0, n=2001):
     slopes to match the degree) raise its SpecError. All are raised before
     either file is touched. Each file is rewritten in place
     (see _rewrite), CSV first; neither write is atomic. The sidecar holds
-    degree, positive and the kinks inside the range.
+    degree and positive.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 4):
         raise ValueError(f"grid needs an integer number of knots >= 4, got {n!r}")
@@ -707,26 +710,24 @@ def write_grid(p: RadialPotential, path: str, t_lo=-30.0, t_hi=30.0, n=2001):
     side = os.path.splitext(path)[0] + ".json"
     _grid_cubic(t, v, p.degree, path, side)
     _rewrite(path, "t,phi\r\n" + rows, newline="")
-    meta = {
-        "degree": p.degree,
-        "positive": p.positive,
-        "kinks": [k for k in p.kinks if t_lo < k < t_hi],
-    }
-    _rewrite(side, json.dumps(meta, indent=2))
+    _rewrite(side, json.dumps({"degree": p.degree, "positive": p.positive}, indent=2))
 
 
 # --- mini language ---
 
 
-def _parse_kv(body: str) -> dict:
+def _parse_kv(spec: str, chunks, keys) -> dict:
+    """{key: value} of spec's key=value chunks; SpecError on a key not in keys or repeated."""
     out = {}
-    if not body:
-        return out
-    for chunk in body.split(","):
+    for chunk in chunks:
         if "=" not in chunk:
-            raise SpecError(f"expected key=value, got {chunk!r}")
-        k, v = chunk.split("=", 1)
-        out[k.strip()] = v.strip()
+            raise SpecError(f"expected key=value, got {chunk!r} in {spec!r}")
+        k, v = (x.strip() for x in chunk.split("=", 1))
+        if k not in keys:
+            raise SpecError(f"unknown key {k!r} in {spec!r}: the keys are {', '.join(keys)}")
+        if k in out:
+            raise SpecError(f"repeated key {k!r} in {spec!r}")
+        out[k] = v
     return out
 
 
@@ -736,6 +737,8 @@ def parse_spec(spec: str) -> RadialPotential:
     Forms: fs:m | canonical:m | zhang:base=<spec>,p=<int>,n=<int>
          | cex:c=..,delta=..[,eps=..][,gamma=..] | grid:<path.csv>
          | lse:m=..,a=.. | mollmax:m=..,eps=..
+    Each key=value form takes the keys it names, once each, in any order;
+    an unknown or repeated key is a SpecError naming it.
     """
     spec = spec.strip()
     if ":" not in spec:
@@ -753,12 +756,10 @@ def parse_spec(spec: str) -> RadialPotential:
             return load_grid(body)
         if kind == "zhang":
             # the base spec may hold commas itself: p and n are the last two pairs
-            head, p, n = body.rsplit(",", 2)
-            key, base = head.split("=", 1)
-            kv = {**_parse_kv(f"{p},{n}"), key.strip(): base.strip()}
+            kv = _parse_kv(spec, body.rsplit(",", 2), ("base", "p", "n"))
             return zhang_iterate(parse_spec(kv["base"]), int(kv["p"]), int(kv["n"]))
         if kind == "cex":
-            kv = _parse_kv(body)
+            kv = _parse_kv(spec, body.split(","), ("c", "delta", "eps", "gamma"))
             return counterexample_potential(
                 float(kv["c"]),
                 float(kv["delta"]),
@@ -766,10 +767,10 @@ def parse_spec(spec: str) -> RadialPotential:
                 gamma=float(kv["gamma"]) if "gamma" in kv else None,
             )
         if kind == "lse":
-            kv = _parse_kv(body)
+            kv = _parse_kv(spec, body.split(","), ("m", "a"))
             return lse(int(kv["m"]), float(kv["a"]))
         if kind == "mollmax":
-            kv = _parse_kv(body)
+            kv = _parse_kv(spec, body.split(","), ("m", "eps"))
             return mollified_max(int(kv["m"]), float(kv["eps"]))
     except SpecError:
         raise

@@ -72,7 +72,7 @@ class RadialMeasure:
     This is the one place a function is paired with a measure. density is
     the density on the whole line, exactly 0 where there is no mass, and
     splits cut the line wherever it is not smooth. An integrand returning
-    (K, N) pairs K functions at once; a stack of K measures is a _Stack.
+    (K, N) pairs K functions at once.
     """
 
     atoms: tuple = ()
@@ -80,66 +80,39 @@ class RadialMeasure:
     splits: tuple = ()
 
     def integrate(self, f, extra_splits=()):
-        """(int f dmu, err) for a callable f of numpy arrays, err as in integrate_line."""
-        acc = self._at_atoms(f) if self.atoms else 0.0
+        """(int f dmu, err) for a callable f of numpy arrays, err as in integrate_line.
+
+        f's values at the nodes are weighed by the density in place when
+        they are a writeable float64 array of the product's shape, as quad
+        weighs them by dt/du, and multiplied otherwise; so f must not
+        return an array it keeps between calls.
+        """
+        acc = 0.0
+        if self.atoms:
+            locs, masses = zip(*self.atoms)
+            acc = np.sum(np.array(masses).T * f(np.array(locs)), axis=-1)
         if self.density is None:
             err = ErrorEstimate(np.zeros(np.shape(acc)))
         else:
-            splits = (*self.splits, *extra_splits)
-            val, err = integrate_line(lambda t: self._weigh(f(t), t), splits)
+
+            def weighed(t):
+                y, d = f(t), self.density(t)
+                own = isinstance(y, np.ndarray) and y.dtype == np.float64 and y.flags.writeable
+                if own and np.broadcast_shapes(y.shape, np.shape(d)) == y.shape:
+                    return np.multiply(y, d, out=y)
+                return y * d
+
+            val, err = integrate_line(weighed, (*self.splits, *extra_splits))
             acc = acc + val
         return (float(acc) if np.ndim(acc) == 0 else acc), err
 
-    def _at_atoms(self, f):
-        # f against the atoms: its values at their locations times their masses
-        locs, masses = zip(*self.atoms)
-        return np.sum(np.array(masses).T * f(np.array(locs)), axis=-1)
 
-    def _weigh(self, y, t):
-        # f's values y at the nodes t times the density there (a _Stack,
-        # whose f returns a new array per call, weighs y in place)
-        return y * self.density(t)
-
-
-@dataclass(frozen=True, eq=False)
-class _Stack(RadialMeasure):
-    """K measures stacked row by row, paired by one integrate call.
-
-    atoms carry (K,) mass vectors and density(t) is the (K, N) density,
-    one row per measure. weights holds the same as (rows, g) pairs, one per
-    measure, and integrate applies them in place: g's values weigh its
-    rows of f, and a measure of atoms alone (g None) zeroes them. A row in
-    no pair pairs against dt and is left as f returned it.
-
-    f takes the blocks to fill as a second argument, f(t, blocks), and
-    leaves the other rows unwritten. atom_rows are the rows paired against
-    a measure with atoms and atom_blocks the blocks holding them: at the
-    atoms the stack evaluates only those blocks and weighs only those rows
-    by the masses; every other row gets 0 there.
-    """
-
-    weights: tuple = ()
-    atom_blocks: tuple = ()
-    atom_rows: tuple = ()
-
-    def _at_atoms(self, f):
-        locs, masses = zip(*self.atoms)
-        rows = list(self.atom_rows)
-        y = f(np.array(locs), self.atom_blocks)
-        acc = np.zeros(len(y))
-        acc[rows] = (np.array(masses).T[rows] * y[rows]).sum(axis=-1)
-        return acc
-
-    def _weigh(self, y, t):
-        for rows, g in self.weights:
-            d = 0.0 if g is None else g(t)
-            for r in rows:
-                y[r] *= d
-        return y
+# dt on the whole line, which _pairings integrates its weighed rows against
+_LEBESGUE = RadialMeasure(density=lambda t: 1.0)
 
 
 def _pairings(blocks):
-    """Every row of every block from one stacked kernel call.
+    """Every row of every block from one kernel call.
 
     A block is (potentials, row_fn, over): row_fn(t, *phi values) returns
     the block's rows, anything that broadcasts to (len(over), N), and row i
@@ -147,11 +120,14 @@ def _pairings(blocks):
     over[i] is None. Potentials and measures are distinct by identity, and
     each is evaluated once per node array. A dt row is left as row_fn
     returned it; every other row is multiplied in place by its measure's
-    density, or by 0 for atoms alone. At the atoms only the blocks holding
-    a row paired against atoms are evaluated, and only those rows weighed.
-    Rows that pair only against atoms make no kernel call. The kinks of
-    every potential evaluated and every measure paired split the line.
-    Returns (values, err parts) per block.
+    density, or by 0 for atoms alone, and all rows are integrated against
+    dt by one _LEBESGUE.integrate call. At the atoms only the blocks
+    holding a row paired against atoms are evaluated, and only those rows
+    weighed by the masses; their sum comes first and the kernel values are
+    added to it. Rows that pair only against atoms make neither a kernel
+    call nor an integrate call. The kinks of every potential evaluated and
+    every measure paired split the line. Returns (values, err parts) per
+    block.
     """
     pots = {id(q): q for qs, _, _ in blocks for q in qs}
     paired = {id(q): q for _, _, over in blocks for q in over if q is not None}
@@ -165,7 +141,6 @@ def _pairings(blocks):
             if q is not None:
                 owned[id(q)].append(i)
         end += len(over)
-    weights = tuple((owned[key], mu.density) for key, mu in mus.items())
     atoms = []
     for key, mu in mus.items():
         for loc, m in mu.atoms:
@@ -186,17 +161,26 @@ def _pairings(blocks):
             out[span] = row_fn(t, *(at[key] for key in keys))
         return out
 
-    def density(t):
-        return stack._weigh(np.ones((end, len(t))), t)
+    def weighed(t):
+        y = rows(t)
+        for key, mu in mus.items():
+            d = 0.0 if mu.density is None else mu.density(t)
+            for r in owned[key]:
+                y[r] *= d
+        return y
 
+    # the atoms first: their values at the locations times the mass vectors
+    acc, parts = np.zeros(end), np.zeros(end)
+    if atoms:
+        locs, masses = zip(*atoms)
+        y = rows(np.array(locs), atom_blocks)
+        acc[atom_rows] = (np.array(masses).T[atom_rows] * y[atom_rows]).sum(axis=-1)
     # a row no measure owns pairs against dt
     dt_rows = end > sum(map(len, owned.values()))
-    dense = dt_rows or any(mu.density is not None for mu in mus.values())
-    stack = _Stack(
-        tuple(atoms), density if dense else None, splits, weights, tuple(atom_blocks), tuple(atom_rows)
-    )
-    vals, err = stack.integrate(rows)
-    return [(vals[span], err.parts[span]) for span, _, _ in spans]
+    if dt_rows or any(mu.density is not None for mu in mus.values()):
+        vals, err = _LEBESGUE.integrate(weighed, splits)
+        acc, parts = acc + vals, err.parts
+    return [(acc[span], parts[span]) for span, _, _ in spans]
 
 
 class VolumeForm:
@@ -336,14 +320,19 @@ def pair(f, p: RadialPotential) -> float:
 
     For degree-0 smooth f and g this is symmetric and equals
     -(1/2) int r f'(r) g'(r) dr, the (negative) Dirichlet energy pairing.
-    pair(1, p) = degree(p) in these units.
+    pair(1, p) = degree(p) in these units. A callable f must not return an
+    array it keeps between calls (RadialMeasure.integrate weighs it in place).
     """
     fc, fk = _as_callable(f)
     return c1_measure(p).integrate(fc, extra_splits=fk)[0]
 
 
 def integrate_volume(f, w: VolumeForm) -> float:
-    """int f drho_w over the sphere (rho_w has total mass 2)."""
+    """int f drho_w over the sphere (rho_w has total mass 2).
+
+    A callable f must not return an array it keeps between calls
+    (RadialMeasure.integrate weighs it in place).
+    """
     fc, fk = _as_callable(f)
     return w.rho.integrate(fc, extra_splits=fk)[0]
 
@@ -418,7 +407,8 @@ def bedford_taylor_check(
     Checks int g dmu_{p_n} -> int g dmu_limit for the given test function,
     which is the operational content of the Monge-Ampere continuity the
     whole approximation scheme rests on (decreasing or uniform limits of
-    admissible potentials).
+    admissible potentials). A callable test_fn must not return an array it
+    keeps between calls (RadialMeasure.integrate weighs it in place).
     """
     target = pair(test_fn, limit)
     vals = [pair(test_fn, family(n)) for n in indices]

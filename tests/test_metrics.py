@@ -1,5 +1,6 @@
 """The metric catalog and its algebra, plus the counterexample family."""
 
+import dataclasses
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from spheretorsion import (
     zhang_iterate,
 )
 from spheretorsion import cli
-from spheretorsion.metrics import _concentration_splits, _monotone_cubic, _softplus
+from spheretorsion.metrics import _concentration_splits, _monotone_cubic, _ridge, _softplus
 
 from conftest import LOG2
 
@@ -224,8 +225,7 @@ def test_counterexample_shape():
 def test_counterexample_junctions_are_c2():
     # exact endpoint data of the stored polynomials; finite differences are
     # useless here, the quintic third derivative scales like s / delta^2
-    pot = counterexample_potential(1.0, 1e-3)
-    pieces = pot.piecewise.pieces
+    pieces = _ridge(1.0, 1e-3, 0.2, None)[1].pieces
     for (a1, w1, q1), (a2, w2, q2) in zip(pieces[:-1], pieces[1:]):
         assert a2 == pytest.approx(a1 + w1, abs=1e-15)
         for order in (0, 1, 2):
@@ -237,7 +237,7 @@ def test_counterexample_junctions_are_c2():
 
 def test_counterexample_ramp_energy_is_exactly_2c2():
     for c, delta in [(1.0, 1e-2), (1.0, 1e-3), (2.0, 1e-3)]:
-        orc = counterexample_energy_oracle(counterexample_potential(c, delta))
+        orc = counterexample_energy_oracle(c, delta)
         assert orc["ramp_part"] == orc["ramp_exact"] == 2.0 * c * c
         assert orc["glue_remainder"] > 0.0
 
@@ -246,10 +246,24 @@ def test_counterexample_quadrature_matches_polynomial_oracle():
     # two fully independent routes to int r f'^2 dr: the curvature pairing
     # (QUADPACK over the t-density) and polynomial antiderivatives
     pot = counterexample_potential(1.0, 1e-3)
-    orc = counterexample_energy_oracle(pot)
+    orc = counterexample_energy_oracle(1.0, 1e-3)
     assert 2.0 * pair(pot, pot) == pytest.approx(
         orc["dirichlet_term"], abs=1e-6
     )
+
+
+def test_counterexample_oracle_takes_the_ridge_parameters():
+    # the oracle builds the ridge it reports on, so a copy of the potential
+    # (which keeps no parameters) is paired against the same exact data
+    orc = counterexample_energy_oracle(0.7, 1e-2, eps=0.3, gamma=0.02)
+    assert (orc["c"], orc["delta"], orc["eps"], orc["gamma"]) == (0.7, 1e-2, 0.3, 0.02)
+    assert counterexample_energy_oracle(1.0, 1e-3)["gamma"] == 0.01
+    ridge = counterexample_potential(1.0, 1e-3)
+    for copy in (dataclasses.replace(ridge), zhang_iterate(ridge, 2, 0)):
+        want = counterexample_energy_oracle(1.0, 1e-3)["dirichlet_term"]
+        assert 2.0 * pair(copy, copy) == pytest.approx(want, abs=1e-6)
+    with pytest.raises(ValueError, match="gamma"):
+        counterexample_energy_oracle(1.0, 1e-3, gamma=0.2)
 
 
 def test_counterexample_mass_is_zero():
@@ -267,7 +281,7 @@ def test_grid_round_trip(tmp_path):
     path = str(tmp_path / "fs2.csv")
     write_grid(p, path)
     meta = json.loads((tmp_path / "fs2.json").read_text())
-    assert meta == {"degree": 2, "positive": True, "kinks": []}
+    assert meta == {"degree": 2, "positive": True}
     q = load_grid(path)
     assert q.degree == 2 and q.label == "grid:fs2.csv"
     ts = np.linspace(-25, 25, 1501)
@@ -317,7 +331,7 @@ def test_grid_slope_validation(tmp_path, capsys):
 def test_grid_knot_and_header_refusals_name_the_file(tmp_path, capsys, rows, match):
     path = tmp_path / "short.csv"
     path.write_text("\n".join(rows) + "\n")
-    meta = {"degree": 1, "positive": False, "kinks": []}
+    meta = {"degree": 1, "positive": False}
     path.with_suffix(".json").write_text(json.dumps(meta))
     with pytest.raises(SpecError, match=f"short.csv .*{match}"):
         load_grid(str(path))
@@ -369,20 +383,16 @@ def test_write_grid_refuses_before_touching_the_file(tmp_path, p, kwargs, error,
     assert (path.read_bytes(), path.with_suffix(".json").read_bytes()) == before
 
 
-def _truncating_write_grid(p, path, t_lo=-30.0, t_hi=30.0, n=2001):
+def _truncating_write_grid(p, path, t_lo=-30.0, t_hi=30.0, n=2001, **old_keys):
     # [REFERENCE] the writer before in-place rewrites: open(path, "w")
     # truncates each file before writing it; its sidecar less the
-    # regularity key, which no computation read
+    # regularity and kinks keys, which no computation read, unless given
     ts = np.linspace(t_lo, t_hi, n)
     vs = np.asarray(p.phi(ts), dtype=float)
     rows = "".join("%.15g,%.15g\r\n" % ab for ab in zip(ts.tolist(), vs.tolist()))
     with open(path, "w", newline="") as fh:
         fh.write("t,phi\r\n" + rows)
-    meta = {
-        "degree": p.degree,
-        "positive": p.positive,
-        "kinks": [k for k in p.kinks if t_lo < k < t_hi],
-    }
+    meta = {"degree": p.degree, "positive": p.positive, **old_keys}
     with open(os.path.splitext(path)[0] + ".json", "w") as fh:
         fh.write(json.dumps(meta, indent=2))
 
@@ -405,10 +415,11 @@ def test_write_grid_files_match_the_truncating_writer(tmp_path, p, n):
     assert files(path) == files(ref)
     for f in (path, path.with_suffix(".json")):
         assert stat.S_IMODE(f.stat().st_mode) == 0o666 & ~0o002
-    # over a longer grid and a longer sidecar (mollified_max carries kinks),
-    # then over a shorter pair: no stale tail is left
-    for q, knots in ((mollified_max(3, 0.7), 2 * n + 1), (fubini_study(3), 4)):
-        _truncating_write_grid(q, str(path), n=knots)
+    # over a longer grid and a longer sidecar (one with the kinks key that
+    # older writers added), then over a shorter pair: no stale tail is left
+    longer = {"kinks": [-0.7, 0.7]}
+    for q, knots, keys in ((mollified_max(3, 0.7), 2 * n + 1, longer), (fubini_study(3), 4, {})):
+        _truncating_write_grid(q, str(path), n=knots, **keys)
         write_grid(p, str(path), n=n)
         assert files(path) == files(ref)
 
@@ -504,7 +515,7 @@ def test_grid_missing_sidecar(tmp_path):
 def _write_grid_data(path, t, v, degree):
     # full precision, so the floats read back are exactly t and v
     path.write_text("t,phi\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, v)))
-    meta = {"degree": degree, "positive": False, "kinks": []}
+    meta = {"degree": degree, "positive": False}
     path.with_suffix(".json").write_text(json.dumps(meta))
     return load_grid(str(path))
 
@@ -567,6 +578,18 @@ def test_grid_interpolant_matches_scipy_on_uneven_knots(tmp_path, t, v, degree, 
         assert s == pytest.approx(0.0 if end == "zero" else 3 * m0, rel=1e-14, abs=1e-14)
 
 
+def test_grid_csv_that_does_not_decode_is_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    write_grid(fubini_study(2), str(path), n=41)
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n") + 1] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(SpecError, match="bad.csv"):
+        load_grid(str(path))
+    assert cli.main(["torsion", "--metric", f"grid:{path}", "--no-meta"]) == 2
+    assert "bad.csv" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -597,9 +620,6 @@ def test_grid_malformed_row_is_a_spec_error(tmp_path, capsys, row):
         pytest.param('["degree", 2]', id="not-an-object"),
         pytest.param({"degree": "x"}, id="string-degree"),
         pytest.param({"positive": "false"}, id="string-positive"),
-        pytest.param({"kinks": "ab"}, id="string-kinks"),
-        pytest.param({"kinks": None}, id="null-kinks"),
-        pytest.param({"kinks": [0.5, "x"]}, id="string-kink"),
     ],
 )
 def test_grid_malformed_sidecar_is_a_spec_error(tmp_path, capsys, sidecar):
@@ -633,6 +653,38 @@ def test_grid_sidecar_with_a_regularity_key_loads_unchanged(tmp_path):
     assert (a.degree, a.positive, a.kinks) == (b.degree, b.positive, b.kinks)
 
 
+@pytest.mark.parametrize(
+    "kinks",
+    [
+        pytest.param('"ab"', id="string-kinks"),
+        pytest.param("null", id="null-kinks"),
+        pytest.param('[0.5, "x"]', id="string-kink"),
+        pytest.param("[NaN, 0.5]", id="nan-kink"),
+        pytest.param("[Infinity]", id="infinite-kink"),
+        pytest.param("[1e400]", id="overflowing-kink"),
+        pytest.param("[-0.3, 0.5]", id="kinks-inside"),
+    ],
+)
+def test_grid_sidecar_kinks_are_not_read(tmp_path, kinks):
+    # the loaded cubic is a polynomial on each cell, so a grid's kinks are
+    # its knots; a sidecar with a kinks key, whatever its value, loads as
+    # one without it
+    plain, old = tmp_path / "plain.csv", tmp_path / "old.csv"
+    p = mollified_max(3, 0.7)
+    write_grid(p, str(plain), n=41)
+    write_grid(p, str(old), n=41)
+    side = old.with_suffix(".json")
+    side.write_text(json.dumps({**json.loads(side.read_text()), "kinks": "@"}).replace('"@"', kinks))
+    a, b = load_grid(str(plain)), load_grid(str(old))
+    t = np.loadtxt(plain, delimiter=",", skiprows=1, usecols=0)
+    x = np.concatenate([t, (t[1:] + t[:-1]) / 2, t[[0, -1]] + [-5.0, 5.0]])
+    assert _hex(a.phi(x)) == _hex(b.phi(x))
+    assert _hex(a.curvature_density(x)) == _hex(b.curvature_density(x))
+    assert a.kinks == b.kinks == tuple(t.tolist())
+    z = zhang_iterate(b, 2, 1)
+    assert np.isfinite(z.kinks).all() and list(z.kinks) == sorted(z.kinks)
+
+
 # --- mini language ---
 
 
@@ -645,7 +697,8 @@ def test_parse_spec_round_trips_catalog():
     assert parse_spec("lse:m=2,a=7").degree == 2
     assert parse_spec("mollmax:m=1,eps=0.3").degree == 1
     cx = parse_spec("cex:c=1,delta=1e-3")
-    assert cx.degree == 0 and cx.params.c == 1.0
+    assert cx.degree == 0 and cx.label == "cex:c=1,delta=0.001,eps=0.2,gamma=0.01"
+    assert parse_spec("zhang:n=3,p=2,base=fs:1").label == z.label
 
 
 @pytest.mark.parametrize(
@@ -680,6 +733,26 @@ def test_parse_spec_round_trips_zhang_labels(base):
 def test_parse_spec_rejects_malformed(bad):
     with pytest.raises(SpecError):
         parse_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("cex:c=1,delta=1e-3,gama=0.005", "unknown key 'gama'"),
+        ("cex:c=1,delta=1e-3,c=2", "repeated key 'c'"),
+        ("lse:m=2,a=4,eps=1", "unknown key 'eps'"),
+        ("lse:m=2,a=4,a=5", "repeated key 'a'"),
+        ("mollmax:m=1,eps=0.3,a=2", "unknown key 'a'"),
+        ("mollmax:m=1,m=2,eps=0.3", "repeated key 'm'"),
+        ("zhang:base=fs:1,p=2,q=3", "unknown key 'q'"),
+        ("zhang:base=fs:1,p=2,p=3", "repeated key 'p'"),
+    ],
+)
+def test_parse_spec_refuses_unknown_and_repeated_keys(capsys, spec, key):
+    with pytest.raises(SpecError, match=key):
+        parse_spec(spec)
+    assert cli.main(["torsion", "--metric", spec, "--no-meta"]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_parse_volume():

@@ -228,26 +228,44 @@ def test_pairings_of_atoms_alone_make_no_kernel_call(monkeypatch):
     assert not parts.any()
 
 
-def test_pairings_stack_density_is_the_density_of_its_rows(monkeypatch):
-    # the stack is a RadialMeasure: density(t) holds each row's density, 1
-    # for a dt row and 0 for a row paired against atoms alone, and the
-    # base class's weighing gives the stack's own
-    stacks = []
+def test_pairings_integrate_each_row_times_its_density_in_one_call(monkeypatch):
+    # _pairings makes one RadialMeasure.integrate call, against dt; its
+    # integrand returns each row times its own density: 1 for a dt row and
+    # 0 for a row paired against atoms alone
+    calls = []
 
-    def recording_integrate(self, f, _integrate=radial._Stack.integrate):
-        stacks.append(self)
-        return _integrate(self, f)
+    def recording_integrate(self, f, extra_splits=(), _integrate=radial.RadialMeasure.integrate):
+        calls.append((self, f))
+        return _integrate(self, f, extra_splits)
 
-    monkeypatch.setattr(radial._Stack, "integrate", recording_integrate)
+    monkeypatch.setattr(radial.RadialMeasure, "integrate", recording_integrate)
     mm, fs = mollified_max(1, 0.3), fubini_study(3)
     _pairings([((), smooth_test_fn, [canonical(2), None, mm, fs, mm])])
-    (stack,) = stacks
+    ((dt, f),) = calls
     t = np.linspace(-3.0, 3.0, 41)
+    assert not dt.atoms and float(dt.density(t)) == 1.0
     d = [c1_measure(p).density(t) for p in (mm, fs)]
-    want = np.array([np.zeros_like(t), np.ones_like(t), d[0], d[1], d[0]])
-    assert np.array_equal(stack.density(t), want)
-    y = np.cos(t) * np.arange(1.0, 6.0)[:, None]
-    assert np.array_equal(radial.RadialMeasure._weigh(stack, y, t), stack._weigh(y.copy(), t))
+    want = np.array([np.zeros_like(t), np.ones_like(t), d[0], d[1], d[0]]) * smooth_test_fn(t)
+    assert np.array_equal(f(t), want)
+
+
+@pytest.mark.parametrize("p", [mollified_max(1, 0.3), canonical(2), fubini_study(3)])
+def test_pair_is_the_same_whatever_array_f_returns(p):
+    # the measure weighs a writeable float64 result in place and multiplies
+    # any other: an int array, a read-only broadcast, a Python scalar
+    def read_only(t):
+        y = np.cos(t)
+        y.flags.writeable = False
+        return y
+
+    const = [
+        lambda t: np.full(np.shape(t), 3.0),
+        lambda t: np.full(np.shape(t), 3),
+        lambda t: np.broadcast_to(3.0, np.shape(t)),
+        lambda t: 3.0,
+    ]
+    assert len({pair(f, p) for f in const}) == 1
+    assert pair(read_only, p) == pair(np.cos, p)
 
 
 def test_catalog_densities_vanish_outside_their_outermost_kinks(tmp_path):

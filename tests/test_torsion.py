@@ -23,6 +23,7 @@ Polyakov formula.
 
 import ast
 import dataclasses
+import gc
 import importlib
 import math
 import os
@@ -54,7 +55,9 @@ from spheretorsion import (
     load_grid,
     logistic_density,
     lse,
+    measure_mass,
     mollified_max,
+    pair,
     parse_spec,
     parse_volume,
     quillen,
@@ -571,6 +574,39 @@ def test_chain_evaluates_no_block_at_an_atom_it_does_not_pair():
     p = dataclasses.replace(base, phi=lambda t: sizes.append(np.size(t)) or base.phi(t))
     quillen(p, volume_canonical())
     assert sizes and sizes.count(1) == 0
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (lse(2, 3.0), volume_from_potential(lse(2, 2.5))),
+        lambda: (fubini_study(3), WCAN),
+        lambda: (canonical(2), WFS),
+        lambda: (zhang_iterate(lse(1, 1.5), 2, 3), volume_from_potential(mollified_max(2, 0.5))),
+    ],
+    ids=["lse-lazy", "fs-canonical", "canonical-fs", "zhang-mollmax"],
+)
+def test_the_chain_leaves_no_reference_cycle(case):
+    # every result is freed by reference counting alone: with the cycle
+    # collector off, nothing is left for it to find
+    p, w = case()
+    runs = [
+        lambda: quillen(p, w),
+        lambda: gram(p, w),
+        lambda: bundle_anomaly(p, fubini_study(p.degree), w),
+        lambda: volume_anomaly(p, w, WFS),
+        lambda: measure_mass(p),
+        lambda: pair(lambda t: 1.0 / (1.0 + t * t), p),
+    ]
+    for run in runs:
+        run()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _passes(monkeypatch, run):
