@@ -573,12 +573,25 @@ def _grid_cubic(t: np.ndarray, v: np.ndarray, degree: int, path: str, side: str)
     return c, s_lo, s_hi
 
 
+def _sidecar(path: str) -> str:
+    """The sidecar of a grid CSV: path with its extension replaced by .json.
+
+    A CSV path that ends in .json, in any letter case, would name its own
+    sidecar (or one that differs in case only): a SpecError naming it.
+    """
+    root, ext = os.path.splitext(path)
+    if ext.lower() == ".json":
+        raise SpecError(f"grid CSV {path} ends in .json, the extension of its sidecar")
+    return root + ".json"
+
+
 def load_grid(path: str) -> RadialPotential:
     """Load a potential from a CSV grid (header t,phi) plus a JSON sidecar.
 
-    The sidecar (same path with .json extension) must be a JSON object
-    with an integer degree and a boolean positive; other keys are ignored,
-    and anything else is a SpecError naming the sidecar. The CSV needs to
+    The sidecar (_sidecar: the same path with a .json extension) must be a
+    JSON object with an integer degree and a boolean positive; other keys
+    are ignored, and anything else is a SpecError naming the sidecar. The
+    path itself must not end in .json. The CSV needs to
     decode as text and hold at least 4 rows of two finite numbers with
     strictly increasing t; anything else is a SpecError naming the file
     (see _grid_cubic). Values are interpolated with the monotone cubic of
@@ -592,6 +605,7 @@ def load_grid(path: str) -> RadialPotential:
     so the kinks are the knots; each panel between knots is a polynomial,
     settled by the first batched Kronrod pass.
     """
+    side = _sidecar(path)
     ts, vs = [], []
     try:
         with open(path, newline="") as fh:
@@ -614,7 +628,6 @@ def load_grid(path: str) -> RadialPotential:
             raise SpecError(
                 f"grid CSV {path} line {rd.line_num}: expected two numbers t,phi, got {row}"
             ) from exc
-    side = os.path.splitext(path)[0] + ".json"
     degree, positive = _read_sidecar(side)
     t = np.asarray(ts, dtype=float)
     v = np.asarray(vs, dtype=float)
@@ -686,15 +699,16 @@ def write_grid(p: RadialPotential, path: str, t_lo=-30.0, t_hi=30.0, n=2001):
     ValueError; a sample that is not finite raises NumericalError naming
     the potential; knots and values that load_grid would refuse as they read
     back (knots that %.15g prints as equal, a range too narrow for the end
-    slopes to match the degree) raise its SpecError. All are raised before
-    either file is touched. Each file is rewritten in place
-    (see _rewrite), CSV first; neither write is atomic. The sidecar holds
-    degree and positive.
+    slopes to match the degree) and a path ending in .json (_sidecar)
+    raise its SpecError. All are raised before either file is touched.
+    Each file is rewritten in place (see _rewrite), CSV first; neither
+    write is atomic. The sidecar holds degree and positive.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 4):
         raise ValueError(f"grid needs an integer number of knots >= 4, got {n!r}")
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
         raise ValueError(f"grid needs finite t_lo < t_hi, got {t_lo!r} and {t_hi!r}")
+    side = _sidecar(path)
     ts = np.linspace(t_lo, t_hi, n)
     with np.errstate(over="ignore", invalid="ignore"):
         vs = np.asarray(p.phi(ts), dtype=float)
@@ -707,7 +721,6 @@ def write_grid(p: RadialPotential, path: str, t_lo=-30.0, t_hi=30.0, n=2001):
     rows = "".join("%.15g,%.15g\r\n" % ab for ab in zip(ts.tolist(), vs.tolist()))
     # the knots and values as load_grid reads them back
     t, v = np.array(rows.replace("\r\n", ",").split(",")[:-1], dtype=float).reshape(-1, 2).T
-    side = os.path.splitext(path)[0] + ".json"
     _grid_cubic(t, v, p.degree, path, side)
     _rewrite(path, "t,phi\r\n" + rows, newline="")
     _rewrite(side, json.dumps({"degree": p.degree, "positive": p.positive}, indent=2))
@@ -716,8 +729,12 @@ def write_grid(p: RadialPotential, path: str, t_lo=-30.0, t_hi=30.0, n=2001):
 # --- mini language ---
 
 
-def _parse_kv(spec: str, chunks, keys) -> dict:
-    """{key: value} of spec's key=value chunks; SpecError on a key not in keys or repeated."""
+def _parse_kv(spec: str, chunks, keys, optional=()) -> dict:
+    """{key: value} of spec's key=value chunks.
+
+    SpecError on a key not in keys, on a repeated key, and on a key of keys
+    that is missing and not optional.
+    """
     out = {}
     for chunk in chunks:
         if "=" not in chunk:
@@ -728,6 +745,9 @@ def _parse_kv(spec: str, chunks, keys) -> dict:
         if k in out:
             raise SpecError(f"repeated key {k!r} in {spec!r}")
         out[k] = v
+    for k in keys:
+        if k not in out and k not in optional:
+            raise SpecError(f"missing key {k!r} in {spec!r}: the keys are {', '.join(keys)}")
     return out
 
 
@@ -738,7 +758,8 @@ def parse_spec(spec: str) -> RadialPotential:
          | cex:c=..,delta=..[,eps=..][,gamma=..] | grid:<path.csv>
          | lse:m=..,a=.. | mollmax:m=..,eps=..
     Each key=value form takes the keys it names, once each, in any order;
-    an unknown or repeated key is a SpecError naming it.
+    an unknown, repeated or missing key is a SpecError naming it (eps and
+    gamma of cex may be left out).
     """
     spec = spec.strip()
     if ":" not in spec:
@@ -759,7 +780,7 @@ def parse_spec(spec: str) -> RadialPotential:
             kv = _parse_kv(spec, body.rsplit(",", 2), ("base", "p", "n"))
             return zhang_iterate(parse_spec(kv["base"]), int(kv["p"]), int(kv["n"]))
         if kind == "cex":
-            kv = _parse_kv(spec, body.split(","), ("c", "delta", "eps", "gamma"))
+            kv = _parse_kv(spec, body.split(","), ("c", "delta", "eps", "gamma"), ("eps", "gamma"))
             return counterexample_potential(
                 float(kv["c"]),
                 float(kv["delta"]),

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import ErrorEstimate, NumericalError, integrate_line
+from .quadrature import NumericalError, integrate_line
 
 
 # --- core containers ---
@@ -65,50 +65,20 @@ class RadialPotential:
         return self.phi(t)
 
 
-@dataclass(frozen=True, eq=False)
 class RadialMeasure:
-    """A signed measure on the t-line: atoms plus an absolutely continuous part.
+    """dt on the whole line, through which every pairing makes its one kernel call.
 
-    This is the one place a function is paired with a measure. density is
-    the density on the whole line, exactly 0 where there is no mass, and
-    splits cut the line wherever it is not smooth. An integrand returning
-    (K, N) pairs K functions at once.
+    It keeps no data: integrate is integrate_line, a method so that a
+    recorder can wrap the one call every _pairings makes.
     """
 
-    atoms: tuple = ()
-    density: Optional[Callable] = None
-    splits: tuple = ()
-
-    def integrate(self, f, extra_splits=()):
-        """(int f dmu, err) for a callable f of numpy arrays, err as in integrate_line.
-
-        f's values at the nodes are weighed by the density in place when
-        they are a writeable float64 array of the product's shape, as quad
-        weighs them by dt/du, and multiplied otherwise; so f must not
-        return an array it keeps between calls.
-        """
-        acc = 0.0
-        if self.atoms:
-            locs, masses = zip(*self.atoms)
-            acc = np.sum(np.array(masses).T * f(np.array(locs)), axis=-1)
-        if self.density is None:
-            err = ErrorEstimate(np.zeros(np.shape(acc)))
-        else:
-
-            def weighed(t):
-                y, d = f(t), self.density(t)
-                own = isinstance(y, np.ndarray) and y.dtype == np.float64 and y.flags.writeable
-                if own and np.broadcast_shapes(y.shape, np.shape(d)) == y.shape:
-                    return np.multiply(y, d, out=y)
-                return y * d
-
-            val, err = integrate_line(weighed, (*self.splits, *extra_splits))
-            acc = acc + val
-        return (float(acc) if np.ndim(acc) == 0 else acc), err
+    def integrate(self, f, splits):
+        """(int f dt, err) over the line cut at splits, as integrate_line returns them."""
+        return integrate_line(f, splits)
 
 
-# dt on the whole line, which _pairings integrates its weighed rows against
-_LEBESGUE = RadialMeasure(density=lambda t: 1.0)
+# the measure _pairings integrates its weighed rows against
+_LEBESGUE = RadialMeasure()
 
 
 def _pairings(blocks):
@@ -118,22 +88,27 @@ def _pairings(blocks):
     the block's rows, anything that broadcasts to (len(over), N), and row i
     pairs against the curvature measure of over[i], or against dt where
     over[i] is None. Potentials and measures are distinct by identity, and
-    each is evaluated once per node array. A dt row is left as row_fn
-    returned it; every other row is multiplied in place by its measure's
-    density, or by 0 for atoms alone, and all rows are integrated against
-    dt by one _LEBESGUE.integrate call. At the atoms only the blocks
-    holding a row paired against atoms are evaluated, and only those rows
-    weighed by the masses; their sum comes first and the kernel values are
-    added to it. Rows that pair only against atoms make neither a kernel
-    call nor an integrate call. The kinks of every potential evaluated and
-    every measure paired split the line. Returns (values, err parts) per
-    block.
+    each is evaluated once per node array. The rows are copied into a stack
+    of their own, so row_fn may return an array it keeps. A dt row is left
+    as row_fn returned it; every other row is multiplied in place by the
+    curvature_density of its potential, or by 0 for atoms alone, and all
+    rows are integrated against dt by one _LEBESGUE.integrate call. At the
+    curvature_atoms only the blocks holding a row paired against atoms are
+    evaluated, and only those rows weighed by the masses; their sum comes
+    first and the kernel values are added to it. Rows that pair only
+    against atoms make neither a kernel call nor an integrate call. The
+    kinks of every potential evaluated and every potential paired split the
+    line. A paired potential of nonzero degree with neither atoms nor a
+    density carries no curvature data and raises ValueError. Returns
+    (values, err parts) per block.
     """
     pots = {id(q): q for qs, _, _ in blocks for q in qs}
     paired = {id(q): q for _, _, over in blocks for q in over if q is not None}
-    mus = {key: c1_measure(q) for key, q in paired.items()}
-    # each measure's rows, in one sweep over the rows
-    owned = {key: [] for key in mus}
+    for q in paired.values():
+        if q.curvature_density is None and not q.curvature_atoms and q.degree != 0:
+            raise ValueError(f"potential {q.label or '<anon>'} carries no curvature data")
+    # each paired potential's rows, in one sweep over the rows
+    owned = {key: [] for key in paired}
     spans, end = [], 0
     for qs, row_fn, over in blocks:
         spans.append((slice(end, end + len(over)), row_fn, [id(q) for q in qs]))
@@ -142,15 +117,15 @@ def _pairings(blocks):
                 owned[id(q)].append(i)
         end += len(over)
     atoms = []
-    for key, mu in mus.items():
-        for loc, m in mu.atoms:
+    for key, q in paired.items():
+        for loc, m in q.curvature_atoms:
             mass = np.zeros(end)
             mass[owned[key]] = m
             atoms.append((loc, mass))
-    atom_rows = sorted({i for key, mu in mus.items() if mu.atoms for i in owned[key]})
+    atom_rows = sorted({i for key, q in paired.items() if q.curvature_atoms for i in owned[key]})
     atom_blocks = [s for s in spans if any(s[0].start <= i < s[0].stop for i in atom_rows)]
     splits = [s for q in pots.values() for s in q.kinks]
-    splits += [s for key, mu in mus.items() if key not in pots for s in mu.splits]
+    splits += [s for key, q in paired.items() if key not in pots for s in q.kinks]
 
     def rows(t, which=spans):
         at, out = {}, np.empty((end, len(t)))
@@ -163,8 +138,8 @@ def _pairings(blocks):
 
     def weighed(t):
         y = rows(t)
-        for key, mu in mus.items():
-            d = 0.0 if mu.density is None else mu.density(t)
+        for key, q in paired.items():
+            d = 0.0 if q.curvature_density is None else q.curvature_density(t)
             for r in owned[key]:
                 y[r] *= d
         return y
@@ -177,7 +152,7 @@ def _pairings(blocks):
         acc[atom_rows] = (np.array(masses).T[atom_rows] * y[atom_rows]).sum(axis=-1)
     # a row no measure owns pairs against dt
     dt_rows = end > sum(map(len, owned.values()))
-    if dt_rows or any(mu.density is not None for mu in mus.values()):
+    if dt_rows or any(q.curvature_density is not None for q in paired.values()):
         vals, err = _LEBESGUE.integrate(weighed, splits)
         acc, parts = acc + vals, err.parts
     return [(acc[span], parts[span]) for span, _, _ in spans]
@@ -187,13 +162,14 @@ class VolumeForm:
     """A volume form on the sphere: a degree-2 potential and its norm.
 
     norm records int e^{t-psi} dt, the only place a normalization constant
-    can hide; the area measure rho follows from the two (total mass 2).
+    can hide; the area measure rho = 2 e^{t-psi} / norm dt follows from the
+    two (total mass 2).
     norm_err bounds the error of norm. A volume built with a norm (the
     closed forms) keeps it and its norm_err, 0 when exact. One built with
     norm None, as volume_from_potential builds it, has no norm of its own:
     each pass that needs it integrates it as a dt row (_normed_pairings),
     whose estimate is norm_err there, so no result depends on what was
-    computed or read before. Reading norm, norm_err or rho of such a volume
+    computed or read before. Reading norm or norm_err of such a volume
     integrates that row alone, once.
     """
 
@@ -218,14 +194,6 @@ class VolumeForm:
         if self._read is None:
             self._read = _normed_pairings([], (self,))[1][0]
         return self._read
-
-    @property
-    def rho(self) -> RadialMeasure:
-        """Area measure 2 e^{t - psi(t)} / norm dt, split at the kinks of psi."""
-        ph, n = self.psi.phi, self.norm
-        return RadialMeasure(
-            density=lambda t: 2.0 * np.exp(t - ph(t)) / n, splits=tuple(self.psi.kinks)
-        )
 
 
 def _normed_pairings(blocks, volumes):
@@ -287,30 +255,20 @@ class ConvergenceReport:
         return cls(indices, values, target, gaps, _fit_rate(indices, gaps), verdict, text)
 
 
-# --- measure extraction and pairings ---
+# --- pairings ---
 
 
-def c1_measure(p: RadialPotential) -> RadialMeasure:
-    """Curvature measure of the potential, Lelong-normalized (mass = degree)."""
-    if p.curvature_density is None and not p.curvature_atoms and p.degree != 0:
-        raise ValueError(
-            f"potential {p.label or '<anon>'} carries no curvature data"
-        )
-    return RadialMeasure(
-        atoms=tuple(p.curvature_atoms),
-        density=p.curvature_density,
-        splits=tuple(p.kinks),
-    )
+def _row(f):
+    """(potentials, row_fn) of a one-row block whose row is f.
 
-
-def _as_callable(f):
-    if isinstance(f, RadialPotential):
-        if f.degree != 0:
-            raise ValueError(
-                f"pairing integrand must have degree 0, got degree {f.degree}"
-            )
-        return f.phi, tuple(f.kinks)
-    return f, ()
+    f is a callable of numpy arrays or a degree-0 potential, whose kinks
+    then split the line as every evaluated potential's do.
+    """
+    if not isinstance(f, RadialPotential):
+        return (), f
+    if f.degree != 0:
+        raise ValueError(f"pairing integrand must have degree 0, got degree {f.degree}")
+    return (f,), lambda t, v: v
 
 
 def pair(f, p: RadialPotential) -> float:
@@ -320,26 +278,32 @@ def pair(f, p: RadialPotential) -> float:
 
     For degree-0 smooth f and g this is symmetric and equals
     -(1/2) int r f'(r) g'(r) dr, the (negative) Dirichlet energy pairing.
-    pair(1, p) = degree(p) in these units. A callable f must not return an
-    array it keeps between calls (RadialMeasure.integrate weighs it in place).
+    pair(1, p) = degree(p) in these units.
     """
-    fc, fk = _as_callable(f)
-    return c1_measure(p).integrate(fc, extra_splits=fk)[0]
+    pots, row_fn = _row(f)
+    ((val, _),) = _pairings([(pots, row_fn, (p,))])
+    return float(val[0])
 
 
 def integrate_volume(f, w: VolumeForm) -> float:
     """int f drho_w over the sphere (rho_w has total mass 2).
 
-    A callable f must not return an array it keeps between calls
-    (RadialMeasure.integrate weighs it in place).
+    The row f 2 e^{t - psi} is paired against dt, in one kernel call with
+    the norm where w has none of its own, and divided by the norm.
     """
-    fc, fk = _as_callable(f)
-    return w.rho.integrate(fc, extra_splits=fk)[0]
+    pots, row_fn = _row(f)
+
+    def area(t, *vals):
+        return row_fn(t, *vals[:-1]) * (2.0 * np.exp(t - vals[-1]))
+
+    ((val, _),), ((norm, _),) = _normed_pairings([((*pots, w.psi), area, (None,))], (w,))
+    return float(val[0]) / norm
 
 
 def measure_mass(p: RadialPotential) -> float:
     """Total curvature mass, which must equal the degree (Lelong units)."""
-    return c1_measure(p).integrate(lambda t: 1.0)[0]
+    ((val, _),) = _pairings([((), lambda t: 1.0, (p,))])
+    return float(val[0])
 
 
 # --- volume form constructors ---
@@ -358,8 +322,8 @@ def volume_from_potential(psi: RadialPotential, label: str = "") -> VolumeForm:
     """The volume form of a degree-2 potential psi, its norm integrated where it is used.
 
     No quadrature runs here: a pass that needs the norm integrates it as a
-    row of its own (VolumeForm), and reading norm, norm_err or rho
-    integrates that row alone.
+    row of its own (VolumeForm), and reading norm or norm_err integrates
+    that row alone.
     """
     if psi.degree != 2:
         raise ValueError(f"volume potential must have degree 2, got {psi.degree}")
@@ -407,8 +371,7 @@ def bedford_taylor_check(
     Checks int g dmu_{p_n} -> int g dmu_limit for the given test function,
     which is the operational content of the Monge-Ampere continuity the
     whole approximation scheme rests on (decreasing or uniform limits of
-    admissible potentials). A callable test_fn must not return an array it
-    keeps between calls (RadialMeasure.integrate weighs it in place).
+    admissible potentials).
     """
     target = pair(test_fn, limit)
     vals = [pair(test_fn, family(n)) for n in indices]

@@ -66,7 +66,7 @@ class TorsionResult:
     err: float
 
 
-def fs_reference_torsion(m: int, scale: float = SPECTRUM_SCALE) -> TorsionResult:
+def fs_reference_torsion(m: int) -> TorsionResult:
     """Reference torsion of (O(m), round) over the round area-2 sphere.
 
     T = zeta'(0) of the Dolbeault spectrum. At unit scale the spectrum is
@@ -77,7 +77,7 @@ def fs_reference_torsion(m: int, scale: float = SPECTRUM_SCALE) -> TorsionResult
         Z'_m(0) = 4 zeta'(-1) - (m+1)^2/2 + sum_{j<=m+1} (2j - m - 1) log j.
 
     Under lambda -> c lambda the value shifts by -log(c) zeta(0), which is
-    how the scale enters. err bounds the rounding of the sum.
+    how SPECTRUM_SCALE enters. err bounds the rounding of the sum.
     """
     m = int(m)
     if m < 0:
@@ -85,13 +85,13 @@ def fs_reference_torsion(m: int, scale: float = SPECTRUM_SCALE) -> TorsionResult
     terms = [4.0 * ZETA_PRIME_MINUS1, -(m + 1) ** 2 / 2.0]
     terms += [(2 * j - m - 1) * math.log(j) for j in range(2, m + 2)]
     zp = math.fsum(terms)
-    corr = -math.log(scale) * zeta_zero(m)
+    corr = -math.log(SPECTRUM_SCALE) * zeta_zero(m)
     return TorsionResult(
         value=zp + corr,
         components={
             "zeta_prime_unit_scale": zp,
             "zeta_zero": zeta_zero(m),
-            "scale": scale,
+            "scale": SPECTRUM_SCALE,
             "scale_correction": corr,
         },
         err=math.fsum(map(abs, terms)) * sys.float_info.epsilon,

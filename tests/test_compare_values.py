@@ -14,19 +14,25 @@ def test_a_checkout_compared_with_itself_is_identical_on_every_op(capsys):
     assert compare_values.main(["--checkout", f"a={ROOT}", "--checkout", f"b={ROOT}", "--seeds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     report = json.loads(lines[-1])["checkouts"]["b"]
-    # a round of each workload: 36 limits, 36 high_degree and 9 grid_data ops
-    assert {w: r["ops"] for w, r in report.items()} == {"limits": 36, "high_degree": 36, "grid_data": 9}
-    for r in report.values():
+    # a round of each workload: 36 limits, 36 high_degree, 9 grid_data and 5 cli_cold ops
+    assert {w: r["ops"] for w, r in report.items()} == {
+        "limits": 36, "high_degree": 36, "grid_data": 9, "cli_cold": 5
+    }
+    for name, r in report.items():
         assert r["identical"] == r["ops"] and not r["errors"]
-        assert r["max_abs_d_log_quillen"] == r["max_abs_d_T"] == 0.0
-        assert r["T_err_ratio"] == [1.0, 1.0]
+        if name != "cli_cold":
+            assert r["max_abs_d_log_quillen"] == r["max_abs_d_T"] == 0.0
+            assert r["T_err_ratio"] == [1.0, 1.0]
 
 
 def test_an_op_that_raised_on_any_checkout_fails_the_comparison(monkeypatch, capsys):
     row = ["0x1.0p+0"] * 3
-    good = {"limits": [row, row], "high_degree": [row], "grid_data": [row]}
+    good = {"limits": [row, row], "high_degree": [row], "grid_data": [row], "cli_cold": [["{}\n"]]}
     bad = {**good, "high_degree": ["NumericalError: integral diverged"]}
-    for dumps, want in (([good, good], 0), ([good, bad], 1), ([bad, good], 1), ([bad], 1)):
+    # a CLI call that exits nonzero is an op that raised
+    exit2 = {**good, "cli_cold": ["RuntimeError: exit 2: spec error"]}
+    cases = [([good, good], 0), ([good, bad], 1), ([bad, good], 1), ([bad], 1), ([good, exit2], 1)]
+    for dumps, want in cases:
         it = iter(dumps)
         monkeypatch.setattr(compare_values, "collect", lambda root, seeds: next(it))
         argv = [a for i in range(len(dumps)) for a in ("--checkout", f"c{i}={ROOT}")]

@@ -16,6 +16,7 @@ from spheretorsion import (
     gram,
     gram_canonical_closed,
     gram_fs_closed,
+    integrate_line,
     log_det_canonical_closed,
     lse,
     volume_canonical,
@@ -40,10 +41,11 @@ def test_fs_gram_matches_beta_closed_form(m):
 def test_gram_rows_carry_honest_per_entry_estimates(potential, volume, closed, m):
     # each entry's own estimate covers its true error; the relative term is
     # rounding slack, where the estimate alone sits below rounding (m = 60)
-    p = potential(m)
+    p, w = potential(m), volume()
     ks = np.arange(m + 1.0)[:, None]
-    g, err = volume().rho.integrate(
-        lambda t: np.exp(ks * t - p.phi(t)), extra_splits=p.kinks
+    g, err = integrate_line(
+        lambda t: np.exp(ks * t - p.phi(t)) * (2.0 * np.exp(t - w.psi.phi(t)) / w.norm),
+        (*w.psi.kinks, *p.kinks),
     )
     assert err.parts.shape == g.shape == (m + 1,)
     assert np.all(np.abs(g - closed(m)) <= err.parts + 1e-13 * g)

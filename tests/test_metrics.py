@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import warnings
 
@@ -383,6 +384,23 @@ def test_write_grid_refuses_before_touching_the_file(tmp_path, p, kwargs, error,
     assert (path.read_bytes(), path.with_suffix(".json").read_bytes()) == before
 
 
+@pytest.mark.parametrize("name", ["g.json", "g.JSON", "g.Json"])
+def test_a_grid_csv_path_ending_in_json_is_refused(tmp_path, capsys, name):
+    # such a CSV would be its own sidecar: the path is refused before any
+    # file is touched, and what is already there stays byte for byte
+    path = tmp_path / name
+    path.write_text('{"degree": 3, "positive": true}')
+    before = sorted(os.listdir(tmp_path)), path.read_bytes()
+    match = f"grid CSV {re.escape(str(path))} ends in .json"
+    with pytest.raises(ValueError, match=match):
+        write_grid(fubini_study(3), str(path), n=41)
+    with pytest.raises(SpecError, match=match):
+        load_grid(str(path))
+    assert cli.main(["torsion", "--metric", f"grid:{path}", "--no-meta"]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert (sorted(os.listdir(tmp_path)), path.read_bytes()) == before
+
+
 def _truncating_write_grid(p, path, t_lo=-30.0, t_hi=30.0, n=2001, **old_keys):
     # [REFERENCE] the writer before in-place rewrites: open(path, "w")
     # truncates each file before writing it; its sidecar less the
@@ -753,6 +771,25 @@ def test_parse_spec_refuses_unknown_and_repeated_keys(capsys, spec, key):
         parse_spec(spec)
     assert cli.main(["torsion", "--metric", spec, "--no-meta"]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, keys",
+    [
+        ("zhang:base=fs:1,p=2", "'n' in 'zhang:base=fs:1,p=2': the keys are base, p, n"),
+        ("lse:m=2", "'a' in 'lse:m=2': the keys are m, a"),
+        ("cex:c=1", "'delta' in 'cex:c=1': the keys are c, delta, eps, gamma"),
+        ("mollmax:eps=0.3", "'m' in 'mollmax:eps=0.3': the keys are m, eps"),
+    ],
+    ids=["zhang", "lse", "cex", "mollmax"],
+)
+def test_parse_spec_names_a_missing_key(capsys, spec, keys):
+    want = f"missing key {keys}"
+    with pytest.raises(SpecError) as exc:
+        parse_spec(spec)
+    assert str(exc.value) == want
+    assert cli.main(["torsion", "--metric", spec, "--no-meta"]) == 2
+    assert want in capsys.readouterr().err
 
 
 def test_parse_volume():

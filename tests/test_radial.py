@@ -19,11 +19,12 @@ from scipy.integrate import quad as sciquad
 from spheretorsion import (
     NumericalError,
     bedford_taylor_check,
-    c1_measure,
+    bundle_anomaly,
     canonical,
     counterexample_potential,
     dual,
     fubini_study,
+    gram,
     integrate_line,
     integrate_volume,
     load_grid,
@@ -32,7 +33,9 @@ from spheretorsion import (
     measure_mass,
     mollified_max,
     pair,
+    quillen,
     tensor,
+    volume_anomaly,
     volume_canonical,
     volume_from_potential,
     volume_fs,
@@ -121,8 +124,8 @@ def test_missing_curvature_data_refused():
         degree=2, phi=lambda t: 2.0 * np.maximum(np.asarray(t, dtype=float), 0.0),
         positive=True,
     )
-    with pytest.raises(ValueError, match="curvature data"):
-        c1_measure(p)
+    with pytest.raises(ValueError, match="carries no curvature data"):
+        measure_mass(p)
 
 
 # --- pairing: atoms, by-parts oracle, bilinearity, symmetry ---
@@ -215,7 +218,7 @@ def test_pairings_pair_each_row_like_its_measure_alone():
     ((vals, parts),) = _pairings([((), smooth_test_fn, pots)])
     assert vals.shape == parts.shape == (3,) and parts.sum() <= FAIL_TOL
     for row, p in zip(vals, pots):
-        assert abs(row - c1_measure(p).integrate(smooth_test_fn)[0]) < 1e-13
+        assert abs(row - pair(smooth_test_fn, p)) < 1e-13
 
 
 def test_pairings_of_atoms_alone_make_no_kernel_call(monkeypatch):
@@ -234,25 +237,25 @@ def test_pairings_integrate_each_row_times_its_density_in_one_call(monkeypatch):
     # 0 for a row paired against atoms alone
     calls = []
 
-    def recording_integrate(self, f, extra_splits=(), _integrate=radial.RadialMeasure.integrate):
+    def recording_integrate(self, f, splits, _integrate=radial.RadialMeasure.integrate):
         calls.append((self, f))
-        return _integrate(self, f, extra_splits)
+        return _integrate(self, f, splits)
 
     monkeypatch.setattr(radial.RadialMeasure, "integrate", recording_integrate)
     mm, fs = mollified_max(1, 0.3), fubini_study(3)
     _pairings([((), smooth_test_fn, [canonical(2), None, mm, fs, mm])])
     ((dt, f),) = calls
     t = np.linspace(-3.0, 3.0, 41)
-    assert not dt.atoms and float(dt.density(t)) == 1.0
-    d = [c1_measure(p).density(t) for p in (mm, fs)]
+    assert dt is radial._LEBESGUE
+    d = [p.curvature_density(t) for p in (mm, fs)]
     want = np.array([np.zeros_like(t), np.ones_like(t), d[0], d[1], d[0]]) * smooth_test_fn(t)
     assert np.array_equal(f(t), want)
 
 
 @pytest.mark.parametrize("p", [mollified_max(1, 0.3), canonical(2), fubini_study(3)])
 def test_pair_is_the_same_whatever_array_f_returns(p):
-    # the measure weighs a writeable float64 result in place and multiplies
-    # any other: an int array, a read-only broadcast, a Python scalar
+    # _pairings copies every result into its own stack: an int array, a
+    # read-only broadcast, a Python scalar
     def read_only(t):
         y = np.cos(t)
         y.flags.writeable = False
@@ -266,6 +269,60 @@ def test_pair_is_the_same_whatever_array_f_returns(p):
     ]
     assert len({pair(f, p) for f in const}) == 1
     assert pair(read_only, p) == pair(np.cos, p)
+
+
+def memo_cos():
+    """np.cos that returns the one array it keeps for each node array it has seen."""
+    seen = {}
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return seen.setdefault((t.shape, t.tobytes()), np.cos(t))
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "integral",
+    [
+        lambda f: pair(f, fubini_study(3)),
+        lambda f: pair(f, mollified_max(1, 0.3)),
+        lambda f: integrate_volume(f, volume_from_potential(lse(2, 3.0))),
+    ],
+    ids=["pair-fs", "pair-mollmax", "volume-lse"],
+)
+def test_an_f_that_keeps_its_arrays_gives_the_same_value_on_every_call(integral):
+    # the rows are copied into the pairing's own stack, so weighing them
+    # never writes into what f keeps
+    f, want = memo_cos(), integral(np.cos)
+    assert [integral(f) for _ in range(3)] == [want] * 3
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: pair(np.cos, mollified_max(1, 0.3)),
+        lambda: measure_mass(fubini_study(3)),
+        lambda: integrate_volume(np.cos, volume_fs()),
+        lambda: integrate_volume(np.cos, volume_from_potential(lse(2, 3.0))),
+        lambda: gram(lse(2, 9.0), volume_from_potential(lse(2, 4.0))),
+        lambda: bundle_anomaly(lse(2, 9.0), fubini_study(2), volume_from_potential(lse(2, 4.0))),
+        lambda: volume_anomaly(lse(2, 9.0), volume_from_potential(lse(2, 4.0)), volume_fs()),
+        lambda: quillen(lse(2, 9.0), volume_from_potential(lse(2, 4.0))),
+    ],
+    ids=["pair", "measure_mass", "integrate_volume-fs", "integrate_volume-lazy", "gram",
+         "bundle_anomaly", "volume_anomaly", "quillen"],
+)
+def test_every_pairing_makes_one_kernel_call_through_the_measure(run, monkeypatch):
+    kernel, measure = [], []
+    line, integrate = radial.integrate_line, radial.RadialMeasure.integrate
+    monkeypatch.setattr(radial, "integrate_line", lambda *a: kernel.append(a) or line(*a))
+    monkeypatch.setattr(
+        radial.RadialMeasure, "integrate",
+        lambda self, *a, **kw: measure.append(a) or integrate(self, *a, **kw),
+    )
+    run()
+    assert len(kernel) == len(measure) == 1
 
 
 def test_catalog_densities_vanish_outside_their_outermost_kinks(tmp_path):
@@ -293,6 +350,11 @@ def test_catalog_densities_vanish_outside_their_outermost_kinks(tmp_path):
 # --- volume forms ---
 
 
+def area_density(w, t):
+    """2 e^{t - psi} / norm, the area density of w."""
+    return 2.0 * np.exp(t - w.psi.phi(t)) / w.norm
+
+
 def test_logistic_density_is_the_two_exp_form_and_vanishes_at_infinity():
     rng = np.random.default_rng(5)
     t = np.concatenate((np.linspace(-800.0, 800.0, 16001), rng.normal(0.0, 20.0, 4000), [0.0, -0.0]))
@@ -312,14 +374,14 @@ def test_fs_volume_norm_and_density():
     assert w.norm == 1.0
     for t in (-2.0, 0.0, 1.5):
         want = 2.0 * math.exp(t) / (1.0 + math.exp(t)) ** 2
-        assert abs(float(w.rho.density(t)) - want) < 1e-15
+        assert abs(float(area_density(w, t)) - want) < 1e-15
 
 
 def test_canonical_volume_density_is_exact_exponential():
     w = volume_canonical()
     assert w.norm == 2.0
     for t in (-3.0, -0.5, 0.0, 2.0):
-        assert float(w.rho.density(t)) == pytest.approx(math.exp(-abs(t)), abs=1e-16)
+        assert float(area_density(w, t)) == pytest.approx(math.exp(-abs(t)), abs=1e-16)
 
 
 def test_volume_from_potential_reproduces_both_catalog_forms():
@@ -329,7 +391,7 @@ def test_volume_from_potential_reproduces_both_catalog_forms():
     w2 = volume_from_potential(volume_canonical().psi)
     assert abs(w2.norm - 2.0) < 1e-10
     for t in (-1.0, 0.0, 0.25, 3.0):
-        assert abs(float(w2.rho.density(t)) - math.exp(-abs(t))) < 1e-10
+        assert abs(float(area_density(w2, t)) - math.exp(-abs(t))) < 1e-10
 
 
 @pytest.mark.parametrize("a", [1.5, 4.5, 1093.5])

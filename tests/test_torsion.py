@@ -133,7 +133,8 @@ def _closed_form_mp(m):
 def test_hurwitz_continuation_against_frozen_table(m):
     # the table was frozen from the Hurwitz continuation; the engine
     # evaluates the elementary closed form
-    assert abs(fs_reference_torsion(m, scale=1.0).value - ZPRIME_UNIT[m]) < 1e-11
+    got = fs_reference_torsion(m).components["zeta_prime_unit_scale"]
+    assert abs(got - ZPRIME_UNIT[m]) < 1e-11
 
 
 @pytest.mark.parametrize("m", range(9))
@@ -142,14 +143,14 @@ def test_hurwitz_continuation_matches_elementary_closed_form(m):
     # Riemann zeta sums plus the multiplicative anomaly -2 a^2 give
     # Z'_m(0) = 4 zeta'(-1) - (m+1)^2/2 + sum_{j<=m+1} (2j - m - 1) log j,
     # which the engine evaluates; the series is the independent oracle
-    got = fs_reference_torsion(m, scale=1.0).value
+    got = fs_reference_torsion(m).components["zeta_prime_unit_scale"]
     assert abs(got - float(_hurwitz_zeta_prime_zero(m))) < 1e-13
 
 
 @pytest.mark.parametrize("m", (40, 60))
 def test_closed_form_accurate_at_high_degree(m):
-    got = fs_reference_torsion(m, scale=1.0)
-    drift = abs(got.value - float(_closed_form_mp(m)))
+    got = fs_reference_torsion(m)
+    drift = abs(got.components["zeta_prime_unit_scale"] - float(_closed_form_mp(m)))
     assert drift < 1e-12 and drift <= got.err
 
 
@@ -267,16 +268,6 @@ def test_counterexample_call_does_not_load_numpy_ma():
     )
     res = _run_child(code)
     assert res.returncode == 0, res.stderr
-
-
-def test_reference_scale_law():
-    # zeta'(0; c lambda) = zeta'(0; lambda) - log(c) zeta(0)
-    for m in (0, 1, 4):
-        t1 = fs_reference_torsion(m, scale=1.0).value
-        assert t1 == pytest.approx(ZPRIME_UNIT[m], abs=1e-11)
-        t2 = fs_reference_torsion(m, scale=2.0 * math.pi).value
-        tpi = fs_reference_torsion(m).value
-        assert t2 - tpi == pytest.approx(-LOG2 * zeta_zero(m), abs=1e-12)
 
 
 def test_reference_default_scale_is_geometric():
@@ -731,7 +722,7 @@ def test_results_do_not_depend_on_what_the_volume_did_before():
 
     want = results(lambda: volume_from_potential(psi))
     read, used = volume_from_potential(psi), volume_from_potential(psi)
-    assert read.norm > 0 and read.rho.density is not None
+    assert read.norm > 0
     assert results(lambda: read) == want
     quillen(fubini_study(3), used)
     assert results(lambda: used) == want
@@ -874,10 +865,15 @@ def test_torsion_invariant_under_volume_potential_constant():
     for psi in (WFS.psi, parse_spec("lse:m=2,a=4"), parse_spec("mollmax:m=2,eps=0.6")):
         w0 = volume_from_potential(psi)
         w1 = volume_from_potential(_shifted(psi, 0.9))
-        np.testing.assert_allclose(w1.rho.density(ts), w0.rho.density(ts), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(_area_density(w1, ts), _area_density(w0, ts), rtol=1e-13, atol=0)
         for p in (fubini_study(1), canonical(2)):
             gap = torsion(p, w1).value - torsion(p, w0).value
             assert abs(gap) < 1e-12, (psi.label, p.label, gap)
+
+
+def _area_density(w, t):
+    """2 e^{t - psi} / norm, the area density of w."""
+    return 2.0 * np.exp(t - w.psi.phi(t)) / w.norm
 
 
 def _polyakov_rhs(w, derivative):
@@ -893,15 +889,15 @@ def _polyakov_rhs(w, derivative):
     the density's own split points carry the integral, and the tails past
     |t| = 40 are below 1e-16.
     """
-    log_ratio = lambda t: np.log(w.rho.density(t) / WFS.rho.density(t))
-    cuts = np.union1d(np.linspace(-40.0, 40.0, 161), [s for s in w.rho.splits if abs(s) < 40.0])
+    log_ratio = lambda t: np.log(_area_density(w, t) / _area_density(WFS, t))
+    cuts = np.union1d(np.linspace(-40.0, 40.0, 161), [s for s in w.psi.kinks if abs(s) < 40.0])
     x, wt = np.polynomial.legendre.leggauss(20)
     a, b = cuts[:-1, None], cuts[1:, None]
     t = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
     h = (0.5 * (b - a) * wt).ravel()
     sigma = 0.5 * log_ratio(t)
     dsigma = 0.5 * derivative(log_ratio, t, initial_step=0.01).df
-    return float(np.sum(h * (dsigma**2 + sigma * WFS.rho.density(t)))) / 3.0
+    return float(np.sum(h * (dsigma**2 + sigma * _area_density(WFS, t)))) / 3.0
 
 
 @pytest.mark.parametrize(

@@ -6,14 +6,17 @@
 
 Each --checkout LABEL=PATH names a checkout. For each one, a fresh
 interpreter imports spheretorsion from that checkout's own `src/`, builds
-the ops of the `limits`, `high_degree` and `grid_data` workloads for every
-seed (the workload definitions of this repository's `perfbench/`, so every
-checkout runs the same ops) and records log_quillen, T and T.err of each
-op as `float.hex`. Every label but the first (the baseline) is then
-compared with it, per workload: how many ops are identical in all three
-values, the largest |d log_quillen| and |d T|, and the least and largest
-ratio of T.err to the baseline's. An op that raises counts as not
-identical, and its error is printed. Prints one line per label and
+the ops of every workload for every seed (the workload definitions of
+this repository's `perfbench/`, so every checkout runs the same ops) and
+records, for the `limits`, `high_degree` and `grid_data` ops,
+log_quillen, T and T.err as `float.hex`, and for the `cli_cold` ops (one
+`python -m spheretorsion.cli ... --verify --no-meta` call each) the
+stdout. Every label but the first (the baseline) is then compared with
+it, per workload: how many ops are identical (all three values, or the
+stdout byte for byte), and for the in-process workloads the largest
+|d log_quillen| and |d T| and the least and largest ratio of T.err to the
+baseline's. An op that raises, or a CLI call that exits nonzero, counts
+as not identical, and its error is printed. Prints one line per label and
 workload, and the whole comparison as JSON on the last line. Exits 1 when
 any op raised on any checkout, so "values unchanged" cannot pass over a
 crash, and 0 otherwise.
@@ -26,17 +29,21 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("limits", "high_degree", "grid_data")
+WORKLOADS = ("limits", "high_degree", "grid_data", "cli_cold")
 
 
 def dump(root, seeds):
-    """{workload: [[log_quillen, T, T.err] as float.hex, or an error string]} of one checkout."""
+    """{workload: [a row per op, or an error string]} of one checkout.
+
+    A row is [log_quillen, T, T.err] as float.hex, or [stdout] of a CLI call.
+    """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import random
 
     import workloads
 
-    classes = {cls.name: cls for cls in (workloads.Limits, workloads.HighDegree, workloads.GridData)}
+    classes = {cls.name: cls for cls in (workloads.Limits, workloads.HighDegree, workloads.GridData,
+                                         workloads.CliCold)}
     out = {name: [] for name in WORKLOADS}
     for seed in seeds:
         for name in WORKLOADS:
@@ -49,6 +56,9 @@ def dump(root, seeds):
                         res = w.run(op)
                     except Exception as exc:  # one failed op is reported, the rest still run
                         out[name].append(f"{type(exc).__name__}: {exc}")
+                        continue
+                    if name == "cli_cold":
+                        out[name].append([res])
                         continue
                     q = res[0] if name == "grid_data" else res
                     vals = (q.log_quillen, q.torsion.value, q.torsion.err)
@@ -69,7 +79,9 @@ def collect(root: Path, seeds):
 
 
 def compare(base, other):
-    """Per workload: ops, identical ops, max |d log_quillen|, max |d T|, T.err ratio range, errors."""
+    """Per workload: ops, identical ops and errors; for an in-process
+    workload also max |d log_quillen|, max |d T| and the T.err ratio range.
+    """
     out = {}
     for name, rows in other.items():
         same, dq, dt, ratios, errors = 0, 0.0, 0.0, [], []
@@ -78,17 +90,18 @@ def compare(base, other):
                 errors.append(b if isinstance(b, str) else a)
                 continue
             same += a == b
+            if name == "cli_cold":
+                continue
             (qa, ta, ea), (qb, tb, eb) = ([float.fromhex(v) for v in r] for r in (a, b))
             dq, dt = max(dq, abs(qb - qa)), max(dt, abs(tb - ta))
             ratios.append(eb / ea if ea else (1.0 if eb == ea else float("inf")))
-        out[name] = {
-            "ops": len(rows),
-            "identical": same,
-            "max_abs_d_log_quillen": dq,
-            "max_abs_d_T": dt,
-            "T_err_ratio": [min(ratios), max(ratios)] if ratios else None,
-            "errors": errors,
-        }
+        out[name] = {"ops": len(rows), "identical": same, "errors": errors}
+        if name != "cli_cold":
+            out[name].update({
+                "max_abs_d_log_quillen": dq,
+                "max_abs_d_T": dt,
+                "T_err_ratio": [min(ratios), max(ratios)] if ratios else None,
+            })
     return out
 
 
@@ -105,9 +118,11 @@ def main(argv=None) -> int:
     report = {label: compare(values[labels[0]], values[label]) for label in labels[1:]}
     for label, per in report.items():
         for name, r in per.items():
-            print(f"{label} vs {labels[0]} {name}: identical {r['identical']}/{r['ops']}, "
-                  f"max |d log_quillen| {r['max_abs_d_log_quillen']:.3g}, "
-                  f"max |d T| {r['max_abs_d_T']:.3g}, T.err ratio {r['T_err_ratio']}")
+            line = f"{label} vs {labels[0]} {name}: identical {r['identical']}/{r['ops']}"
+            if name != "cli_cold":
+                line += (f", max |d log_quillen| {r['max_abs_d_log_quillen']:.3g}, "
+                         f"max |d T| {r['max_abs_d_T']:.3g}, T.err ratio {r['T_err_ratio']}")
+            print(line)
             for e in r["errors"]:
                 print(f"  error: {e}")
     raised = {label: sum(isinstance(row, str) for rows in per.values() for row in rows)
