@@ -114,9 +114,10 @@ def _cmd_gram(args):
     }
     if args.verify:
         checks = {"entries_positive": bool((g.entries > 0).all())}
-        # decided on the parsed data, so every spelling of a spec is checked
-        closed = {"fs": gram_fs_closed, "canonical": gram_canonical_closed}.get(w.label)
-        if closed is not None and p.label == f"{w.label}:{p.degree}":
+        # decided on the parsed potentials, so every spelling of a spec is checked
+        kind = {"fs:2": "fs", "canonical:2": "canonical"}.get(w.psi.label)
+        closed = {"fs": gram_fs_closed, "canonical": gram_canonical_closed}.get(kind)
+        if closed is not None and p.label == f"{kind}:{p.degree}":
             checks["matches_closed_form_1e-10"] = bool(
                 np.max(np.abs(g.entries - closed(p.degree))) <= 1e-10
             )

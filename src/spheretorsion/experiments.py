@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import functools
 import json
 import math
 from dataclasses import asdict
@@ -253,16 +252,11 @@ def run_counterexample(
 # --- closed-form sweep ---
 
 
-@functools.lru_cache(maxsize=None)
-def _dilation_volume(n):
-    # the volume family is the same for every m; built once per process
-    return volume_from_potential(zhang_iterate(fubini_study(2), 2, n))
-
-
 def _dilation_limit(m, indices, grid_indices, tol):
     """Quillen limit along the dilation iterates of fs_m and of the fs volume."""
     bundles = lambda n: zhang_iterate(fubini_study(m), 2, n)
-    return generalized_quillen_limit(bundles, _dilation_volume, indices, grid_indices, tol)
+    volumes = lambda n: volume_from_potential(zhang_iterate(fubini_study(2), 2, n))
+    return generalized_quillen_limit(bundles, volumes, indices, grid_indices, tol)
 
 
 def _closed_row(m):

@@ -90,12 +90,12 @@ def volume_fs() -> VolumeForm:
     One shared object, whose psi is the shared fubini_study(2), so the
     transfer chain evaluates it once when it is also the caller's volume.
     """
-    return VolumeForm(fubini_study(2), 1.0, "fs")
+    return VolumeForm(fubini_study(2), 1.0)
 
 
 def volume_canonical() -> VolumeForm:
     """The singular limit volume form: psi = canonical_2, density e^{-|t|}."""
-    return VolumeForm(canonical(2), 2.0, "canonical")
+    return VolumeForm(canonical(2), 2.0)
 
 
 def _concentration_splits(scale: float) -> tuple:
@@ -547,6 +547,8 @@ def _read_sidecar(side: str) -> tuple:
         raise SpecError(f"grid sidecar {side}: degree must be an integer, got {degree!r}")
     if type(positive) is not bool:
         raise SpecError(f"grid sidecar {side}: positive must be true or false, got {positive!r}")
+    if positive and degree < 0:
+        raise SpecError(f"grid sidecar {side}: a positive grid needs degree >= 0, got {degree}")
     return degree, positive
 
 
@@ -812,4 +814,4 @@ def parse_volume(spec: str) -> VolumeForm:
         raise SpecError(
             f"volume spec {spec!r} has degree {pot.degree}, need degree 2"
         )
-    return volume_from_potential(pot, label=spec)
+    return volume_from_potential(pot)

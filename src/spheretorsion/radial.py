@@ -44,7 +44,9 @@ class RadialPotential:
     families the brackets of the concentration scale. kinks is the only
     split channel: every pairing splits the line at them.
     positive means the curvature measure is known nonnegative (admissible
-    in the sense used throughout: positive and with the right growth).
+    in the sense used throughout: positive and with the right growth). Its
+    mass is the degree, so a positive potential of negative degree is a
+    contradiction and raises ValueError.
     curvature_atoms / curvature_density describe mu_phi explicitly; every
     constructor in this library provides them, numerical differentiation is
     never used silently. curvature_density is the density on the whole
@@ -60,6 +62,13 @@ class RadialPotential:
     curvature_atoms: tuple = ()
     curvature_density: Optional[Callable] = None
     label: str = ""
+
+    def __post_init__(self):
+        if self.positive and self.degree < 0:
+            raise ValueError(
+                f"potential {self.label or '<anon>'} is declared positive with degree "
+                f"{self.degree}: a nonnegative curvature measure has nonnegative mass"
+            )
 
     def __call__(self, t):
         return self.phi(t)
@@ -158,54 +167,41 @@ def _pairings(blocks):
     return [(acc[span], parts[span]) for span, _, _ in spans]
 
 
+@dataclass(frozen=True, eq=False)
 class VolumeForm:
-    """A volume form on the sphere: a degree-2 potential and its norm.
+    """A volume form on the sphere: a degree-2 potential psi and its norm.
 
     norm records int e^{t-psi} dt, the only place a normalization constant
     can hide; the area measure rho = 2 e^{t-psi} / norm dt follows from the
-    two (total mass 2).
-    norm_err bounds the error of norm. A volume built with a norm (the
-    closed forms) keeps it and its norm_err, 0 when exact. One built with
-    norm None, as volume_from_potential builds it, has no norm of its own:
-    each pass that needs it integrates it as a dt row (_normed_pairings),
-    whose estimate is norm_err there, so no result depends on what was
-    computed or read before. Reading norm or norm_err of such a volume
-    integrates that row alone, once.
+    two (total mass 2). A given norm (the closed forms) is exact. A norm of
+    None, as volume_from_potential gives, is integrated as a dt row of each
+    pass that needs it (_normed_pairings), with its estimate there; the
+    record never computes or keeps it, so no result depends on what was
+    computed before. A psi whose degree is not 2, or a given norm that is
+    not positive and finite, raises ValueError.
     """
 
-    def __init__(
-        self, psi: RadialPotential, norm: Optional[float], label: str = "", norm_err: float = 0.0
-    ):
-        self.psi, self.label = psi, label
-        self._given = None if norm is None else (norm, norm_err)
-        self._read = None
+    psi: RadialPotential
+    norm: Optional[float]
 
-    @property
-    def norm(self) -> float:
-        return self._norm()[0]
-
-    @property
-    def norm_err(self) -> float:
-        return self._norm()[1]
-
-    def _norm(self):
-        if self._given is not None:
-            return self._given
-        if self._read is None:
-            self._read = _normed_pairings([], (self,))[1][0]
-        return self._read
+    def __post_init__(self):
+        if self.psi.degree != 2:
+            raise ValueError(f"volume potential must have degree 2, got {self.psi.degree}")
+        if self.norm is not None and not (self.norm > 0 and math.isfinite(self.norm)):
+            raise ValueError(f"volume norm must be positive and finite, got {self.norm!r}")
 
 
 def _normed_pairings(blocks, volumes):
     """_pairings(blocks) and the (norm, norm_err) of each volume, from one kernel call.
 
-    A volume with a given norm gives it. The norm of each other volume is
-    a dt row e^{t - psi} stacked after the blocks, and its estimate there;
-    a norm that is not positive and finite raises NumericalError.
+    A volume with a given norm gives it, with estimate 0. The norm of each
+    other volume is a dt row e^{t - psi} stacked after the blocks, and its
+    estimate there; a norm that is not positive and finite raises
+    NumericalError.
     """
-    lazy = list({id(w): w for w in volumes if w._given is None}.values())
+    lazy = list({id(w): w for w in volumes if w.norm is None}.values())
     if not lazy:
-        return _pairings(blocks), [w._given for w in volumes]
+        return _pairings(blocks), [(w.norm, 0.0) for w in volumes]
     psis = tuple(w.psi for w in lazy)
     norm_rows = psis, lambda t, *vals: np.exp(t - np.array(vals)), (None,) * len(lazy)
     *out, (vals, parts) = _pairings([*blocks, norm_rows])
@@ -213,7 +209,7 @@ def _normed_pairings(blocks, volumes):
         if not (norm > 0 and math.isfinite(norm)):
             raise NumericalError(f"volume normalization failed: int e^(t-psi) = {norm}")
     got = {id(w): (float(v), float(e)) for w, v, e in zip(lazy, vals, parts)}
-    return out, [w._given or got[id(w)] for w in volumes]
+    return out, [got.get(id(w), (w.norm, 0.0)) for w in volumes]
 
 
 @dataclass
@@ -318,16 +314,13 @@ def logistic_density(t):
     return e / (1.0 + e) ** 2
 
 
-def volume_from_potential(psi: RadialPotential, label: str = "") -> VolumeForm:
-    """The volume form of a degree-2 potential psi, its norm integrated where it is used.
+def volume_from_potential(psi: RadialPotential) -> VolumeForm:
+    """VolumeForm(psi, None): the volume of a degree-2 psi, its norm integrated where it is used.
 
-    No quadrature runs here: a pass that needs the norm integrates it as a
-    row of its own (VolumeForm), and reading norm or norm_err integrates
-    that row alone.
+    No quadrature runs here: each pass that needs the norm integrates it as
+    a row of its own (VolumeForm).
     """
-    if psi.degree != 2:
-        raise ValueError(f"volume potential must have degree 2, got {psi.degree}")
-    return VolumeForm(psi, None, label or psi.label)
+    return VolumeForm(psi, None)
 
 
 # --- weak convergence checks ---

@@ -176,8 +176,9 @@ def volume_anomaly(
     Every curvature mass equals its degree, so the gauge constant
     log norm_1 - log norm_2 contributes its product with (m/2 + 1/3) in
     closed form, and err charges that coefficient times the relative
-    errors of the two norms (VolumeForm.norm_err); the raw pair_*
-    diagnostics pair psi1 - psi2 itself.
+    errors of the two norms (0 for a given norm, the norm row's estimate
+    for one integrated in the pass); the raw pair_* diagnostics pair
+    psi1 - psi2 itself.
 
     The secondary-Todd slot is the trapezoid in the CURVATURES of the two
     volume potentials, and must be: the curvature pairing is symmetric
@@ -190,7 +191,7 @@ def volume_anomaly(
     anomaly, which the mixed-change consistency identity forces.
     """
     ((vals, err),), norms = _normed_pairings([_volume_rows(p, w1, w2)], (w1, w2))
-    return _volume_term(vals, err.sum(), p, w1, w2, norms)
+    return _volume_term(vals, err.sum(), p, norms)
 
 
 def _volume_rows(p: RadialPotential, w1: VolumeForm, w2: VolumeForm):
@@ -198,18 +199,17 @@ def _volume_rows(p: RadialPotential, w1: VolumeForm, w2: VolumeForm):
     return (w1.psi, w2.psi), lambda t, a, b: a - b, (p, w1.psi, w2.psi)
 
 
-def _volume_term(
-    vals, err: float, p: RadialPotential, w1: VolumeForm, w2: VolumeForm, norms
-) -> AnomalyTerm:
+def _volume_term(vals, err: float, p: RadialPotential, norms) -> AnomalyTerm:
     # vals: psi_1 - psi_2 against mu_p, mu_{psi_1} and mu_{psi_2}; err their
     # summed estimate, to which the gauge adds its coefficient times the
-    # relative errors of the two norms, norms the (norm, norm_err) of w1 and w2
+    # relative errors of the two norms, norms the (norm, norm_err) of w1 and
+    # w2. Both volume potentials have degree 2, so their masses sum to 4.
     mu, r1, r2 = map(float, vals)
     (n1, e1), (n2, e2) = norms
     gauge = math.log(n1) - math.log(n2)
-    coef = 0.5 * p.degree + (w1.psi.degree + w2.psi.degree) / 12.0
+    coef = 0.5 * p.degree + 1 / 3
     curv = 0.5 * (mu + gauge * p.degree)
-    todd = (r1 + r2 + gauge * (w1.psi.degree + w2.psi.degree)) / 12.0
+    todd = (r1 + r2 + 4 * gauge) / 12.0
     return AnomalyTerm(
         kind="volume",
         value=curv + todd,
@@ -260,7 +260,7 @@ def _chain(p: RadialPotential, w: VolumeForm):
                 "missing from its kinks?) or its curvature data is wrong"
             )
     gd = _gram_data(g, g_err, *norms[0])
-    return gd, _bundle_term(k, k_err.sum()), _volume_term(v, v_err.sum(), p, w, w_ref, norms)
+    return gd, _bundle_term(k, k_err.sum()), _volume_term(v, v_err.sum(), p, norms)
 
 
 def _quillen_fs(m: int) -> float:
@@ -403,7 +403,8 @@ def generalized_torsion_curve(
     Families sharpen at different speeds, so each runs down the index list
     only until its own tail settles below tol/10 (or the list ends); that
     keeps the fast-concentrating families away from quadrature-hostile
-    sharpness they do not need.
+    sharpness they do not need. No decompositions declare nothing and
+    raise ValueError.
     """
     reports = []
     for d_idx, (plus_fam, minus_fam) in enumerate(decompositions):
@@ -413,12 +414,14 @@ def generalized_torsion_curve(
             _require_positive(plus, f"decomposition {d_idx} plus factor", n)
             _require_positive(minus, f"decomposition {d_idx} minus factor", n)
             psi = tensor(plus, dual(minus))
-            w = volume_from_potential(psi, label=f"decomp{d_idx}:n={n}")
+            w = volume_from_potential(psi)
             vals.append(torsion(p, w).value)
             if len(vals) >= 4 and max(vals[-3:]) - min(vals[-3:]) < tol / 10.0:
                 break
         msg = f"decomposition {d_idx}: tail spread {{spread:.3e}}"
         reports.append(ConvergenceReport.of(indices[: len(vals)], vals, tol, msg))
+    if not reports:
+        raise ValueError("a torsion curve needs at least one decomposition")
     limits = [r.values[-1] for r in reports]
     agreement = max(
         (abs(a - b) for i, a in enumerate(limits) for b in limits[i + 1 :]),

@@ -8,8 +8,10 @@ failed, 2 spec/usage, 3 numerics.
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,7 +80,14 @@ def test_gram_verify_closed_forms(capsys):
 
 @pytest.mark.parametrize(
     "metric,volume",
-    [("zero", "fs"), ("fs:3", "fubini-study"), ("canonical:2", "inf"), ("canonical:2", "singular")],
+    [
+        ("zero", "fs"),
+        ("fs:3", "fubini-study"),
+        ("canonical:2", "inf"),
+        ("canonical:2", "singular"),
+        ("fs:3", "fs:2"),
+        ("canonical:3", "canonical:2"),
+    ],
 )
 def test_gram_verify_alternate_spellings(capsys, metric, volume):
     doc = run_json(capsys, "gram", "--metric", metric, "--volume", volume, "--verify")
@@ -162,6 +171,23 @@ def test_bt_check(capsys):
     assert doc["verify"]["passed"] is True
 
 
+def _readme_cli_examples():
+    # the spheretorsion lines of README's CLI block, without the program name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("spheretorsion ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=lambda argv: argv[0])
+def test_every_readme_cli_example_exits_0(capsys, argv):
+    rc, _, err = run(capsys, *argv, "--no-meta")
+    assert rc == 0, err
+
+
+def test_the_readme_cli_block_has_its_examples():
+    assert len(_readme_cli_examples()) == 10
+
+
 # --- the results schema ---
 
 
@@ -216,6 +242,14 @@ def test_exit_2_on_usage(capsys):
 def test_exit_2_on_wrong_volume_degree(capsys):
     rc, _, err = run(capsys, "torsion", "--metric", "fs:1", "--volume", "lse:m=1,a=2")
     assert rc == 2 and "degree" in err
+
+
+def test_exit_2_on_a_positive_metric_of_negative_degree(capsys):
+    rc, _, err = run(
+        capsys, "anomaly", "--kind", "bundle", "--metric", "lse:m=-2,a=3",
+        "--metric2", "mollmax:m=-2,eps=0.5", "--no-meta",
+    )
+    assert rc == 2 and "declared positive with degree -2" in err
 
 
 def test_exit_2_on_missing_pair_argument(capsys):

@@ -14,13 +14,14 @@ def test_a_checkout_compared_with_itself_is_identical_on_every_op(capsys):
     assert compare_values.main(["--checkout", f"a={ROOT}", "--checkout", f"b={ROOT}", "--seeds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     report = json.loads(lines[-1])["checkouts"]["b"]
-    # a round of each workload: 36 limits, 36 high_degree, 9 grid_data and 5 cli_cold ops
+    # a round of each workload: 36 limits, 36 high_degree, 9 grid_data and 5
+    # cli_cold ops, and the 10 README examples and 4 further calls once
     assert {w: r["ops"] for w, r in report.items()} == {
-        "limits": 36, "high_degree": 36, "grid_data": 9, "cli_cold": 5
+        "limits": 36, "high_degree": 36, "grid_data": 9, "cli_cold": 5, "cli_calls": 14
     }
     for name, r in report.items():
         assert r["identical"] == r["ops"] and not r["errors"]
-        if name != "cli_cold":
+        if name not in compare_values.CLI_GROUPS:
             assert r["max_abs_d_log_quillen"] == r["max_abs_d_T"] == 0.0
             assert r["T_err_ratio"] == [1.0, 1.0]
 
@@ -39,3 +40,17 @@ def test_an_op_that_raised_on_any_checkout_fails_the_comparison(monkeypatch, cap
         assert compare_values.main([*argv, "--seeds", "1"]) == want
         out = capsys.readouterr().out
         assert ("1 ops raised" in out) == bool(want)
+
+
+def test_a_cli_call_whose_exit_code_differs_is_not_identical(monkeypatch, capsys):
+    # in cli_calls a nonzero exit is output to compare, not an op that raised
+    row = ["0x1.0p+0"] * 3
+    base = {"limits": [row], "high_degree": [row], "grid_data": [row], "cli_cold": [["{}\n"]],
+            "cli_calls": [["{}\n", 1], ["{}\n", 0]]}
+    other = {**base, "cli_calls": [["{}\n", 0], ["{}\n", 0]]}
+    it = iter([base, other])
+    monkeypatch.setattr(compare_values, "collect", lambda root, seeds: next(it))
+    argv = ["--checkout", f"a={ROOT}", "--checkout", f"b={ROOT}", "--seeds", "1"]
+    assert compare_values.main(argv) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])["checkouts"]["b"]
+    assert report["cli_calls"] == {"ops": 2, "identical": 1, "errors": []}

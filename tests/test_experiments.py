@@ -156,19 +156,6 @@ def _counting(calls, fn):
     return wrapper
 
 
-def test_run_closed_form_builds_each_dilation_volume_once(monkeypatch):
-    builds = []
-    monkeypatch.setattr(
-        experiments, "volume_from_potential", _counting(builds, experiments.volume_from_potential)
-    )
-    experiments._dilation_volume.cache_clear()
-    out = run_closed_form()
-    experiments._dilation_volume.cache_clear()
-    assert len(out["rows"]) == 6 and all(out["verdicts"].values())
-    # n = 0..32 step 2, shared by m = 0..5
-    assert len(builds) == 17
-
-
 def test_counterexample_row_is_one_kernel_call(monkeypatch):
     # T, the Gram and K of a row all come from one transfer chain; the flat
     # metric on the round volume is the reference pair at m = 0, no call at all

@@ -17,6 +17,7 @@ from scipy.interpolate import PchipInterpolator
 from spheretorsion import (
     CounterexampleParams,
     NumericalError,
+    RadialPotential,
     SpecError,
     canonical,
     counterexample_energy_oracle,
@@ -654,6 +655,33 @@ def test_grid_malformed_sidecar_is_a_spec_error(tmp_path, capsys, sidecar):
     assert "bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: lse(-2, 3.0), id="lse"),
+        pytest.param(lambda: mollified_max(-1, 0.5), id="mollmax"),
+        pytest.param(lambda: RadialPotential(-1, lambda t: -t, True), id="hand-built"),
+        pytest.param(lambda: dataclasses.replace(dual(fubini_study(1)), positive=True), id="replaced"),
+    ],
+)
+def test_a_positive_potential_of_negative_degree_is_refused(build):
+    # a nonnegative curvature measure has nonnegative mass, and its mass is the degree
+    with pytest.raises(ValueError, match="declared positive with degree -"):
+        build()
+
+
+def test_a_grid_sidecar_declaring_a_negative_degree_positive_is_refused(tmp_path, capsys):
+    # the samples are a valid grid of degree -2: only the declared pair is refused
+    path, side = tmp_path / "neg.csv", tmp_path / "neg.json"
+    write_grid(dual(fubini_study(2)), str(path), n=41)
+    assert load_grid(str(path)).degree == -2
+    side.write_text(json.dumps({"degree": -2, "positive": True}))
+    with pytest.raises(SpecError, match="neg.json"):
+        load_grid(str(path))
+    assert cli.main(["gram", "--metric", f"grid:{path}", "--no-meta"]) == 2
+    assert "neg.json" in capsys.readouterr().err
+
+
 def test_grid_sidecar_with_a_regularity_key_loads_unchanged(tmp_path):
     # sidecars written before the regularity grade was dropped still hold
     # it; keys the loader does not read are ignored, whatever their value
@@ -793,8 +821,9 @@ def test_parse_spec_names_a_missing_key(capsys, spec, keys):
 
 
 def test_parse_volume():
-    assert parse_volume("fs").label == "fs"
-    assert parse_volume("canonical").label == "canonical"
+    assert parse_volume("fs") is volume_fs()
+    wc = parse_volume("canonical")
+    assert wc.psi.label == "canonical:2" and wc.norm == 2.0
     w = parse_volume("lse:m=2,a=4")
     assert abs(integrate_volume(lambda t: 1.0, w) - 2.0) < 1e-10
     with pytest.raises(SpecError, match="degree"):

@@ -5,6 +5,7 @@ Oracle conventions. [TRIVIAL] facts are asserted against hand values,
 scipy.integrate.quad (never through the library's own integrate_line).
 """
 
+import dataclasses
 import inspect
 import math
 import warnings
@@ -50,7 +51,9 @@ from spheretorsion.radial import (
     ConvergenceReport,
     RadialMeasure,
     RadialPotential,
+    VolumeForm,
     _fit_rate,
+    _normed_pairings,
     _pairings,
     sequence_verdict,
 )
@@ -350,9 +353,14 @@ def test_catalog_densities_vanish_outside_their_outermost_kinks(tmp_path):
 # --- volume forms ---
 
 
+def norm_of(w):
+    """(norm, estimate) of w, as a pass that uses w gets them."""
+    return _normed_pairings([], (w,))[1][0]
+
+
 def area_density(w, t):
     """2 e^{t - psi} / norm, the area density of w."""
-    return 2.0 * np.exp(t - w.psi.phi(t)) / w.norm
+    return 2.0 * np.exp(t - w.psi.phi(t)) / norm_of(w)[0]
 
 
 def test_logistic_density_is_the_two_exp_form_and_vanishes_at_infinity():
@@ -387,9 +395,9 @@ def test_canonical_volume_density_is_exact_exponential():
 def test_volume_from_potential_reproduces_both_catalog_forms():
     # rebuilding from the degree-2 potential must reproduce norm and density
     w1 = volume_from_potential(volume_fs().psi)
-    assert abs(w1.norm - 1.0) < 1e-10
+    assert abs(norm_of(w1)[0] - 1.0) < 1e-10
     w2 = volume_from_potential(volume_canonical().psi)
-    assert abs(w2.norm - 2.0) < 1e-10
+    assert abs(norm_of(w2)[0] - 2.0) < 1e-10
     for t in (-1.0, 0.0, 0.25, 3.0):
         assert abs(float(area_density(w2, t)) - math.exp(-abs(t))) < 1e-10
 
@@ -397,10 +405,27 @@ def test_volume_from_potential_reproduces_both_catalog_forms():
 @pytest.mark.parametrize("a", [1.5, 4.5, 1093.5])
 def test_volume_norm_err_bounds_the_norm(a):
     # [DERIVED] int e^t (1 + e^{at})^{-2/a} dt = B(1/a, 1/a) / a, by x = e^{at}
-    w = volume_from_potential(lse(2, a))
+    norm, err = norm_of(volume_from_potential(lse(2, a)))
     want = mpmath.beta(1 / mpmath.mpf(a), 1 / mpmath.mpf(a)) / a
-    assert 0.0 < w.norm_err and abs(w.norm - want) <= w.norm_err
-    assert volume_fs().norm_err == volume_canonical().norm_err == 0.0
+    assert 0.0 < err and abs(norm - want) <= err
+    assert norm_of(volume_fs()) == (1.0, 0.0) and norm_of(volume_canonical()) == (2.0, 0.0)
+
+
+def test_a_volume_form_is_the_checked_pair_psi_norm():
+    # the two fields of the record and nothing kept beside them; a degree
+    # other than 2 or a norm that is not positive and finite is refused
+    assert [f.name for f in dataclasses.fields(VolumeForm)] == ["psi", "norm"]
+    w = volume_from_potential(lse(2, 3.0))
+    integrate_volume(lambda t: 1.0, w)
+    assert vars(w) == {"psi": w.psi, "norm": None}
+    assert w != volume_from_potential(w.psi)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.norm = 1.0
+    with pytest.raises(ValueError, match="degree 2, got 3"):
+        VolumeForm(fubini_study(3), 1.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="norm must be positive and finite"):
+            VolumeForm(fubini_study(2), bad)
 
 
 def test_volume_from_potential_rejects_wrong_degree():

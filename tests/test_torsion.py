@@ -52,6 +52,7 @@ from spheretorsion import (
     generalized_torsion_curve,
     gram,
     integrate_line,
+    integrate_volume,
     load_grid,
     logistic_density,
     lse,
@@ -71,6 +72,7 @@ from spheretorsion import (
     zeta_zero,
     zhang_iterate,
 )
+from spheretorsion.radial import _normed_pairings
 from spheretorsion.torsion import ZETA_PRIME_MINUS1, _chain
 
 from conftest import LOG2, LOGPI, ZETA_PRIME_M1, ZPRIME_UNIT
@@ -454,7 +456,7 @@ def test_anomaly_identity_many_pairs():
     for p1, p2, w in cases:
         lhs = quillen(p1, w).log_quillen - quillen(p2, w).log_quillen
         rhs = -bundle_anomaly(p1, p2, w).value
-        assert abs(lhs - rhs) < 1e-8, (p1.label, p2.label, w.label)
+        assert abs(lhs - rhs) < 1e-8, (p1.label, p2.label, w.psi.label)
 
 
 def test_volume_change_identity():
@@ -475,11 +477,11 @@ def test_reference_pair_lands_on_the_reference_torsion():
 
 
 def test_values_do_not_depend_on_labels():
-    # a volume labelled "fs" is not the round volume, and a copy of fs_1
-    # under another metric's label is not fs_1: only the geometry counts
-    lse_vol = lambda **kw: volume_from_potential(lse(2, 3.0), **kw)
-    named = torsion(fubini_study(1), lse_vol(label="fs"))
-    assert named.value == torsion(fubini_study(1), lse_vol()).value
+    # a volume potential labelled "fs:2" is not the round volume, and a copy
+    # of fs_1 under another metric's label is not fs_1: only the geometry counts
+    named = volume_from_potential(dataclasses.replace(lse(2, 3.0), label="fs:2"))
+    named = torsion(fubini_study(1), named)
+    assert named.value == torsion(fubini_study(1), volume_from_potential(lse(2, 3.0))).value
     assert abs(named.value - fs_reference_torsion(1).value) > 1e-3
     posing = dataclasses.replace(lse(1, 3.0), label="fs:1")
     assert torsion(posing, WFS).value == torsion(lse(1, 3.0), WFS).value
@@ -689,9 +691,9 @@ LIMITS_TWINS = {
 
 @pytest.mark.parametrize("fam", LIMITS_TWINS.values(), ids=LIMITS_TWINS.keys())
 def test_volume_normalization_takes_one_kernel_pass(monkeypatch, fam):
-    # read alone, the norm converges in the graded first pass
-    psi = fam(2)
-    assert _passes(monkeypatch, lambda: volume_from_potential(psi).norm) == 1
+    # integrated alone, the norm converges in the graded first pass
+    w = volume_from_potential(fam(2))
+    assert _passes(monkeypatch, lambda: _normed_pairings([], (w,))) == 1
 
 
 @pytest.mark.parametrize("fam", LIMITS_TWINS.values(), ids=LIMITS_TWINS.keys())
@@ -705,8 +707,8 @@ def test_a_limits_op_takes_one_kernel_pass(monkeypatch, fam):
 
 
 def test_results_do_not_depend_on_what_the_volume_did_before():
-    # the chain, gram and V integrate an integrated volume's norm in their
-    # own pass, whether or not it was read or used with another metric; the
+    # the chain, gram and V integrate a volume's norm in their own pass,
+    # whether or not it was integrated before or used with another metric; the
     # kinks of mollified_max(2, 0.5) move that norm's last bit, so a norm
     # kept on the volume would show there
     psi = lse(2, 4.0)
@@ -722,7 +724,7 @@ def test_results_do_not_depend_on_what_the_volume_did_before():
 
     want = results(lambda: volume_from_potential(psi))
     read, used = volume_from_potential(psi), volume_from_potential(psi)
-    assert read.norm > 0
+    assert _normed_pairings([], (read,))[1][0][0] > 0
     assert results(lambda: read) == want
     quillen(fubini_study(3), used)
     assert results(lambda: used) == want
@@ -743,7 +745,7 @@ def test_a_volume_without_a_finite_norm_fails_where_its_norm_is_used():
         lambda: quillen(p, w),
         lambda: gram(p, w),
         lambda: volume_anomaly(p, w, WFS),
-        lambda: w.norm,
+        lambda: integrate_volume(lambda t: 1.0, w),
     ):
         with pytest.raises(NumericalError):
             use()
@@ -751,12 +753,13 @@ def test_a_volume_without_a_finite_norm_fails_where_its_norm_is_used():
 
 def test_gram_and_volume_anomaly_charge_the_norm_err():
     # every Gram entry carries 1/norm, and V the gauge log norm times m/2 + 1/3;
-    # both volumes carry the integrated norm, one with its estimate, one exact
+    # an integrated norm is charged its row's estimate, the same norm given
+    # is exact and charged nothing
     psi = lse(2, 3.0)
-    read = volume_from_potential(psi)
-    w = VolumeForm(psi, read.norm, norm_err=read.norm_err)
-    exact = VolumeForm(psi, read.norm)
-    p, rel = lse(6, 4.5), w.norm_err / w.norm
+    w = volume_from_potential(psi)
+    ((norm, est),) = _normed_pairings([], (w,))[1]
+    exact = VolumeForm(psi, norm)
+    p, rel = lse(6, 4.5), est / norm
     assert rel > 0
     assert gram(p, w).err - gram(p, exact).err == pytest.approx(7 * rel)
     charge = volume_anomaly(p, w, WFS).err - volume_anomaly(p, exact, WFS).err
@@ -856,7 +859,7 @@ def test_torsion_invariant_under_constant_rescaling_of_h(m, w):
     for p in (fubini_study(m), canonical(m)):
         t0 = torsion(p, w).value
         t1 = torsion(_shifted(p, 0.7), w).value
-        assert abs(t1 - t0) < 1e-12, (p.label, w.label, t1 - t0)
+        assert abs(t1 - t0) < 1e-12, (p.label, w.psi.label, t1 - t0)
 
 
 def test_torsion_invariant_under_volume_potential_constant():
@@ -872,8 +875,8 @@ def test_torsion_invariant_under_volume_potential_constant():
 
 
 def _area_density(w, t):
-    """2 e^{t - psi} / norm, the area density of w."""
-    return 2.0 * np.exp(t - w.psi.phi(t)) / w.norm
+    """2 e^{t - psi} / norm, the area density of w, its norm integrated alone."""
+    return 2.0 * np.exp(t - w.psi.phi(t)) / _normed_pairings([], (w,))[1][0][0]
 
 
 def _polyakov_rhs(w, derivative):
@@ -969,6 +972,21 @@ def test_generalized_curve_refuses_nonpositive_factor():
     bad = (lambda n: dual(fubini_study(3)), lambda n: fubini_study(1))
     with pytest.raises(ValueError, match="not positive"):
         generalized_torsion_curve(p, [bad], indices=(2, 4))
+
+
+def test_generalized_curve_refuses_positive_factors_of_negative_degree():
+    # lse(-2, a) and lse(-4, a) would be positive factors of curvature
+    # -2 and -4, that is dual(lse(2, a)) and dual(lse(4, a)), which are refused
+    p = fubini_study(1)
+    for plus, minus in ((lambda n: lse(-2, 3.0**n), lambda n: lse(-4, 3.0**n)),
+                        (lambda n: dual(lse(2, 3.0**n)), lambda n: dual(lse(4, 3.0**n)))):
+        with pytest.raises(ValueError, match="positive"):
+            generalized_torsion_curve(p, [(plus, minus)], indices=(2, 4))
+
+
+def test_generalized_curve_over_no_decompositions_declares_nothing():
+    with pytest.raises(ValueError, match="at least one decomposition"):
+        generalized_torsion_curve(canonical(1), [])
 
 
 # --- result plumbing ---

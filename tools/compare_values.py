@@ -11,31 +11,55 @@ this repository's `perfbench/`, so every checkout runs the same ops) and
 records, for the `limits`, `high_degree` and `grid_data` ops,
 log_quillen, T and T.err as `float.hex`, and for the `cli_cold` ops (one
 `python -m spheretorsion.cli ... --verify --no-meta` call each) the
-stdout. Every label but the first (the baseline) is then compared with
-it, per workload: how many ops are identical (all three values, or the
-stdout byte for byte), and for the in-process workloads the largest
-|d log_quillen| and |d T| and the least and largest ratio of T.err to the
-baseline's. An op that raises, or a CLI call that exits nonzero, counts
-as not identical, and its error is printed. Prints one line per label and
-workload, and the whole comparison as JSON on the last line. Exits 1 when
-any op raised on any checkout, so "values unchanged" cannot pass over a
-crash, and 0 otherwise.
+stdout. Once per checkout it also runs the group `cli_calls`: the
+`spheretorsion` lines of this repository's README CLI block and
+EXTRA_CALLS, each as `python -m spheretorsion.cli ... --no-meta`, and
+records stdout and exit code. Every label but the first (the baseline) is
+then compared with it, per group: how many ops are identical (all three
+values, or the stdout byte for byte, and in `cli_calls` the exit code as
+well), and for the in-process workloads the largest |d log_quillen| and
+|d T| and the least and largest ratio of T.err to the baseline's. An op
+that raises, or a `cli_cold` call that exits nonzero, counts as not
+identical, and its error is printed; in `cli_calls` a nonzero exit is
+output to compare. Prints one line per label and group, and the whole
+comparison as JSON on the last line. Exits 1 when any op raised on any
+checkout, so "values unchanged" cannot pass over a crash, and 0
+otherwise.
 """
 
 import argparse
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("limits", "high_degree", "grid_data", "cli_cold")
+# the groups whose rows are CLI output, compared byte for byte
+CLI_GROUPS = ("cli_cold", "cli_calls")
+# run after README's examples: a failing verdict (double-limit exits 1 at
+# --n-max 16), the ridge, a volume anomaly and a gram closed-form check
+EXTRA_CALLS = (
+    "double-limit --n-max 16 --verify",
+    "counterexample --c 0.7,1.3 --deltas 1e-2,1e-4 --eps 0.3 --gamma 0.02 --verify",
+    "anomaly --kind volume --metric fs:3 --volume lse:m=2,a=3 --volume2 canonical --verify",
+    "gram --metric fs:3 --volume fs:2 --verify",
+)
+
+
+def cli_calls():
+    """The argv of every call of the cli_calls group, README's examples first."""
+    block = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
+    readme = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("spheretorsion ")]
+    return readme + [call.split() for call in EXTRA_CALLS]
 
 
 def dump(root, seeds):
-    """{workload: [a row per op, or an error string]} of one checkout.
+    """{group: [a row per op, or an error string]} of one checkout.
 
-    A row is [log_quillen, T, T.err] as float.hex, or [stdout] of a CLI call.
+    A row is [log_quillen, T, T.err] as float.hex, [stdout] of a cli_cold
+    call, or [stdout, exit code] of a cli_calls call.
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import random
@@ -65,6 +89,12 @@ def dump(root, seeds):
                     out[name].append([float(v).hex() for v in vals])
             finally:
                 w.cleanup()
+    env = workloads.child_env(Path(root))
+    out["cli_calls"] = []
+    for argv in cli_calls():
+        res = subprocess.run([sys.executable, "-m", "spheretorsion.cli", *argv, "--no-meta"],
+                             cwd=root, env=env, capture_output=True, text=True, timeout=170)
+        out["cli_calls"].append([res.stdout, res.returncode])
     return out
 
 
@@ -79,7 +109,7 @@ def collect(root: Path, seeds):
 
 
 def compare(base, other):
-    """Per workload: ops, identical ops and errors; for an in-process
+    """Per group: ops, identical ops and errors; for an in-process
     workload also max |d log_quillen|, max |d T| and the T.err ratio range.
     """
     out = {}
@@ -90,13 +120,13 @@ def compare(base, other):
                 errors.append(b if isinstance(b, str) else a)
                 continue
             same += a == b
-            if name == "cli_cold":
+            if name in CLI_GROUPS:
                 continue
             (qa, ta, ea), (qb, tb, eb) = ([float.fromhex(v) for v in r] for r in (a, b))
             dq, dt = max(dq, abs(qb - qa)), max(dt, abs(tb - ta))
             ratios.append(eb / ea if ea else (1.0 if eb == ea else float("inf")))
         out[name] = {"ops": len(rows), "identical": same, "errors": errors}
-        if name != "cli_cold":
+        if name not in CLI_GROUPS:
             out[name].update({
                 "max_abs_d_log_quillen": dq,
                 "max_abs_d_T": dt,
@@ -119,7 +149,7 @@ def main(argv=None) -> int:
     for label, per in report.items():
         for name, r in per.items():
             line = f"{label} vs {labels[0]} {name}: identical {r['identical']}/{r['ops']}"
-            if name != "cli_cold":
+            if name not in CLI_GROUPS:
                 line += (f", max |d log_quillen| {r['max_abs_d_log_quillen']:.3g}, "
                          f"max |d T| {r['max_abs_d_T']:.3g}, T.err ratio {r['T_err_ratio']}")
             print(line)
