@@ -25,7 +25,6 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,29 +302,6 @@ def sup_distance(p1: RadialPotential, p2: RadialPotential) -> float:
 # --- the counterexample family ---
 
 
-@dataclass(frozen=True)
-class CounterexampleParams:
-    c: float
-    delta: float
-    eps: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError(f"need finite c > 0, got c={self.c}")
-        if not 0 < self.eps < 0.5:
-            raise ValueError(f"need 0 < eps < 1/2, got eps={self.eps}")
-        if not 0 < self.delta < self.eps / 4:
-            raise ValueError(
-                f"need 0 < delta < eps/4 = {self.eps / 4:g}, got delta={self.delta}"
-            )
-        if not 0 < self.gamma < (self.eps - self.delta) / 4:
-            raise ValueError(
-                f"need 0 < gamma < (eps-delta)/4 = {(self.eps - self.delta) / 4:g}, "
-                f"got gamma={self.gamma}"
-            )
-
-
 def _quintic(w, f0, d0, s0, f1, d1, s1):
     # two-point Taylor quintic on [0,w], returned in the scaled variable u = x/w
     A = np.array(
@@ -391,11 +367,19 @@ class PiecewiseRadial:
 
 
 def _ridge(c: float, delta: float, eps: float, gamma: float | None) -> tuple:
-    """(CounterexampleParams, f) of the ridge f_{c,delta}, f exact and piecewise in r."""
+    """((c, delta, eps, gamma) as checked floats, f) of the ridge f_{c,delta}, f exact in r."""
     if gamma is None:
         gamma = min(0.01, (eps - delta) / 8.0)
-    prm = CounterexampleParams(c=float(c), delta=float(delta), eps=float(eps), gamma=float(gamma))
-    c, delta, eps, gamma = prm.c, prm.delta, prm.eps, prm.gamma
+    c, delta, eps, gamma = float(c), float(delta), float(eps), float(gamma)
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError(f"need finite c > 0, got c={c}")
+    if not 0 < eps < 0.5:
+        raise ValueError(f"need 0 < eps < 1/2, got eps={eps}")
+    if not 0 < delta < eps / 4:
+        raise ValueError(f"need 0 < delta < eps/4 = {eps / 4:g}, got delta={delta}")
+    if not 0 < gamma < (eps - delta) / 4:
+        raise ValueError(f"need 0 < gamma < (eps-delta)/4 = {(eps - delta) / 4:g}, "
+                         f"got gamma={gamma}")
     h = c * math.sqrt(delta)
     s = c / math.sqrt(delta)
     r1, r2 = 1.0 - eps, 1.0 - eps + delta
@@ -404,7 +388,6 @@ def _ridge(c: float, delta: float, eps: float, gamma: float | None) -> tuple:
     wL = min(delta, (1.0 - eps) / 2.0)
     w1 = min(delta, (r3 - r2) / 2.0)
     w2 = min(delta, (r5 - r4) / 2.0)
-    wR = delta
     pieces = [
         (r1 - wL, wL, _quintic(wL, 0, 0, 0, 0, s, 0)),
         (r1, delta, np.polynomial.Polynomial([0.0, h])),
@@ -412,9 +395,9 @@ def _ridge(c: float, delta: float, eps: float, gamma: float | None) -> tuple:
         (r2 + w1, (r5 - w2) - (r2 + w1), np.polynomial.Polynomial([h])),
         (r5 - w2, w2, _quintic(w2, h, 0, 0, h, -s, 0)),
         (r5, delta, np.polynomial.Polynomial([h, -h])),
-        (r6, wR, _quintic(wR, 0, -s, 0, 0, 0, 0)),
+        (r6, delta, _quintic(delta, 0, -s, 0, 0, 0, 0)),
     ]
-    return prm, PiecewiseRadial(pieces)
+    return (c, delta, eps, gamma), PiecewiseRadial(pieces)
 
 
 def counterexample_potential(
@@ -431,10 +414,9 @@ def counterexample_potential(
     gamma None is min(0.01, (eps - delta) / 8), and
     counterexample_energy_oracle of the same parameters gives the exact energy.
     """
-    prm, pw = _ridge(c, delta, eps, gamma)
-    c, delta, eps, gamma = prm.c, prm.delta, prm.eps, prm.gamma
-    t_lo = 2.0 * math.log(pw.breaks[0]) - 1.0
-    t_hi = 2.0 * math.log(pw.breaks[-1]) + 1.0
+    (c, delta, eps, gamma), pw = _ridge(c, delta, eps, gamma)
+    kinks = tuple(2.0 * math.log(b) for b in pw.breaks)
+    t_lo, t_hi = kinks[0] - 1.0, kinks[-1] + 1.0
 
     def phi(t, _pw=pw):
         # constant outside the junction range; clip before exponentiating
@@ -447,13 +429,11 @@ def counterexample_potential(
         r = np.exp(0.5 * tc)
         return 0.25 * (r * r * _pw.deriv(r, 2) + r * _pw.deriv(r, 1))
 
-    junction_ts = tuple(2.0 * math.log(b) for b in pw.breaks)
     return RadialPotential(
         degree=0,
         phi=phi,
         positive=False,
-        kinks=junction_ts,
-        curvature_atoms=(),
+        kinks=kinks,
         curvature_density=dens,
         label=f"cex:c={c:g},delta={delta:g},eps={eps:g},gamma={gamma:g}",
     )
@@ -470,19 +450,19 @@ def counterexample_energy_oracle(
     resulting paired value -(2 c^2 + R). Polynomial antiderivatives only,
     so this is an independent oracle for the quadrature route.
     """
-    prm, pw = _ridge(c, delta, eps, gamma)
+    (c, delta, eps, gamma), pw = _ridge(c, delta, eps, gamma)
     total, parts = pw.weighted_dirichlet()
     # pieces 1 and 5 are the ramps
     ramps = parts[1] + parts[5]
     glue = total - ramps
     return {
-        "c": prm.c,
-        "delta": prm.delta,
-        "eps": prm.eps,
-        "gamma": prm.gamma,
+        "c": c,
+        "delta": delta,
+        "eps": eps,
+        "gamma": gamma,
         "weighted_dirichlet": total,
         "ramp_part": ramps,
-        "ramp_exact": 2.0 * prm.c**2,
+        "ramp_exact": 2.0 * c**2,
         "glue_remainder": glue,
         "dirichlet_term": -total,
     }
@@ -593,15 +573,15 @@ def load_grid(path: str) -> RadialPotential:
     The sidecar (_sidecar: the same path with a .json extension) must be a
     JSON object with an integer degree and a boolean positive; other keys
     are ignored, and anything else is a SpecError naming the sidecar. The
-    path itself must not end in .json. The CSV needs to
-    decode as text and hold at least 4 rows of two finite numbers with
-    strictly increasing t; anything else is a SpecError naming the file
-    (see _grid_cubic). Values are interpolated with the monotone cubic of
-    `_monotone_cubic`, the curvature density is its piecewise-linear second
-    derivative, and outside the grid the potential continues linearly with
-    the boundary slopes, which are validated against the declared degree;
-    at t = -inf or +inf phi is the limit of that continuation, the end
-    value where the slope is 0.
+    path itself must not end in .json. The CSV needs to decode as text,
+    start with the header t,phi and hold at least 4 rows of exactly two
+    finite numbers with strictly increasing t, rows of blank cells aside;
+    anything else is a SpecError naming the file (see _grid_cubic). Values
+    are interpolated with the monotone cubic of `_monotone_cubic`, the
+    curvature density is its piecewise-linear second derivative, and outside
+    the grid the potential continues linearly with the boundary slopes,
+    which are validated against the declared degree; at t = -inf or +inf phi
+    is the limit of that continuation, the end value where the slope is 0.
 
     The interpolant fails to be C^2 at every grid knot and nowhere else,
     so the kinks are the knots; each panel between knots is a polynomial,
@@ -618,18 +598,21 @@ def load_grid(path: str) -> RadialPotential:
         raise SpecError(f"cannot read grid CSV {path}: {exc}") from exc
     rd = csv.reader(lines)
     header = next(rd, [])
-    if [h.strip() for h in header[:2]] != ["t", "phi"]:
+    if [h.strip() for h in header] != ["t", "phi"]:
         raise SpecError(f"grid CSV {path} must start with header 't,phi', got {header}")
     for row in rd:
-        if not row or not row[0].strip():
-            continue
         try:
-            ts.append(float(row[0]))
-            vs.append(float(row[1]))
-        except (ValueError, IndexError) as exc:
+            t_k, v_k = row
+            t_k, v_k = float(t_k), float(v_k)
+        except ValueError as exc:
+            # a row of blank cells is skipped; every other row is two numbers
+            if not "".join(row).strip():
+                continue
             raise SpecError(
                 f"grid CSV {path} line {rd.line_num}: expected two numbers t,phi, got {row}"
             ) from exc
+        ts.append(t_k)
+        vs.append(v_k)
     degree, positive = _read_sidecar(side)
     t = np.asarray(ts, dtype=float)
     v = np.asarray(vs, dtype=float)

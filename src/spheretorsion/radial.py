@@ -70,9 +70,6 @@ class RadialPotential:
                 f"{self.degree}: a nonnegative curvature measure has nonnegative mass"
             )
 
-    def __call__(self, t):
-        return self.phi(t)
-
 
 class RadialMeasure:
     """dt on the whole line, through which every pairing makes its one kernel call.

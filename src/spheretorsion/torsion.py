@@ -333,14 +333,6 @@ class GeneralizedLimit:
     report: ConvergenceReport
     grid: Optional[np.ndarray] = None
 
-    @property
-    def value(self) -> float:
-        return self.report.values[-1]
-
-    @property
-    def diagonal(self) -> tuple:
-        return self.report.values
-
 
 def _require_positive(pot: RadialPotential, what: str, idx):
     if not pot.positive:
@@ -362,8 +354,8 @@ def generalized_quillen_limit(
 
     Every family element must be flagged positive, otherwise the call is
     refused: this is the hypothesis the limit theorem actually needs. The
-    small grid documents joint behavior; the diagonal carries the limit,
-    with a Cauchy verdict over the last 4 entries.
+    report is the diagonal's (Cauchy verdict over the last 4, the limit last);
+    the grid over grid_indices (None without them) shows joint behavior.
     """
     bundles, volumes = {}, {}
     for i in sorted(set(indices) | set(grid_indices)):
@@ -392,13 +384,14 @@ def generalized_torsion_curve(
     decompositions,
     indices: Sequence[int] = tuple(range(2, 31, 2)),
     tol: float = 1e-6,
-) -> dict:
+) -> list[ConvergenceReport]:
     """Torsion along degenerating volumes built from positive decompositions.
 
     Each decomposition is a pair of callables (plus_family, minus_family)
     producing positive potentials whose difference is the degree-2 volume
     potential. The computed limit must not depend on the decomposition;
-    the returned dict reports each path and their mutual agreement.
+    the returned list holds one ConvergenceReport per decomposition, in
+    order, whose last value is that path's limit.
 
     Families sharpen at different speeds, so each runs down the index list
     only until its own tail settles below tol/10 (or the list ends); that
@@ -422,14 +415,4 @@ def generalized_torsion_curve(
         reports.append(ConvergenceReport.of(indices[: len(vals)], vals, tol, msg))
     if not reports:
         raise ValueError("a torsion curve needs at least one decomposition")
-    limits = [r.values[-1] for r in reports]
-    agreement = max(
-        (abs(a - b) for i, a in enumerate(limits) for b in limits[i + 1 :]),
-        default=0.0,
-    )
-    return {
-        "limits": limits,
-        "agreement": agreement,
-        "verdict": "converged" if agreement < tol and all(r.verdict == "converged" for r in reports) else "inconclusive",
-        "reports": reports,
-    }
+    return reports

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from spheretorsion import (
-    CounterexampleParams,
     NumericalError,
     RadialPotential,
     SpecError,
@@ -198,13 +197,13 @@ def test_tensor_with_atoms_keeps_atoms():
 
 def test_counterexample_params_validation():
     with pytest.raises(ValueError, match="c > 0"):
-        CounterexampleParams(c=0.0, delta=1e-3, eps=0.2, gamma=0.01)
+        counterexample_potential(c=0.0, delta=1e-3, eps=0.2, gamma=0.01)
     with pytest.raises(ValueError, match="eps"):
-        CounterexampleParams(c=1.0, delta=1e-3, eps=0.7, gamma=0.01)
+        counterexample_potential(c=1.0, delta=1e-3, eps=0.7, gamma=0.01)
     with pytest.raises(ValueError, match="delta"):
-        CounterexampleParams(c=1.0, delta=0.1, eps=0.2, gamma=0.01)
+        counterexample_potential(c=1.0, delta=0.1, eps=0.2, gamma=0.01)
     with pytest.raises(ValueError, match="gamma"):
-        CounterexampleParams(c=1.0, delta=1e-3, eps=0.2, gamma=0.2)
+        counterexample_potential(c=1.0, delta=1e-3, eps=0.2, gamma=0.2)
 
 
 def test_counterexample_shape():
@@ -339,6 +338,43 @@ def test_grid_knot_and_header_refusals_name_the_file(tmp_path, capsys, rows, mat
         load_grid(str(path))
     assert cli.main(["torsion", "--metric", f"grid:{path}", "--no-meta"]) == 2
     assert "short.csv" in capsys.readouterr().err
+
+
+def _fs2_grid_lines(tmp_path):
+    # a 41-knot fs_2 grid as written, its lines without their ends
+    path = tmp_path / "fs2.csv"
+    write_grid(fubini_study(2), str(path), n=41)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        pytest.param(lambda ls: [*ls, ",1000.0"], "line 43: expected two numbers", id="blank-t"),
+        pytest.param(lambda ls: [*ls, "   ,7"], "line 43: expected two numbers", id="space-t"),
+        pytest.param(lambda ls: [ls[0], ls[1] + ",junk", *ls[2:]], "line 2: expected two numbers",
+                     id="third-cell"),
+        pytest.param(lambda ls: [ls[0], ls[1] + ",", *ls[2:]], "line 2: expected two numbers",
+                     id="blank-third-cell"),
+        pytest.param(lambda ls: ["t,phi,extra", *ls[1:]], "must start with header", id="three-cell-header"),
+    ],
+)
+def test_grid_row_that_is_not_two_cells_is_refused_naming_file_and_line(tmp_path, edit, match):
+    # each edit used to load silently: a phi with a blank t was dropped, and
+    # a third cell, in a row or in the header, was never read
+    path, lines = _fs2_grid_lines(tmp_path)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(SpecError, match=f"fs2.csv {match}"):
+        load_grid(str(path))
+
+
+def test_grid_rows_of_blank_cells_are_skipped(tmp_path):
+    path, lines = _fs2_grid_lines(tmp_path)
+    want = quillen(load_grid(str(path)), volume_fs()).torsion.value
+    path.write_text("\n".join([lines[0], "", " , ", *lines[1:], ",", "   "]) + "\n")
+    g = load_grid(str(path))
+    assert len(g.kinks) == 41
+    assert quillen(g, volume_fs()).torsion.value == want
 
 
 @pytest.mark.parametrize(

@@ -935,8 +935,9 @@ def test_generalized_limit_constant_family_converges_immediately():
     lim = generalized_quillen_limit(fam, vols, indices=range(4), grid_indices=())
     assert lim.report.verdict == "converged"
     assert lim.grid is None
-    assert lim.value == pytest.approx(quillen(fubini_study(1), WFS).log_quillen, abs=1e-12)
-    assert max(lim.diagonal) - min(lim.diagonal) == 0.0
+    want = quillen(fubini_study(1), WFS).log_quillen
+    assert lim.report.values[-1] == pytest.approx(want, abs=1e-12)
+    assert max(lim.report.values) - min(lim.report.values) == 0.0
 
 
 def test_generalized_limit_reaches_canonical_quillen():
@@ -950,7 +951,7 @@ def test_generalized_limit_reaches_canonical_quillen():
     assert lim.report.verdict == "converged"
     assert lim.grid is not None and lim.grid.shape == (3, 3)
     want = quillen(canonical(1), WFS).log_quillen
-    assert abs(lim.value - want) < 1e-4
+    assert abs(lim.report.values[-1] - want) < 1e-4
 
 
 def test_generalized_torsion_curve_decomposition_independence():
@@ -959,11 +960,12 @@ def test_generalized_torsion_curve_decomposition_independence():
         (lambda n: lse(3, 2.0**n), lambda n: lse(1, 2.0**n)),
         (lambda n: zhang_iterate(fubini_study(4), 2, n), lambda n: zhang_iterate(fubini_study(2), 2, n)),
     ]
-    out = generalized_torsion_curve(p, decs, indices=range(2, 25, 2), tol=1e-5)
-    assert out["verdict"] == "converged"
-    assert out["agreement"] < 1e-5
+    reports = generalized_torsion_curve(p, decs, indices=range(2, 25, 2), tol=1e-5)
+    assert [r.verdict for r in reports] == ["converged", "converged"]
+    a, b = (r.values[-1] for r in reports)
+    assert abs(a - b) < 1e-5
     want = torsion(p, WCAN).value
-    for lim in out["limits"]:
+    for lim in (a, b):
         assert abs(lim - want) < 1e-5
 
 

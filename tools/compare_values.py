@@ -6,28 +6,31 @@
 
 Each --checkout LABEL=PATH names a checkout. For each one, a fresh
 interpreter imports spheretorsion from that checkout's own `src/`, builds
-the ops of every workload for every seed (the workload definitions of
-this repository's `perfbench/`, so every checkout runs the same ops) and
-records, for the `limits`, `high_degree` and `grid_data` ops,
-log_quillen, T and T.err as `float.hex`, and for the `cli_cold` ops (one
-`python -m spheretorsion.cli ... --verify --no-meta` call each) the
-stdout. Once per checkout it also runs the group `cli_calls`: the
-`spheretorsion` lines of this repository's README CLI block and
-EXTRA_CALLS, each as `python -m spheretorsion.cli ... --no-meta`, and
-records stdout and exit code. Every label but the first (the baseline) is
-then compared with it, per group: how many ops are identical (all three
-values, or the stdout byte for byte, and in `cli_calls` the exit code as
-well), and for the in-process workloads the largest |d log_quillen| and
-|d T| and the least and largest ratio of T.err to the baseline's. An op
-that raises, or a `cli_cold` call that exits nonzero, counts as not
-identical, and its error is printed; in `cli_calls` a nonzero exit is
-output to compare. Prints one line per label and group, and the whole
-comparison as JSON on the last line. Exits 1 when any op raised on any
-checkout, so "values unchanged" cannot pass over a crash, and 0
-otherwise.
+the ops of every workload for every seed (the workload definitions of this
+repository's `perfbench/`, so every checkout runs the same ops) and
+records, for the `limits`, `high_degree` and `grid_data` ops, log_quillen,
+T and T.err as `float.hex`, and for the `cli_cold` ops (one `python -m
+spheretorsion.cli ... --verify --no-meta` call each) the stdout. Once per
+checkout it also runs the group `cli_calls`: the `spheretorsion` lines of
+this repository's README CLI block and EXTRA_CALLS, each with `--no-meta`
+through the checkout's `cli.main` in that same interpreter (a cold start
+is what `cli_cold` measures, not what these compare), and records stdout
+and exit code. Every label but the first (the baseline) is then compared
+with it, per group: how many ops are identical (all three values, or the
+stdout byte for byte, and in `cli_calls` the exit code as well), and for
+the in-process workloads the largest |d log_quillen| and |d T| and the
+least and largest ratio of T.err to the baseline's. An op that raises, a
+`cli_cold` call that exits nonzero or a `cli_calls` call that raises
+counts as not identical, and its error is printed; in `cli_calls` a
+nonzero exit code is output to compare. Prints one line per label and
+group, and the whole comparison as JSON on the last line. Exits 1 when any
+op raised on any checkout, so "values unchanged" cannot pass over a crash,
+and 0 otherwise.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import shlex
 import subprocess
@@ -59,7 +62,7 @@ def dump(root, seeds):
     """{group: [a row per op, or an error string]} of one checkout.
 
     A row is [log_quillen, T, T.err] as float.hex, [stdout] of a cli_cold
-    call, or [stdout, exit code] of a cli_calls call.
+    call, or [stdout, exit code] of a cli_calls call, whose stderr is dropped.
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import random
@@ -89,12 +92,19 @@ def dump(root, seeds):
                     out[name].append([float(v).hex() for v in vals])
             finally:
                 w.cleanup()
-    env = workloads.child_env(Path(root))
+    workloads.load_program(Path(root))
+    from spheretorsion import cli
+
     out["cli_calls"] = []
     for argv in cli_calls():
-        res = subprocess.run([sys.executable, "-m", "spheretorsion.cli", *argv, "--no-meta"],
-                             cwd=root, env=env, capture_output=True, text=True, timeout=170)
-        out["cli_calls"].append([res.stdout, res.returncode])
+        stdout = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([*argv, "--no-meta"])
+        except Exception as exc:  # one failed call is reported, the rest still run
+            out["cli_calls"].append(f"{type(exc).__name__}: {exc}")
+            continue
+        out["cli_calls"].append([stdout.getvalue(), code])
     return out
 
 
