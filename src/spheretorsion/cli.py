@@ -12,9 +12,15 @@ Every integral runs on one fixed quadrature failure budget,
 quadrature.DEFAULT_QUAD.fail_tol = 5e-8; nothing on the command line or
 in the environment changes it.
 
+Each subcommand's handler takes the parsed args and returns (payload,
+checks). The point commands (torsion, quillen, gram) share one handler,
+and so do the four studies, whose checks are their verdicts. main is the
+one place that runs --verify: it calls checks() after the result, adds
+{"checks", "passed"} to the payload and emits it.
+
 Exit codes: 0 ok, 1 a --verify verdict failed, 2 usage or spec error,
 3 numerical failure (an integral over the budget, a result that is not
-finite).
+finite, a volume norm or Gram entry that underflows).
 """
 
 from __future__ import annotations
@@ -58,71 +64,65 @@ def _emit(payload: dict, args) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _verify_block(checks: dict) -> dict:
-    return {"checks": checks, "passed": all(checks.values())}
-
-
 # --- subcommand handlers ---
 
 
-def _cmd_torsion(args):
-    p = parse_spec(args.metric)
-    w = parse_volume(args.volume)
-    res = torsion(p, w)
-    payload = {
-        "command": "torsion",
-        "inputs": {"metric": args.metric, "volume": args.volume},
-        "results": dataclasses.asdict(res),
-    }
-    if args.verify:
-        mass = measure_mass(p)
-        checks = {
-            "mass_equals_degree_1e-9": abs(mass - p.degree) <= 1e-9,
-            "error_budget": res.err <= 1e-6,
+def _point(fn, checks):
+    """The handler of a point command: fn(metric, volume), checked by checks(p, w, res)."""
+
+    def handler(args):
+        p, w = parse_spec(args.metric), parse_volume(args.volume)
+        res = fn(p, w)
+        payload = {
+            "command": args.command,
+            "inputs": {"metric": args.metric, "volume": args.volume},
+            "results": dataclasses.asdict(res),
         }
-        payload["verify"] = _verify_block(checks)
-    return payload
+        return payload, lambda: checks(p, w, res)
+
+    return handler
 
 
-def _cmd_quillen(args):
-    p = parse_spec(args.metric)
-    w = parse_volume(args.volume)
-    res = quillen(p, w)
-    payload = {
-        "command": "quillen",
-        "inputs": {"metric": args.metric, "volume": args.volume},
-        "results": dataclasses.asdict(res),
+def _torsion_checks(p, w, res):
+    return {
+        "mass_equals_degree_1e-9": abs(measure_mass(p) - p.degree) <= 1e-9,
+        "error_budget": res.err <= 1e-6,
     }
-    if args.verify:
-        # the anomaly identity at this point against the reference metric
-        ref = fubini_study(p.degree)
-        lhs = res.log_quillen - quillen(ref, w).log_quillen
-        rhs = -bundle_anomaly(p, ref, w).value
-        checks = {"anomaly_identity_1e-8": abs(lhs - rhs) <= 1e-8}
-        payload["verify"] = _verify_block(checks)
-    return payload
 
 
-def _cmd_gram(args):
-    p = parse_spec(args.metric)
-    w = parse_volume(args.volume)
-    g = gram(p, w)
-    payload = {
-        "command": "gram",
-        "inputs": {"metric": args.metric, "volume": args.volume},
-        "results": dataclasses.asdict(g),
-    }
-    if args.verify:
-        checks = {"entries_positive": bool((g.entries > 0).all())}
-        # decided on the parsed potentials, so every spelling of a spec is checked
-        kind = {"fs:2": "fs", "canonical:2": "canonical"}.get(w.psi.label)
-        closed = {"fs": gram_fs_closed, "canonical": gram_canonical_closed}.get(kind)
-        if closed is not None and p.label == f"{kind}:{p.degree}":
-            checks["matches_closed_form_1e-10"] = bool(
-                np.max(np.abs(g.entries - closed(p.degree))) <= 1e-10
-            )
-        payload["verify"] = _verify_block(checks)
-    return payload
+def _quillen_checks(p, w, res):
+    # the anomaly identity at this point against the reference metric
+    ref = fubini_study(p.degree)
+    lhs = res.log_quillen - quillen(ref, w).log_quillen
+    rhs = -bundle_anomaly(p, ref, w).value
+    return {"anomaly_identity_1e-8": abs(lhs - rhs) <= 1e-8}
+
+
+def _gram_checks(p, w, g):
+    checks = {"entries_positive": bool((g.entries > 0).all())}
+    # decided on the parsed potentials, so every spelling of a spec is checked
+    kind = {"fs:2": "fs", "canonical:2": "canonical"}.get(w.psi.label)
+    closed = {"fs": gram_fs_closed, "canonical": gram_canonical_closed}.get(kind)
+    if closed is not None and p.label == f"{kind}:{p.degree}":
+        checks["matches_closed_form_1e-10"] = bool(
+            np.max(np.abs(g.entries - closed(p.degree))) <= 1e-10
+        )
+    return checks
+
+
+def _study(run, names=None):
+    """The handler of a study: run(args), checked by its verdicts.
+
+    names maps each check to the verdict it reports; by default every
+    verdict is a check under its own name.
+    """
+
+    def handler(args):
+        res = run(args)
+        v = res["verdicts"]
+        return res, lambda: dict(v) if names is None else {k: v[src] for k, src in names.items()}
+
+    return handler
 
 
 def _cmd_anomaly(args):
@@ -132,14 +132,12 @@ def _cmd_anomaly(args):
         x, y = parse_spec(args.metric), parse_spec(args.metric2)
         w = parse_volume(args.volume)
         anomaly = lambda a, b: bundle_anomaly(a, b, w)
-    elif args.kind == "volume":
+    else:
         if not args.volume2:
             raise SpecError("volume anomaly needs --volume2")
         p = parse_spec(args.metric)
         x, y = parse_volume(args.volume), parse_volume(args.volume2)
         anomaly = lambda a, b: volume_anomaly(p, a, b)
-    else:
-        raise SpecError(f"unknown anomaly kind {args.kind!r}")
     term = anomaly(x, y)
     payload = {
         "command": "anomaly",
@@ -152,12 +150,7 @@ def _cmd_anomaly(args):
         },
         "results": dataclasses.asdict(term),
     }
-    if args.verify:
-        rev = anomaly(y, x)
-        payload["verify"] = _verify_block(
-            {"antisymmetry_1e-10": abs(term.value + rev.value) <= 1e-10}
-        )
-    return payload
+    return payload, lambda: {"antisymmetry_1e-10": abs(term.value + anomaly(y, x).value) <= 1e-10}
 
 
 def _cmd_zhang(args):
@@ -166,6 +159,7 @@ def _cmd_zhang(args):
     limit = canonical(base.degree)
     d0 = sup_distance(base, limit)
     dn = sup_distance(it, limit)
+    bound = d0 / float(args.p) ** args.n
     payload = {
         "command": "zhang",
         "inputs": {"base": args.base, "p": args.p, "n": args.n},
@@ -173,57 +167,10 @@ def _cmd_zhang(args):
             "label": it.label,
             "sup_distance_base": d0,
             "sup_distance_iterate": dn,
-            "contraction_bound": d0 / float(args.p) ** args.n,
+            "contraction_bound": bound,
         },
     }
-    if args.verify:
-        payload["verify"] = _verify_block(
-            {"contracts_at_rate": dn <= d0 / float(args.p) ** args.n + 1e-10}
-        )
-    return payload
-
-
-def _cmd_counterexample(args):
-    cs = [float(x) for x in args.c.split(",")]
-    deltas = [float(x) for x in args.deltas.split(",")]
-    res = experiments.run_counterexample(cs=cs, deltas=deltas, eps=args.eps, gamma=args.gamma)
-    if args.verify:
-        res["verify"] = _verify_block(
-            {
-                "sup_within_2_scale": res["verdicts"]["sup_within_2_scale"],
-                "dirichlet_matches_oracle": res["verdicts"]["dirichlet_matches_oracle_1e-6"],
-                "continuity_fails": res["verdicts"]["continuity_fails"],
-            }
-        )
-    return res
-
-
-def _cmd_closed_form(args):
-    ms = tuple(range(0, args.m_max + 1))
-    res = experiments.run_closed_form(ms=ms)
-    if args.verify:
-        res["verify"] = _verify_block(
-            {
-                "matches_closed_form_1e-6": res["verdicts"]["matches_closed_form_1e-6"],
-                "quillen_law_holds": res["verdicts"]["quillen_law_holds_1e-7"],
-                "routes_agree": res["verdicts"]["routes_agree_1e-6"],
-            }
-        )
-    return res
-
-
-def _cmd_double_limit(args):
-    res = experiments.run_double_limit_study(m=args.m, n_max=args.n_max, tol=args.tol)
-    if args.verify:
-        res["verify"] = _verify_block(dict(res["verdicts"]))
-    return res
-
-
-def _cmd_bt_check(args):
-    res = experiments.run_bt_suite(m=args.m, tol=args.tol)
-    if args.verify:
-        res["verify"] = _verify_block(dict(res["verdicts"]))
-    return res
+    return payload, lambda: {"contracts_at_rate": dn <= bound + 1e-10}
 
 
 # --- parser assembly ---
@@ -248,23 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("torsion", help="analytic torsion of (metric, volume)")
-    sp.add_argument("--metric", required=True)
-    sp.add_argument("--volume", default="fs")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_torsion)
-
-    sp = sub.add_parser("quillen", help="log Quillen metric on det H^0")
-    sp.add_argument("--metric", required=True)
-    sp.add_argument("--volume", default="fs")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_quillen)
-
-    sp = sub.add_parser("gram", help="diagonal Gram data of the monomial basis")
-    sp.add_argument("--metric", required=True)
-    sp.add_argument("--volume", default="fs")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_gram)
+    points = (
+        ("torsion", "analytic torsion of (metric, volume)", torsion, _torsion_checks),
+        ("quillen", "log Quillen metric on det H^0", quillen, _quillen_checks),
+        ("gram", "diagonal Gram data of the monomial basis", gram, _gram_checks),
+    )
+    for name, help_, fn, checks in points:
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--metric", required=True)
+        sp.add_argument("--volume", default="fs")
+        _add_common(sp)
+        sp.set_defaults(handler=_point(fn, checks))
 
     sp = sub.add_parser("anomaly", help="bundle or volume anomaly term")
     sp.add_argument("--kind", choices=("bundle", "volume"), required=True)
@@ -289,26 +230,42 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=float, default=None)
     _add_common(sp)
     _add_sweep(sp)
-    sp.set_defaults(handler=_cmd_counterexample)
+    floats = lambda text: [float(x) for x in text.split(",")]
+    run = lambda a: experiments.run_counterexample(
+        cs=floats(a.c), deltas=floats(a.deltas), eps=a.eps, gamma=a.gamma
+    )
+    names = {
+        "sup_within_2_scale": "sup_within_2_scale",
+        "dirichlet_matches_oracle": "dirichlet_matches_oracle_1e-6",
+        "continuity_fails": "continuity_fails",
+    }
+    sp.set_defaults(handler=_study(run, names))
 
     sp = sub.add_parser("closed-form", help="canonical torsion sweep vs its closed form")
     sp.add_argument("--m-max", type=int, default=5)
     _add_common(sp)
     _add_sweep(sp)
-    sp.set_defaults(handler=_cmd_closed_form)
+    run = lambda a: experiments.run_closed_form(ms=tuple(range(0, a.m_max + 1)))
+    names = {
+        "matches_closed_form_1e-6": "matches_closed_form_1e-6",
+        "quillen_law_holds": "quillen_law_holds_1e-7",
+        "routes_agree": "routes_agree_1e-6",
+    }
+    sp.set_defaults(handler=_study(run, names))
 
     sp = sub.add_parser("double-limit", help="double sequence route agreement study")
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--n-max", type=int, default=32)
     sp.add_argument("--tol", type=float, default=1e-6)
     _add_common(sp)
-    sp.set_defaults(handler=_cmd_double_limit)
+    run = lambda a: experiments.run_double_limit_study(m=a.m, n_max=a.n_max, tol=a.tol)
+    sp.set_defaults(handler=_study(run))
 
     sp = sub.add_parser("bt-check", help="weak convergence battery")
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--tol", type=float, default=1e-7)
     _add_common(sp)
-    sp.set_defaults(handler=_cmd_bt_check)
+    sp.set_defaults(handler=_study(lambda a: experiments.run_bt_suite(m=a.m, tol=a.tol)))
 
     return ap
 
@@ -325,7 +282,10 @@ def main(argv=None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and not (tol > 0 and math.isfinite(tol)):
             raise SpecError(f"--tol must be positive and finite, got {tol!r}")
-        payload = args.handler(args)
+        payload, checks = args.handler(args)
+        if args.verify:
+            verdicts = checks()
+            payload["verify"] = {"checks": verdicts, "passed": all(verdicts.values())}
         _emit(payload, args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
@@ -336,9 +296,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    if args.verify and "verify" in payload and not payload["verify"]["passed"]:
-        return 1
-    return 0
+    return 1 if args.verify and not payload["verify"]["passed"] else 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import RadialPotential, VolumeForm, _normed_pairings
+from .quadrature import NumericalError
+from .radial import _TINY, RadialPotential, VolumeForm, _normed_pairings
 
 
 @dataclass
@@ -70,9 +71,12 @@ def _gram_data(raw: np.ndarray, parts: np.ndarray, norm: float, norm_err: float)
     so the norm's error moves it by (m + 1) norm_err / norm; a few eps
     times sum |log g_k| bounds the rounding of the logs and of their sum.
     """
+    # each entry integrates a positive function, so one below _TINY has underflowed
+    normal = raw >= _TINY
+    if not normal.all():
+        k = int(np.argmin(normal))
+        raise NumericalError(f"Gram entry k={k} underflowed: its integral reads {raw[k]}")
     entries = raw / norm
-    if (entries <= 0).any():
-        raise ValueError("Gram entry came out nonpositive; potential invalid")
     logs = np.log(entries)
     err = float(
         (parts / raw).sum()

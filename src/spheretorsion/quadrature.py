@@ -200,11 +200,12 @@ def quad(f, iv):
     iv has rows (a, b, kind, base). kind 0 is the t-interval [a, b]; kind
     +1 or -1 is a u-interval [a, b] in (0, 1] standing for
     t = base + kind (1 - u) / u, with dt = du / u^2, the map of a half line
-    used by QUADPACK's qagi. f is called once, on a fresh array of all
-    nodes, and returns shape (N,) or (K, N); a scalar is broadcast. A
-    writeable result is multiplied in place by dt/du, 1 on the finite
-    columns; a read-only one is copied first. The nodes and dt/du of the
-    unsplit line's table are built once; quad knows that table by identity.
+    used by QUADPACK's qagi. f is called once, on a fresh array of all N
+    nodes, and returns shape (N,) or (K, N); any other shape, a scalar
+    included, fails the reshape with ValueError. A writeable result is
+    multiplied in place by dt/du, 1 on the finite columns; a read-only one
+    is copied first. The nodes and dt/du of the unsplit line's table are
+    built once; quad knows that table by identity.
 
     Returns the rule's values, QUADPACK's qk21 error estimates
     resasc min(1, (200 |K - G| / resasc)^1.5) floored at 50 eps resabs, and
@@ -216,9 +217,7 @@ def quad(f, iv):
     else:
         h, x, jac = _nodes(iv)
     y = np.asarray(f(x.ravel()), dtype=float)
-    if y.shape[-1:] != (x.size,):
-        y = np.broadcast_to(y, y.shape[:-1] + (x.size,)).copy()
-    elif jac is not None and not y.flags.writeable:
+    if jac is not None and not y.flags.writeable:
         y = y.copy()
     y = y.reshape(y.shape[:-1] + x.shape)
     if jac is not None:

@@ -188,13 +188,17 @@ class VolumeForm:
             raise ValueError(f"volume norm must be positive and finite, got {self.norm!r}")
 
 
+# the least normal float: a positive integral below it has underflowed
+_TINY = np.finfo(float).tiny
+
+
 def _normed_pairings(blocks, volumes):
     """_pairings(blocks) and the (norm, norm_err) of each volume, from one kernel call.
 
     A volume with a given norm gives it, with estimate 0. The norm of each
     other volume is a dt row e^{t - psi} stacked after the blocks, and its
-    estimate there; a norm that is not positive and finite raises
-    NumericalError.
+    estimate there; a norm that is not finite or is below the least normal
+    float (it has underflowed) raises NumericalError.
     """
     lazy = list({id(w): w for w in volumes if w.norm is None}.values())
     if not lazy:
@@ -203,8 +207,10 @@ def _normed_pairings(blocks, volumes):
     norm_rows = psis, lambda t, *vals: np.exp(t - np.array(vals)), (None,) * len(lazy)
     *out, (vals, parts) = _pairings([*blocks, norm_rows])
     for norm in vals:
-        if not (norm > 0 and math.isfinite(norm)):
-            raise NumericalError(f"volume normalization failed: int e^(t-psi) = {norm}")
+        if not (norm >= _TINY and math.isfinite(norm)):
+            raise NumericalError(
+                f"volume normalization failed: int e^(t-psi) = {norm} is not finite or underflowed"
+            )
     got = {id(w): (float(v), float(e)) for w, v, e in zip(lazy, vals, parts)}
     return out, [got.get(id(w), (w.norm, 0.0)) for w in volumes]
 

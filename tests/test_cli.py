@@ -322,6 +322,12 @@ def impossible_budget(monkeypatch):
     monkeypatch.setattr(quadrature, "DEFAULT_QUAD", QuadConfig(fail_tol=1e-18))
 
 
+def test_exit_3_on_gram_entries_that_underflow(capsys):
+    # fs:1100 is a valid input; its middle Gram entries underflow
+    rc, out, err = run(capsys, "torsion", "--metric", "fs:1100", "--no-meta")
+    assert rc == 3 and out == "" and "numerical failure: Gram entry" in err
+
+
 def test_exit_3_on_impossible_budget(capsys, impossible_budget):
     rc, _, err = run(capsys, "torsion", "--metric", "canonical:1", "--volume", "canonical")
     assert rc == 3 and "numerical failure" in err

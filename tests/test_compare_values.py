@@ -15,9 +15,9 @@ def test_a_checkout_compared_with_itself_is_identical_on_every_op(capsys):
     lines = capsys.readouterr().out.splitlines()
     report = json.loads(lines[-1])["checkouts"]["b"]
     # a round of each workload: 36 limits, 36 high_degree, 9 grid_data and 5
-    # cli_cold ops, and the 10 README examples and 4 further calls once
+    # cli_cold ops, and the 10 README examples and 7 further calls once
     assert {w: r["ops"] for w, r in report.items()} == {
-        "limits": 36, "high_degree": 36, "grid_data": 9, "cli_cold": 5, "cli_calls": 14
+        "limits": 36, "high_degree": 36, "grid_data": 9, "cli_cold": 5, "cli_calls": 17
     }
     for name, r in report.items():
         assert r["identical"] == r["ops"] and not r["errors"]
@@ -43,14 +43,15 @@ def test_an_op_that_raised_on_any_checkout_fails_the_comparison(monkeypatch, cap
 
 
 def test_a_cli_call_whose_exit_code_differs_is_not_identical(monkeypatch, capsys):
-    # in cli_calls a nonzero exit is output to compare, not an op that raised
+    # in cli_calls a nonzero exit is output to compare, not an op that raised,
+    # and so is what the call writes to stderr
     row = ["0x1.0p+0"] * 3
     base = {"limits": [row], "high_degree": [row], "grid_data": [row], "cli_cold": [["{}\n"]],
-            "cli_calls": [["{}\n", 1], ["{}\n", 0]]}
-    other = {**base, "cli_calls": [["{}\n", 0], ["{}\n", 0]]}
+            "cli_calls": [["{}\n", "", 1], ["{}\n", "", 0], ["", "usage: a\n", 2]]}
+    other = {**base, "cli_calls": [["{}\n", "", 0], ["{}\n", "", 0], ["", "usage: b\n", 2]]}
     it = iter([base, other])
     monkeypatch.setattr(compare_values, "collect", lambda root, seeds: next(it))
     argv = ["--checkout", f"a={ROOT}", "--checkout", f"b={ROOT}", "--seeds", "1"]
     assert compare_values.main(argv) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])["checkouts"]["b"]
-    assert report["cli_calls"] == {"ops": 2, "identical": 1, "errors": []}
+    assert report["cli_calls"] == {"ops": 3, "identical": 1, "errors": []}

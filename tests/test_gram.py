@@ -10,6 +10,7 @@ from scipy.integrate import quad as sciquad
 
 from spheretorsion import (
     ConvergenceReport,
+    NumericalError,
     RadialPotential,
     canonical,
     fubini_study,
@@ -132,6 +133,13 @@ def test_gram_rejects_negative_degree():
 
     with pytest.raises(ValueError, match="degree >= 0"):
         gram(dual(fubini_study(1)), volume_fs())
+
+
+def test_gram_entries_that_underflow_raise_numerical_error():
+    # every entry integrates a positive function: a middle entry of fs_1100
+    # is below the least normal float, an underflow and not a bad potential
+    with pytest.raises(NumericalError, match=r"Gram entry k=\d+ underflowed"):
+        gram(fubini_study(1100), volume_fs())
 
 
 def _log_det_convergence(family, indices, target):

@@ -107,6 +107,8 @@ def test_negative_degree_constructors_refused():
         mollified_max(1, -0.5)
     with pytest.raises(ValueError):
         zhang_iterate(fubini_study(1), 1, 2)
+    with pytest.raises(ValueError, match="n >= 0"):
+        zhang_iterate(fubini_study(1), 2, -1)
 
 
 # --- sup distance and the dilation semigroup ---
@@ -190,6 +192,14 @@ def test_tensor_with_atoms_keeps_atoms():
     pt = tensor(canonical(2), fubini_study(1))
     assert pt.curvature_atoms == ((0.0, 2.0),)
     assert abs(measure_mass(pt) - 3.0) < 1e-10
+    # the density factor first, and two factors of atoms alone
+    pt = tensor(fubini_study(1), canonical(2))
+    assert pt.curvature_atoms == ((0.0, 2.0),)
+    assert abs(measure_mass(pt) - 3.0) < 1e-10
+    pt = tensor(canonical(1), canonical(2))
+    assert pt.curvature_density is None
+    assert pt.curvature_atoms == ((0.0, 1.0), (0.0, 2.0))
+    assert measure_mass(pt) == 3.0
 
 
 # --- the counterexample family ---
@@ -675,6 +685,7 @@ def test_grid_malformed_row_is_a_spec_error(tmp_path, capsys, row):
         pytest.param('["degree", 2]', id="not-an-object"),
         pytest.param({"degree": "x"}, id="string-degree"),
         pytest.param({"positive": "false"}, id="string-positive"),
+        pytest.param('{"degree": 2}', id="missing-positive"),
     ],
 )
 def test_grid_malformed_sidecar_is_a_spec_error(tmp_path, capsys, sidecar):

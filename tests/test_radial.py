@@ -671,6 +671,13 @@ def test_integrate_line_takes_a_read_only_integrand_result():
     assert got == pytest.approx([math.sqrt(math.pi)] * 2, abs=1e-12)
 
 
+def test_integrate_line_refuses_a_scalar_integrand():
+    # a scalar is a constant, whose integral over the line diverges unless
+    # it is 0; the kernel takes one value per node and broadcasts nothing
+    with pytest.raises(ValueError):
+        integrate_line(lambda t: 0.0)
+
+
 def test_integrate_line_vector_integrand_matches_components():
     fs = [
         lambda t: np.exp(-np.abs(t)),

@@ -874,6 +874,23 @@ def test_torsion_invariant_under_volume_potential_constant():
             assert abs(gap) < 1e-12, (psi.label, p.label, gap)
 
 
+def test_a_volume_potential_constant_short_of_underflow_leaves_T():
+    # the norm e^{-700} is a normal float, so the shift leaves T within its error
+    p = fubini_study(1)
+    t0 = torsion(p, WFS)
+    t1 = torsion(p, volume_from_potential(_shifted(WFS.psi, 700.0)))
+    assert abs(t1.value - t0.value) <= t1.err
+
+
+@pytest.mark.parametrize("b", [709.0, 740.0, 800.0])
+def test_a_volume_norm_that_underflows_raises(b):
+    # e^{-b} is below the least normal float: at b = 740 the norm row read
+    # 4.15e-322 against 4.2e-322, with estimate 0, and T moved by 0.03
+    w = volume_from_potential(_shifted(WFS.psi, b))
+    with pytest.raises(NumericalError, match="volume normalization failed"):
+        torsion(fubini_study(1), w)
+
+
 def _area_density(w, t):
     """2 e^{t - psi} / norm, the area density of w, its norm integrated alone."""
     return 2.0 * np.exp(t - w.psi.phi(t)) / _normed_pairings([], (w,))[1][0][0]

@@ -14,10 +14,11 @@ spheretorsion.cli ... --verify --no-meta` call each) the stdout. Once per
 checkout it also runs the group `cli_calls`: the `spheretorsion` lines of
 this repository's README CLI block and EXTRA_CALLS, each with `--no-meta`
 through the checkout's `cli.main` in that same interpreter (a cold start
-is what `cli_cold` measures, not what these compare), and records stdout
-and exit code. Every label but the first (the baseline) is then compared
+is what `cli_cold` measures, not what these compare), and records stdout,
+stderr and exit code. Every label but the first (the baseline) is then compared
 with it, per group: how many ops are identical (all three values, or the
-stdout byte for byte, and in `cli_calls` the exit code as well), and for
+stdout byte for byte, and in `cli_calls` stderr and the exit code as
+well), and for
 the in-process workloads the largest |d log_quillen| and |d T| and the
 least and largest ratio of T.err to the baseline's. An op that raises, a
 `cli_cold` call that exits nonzero or a `cli_calls` call that raises
@@ -42,12 +43,17 @@ WORKLOADS = ("limits", "high_degree", "grid_data", "cli_cold")
 # the groups whose rows are CLI output, compared byte for byte
 CLI_GROUPS = ("cli_cold", "cli_calls")
 # run after README's examples: a failing verdict (double-limit exits 1 at
-# --n-max 16), the ridge, a volume anomaly and a gram closed-form check
+# --n-max 16), the ridge, a volume anomaly, a gram closed-form check, a
+# point command whose check fails (exit 1), a spec error and a usage error
+# (exit 2)
 EXTRA_CALLS = (
     "double-limit --n-max 16 --verify",
     "counterexample --c 0.7,1.3 --deltas 1e-2,1e-4 --eps 0.3 --gamma 0.02 --verify",
     "anomaly --kind volume --metric fs:3 --volume lse:m=2,a=3 --volume2 canonical --verify",
     "gram --metric fs:3 --volume fs:2 --verify",
+    "torsion --metric fs:229 --verify",
+    "anomaly --kind bundle --metric fs:1",
+    "torsion --volume fs",
 )
 
 
@@ -62,7 +68,7 @@ def dump(root, seeds):
     """{group: [a row per op, or an error string]} of one checkout.
 
     A row is [log_quillen, T, T.err] as float.hex, [stdout] of a cli_cold
-    call, or [stdout, exit code] of a cli_calls call, whose stderr is dropped.
+    call, or [stdout, stderr, exit code] of a cli_calls call.
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import random
@@ -97,14 +103,14 @@ def dump(root, seeds):
 
     out["cli_calls"] = []
     for argv in cli_calls():
-        stdout = io.StringIO()
+        stdout, stderr = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main([*argv, "--no-meta"])
         except Exception as exc:  # one failed call is reported, the rest still run
             out["cli_calls"].append(f"{type(exc).__name__}: {exc}")
             continue
-        out["cli_calls"].append([stdout.getvalue(), code])
+        out["cli_calls"].append([stdout.getvalue(), stderr.getvalue(), code])
     return out
 
 
