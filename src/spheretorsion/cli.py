@@ -99,7 +99,7 @@ def _quillen_checks(p, w, res):
 
 
 def _gram_checks(p, w, g):
-    checks = {"entries_positive": bool((g.entries > 0).all())}
+    checks = {"error_budget": g.err <= 1e-6}
     # decided on the parsed potentials, so every spelling of a spec is checked
     kind = {"fs:2": "fs", "canonical:2": "canonical"}.get(w.psi.label)
     closed = {"fs": gram_fs_closed, "canonical": gram_canonical_closed}.get(kind)

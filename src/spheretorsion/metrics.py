@@ -21,6 +21,7 @@ monotone cubic and differentiate the interpolant.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -49,35 +50,40 @@ def _softplus(t):
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
-@functools.lru_cache(maxsize=None)
+def _integer(x, what: str) -> int:
+    """x as an int; a value that int() would truncate raises ValueError naming it."""
+    if x != int(x):
+        raise ValueError(f"{what} must be an integer, got {x}")
+    return int(x)
+
+
 def fubini_study(m: int) -> RadialPotential:
-    """The round metric potential on O(m): phi = m log(1+e^t), one object per m."""
-    m = int(m)
+    """The round metric potential on O(m): phi = m log(1+e^t), one object per m.
+
+    It is lse(m, 1) under its own label, cached on the integer m.
+    """
+    return _fubini_study(_integer(m, "fubini_study degree"))
+
+
+@functools.lru_cache(maxsize=None)
+def _fubini_study(m: int) -> RadialPotential:
     if m < 0:
         raise ValueError(f"fubini_study needs m >= 0, got {m}")
-    return RadialPotential(
-        degree=m,
-        phi=lambda t, _m=m: _m * _softplus(t),
-        positive=True,
-        kinks=(),
-        curvature_atoms=(),
-        curvature_density=lambda t, _m=m: _m * logistic_density(t),
-        label=f"fs:{m}",
-    )
+    return dataclasses.replace(lse(m, 1.0), label=f"fs:{m}")
 
 
 def canonical(m: int) -> RadialPotential:
-    """The canonical (Zhang-limit) potential: phi = m max(0,t), an atom at 0."""
-    m = int(m)
+    """The canonical (Zhang-limit) potential: phi = m max(0,t), an atom at 0 and no density."""
+    m = _integer(m, "canonical degree")
     if m < 0:
         raise ValueError(f"canonical needs m >= 0, got {m}")
     return RadialPotential(
         degree=m,
         phi=lambda t, _m=m: _m * np.maximum(t, 0.0),
         positive=True,
+        curvature_density=np.zeros_like,
         kinks=(0.0,),
         curvature_atoms=((0.0, float(m)),) if m > 0 else (),
-        curvature_density=None,
         label=f"canonical:{m}",
     )
 
@@ -118,7 +124,7 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
     quadrature walks straight over the bump and silently drops the whole
     mass, and with them the first kernel pass settles every bracket panel.
     """
-    p, n = int(p), int(n)
+    p, n = _integer(p, "zhang iterate p"), _integer(n, "zhang iterate n")
     if p < 2:
         raise ValueError(f"zhang iterate needs p >= 2, got {p}")
     if n < 0:
@@ -127,7 +133,6 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
         lam = float(p) ** n
     except OverflowError:
         raise ValueError(f"zhang iterate scale p^n = {p}^{n} overflows a float") from None
-    dens = base.curvature_density
     splits = sorted(
         set(k / lam for k in base.kinks) | set(_concentration_splits(lam))
     )
@@ -137,9 +142,7 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
         positive=base.positive,
         kinks=tuple(splits),
         curvature_atoms=tuple((loc / lam, mass) for loc, mass in base.curvature_atoms),
-        curvature_density=None
-        if dens is None
-        else (lambda t, _l=lam, _d=dens: _l * _d(np.asarray(t) * _l)),
+        curvature_density=lambda t, _l=lam, _d=base.curvature_density: _l * _d(np.asarray(t) * _l),
         label=f"zhang:base={base.label},p={p},n={n}",
     )
 
@@ -151,7 +154,7 @@ def lse(m: int, a: float) -> RadialPotential:
     sharper than a = 16 advertise the same octave bracket splits 2^k / a,
     k = 0..9, as the dilation iterates.
     """
-    m, a = int(m), float(a)
+    m, a = _integer(m, "lse degree"), float(a)
     if not (a > 0 and math.isfinite(a)):
         raise ValueError(f"lse sharpness must be positive and finite, got {a}")
     return RadialPotential(
@@ -171,7 +174,7 @@ def mollified_max(m: int, eps: float) -> RadialPotential:
     P, Q the antiderivatives of the bump 15/16 (1-u^2)^2 and of u times it.
     Curvature density is the bump itself, so positivity is manifest.
     """
-    m, eps = int(m), float(eps)
+    m, eps = _integer(m, "mollified_max degree"), float(eps)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"mollifier width must be positive and finite, got {eps}")
 
@@ -209,21 +212,13 @@ def mollified_max(m: int, eps: float) -> RadialPotential:
 def tensor(p1: RadialPotential, p2: RadialPotential) -> RadialPotential:
     """Tensor product of metrics: potentials and curvatures add."""
     d1, d2 = p1.curvature_density, p2.curvature_density
-    if d1 is None and d2 is None:
-        dens = None
-    elif d1 is None:
-        dens = d2
-    elif d2 is None:
-        dens = d1
-    else:
-        dens = lambda t, _a=d1, _b=d2: _a(t) + _b(t)
     return RadialPotential(
         degree=p1.degree + p2.degree,
         phi=lambda t, _f=p1.phi, _g=p2.phi: _f(t) + _g(t),
         positive=p1.positive and p2.positive,
         kinks=tuple(sorted(set(p1.kinks) | set(p2.kinks))),
         curvature_atoms=tuple(p1.curvature_atoms) + tuple(p2.curvature_atoms),
-        curvature_density=dens,
+        curvature_density=lambda t: d1(t) + d2(t),
         label=f"tensor({p1.label},{p2.label})",
     )
 
@@ -241,7 +236,7 @@ def dual(p: RadialPotential) -> RadialPotential:
         positive=False,
         kinks=p.kinks,
         curvature_atoms=tuple((loc, -mass) for loc, mass in p.curvature_atoms),
-        curvature_density=None if dens is None else (lambda t, _d=dens: -_d(t)),
+        curvature_density=lambda t: -dens(t),
         label=f"dual({p.label})",
     )
 

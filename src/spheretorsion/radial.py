@@ -47,20 +47,21 @@ class RadialPotential:
     in the sense used throughout: positive and with the right growth). Its
     mass is the degree, so a positive potential of negative degree is a
     contradiction and raises ValueError.
-    curvature_atoms / curvature_density describe mu_phi explicitly; every
-    constructor in this library provides them, numerical differentiation is
-    never used silently. curvature_density is the density on the whole
-    line: it returns exactly 0 where mu_phi has no absolutely continuous
-    mass. What makes a metric integrable in the sense of the paper is this
-    curvature data together with positive; no other label is kept.
+    curvature_density / curvature_atoms describe mu_phi explicitly;
+    numerical differentiation is never used silently. curvature_density is
+    required: the density on the whole line, as a callable of numpy arrays
+    that returns exactly 0 where mu_phi has no absolutely continuous mass
+    (np.zeros_like for a measure of atoms alone). What makes a metric
+    integrable in the sense of the paper is this curvature data together
+    with positive; no other label is kept.
     """
 
     degree: int
     phi: Callable
     positive: bool
+    curvature_density: Callable
     kinks: tuple = ()
     curvature_atoms: tuple = ()
-    curvature_density: Optional[Callable] = None
     label: str = ""
 
     def __post_init__(self):
@@ -97,22 +98,15 @@ def _pairings(blocks):
     each is evaluated once per node array. The rows are copied into a stack
     of their own, so row_fn may return an array it keeps. A dt row is left
     as row_fn returned it; every other row is multiplied in place by the
-    curvature_density of its potential, or by 0 for atoms alone, and all
-    rows are integrated against dt by one _LEBESGUE.integrate call. At the
-    curvature_atoms only the blocks holding a row paired against atoms are
-    evaluated, and only those rows weighed by the masses; their sum comes
-    first and the kernel values are added to it. Rows that pair only
-    against atoms make neither a kernel call nor an integrate call. The
-    kinks of every potential evaluated and every potential paired split the
-    line. A paired potential of nonzero degree with neither atoms nor a
-    density carries no curvature data and raises ValueError. Returns
-    (values, err parts) per block.
+    curvature_density of its potential, and all rows are integrated against
+    dt by one _LEBESGUE.integrate call. At the curvature_atoms only the
+    blocks holding a row paired against atoms are evaluated, and only those
+    rows weighed by the masses; their sum comes first and the kernel values
+    are added to it. The kinks of every potential evaluated and every
+    potential paired split the line. Returns (values, err parts) per block.
     """
     pots = {id(q): q for qs, _, _ in blocks for q in qs}
     paired = {id(q): q for _, _, over in blocks for q in over if q is not None}
-    for q in paired.values():
-        if q.curvature_density is None and not q.curvature_atoms and q.degree != 0:
-            raise ValueError(f"potential {q.label or '<anon>'} carries no curvature data")
     # each paired potential's rows, in one sweep over the rows
     owned = {key: [] for key in paired}
     spans, end = [], 0
@@ -130,8 +124,7 @@ def _pairings(blocks):
             atoms.append((loc, mass))
     atom_rows = sorted({i for key, q in paired.items() if q.curvature_atoms for i in owned[key]})
     atom_blocks = [s for s in spans if any(s[0].start <= i < s[0].stop for i in atom_rows)]
-    splits = [s for q in pots.values() for s in q.kinks]
-    splits += [s for key, q in paired.items() if key not in pots for s in q.kinks]
+    splits = [s for q in {**pots, **paired}.values() for s in q.kinks]
 
     def rows(t, which=spans):
         at, out = {}, np.empty((end, len(t)))
@@ -145,23 +138,20 @@ def _pairings(blocks):
     def weighed(t):
         y = rows(t)
         for key, q in paired.items():
-            d = 0.0 if q.curvature_density is None else q.curvature_density(t)
+            d = q.curvature_density(t)
             for r in owned[key]:
                 y[r] *= d
         return y
 
     # the atoms first: their values at the locations times the mass vectors
-    acc, parts = np.zeros(end), np.zeros(end)
+    acc = np.zeros(end)
     if atoms:
         locs, masses = zip(*atoms)
         y = rows(np.array(locs), atom_blocks)
         acc[atom_rows] = (np.array(masses).T[atom_rows] * y[atom_rows]).sum(axis=-1)
-    # a row no measure owns pairs against dt
-    dt_rows = end > sum(map(len, owned.values()))
-    if dt_rows or any(q.curvature_density is not None for q in paired.values()):
-        vals, err = _LEBESGUE.integrate(weighed, splits)
-        acc, parts = acc + vals, err.parts
-    return [(acc[span], parts[span]) for span, _, _ in spans]
+    vals, err = _LEBESGUE.integrate(weighed, splits)
+    acc = acc + vals
+    return [(acc[span], err.parts[span]) for span, _, _ in spans]
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gram import GramData, _gram_data, _gram_rows
-from .metrics import dual, fubini_study, tensor, volume_fs
+from .metrics import _integer, dual, fubini_study, tensor, volume_fs
 from .quadrature import NumericalError
 from .radial import ConvergenceReport, RadialPotential, VolumeForm, _normed_pairings, _pairings
 from .radial import volume_from_potential
@@ -79,7 +79,7 @@ def fs_reference_torsion(m: int) -> TorsionResult:
     Under lambda -> c lambda the value shifts by -log(c) zeta(0), which is
     how SPECTRUM_SCALE enters. err bounds the rounding of the sum.
     """
-    m = int(m)
+    m = _integer(m, "reference torsion degree")
     if m < 0:
         raise ValueError(f"reference torsion needs m >= 0, got {m}")
     terms = [4.0 * ZETA_PRIME_MINUS1, -(m + 1) ** 2 / 2.0]

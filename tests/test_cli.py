@@ -96,7 +96,14 @@ def test_gram_verify_alternate_spellings(capsys, metric, volume):
 
 def test_gram_verify_without_closed_form(capsys):
     doc = run_json(capsys, "gram", "--metric", "lse:m=2,a=9", "--volume", "canonical", "--verify")
-    assert doc["verify"]["checks"] == {"entries_positive": True}
+    assert doc["verify"]["checks"] == {"error_budget": True}
+
+
+@pytest.mark.parametrize("m, code", [(228, 0), (229, 1)])
+def test_gram_verify_holds_the_gram_to_the_error_budget(m, code, capsys):
+    # gram.err reads 9.6e-7 at fs:228 and 1.01e-6 at fs:229, over torsion's 1e-6
+    assert cli.main(["gram", "--metric", f"fs:{m}", "--verify", "--no-meta"]) == code
+    assert json.loads(capsys.readouterr().out)["verify"]["checks"]["error_budget"] is (code == 0)
 
 
 def test_anomaly_bundle(capsys):

@@ -22,9 +22,11 @@ from spheretorsion import (
     counterexample_energy_oracle,
     counterexample_potential,
     dual,
+    fs_reference_torsion,
     fubini_study,
     integrate_volume,
     load_grid,
+    logistic_density,
     lse,
     measure_mass,
     mollified_max,
@@ -52,6 +54,38 @@ def test_fs_potential_values():
     for t in (-2.0, 0.0, 1.0, 7.0):
         assert float(p.phi(t)) == pytest.approx(3.0 * math.log1p(math.exp(t)), rel=1e-14)
     assert p.positive and p.label == "fs:3"
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 24])
+def test_fubini_study_is_lse_at_sharpness_one(m):
+    # the same phi and density bits as lse(m, 1) and as m log(1+e^t), m e^t/(1+e^t)^2,
+    # under its own label, one object per integer m however it is spelled
+    p, q = fubini_study(m), lse(m, 1.0)
+    t = np.linspace(-800.0, 800.0, 4001)
+    assert _hex(p.phi(t)) == _hex(q.phi(t)) == _hex(m * _softplus(t))
+    assert _hex(p.curvature_density(t)) == _hex(q.curvature_density(t))
+    assert _hex(p.curvature_density(t)) == _hex(m * logistic_density(t))
+    assert (p.degree, p.positive, p.kinks, p.curvature_atoms) == (m, True, (), ())
+    assert p.label == f"fs:{m}" and q.label == f"lse:m={m},a=1"
+    assert fubini_study(m) is fubini_study(float(m)) is fubini_study(np.int64(m)) is p
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: fubini_study(2.5), "2.5"),
+        (lambda: canonical(2.7), "2.7"),
+        (lambda: zhang_iterate(fubini_study(1), 2.9, 3), "2.9"),
+        (lambda: zhang_iterate(fubini_study(1), 2, 3.5), "3.5"),
+        (lambda: lse(2.5, 3.0), "2.5"),
+        (lambda: mollified_max(np.float64(1.5), 0.5), "1.5"),
+        (lambda: fs_reference_torsion(2.5), "2.5"),
+    ],
+)
+def test_a_degree_that_is_not_an_integer_is_refused(build, name):
+    # int() would truncate it to a different bundle
+    with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(name)}"):
+        build()
 
 
 def test_canonical_potential_values():
@@ -197,7 +231,8 @@ def test_tensor_with_atoms_keeps_atoms():
     assert pt.curvature_atoms == ((0.0, 2.0),)
     assert abs(measure_mass(pt) - 3.0) < 1e-10
     pt = tensor(canonical(1), canonical(2))
-    assert pt.curvature_density is None
+    t = np.linspace(-3.0, 3.0, 13)
+    assert np.array_equal(pt.curvature_density(t), np.zeros_like(t))
     assert pt.curvature_atoms == ((0.0, 1.0), (0.0, 2.0))
     assert measure_mass(pt) == 3.0
 
@@ -707,7 +742,7 @@ def test_grid_malformed_sidecar_is_a_spec_error(tmp_path, capsys, sidecar):
     [
         pytest.param(lambda: lse(-2, 3.0), id="lse"),
         pytest.param(lambda: mollified_max(-1, 0.5), id="mollmax"),
-        pytest.param(lambda: RadialPotential(-1, lambda t: -t, True), id="hand-built"),
+        pytest.param(lambda: RadialPotential(-1, lambda t: -t, True, np.zeros_like), id="hand-built"),
         pytest.param(lambda: dataclasses.replace(dual(fubini_study(1)), positive=True), id="replaced"),
     ],
 )

@@ -117,18 +117,19 @@ def test_sharp_lse_keeps_its_mass():
 def test_degree_zero_without_curvature_is_the_zero_measure():
     p = RadialPotential(
         degree=0, phi=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        positive=True,
+        positive=True, curvature_density=np.zeros_like,
     )
     assert measure_mass(p) == 0.0
+    assert pair(bump, p) == 0.0
 
 
 def test_missing_curvature_data_refused():
-    p = RadialPotential(
-        degree=2, phi=lambda t: 2.0 * np.maximum(np.asarray(t, dtype=float), 0.0),
-        positive=True,
-    )
-    with pytest.raises(ValueError, match="carries no curvature data"):
-        measure_mass(p)
+    # the density is a required field: a potential without it is never built
+    with pytest.raises(TypeError, match="curvature_density"):
+        RadialPotential(
+            degree=2, phi=lambda t: 2.0 * np.maximum(np.asarray(t, dtype=float), 0.0),
+            positive=True,
+        )
 
 
 # --- pairing: atoms, by-parts oracle, bilinearity, symmetry ---
@@ -224,14 +225,29 @@ def test_pairings_pair_each_row_like_its_measure_alone():
         assert abs(row - pair(smooth_test_fn, p)) < 1e-13
 
 
-def test_pairings_of_atoms_alone_make_no_kernel_call(monkeypatch):
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("a stack of atoms called the kernel")
+def test_pairings_of_atoms_alone_make_one_kernel_call(monkeypatch):
+    # the rows are weighed by the zero density like any other, in the one
+    # kernel call every pairing makes, which adds exactly 0 to the atom sums
+    calls = []
 
-    monkeypatch.setattr("spheretorsion.radial.integrate_line", no_kernel)
+    def recording(f, splits, _integrate=radial.integrate_line):
+        calls.append(splits)
+        return _integrate(f, splits)
+
+    monkeypatch.setattr("spheretorsion.radial.integrate_line", recording)
     ((vals, parts),) = _pairings([((), smooth_test_fn, [canonical(2), canonical(3)])])
-    assert vals == pytest.approx([2.0 * smooth_test_fn(0.0), 3.0 * smooth_test_fn(0.0)], abs=1e-15)
+    assert len(calls) == 1
+    assert vals.tolist() == [2.0 * smooth_test_fn(0.0), 3.0 * smooth_test_fn(0.0)]
     assert not parts.any()
+
+
+def test_a_pairing_against_atoms_alone_evaluates_its_integrand_on_the_line():
+    # exp(t^2) overflows on the nodes: weighed by the zero density it reads
+    # inf * 0 = nan there, so the pairing raises as against any density
+    # rather than returning the atom's 2 exp(0)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(NumericalError, match="diverged"):
+            pair(lambda t: np.exp(t * t), canonical(2))
 
 
 def test_pairings_integrate_each_row_times_its_density_in_one_call(monkeypatch):

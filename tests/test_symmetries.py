@@ -47,7 +47,7 @@ def _pullback(p: RadialPotential, u, u_inv, linear: float, label: str) -> Radial
         positive=p.positive,
         kinks=tuple(sorted(u_inv(k) for k in p.kinks)),
         curvature_atoms=tuple((u_inv(loc), mass) for loc, mass in p.curvature_atoms),
-        curvature_density=None if d is None else (lambda t: d(u(t))),
+        curvature_density=lambda t: d(u(t)),
         label=label,
     )
 

@@ -736,6 +736,7 @@ def test_a_volume_without_a_finite_norm_fails_where_its_norm_is_used():
         degree=2,
         phi=lambda t: np.maximum(t, 0.0),
         positive=False,
+        curvature_density=np.zeros_like,
         kinks=(0.0,),
         curvature_atoms=((0.0, 1.0),),
         label="flat-tail",

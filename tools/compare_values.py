@@ -44,13 +44,14 @@ WORKLOADS = ("limits", "high_degree", "grid_data", "cli_cold")
 CLI_GROUPS = ("cli_cold", "cli_calls")
 # run after README's examples: a failing verdict (double-limit exits 1 at
 # --n-max 16), the ridge, a volume anomaly, a gram closed-form check, a
-# point command whose check fails (exit 1), a spec error and a usage error
-# (exit 2)
+# mass check that pairs against atoms alone, a point command whose check
+# fails (exit 1), a spec error and a usage error (exit 2)
 EXTRA_CALLS = (
     "double-limit --n-max 16 --verify",
     "counterexample --c 0.7,1.3 --deltas 1e-2,1e-4 --eps 0.3 --gamma 0.02 --verify",
     "anomaly --kind volume --metric fs:3 --volume lse:m=2,a=3 --volume2 canonical --verify",
     "gram --metric fs:3 --volume fs:2 --verify",
+    "torsion --metric canonical:3 --volume canonical --verify",
     "torsion --metric fs:229 --verify",
     "anomaly --kind bundle --metric fs:1",
     "torsion --volume fs",
