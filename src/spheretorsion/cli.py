@@ -38,14 +38,16 @@ from .gram import gram, gram_canonical_closed, gram_fs_closed
 from .metrics import (
     SpecError,
     canonical,
+    dual,
     fubini_study,
+    lse,
     parse_spec,
     parse_volume,
     sup_distance,
     zhang_iterate,
 )
 from .quadrature import NumericalError
-from .radial import measure_mass
+from .radial import measure_mass, volume_from_potential
 from .torsion import bundle_anomaly, quillen, torsion, volume_anomaly
 
 
@@ -125,11 +127,22 @@ def _study(run, names=None):
     return handler
 
 
+def _pivot(m, inputs):
+    """The third metric of the cocycle check: lse(m, a), dualized for m < 0.
+
+    a is the first of 2, 2.5 and 3 whose label is not in inputs: a pivot
+    equal to an input would make the check hold by construction.
+    """
+    zs = (lse(m, a) if m >= 0 else dual(lse(-m, a)) for a in (2.0, 2.5, 3.0))
+    return next(z for z in zs if z.label not in inputs)
+
+
 def _cmd_anomaly(args):
     if args.kind == "bundle":
         if not args.metric2:
             raise SpecError("bundle anomaly needs --metric2")
         x, y = parse_spec(args.metric), parse_spec(args.metric2)
+        z = _pivot(x.degree, {x.label, y.label})
         w = parse_volume(args.volume)
         anomaly = lambda a, b: bundle_anomaly(a, b, w)
     else:
@@ -137,6 +150,7 @@ def _cmd_anomaly(args):
             raise SpecError("volume anomaly needs --volume2")
         p = parse_spec(args.metric)
         x, y = parse_volume(args.volume), parse_volume(args.volume2)
+        z = volume_from_potential(_pivot(2, {x.psi.label, y.psi.label}))
         anomaly = lambda a, b: volume_anomaly(p, a, b)
     term = anomaly(x, y)
     payload = {
@@ -150,7 +164,9 @@ def _cmd_anomaly(args):
         },
         "results": dataclasses.asdict(term),
     }
-    return payload, lambda: {"antisymmetry_1e-10": abs(term.value + anomaly(y, x).value) <= 1e-10}
+    # the cocycle through the pivot z: K(x, y) = K(x, z) + K(z, y), and V alike
+    cocycle = lambda: abs(term.value - anomaly(x, z).value - anomaly(z, y).value) <= 1e-10
+    return payload, lambda: {"cocycle_1e-10": cocycle()}
 
 
 def _cmd_zhang(args):

@@ -31,7 +31,6 @@ class GramData:
     m: int
     entries: np.ndarray  # g_0 .. g_m
     log_det: float
-    det: float  # exp(log_det)
     err: float  # bounds the error of log_det
 
 
@@ -47,8 +46,9 @@ def _gram_rows(p: RadialPotential, w: VolumeForm):
     """The Gram block of _pairings: the m + 1 weights e^{kt - phi} 2 e^{t - psi_w} against dt.
 
     These are the entries times the norm of w, by which _gram_data divides
-    them. rho_w is folded into the rows, so psi_w is evaluated once per
-    node array.
+    them: the norm is the row e^{t - psi_w} that _normed_pairings stacks
+    after this block. rho_w is folded into the rows, so psi_w is evaluated
+    once per node array.
     """
     ks = np.arange(p.degree + 1.0)[:, None]
 
@@ -83,10 +83,7 @@ def _gram_data(raw: np.ndarray, parts: np.ndarray, norm: float, norm_err: float)
         + len(entries) * norm_err / norm
         + 4.0 * np.finfo(float).eps * np.abs(logs).sum()
     )
-    log_det = float(logs.sum())
-    return GramData(
-        m=len(entries) - 1, entries=entries, log_det=log_det, det=float(np.exp(log_det)), err=err
-    )
+    return GramData(m=len(entries) - 1, entries=entries, log_det=float(logs.sum()), err=err)
 
 
 # --- closed forms (the closed-form target, `gram --verify` and test oracles) ---

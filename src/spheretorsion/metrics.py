@@ -95,12 +95,12 @@ def volume_fs() -> VolumeForm:
     One shared object, whose psi is the shared fubini_study(2), so the
     transfer chain evaluates it once when it is also the caller's volume.
     """
-    return VolumeForm(fubini_study(2), 1.0)
+    return VolumeForm(fubini_study(2))
 
 
 def volume_canonical() -> VolumeForm:
     """The singular limit volume form: psi = canonical_2, density e^{-|t|}."""
-    return VolumeForm(canonical(2), 2.0)
+    return VolumeForm(canonical(2))
 
 
 def _concentration_splits(scale: float) -> tuple:

@@ -178,15 +178,12 @@ def _merge(old, keep, new):
 def _nodes(iv):
     """quad's half widths, t-nodes (n, 21) and dt/du for the rows of iv.
 
-    dt/du is None when no column is mapped, and otherwise exactly 1 on the
-    finite columns.
+    dt/du is exactly 1 on the finite columns.
     """
     a, b, kind, base = iv
     h = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + h[:, None] * _X
     mapped = kind.nonzero()[0]
-    if not mapped.size:
-        return h, x, None
     u = x[mapped]
     x[mapped] = base[mapped, None] + kind[mapped, None] * (1.0 - u) / u
     jac = np.ones_like(x)
@@ -217,11 +214,10 @@ def quad(f, iv):
     else:
         h, x, jac = _nodes(iv)
     y = np.asarray(f(x.ravel()), dtype=float)
-    if jac is not None and not y.flags.writeable:
+    if not y.flags.writeable:
         y = y.copy()
     y = y.reshape(y.shape[:-1] + x.shape)
-    if jac is not None:
-        y *= jac
+    y *= jac
     resk = y @ _WK
     # one scratch array for both absolute values keeps a K-row call lean
     buf = y - 0.5 * resk[..., None]

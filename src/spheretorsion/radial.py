@@ -10,9 +10,9 @@ current dd^c phi pushes forward to a measure on the t-line:
 normalized so that dd^c max(0, t) is the unit Dirac at t = 0 (Lelong units).
 Consequently mass(mu_phi) = degree, with no 2*pi anywhere.
 
-Volume forms on the sphere are the degree 2 case: a potential psi and its
-norm, from which the area measure rho follows (total mass 2, the degree of
-the tangent bundle):
+Volume forms on the sphere are the degree 2 case: a potential psi, from
+which the area measure rho follows (total mass 2, the degree of the
+tangent bundle):
 
     rho_psi(t) = 2 e^{t - psi(t)} / int e^{t - psi} dt,
 
@@ -156,26 +156,21 @@ def _pairings(blocks):
 
 @dataclass(frozen=True, eq=False)
 class VolumeForm:
-    """A volume form on the sphere: a degree-2 potential psi and its norm.
+    """A volume form on the sphere: the checked record of its degree-2 potential psi.
 
-    norm records int e^{t-psi} dt, the only place a normalization constant
-    can hide; the area measure rho = 2 e^{t-psi} / norm dt follows from the
-    two (total mass 2). A given norm (the closed forms) is exact. A norm of
-    None, as volume_from_potential gives, is integrated as a dt row of each
+    psi is the whole datum. Its norm int e^{t-psi} dt, the only place a
+    normalization constant can hide, is integrated as a dt row of each
     pass that needs it (_normed_pairings), with its estimate there; the
-    record never computes or keeps it, so no result depends on what was
-    computed before. A psi whose degree is not 2, or a given norm that is
-    not positive and finite, raises ValueError.
+    area measure rho = 2 e^{t-psi} / norm dt (total mass 2) follows. The
+    record never computes or keeps the norm, so no result depends on what
+    was computed before. A psi whose degree is not 2 raises ValueError.
     """
 
     psi: RadialPotential
-    norm: Optional[float]
 
     def __post_init__(self):
         if self.psi.degree != 2:
             raise ValueError(f"volume potential must have degree 2, got {self.psi.degree}")
-        if self.norm is not None and not (self.norm > 0 and math.isfinite(self.norm)):
-            raise ValueError(f"volume norm must be positive and finite, got {self.norm!r}")
 
 
 # the least normal float: a positive integral below it has underflowed
@@ -185,24 +180,21 @@ _TINY = np.finfo(float).tiny
 def _normed_pairings(blocks, volumes):
     """_pairings(blocks) and the (norm, norm_err) of each volume, from one kernel call.
 
-    A volume with a given norm gives it, with estimate 0. The norm of each
-    other volume is a dt row e^{t - psi} stacked after the blocks, and its
-    estimate there; a norm that is not finite or is below the least normal
-    float (it has underflowed) raises NumericalError.
+    The norm of each distinct volume potential is a dt row e^{t - psi}
+    stacked after the blocks, and norm_err its estimate there; volumes
+    sharing their psi share the row. A norm that is not finite or is below
+    the least normal float (it has underflowed) raises NumericalError.
     """
-    lazy = list({id(w): w for w in volumes if w.norm is None}.values())
-    if not lazy:
-        return _pairings(blocks), [(w.norm, 0.0) for w in volumes]
-    psis = tuple(w.psi for w in lazy)
-    norm_rows = psis, lambda t, *vals: np.exp(t - np.array(vals)), (None,) * len(lazy)
-    *out, (vals, parts) = _pairings([*blocks, norm_rows])
+    psis = {id(w.psi): w.psi for w in volumes}
+    rows = lambda t, *vals: np.exp(t - np.array(vals))
+    *out, (vals, parts) = _pairings([*blocks, (tuple(psis.values()), rows, (None,) * len(psis))])
     for norm in vals:
         if not (norm >= _TINY and math.isfinite(norm)):
             raise NumericalError(
                 f"volume normalization failed: int e^(t-psi) = {norm} is not finite or underflowed"
             )
-    got = {id(w): (float(v), float(e)) for w, v, e in zip(lazy, vals, parts)}
-    return out, [got.get(id(w), (w.norm, 0.0)) for w in volumes]
+    got = {key: (float(v), float(e)) for key, v, e in zip(psis, vals, parts)}
+    return out, [got[id(w.psi)] for w in volumes]
 
 
 @dataclass
@@ -278,7 +270,7 @@ def integrate_volume(f, w: VolumeForm) -> float:
     """int f drho_w over the sphere (rho_w has total mass 2).
 
     The row f 2 e^{t - psi} is paired against dt, in one kernel call with
-    the norm where w has none of its own, and divided by the norm.
+    the norm row of w, and divided by the norm.
     """
     pots, row_fn = _row(f)
 
@@ -308,12 +300,12 @@ def logistic_density(t):
 
 
 def volume_from_potential(psi: RadialPotential) -> VolumeForm:
-    """VolumeForm(psi, None): the volume of a degree-2 psi, its norm integrated where it is used.
+    """VolumeForm(psi): the volume of a degree-2 psi, its norm integrated where it is used.
 
     No quadrature runs here: each pass that needs the norm integrates it as
     a row of its own (VolumeForm).
     """
-    return VolumeForm(psi, None)
+    return VolumeForm(psi)
 
 
 # --- weak convergence checks ---

@@ -176,9 +176,8 @@ def volume_anomaly(
     Every curvature mass equals its degree, so the gauge constant
     log norm_1 - log norm_2 contributes its product with (m/2 + 1/3) in
     closed form, and err charges that coefficient times the relative
-    errors of the two norms (0 for a given norm, the norm row's estimate
-    for one integrated in the pass); the raw pair_* diagnostics pair
-    psi1 - psi2 itself.
+    errors of the two norms, each its norm row's estimate in the same
+    pass; the raw pair_* diagnostics pair psi1 - psi2 itself.
 
     The secondary-Todd slot is the trapezoid in the CURVATURES of the two
     volume potentials, and must be: the curvature pairing is symmetric
@@ -203,7 +202,8 @@ def _volume_term(vals, err: float, p: RadialPotential, norms) -> AnomalyTerm:
     # vals: psi_1 - psi_2 against mu_p, mu_{psi_1} and mu_{psi_2}; err their
     # summed estimate, to which the gauge adds its coefficient times the
     # relative errors of the two norms, norms the (norm, norm_err) of w1 and
-    # w2. Both volume potentials have degree 2, so their masses sum to 4.
+    # w2, each integrated as a row of the pass. Both volume potentials have
+    # degree 2, so their masses sum to 4.
     mu, r1, r2 = map(float, vals)
     (n1, e1), (n2, e2) = norms
     gauge = math.log(n1) - math.log(n2)
@@ -234,24 +234,25 @@ def _chain(p: RadialPotential, w: VolumeForm):
     One _pairings call stacks up to four blocks: the Gram, a guard block, 1
     against the curvature of each distinct positive potential, the bundle
     block of K(p, fs_m; omega_fs) and the volume block of V(p; w, omega_fs),
-    and after them the norm row of w unless w has a norm of its own.
+    and after them the norm rows of w and omega_fs (one row when their
+    potentials are one object).
     A guard row that misses its degree by more than ten times its own
     estimate (plus 1e-10 max(1, degree)) lost mass between quadrature
     nodes, and NumericalError is raised. The shared fubini_study(m) and
     volume_fs() coincide with a caller's own, so they are evaluated once,
-    and a bundle or volume block of one object against itself, whose rows
-    are the difference of a potential with itself, is left out: its values
-    and estimates are exactly 0.
+    and a bundle or volume block of one potential against itself, whose
+    rows are the difference of a potential with itself, is left out: its
+    values and estimates are exactly 0.
     """
     p_ref, w_ref = fubini_study(p.degree), volume_fs()
     guarded = [q for q in {id(q): q for q in (p, p_ref, w_ref.psi, w.psi)}.values() if q.positive]
     blocks = [_gram_rows(p, w), ((), lambda t: 1.0, guarded)]
     blocks += [_bundle_rows(p, p_ref, w_ref)] if p is not p_ref else []
-    blocks += [_volume_rows(p, w, w_ref)] if w is not w_ref else []
+    blocks += [_volume_rows(p, w, w_ref)] if w.psi is not w_ref.psi else []
     ((g, g_err), (mass, mass_err), *rest), norms = _normed_pairings(blocks, (w, w_ref))
     zero = (np.zeros(3), np.zeros(3))
     k, k_err = rest.pop(0) if p is not p_ref else zero
-    v, v_err = rest.pop(0) if w is not w_ref else zero
+    v, v_err = rest.pop(0) if w.psi is not w_ref.psi else zero
     for q, got, est in zip(guarded, mass, mass_err):
         if abs(got - q.degree) > 10.0 * est + 1e-10 * max(1, q.degree):
             raise NumericalError(

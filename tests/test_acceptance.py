@@ -90,19 +90,19 @@ def test_criterion_1_companion_certificate():
 
 
 def test_criterion_2_gram_closed_form():
-    worst_det, worst_entry = 0.0, 0.0
+    worst_log_det, worst_entry = 0.0, 0.0
     for m in range(9):
         g = gram(canonical(m), WCAN)
-        det_target = (m + 2.0) ** (m + 1) / math.factorial(m + 1) ** 2
-        worst_det = max(worst_det, abs(g.det - det_target))
+        log_det_target = (m + 1) * math.log(m + 2.0) - 2.0 * math.lgamma(m + 2)
+        worst_log_det = max(worst_log_det, abs(g.log_det - log_det_target))
         ks = np.arange(m + 1)
         entry_target = (m + 2.0) / ((ks + 1) * (m + 1 - ks))
         worst_entry = max(worst_entry, float(np.max(np.abs(g.entries - entry_target))))
-    ok = worst_det < 1e-8 and worst_entry < 1e-9
+    ok = worst_log_det < 1e-8 and worst_entry < 1e-9
     report(
         2,
         ok,
-        f"canonical Gram m=0..8: max det err {worst_det:.3g} (<1e-8), "
+        f"canonical Gram m=0..8: max log det err {worst_log_det:.3g} (<1e-8), "
         f"max entry err {worst_entry:.3g} (<1e-9)",
     )
     assert ok

@@ -5,6 +5,7 @@ one test that needs a real closed pipe. Exit code contract: 0 ok, 1 verify
 failed, 2 spec/usage, 3 numerics.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import spheretorsion
-from spheretorsion import cli, quadrature
+from spheretorsion import VolumeForm, cli, lse, quadrature
 from spheretorsion.cli import main
 from spheretorsion.quadrature import QuadConfig
 
@@ -111,7 +112,7 @@ def test_anomaly_bundle(capsys):
         capsys, "anomaly", "--kind", "bundle",
         "--metric", "canonical:1", "--metric2", "fs:1", "--verify",
     )
-    assert doc["verify"]["checks"]["antisymmetry_1e-10"] is True
+    assert doc["verify"]["checks"] == {"cocycle_1e-10": True}
     assert doc["results"]["value"] == pytest.approx(LOG2 - 1.5, abs=1e-10)
 
 
@@ -124,10 +125,10 @@ def test_anomaly_volume(capsys):
     assert doc["results"]["value"] == pytest.approx(-LOG2 / 6.0 - 1.0 / 3.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("verify,want", [(False, 1), (True, 2)])
+@pytest.mark.parametrize("verify,want", [(False, 1), (True, 3)])
 @pytest.mark.parametrize("kind", ["bundle", "volume"])
-def test_anomaly_reversed_term_only_when_verifying(capsys, monkeypatch, kind, verify, want):
-    # the reversed term feeds only the antisymmetry check
+def test_anomaly_pivot_terms_only_when_verifying(capsys, monkeypatch, kind, verify, want):
+    # the two terms through the pivot feed only the cocycle check
     name = f"{kind}_anomaly"
     calls = []
     real = getattr(cli, name)
@@ -136,6 +137,36 @@ def test_anomaly_reversed_term_only_when_verifying(capsys, monkeypatch, kind, ve
     argv += ["--metric2", "fs:1"] if kind == "bundle" else ["--volume2", "canonical"]
     run_json(capsys, *argv, *(["--verify"] if verify else []))
     assert len(calls) == want
+
+
+@pytest.mark.parametrize("kind", ["bundle", "volume"])
+def test_anomaly_verify_fails_on_a_curvature_one_percent_off(capsys, monkeypatch, kind):
+    # lse(2, 3) with its curvature density scaled by 1.01 is no potential's
+    # curvature, so the cocycle through the pivot misses (by about 6e-3 for
+    # K and 1e-3 for V); K(x, y) + K(y, x) reads exactly 0 on it
+    good = lse(2, 3.0)
+    off = lambda t: 1.01 * good.curvature_density(t)
+    bad = dataclasses.replace(good, curvature_density=off, label="bad")
+    spec, volume = cli.parse_spec, cli.parse_volume
+    monkeypatch.setattr(cli, "parse_spec", lambda s: bad if s == "bad" else spec(s))
+    monkeypatch.setattr(cli, "parse_volume", lambda s: VolumeForm(bad) if s == "bad" else volume(s))
+    if kind == "bundle":
+        argv = ["--metric", "bad", "--metric2", "fs:2"]
+    else:
+        argv = ["--metric", "fs:2", "--volume", "bad", "--volume2", "fs"]
+    assert main(["anomaly", "--kind", kind, *argv, "--verify", "--no-meta"]) == 1
+    assert json.loads(capsys.readouterr().out)["verify"]["checks"] == {"cocycle_1e-10": False}
+
+
+def test_the_cocycle_pivot_is_neither_input(capsys, monkeypatch):
+    # a pivot equal to an input makes the cocycle hold by construction
+    calls = []
+    real = cli.bundle_anomaly
+    monkeypatch.setattr(cli, "bundle_anomaly", lambda *a: calls.append(a) or real(*a))
+    argv = ["--metric", "lse:m=2,a=2", "--metric2", "lse:m=2,a=2.5", "--verify"]
+    assert run_json(capsys, "anomaly", "--kind", "bundle", *argv)["verify"]["passed"] is True
+    # calls: K(x, y), then K(x, z) and K(z, y)
+    assert calls[1][1].label == calls[2][0].label == "lse:m=2,a=3"
 
 
 def test_zhang(capsys):
@@ -203,7 +234,7 @@ def test_results_keys(capsys):
     # loses or renames a field changes these sets
     torsion_keys = {"value", "components", "err"}
     components = {"log_quillen_ref", "bundle_anomaly", "volume_anomaly", "log_gram"}
-    gram_keys = {"m", "entries", "log_det", "det", "err"}
+    gram_keys = {"m", "entries", "log_det", "err"}
     res = lambda *argv: run_json(capsys, *argv, "--no-meta")["results"]
 
     r = res("torsion", "--metric", "fs:2")
@@ -214,7 +245,6 @@ def test_results_keys(capsys):
     assert set(r["gram"]) == gram_keys
     r = res("gram", "--metric", "fs:2")
     assert set(r) == gram_keys and r["m"] == 2
-    assert r["det"] == pytest.approx(math.exp(r["log_det"]), rel=1e-14)
     r = res("anomaly", "--kind", "bundle", "--metric", "canonical:1", "--metric2", "fs:1")
     assert set(r) == {"kind", "value", "diagnostics", "err"} and r["kind"] == "bundle"
     assert set(r["diagnostics"]) == {

@@ -35,17 +35,18 @@ def test_fs_gram_matches_beta_closed_form(m):
 
 
 @pytest.mark.parametrize(
-    "potential, volume, closed, m",
-    [(fubini_study, volume_fs, gram_fs_closed, m) for m in (1, 6, 24, 40, 60)]
-    + [(canonical, volume_canonical, gram_canonical_closed, m) for m in (1, 6, 24, 40)],
+    "potential, volume, norm, closed, m",
+    [(fubini_study, volume_fs, 1.0, gram_fs_closed, m) for m in (1, 6, 24, 40, 60)]
+    + [(canonical, volume_canonical, 2.0, gram_canonical_closed, m) for m in (1, 6, 24, 40)],
 )
-def test_gram_rows_carry_honest_per_entry_estimates(potential, volume, closed, m):
+def test_gram_rows_carry_honest_per_entry_estimates(potential, volume, norm, closed, m):
     # each entry's own estimate covers its true error; the relative term is
-    # rounding slack, where the estimate alone sits below rounding (m = 60)
+    # rounding slack, where the estimate alone sits below rounding (m = 60).
+    # norm is the volume's int e^{t - psi} dt in closed form
     p, w = potential(m), volume()
     ks = np.arange(m + 1.0)[:, None]
     g, err = integrate_line(
-        lambda t: np.exp(ks * t - p.phi(t)) * (2.0 * np.exp(t - w.psi.phi(t)) / w.norm),
+        lambda t: np.exp(ks * t - p.phi(t)) * (2.0 * np.exp(t - w.psi.phi(t)) / norm),
         (*w.psi.kinks, *p.kinks),
     )
     assert err.parts.shape == g.shape == (m + 1,)

@@ -905,7 +905,9 @@ def test_parse_spec_names_a_missing_key(capsys, spec, keys):
 def test_parse_volume():
     assert parse_volume("fs") is volume_fs()
     wc = parse_volume("canonical")
-    assert wc.psi.label == "canonical:2" and wc.norm == 2.0
+    assert wc.psi.label == "canonical:2" and vars(wc) == {"psi": wc.psi}
+    # its density is e^{-|t|}, its norm row reading 2: int e^{-|t|} drho = 1
+    assert abs(integrate_volume(lambda t: np.exp(-np.abs(t)), wc) - 1.0) < 1e-10
     w = parse_volume("lse:m=2,a=4")
     assert abs(integrate_volume(lambda t: 1.0, w) - 2.0) < 1e-10
     with pytest.raises(SpecError, match="degree"):

@@ -16,8 +16,6 @@ shifts of test_torsion do not see the mu_p slot.
 translate and invert live here only; the program has no such API.
 """
 
-import math
-
 import pytest
 
 from spheretorsion import (
@@ -53,16 +51,16 @@ def _pullback(p: RadialPotential, u, u_inv, linear: float, label: str) -> Radial
 
 
 def translate(p, s: float):
-    """The pullback by t -> t + s; a volume of norm n gets the norm n e^(-s)."""
+    """The pullback by t -> t + s; a volume is its psi pulled back."""
     if isinstance(p, VolumeForm):
-        return VolumeForm(translate(p.psi, s), None if p.norm is None else p.norm * math.exp(-s))
+        return VolumeForm(translate(p.psi, s))
     return _pullback(p, lambda t: t + s, lambda k: k - s, 0.0, f"{p.label}@{s:+g}")
 
 
 def invert(p):
-    """The pullback by t -> -t, plus degree * t; a volume keeps its norm."""
+    """The pullback by t -> -t, plus degree * t; a volume is its psi pulled back."""
     if isinstance(p, VolumeForm):
-        return VolumeForm(invert(p.psi), p.norm)
+        return VolumeForm(invert(p.psi))
     return _pullback(p, lambda t: -t, lambda k: -k, float(p.degree), f"{p.label}@inv")
 
 

@@ -41,7 +41,6 @@ from spheretorsion import (
     SPECTRUM_SCALE,
     NumericalError,
     RadialPotential,
-    VolumeForm,
     bundle_anomaly,
     canonical,
     counterexample_potential,
@@ -73,7 +72,8 @@ from spheretorsion import (
     zhang_iterate,
 )
 from spheretorsion.radial import _normed_pairings
-from spheretorsion.torsion import ZETA_PRIME_MINUS1, _chain
+from spheretorsion.gram import _gram_data, _gram_rows
+from spheretorsion.torsion import ZETA_PRIME_MINUS1, _chain, _volume_rows, _volume_term
 
 from conftest import LOG2, LOGPI, ZETA_PRIME_M1, ZPRIME_UNIT
 from zeta_oracle import zeta_prime_minus1_em
@@ -423,11 +423,12 @@ def _canonical_torsion_mp(m):
 @pytest.mark.parametrize("m", (1, 5, 24, 50, 100))
 def test_reported_err_bounds_the_torsion(m):
     # fs_m on a volume built from fs_2 is the reference pair geometrically,
-    # with a norm found by quadrature, so its true T is T_fs(m)
-    w = volume_from_potential(fubini_study(2))
-    t = torsion(fubini_study(m), w)
-    with mp.workdps(50):
-        assert abs(mpf(t.value) - _fs_pair_mp(m)[1]) <= t.err
+    # so its true T is T_fs(m); every volume's norm is found by quadrature,
+    # the catalog volumes' too
+    for w in (volume_from_potential(fubini_study(2)), WFS):
+        t = torsion(fubini_study(m), w)
+        with mp.workdps(50):
+            assert abs(mpf(t.value) - _fs_pair_mp(m)[1]) <= t.err
     t = torsion(canonical(m), WCAN)
     with mp.workdps(50):
         assert abs(mpf(t.value) - _canonical_torsion_mp(m)) <= t.err
@@ -752,21 +753,24 @@ def test_a_volume_without_a_finite_norm_fails_where_its_norm_is_used():
             use()
 
 
-def test_gram_and_volume_anomaly_charge_the_norm_err():
+@pytest.mark.parametrize(
+    "w", [WFS, WCAN, volume_from_potential(lse(2, 3.0))], ids=["fs", "can", "lse(2,3)"]
+)
+def test_gram_and_volume_anomaly_charge_the_norm_err(w):
     # every Gram entry carries 1/norm, and V the gauge log norm times m/2 + 1/3;
-    # an integrated norm is charged its row's estimate, the same norm given
-    # is exact and charged nothing
-    psi = lse(2, 3.0)
-    w = volume_from_potential(psi)
-    ((norm, est),) = _normed_pairings([], (w,))[1]
-    exact = VolumeForm(psi, norm)
-    p, rel = lse(6, 4.5), est / norm
-    assert rel > 0
-    assert gram(p, w).err - gram(p, exact).err == pytest.approx(7 * rel)
-    charge = volume_anomaly(p, w, WFS).err - volume_anomaly(p, exact, WFS).err
-    assert charge == pytest.approx((3 + 1 / 3) * rel)
-    T, T_exact = quillen(p, w).torsion, quillen(p, exact).torsion
-    assert T.value == T_exact.value and T.err > T_exact.err
+    # each norm is charged its own row's estimate, catalog norms included
+    p = lse(6, 4.5)
+    ((raw, parts),), ((norm, est),) = _normed_pairings([_gram_rows(p, w)], (w,))
+    assert est > 0
+    g, exact = gram(p, w), _gram_data(raw, parts, norm, 0.0)
+    assert g.log_det == exact.log_det
+    assert g.err - exact.err == pytest.approx(7 * est / norm)
+    w2 = volume_from_potential(mollified_max(2, 1.5))
+    ((vals, err),), norms = _normed_pairings([_volume_rows(p, w, w2)], (w, w2))
+    V = volume_anomaly(p, w, w2)
+    exact = _volume_term(vals, err.sum(), p, [(n, 0.0) for n, _ in norms])
+    assert V.value == exact.value
+    assert V.err - exact.err == pytest.approx((3 + 1 / 3) * sum(e / n for n, e in norms))
 
 
 def _grid(tmp_path, p, n):

@@ -45,7 +45,9 @@ CLI_GROUPS = ("cli_cold", "cli_calls")
 # run after README's examples: a failing verdict (double-limit exits 1 at
 # --n-max 16), the ridge, a volume anomaly, a gram closed-form check, a
 # mass check that pairs against atoms alone, a point command whose check
-# fails (exit 1), a spec error and a usage error (exit 2)
+# fails (exit 1), a spec error and a usage error (exit 2), a bundle
+# anomaly's cocycle through a pivot that is neither input, and a Gram
+# whose determinant underflows (log_det -5171.9)
 EXTRA_CALLS = (
     "double-limit --n-max 16 --verify",
     "counterexample --c 0.7,1.3 --deltas 1e-2,1e-4 --eps 0.3 --gamma 0.02 --verify",
@@ -55,6 +57,9 @@ EXTRA_CALLS = (
     "torsion --metric fs:229 --verify",
     "anomaly --kind bundle --metric fs:1",
     "torsion --volume fs",
+    "anomaly --kind bundle --metric lse:m=2,a=3 --metric2 mollmax:m=2,eps=0.5 "
+    "--volume canonical --verify",
+    "gram --metric fs:100",
 )
 
 
