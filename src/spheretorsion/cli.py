@@ -112,17 +112,12 @@ def _gram_checks(p, w, g):
     return checks
 
 
-def _study(run, names=None):
-    """The handler of a study: run(args), checked by its verdicts.
-
-    names maps each check to the verdict it reports; by default every
-    verdict is a check under its own name.
-    """
+def _study(run):
+    """The handler of a study: run(args), checked by its verdicts under their own names."""
 
     def handler(args):
         res = run(args)
-        v = res["verdicts"]
-        return res, lambda: dict(v) if names is None else {k: v[src] for k, src in names.items()}
+        return res, lambda: dict(res["verdicts"])
 
     return handler
 
@@ -250,24 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     run = lambda a: experiments.run_counterexample(
         cs=floats(a.c), deltas=floats(a.deltas), eps=a.eps, gamma=a.gamma
     )
-    names = {
-        "sup_within_2_scale": "sup_within_2_scale",
-        "dirichlet_matches_oracle": "dirichlet_matches_oracle_1e-6",
-        "continuity_fails": "continuity_fails",
-    }
-    sp.set_defaults(handler=_study(run, names))
+    sp.set_defaults(handler=_study(run))
 
     sp = sub.add_parser("closed-form", help="canonical torsion sweep vs its closed form")
     sp.add_argument("--m-max", type=int, default=5)
     _add_common(sp)
     _add_sweep(sp)
     run = lambda a: experiments.run_closed_form(ms=tuple(range(0, a.m_max + 1)))
-    names = {
-        "matches_closed_form_1e-6": "matches_closed_form_1e-6",
-        "quillen_law_holds": "quillen_law_holds_1e-7",
-        "routes_agree": "routes_agree_1e-6",
-    }
-    sp.set_defaults(handler=_study(run, names))
+    sp.set_defaults(handler=_study(run))
 
     sp = sub.add_parser("double-limit", help="double sequence route agreement study")
     sp.add_argument("--m", type=int, default=1)

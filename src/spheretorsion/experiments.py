@@ -343,7 +343,6 @@ def run_double_limit_study(m: int = 1, n_max: int = 32, tol: float = 1e-6) -> di
             "decomposition_limits": limits,
             "decomposition_agreement": agreement,
             "decomposition_vs_direct": decomposition_vs_direct,
-            "diagonal": list(lim.report.values),
             "grid": None if lim.grid is None else lim.grid.tolist(),
             "cauchy_report": asdict(lim.report),
             "decomposition_reports": [asdict(r) for r in reports],

@@ -45,8 +45,8 @@ class RadialPotential:
     split channel: every pairing splits the line at them.
     positive means the curvature measure is known nonnegative (admissible
     in the sense used throughout: positive and with the right growth). Its
-    mass is the degree, so a positive potential of negative degree is a
-    contradiction and raises ValueError.
+    mass is the degree, so a positive potential of negative degree, or one
+    with an atom of negative mass, is a contradiction and raises ValueError.
     curvature_density / curvature_atoms describe mu_phi explicitly;
     numerical differentiation is never used silently. curvature_density is
     required: the density on the whole line, as a callable of numpy arrays
@@ -65,11 +65,20 @@ class RadialPotential:
     label: str = ""
 
     def __post_init__(self):
-        if self.positive and self.degree < 0:
+        if not self.positive:
+            return
+        name = self.label or "<anon>"
+        if self.degree < 0:
             raise ValueError(
-                f"potential {self.label or '<anon>'} is declared positive with degree "
+                f"potential {name} is declared positive with degree "
                 f"{self.degree}: a nonnegative curvature measure has nonnegative mass"
             )
+        for loc, mass in self.curvature_atoms:
+            if mass < 0:
+                raise ValueError(
+                    f"potential {name} is declared positive with a curvature atom of "
+                    f"mass {mass} at t = {loc}: a nonnegative measure has no negative atom"
+                )
 
 
 class RadialMeasure:
@@ -199,41 +208,42 @@ def _normed_pairings(blocks, volumes):
 
 @dataclass
 class ConvergenceReport:
-    """Outcome of a sequence study: values along indices, gaps, fitted rate."""
+    """A sequence study: its values along indices and the numbers its verdict reads.
+
+    gaps are |v - target|, or |v - last value| on a Cauchy study. spread is
+    the spread of the last `tail` values, which a Cauchy study compares
+    with tol; it is None with a target, whose verdict reads the gaps.
+    """
 
     indices: tuple
     values: tuple
     target: Optional[float]
     gaps: tuple
-    rate: Optional[float]
+    tol: float
+    spread: Optional[float]
     verdict: str  # converged | diverged | inconclusive
-    message: str = ""
 
     @classmethod
-    def of(cls, indices, values, tol: float, message: str, target=None, tail: int = 3):
+    def of(cls, indices, values, tol: float, target=None, tail: int = 3):
         """The report of a sequence study: the one place a limit is declared.
 
         With a target the gaps are |v - target| and sequence_verdict decides.
         Without one the study is Cauchy: the gaps are taken to the last value
-        and the verdict is converged when the last `tail` values spread by
-        strictly less than tol. The rate is fitted to the nonzero gaps, so a
-        Cauchy study's own last value drops out. message is a template,
-        formatted with tol, spread and tail (the count of values in the tail).
-        An empty study declares nothing and raises ValueError.
+        and the verdict is converged when there are at least `tail` values
+        and the last `tail` spread by strictly less than tol. An empty study
+        declares nothing and raises ValueError.
         """
         indices, values = tuple(indices), tuple(values)
         if not values:
             raise ValueError("a sequence study needs at least one index")
-        ref = values[-1] if target is None else target
-        gaps = tuple(abs(v - ref) for v in values)
+        if target is not None:
+            gaps = tuple(abs(v - target) for v in values)
+            return cls(indices, values, target, gaps, tol, None, sequence_verdict(gaps, tol))
+        gaps = tuple(abs(v - values[-1]) for v in values)
         last = values[-tail:]
         spread = max(last) - min(last)
-        if target is None:
-            verdict = "converged" if spread < tol else "inconclusive"
-        else:
-            verdict = sequence_verdict(gaps, tol)
-        text = message.format(tol=tol, spread=spread, tail=len(last))
-        return cls(indices, values, target, gaps, _fit_rate(indices, gaps), verdict, text)
+        verdict = "converged" if len(values) >= tail and spread < tol else "inconclusive"
+        return cls(indices, values, None, gaps, tol, spread, verdict)
 
 
 # --- pairings ---
@@ -311,20 +321,6 @@ def volume_from_potential(psi: RadialPotential) -> VolumeForm:
 # --- weak convergence checks ---
 
 
-def _fit_rate(indices, gaps):
-    # least squares slope of log(gap) against index, ignoring zero gaps
-    xs, ys = [], []
-    for i, g in zip(indices, gaps):
-        if g > 0:
-            xs.append(float(i))
-            ys.append(math.log(g))
-    if len(xs) < 2:
-        return None
-    A = np.vstack([xs, np.ones(len(xs))]).T
-    slope, _ = np.linalg.lstsq(A, np.array(ys), rcond=None)[0]
-    return float(slope)
-
-
 def sequence_verdict(gaps, tol: float) -> str:
     gaps = [abs(g) for g in gaps]
     if not gaps:
@@ -353,4 +349,4 @@ def bedford_taylor_check(
     """
     target = pair(test_fn, limit)
     vals = [pair(test_fn, family(n)) for n in indices]
-    return ConvergenceReport.of(indices, vals, tol, "weak pairing vs limit, tol={tol:g}", target)
+    return ConvergenceReport.of(indices, vals, tol, target)

@@ -376,8 +376,7 @@ def generalized_quillen_limit(
         vals[n, n] if (n, n) in vals else quillen(bundles[n], volumes[n]).log_quillen
         for n in indices
     ]
-    msg = "max pairwise gap over last {tail} diagonal entries = {spread:.3e}, tol={tol:g}"
-    return GeneralizedLimit(ConvergenceReport.of(indices, diag, tol, msg, tail=4), grid)
+    return GeneralizedLimit(ConvergenceReport.of(indices, diag, tol, tail=4), grid)
 
 
 def generalized_torsion_curve(
@@ -412,8 +411,7 @@ def generalized_torsion_curve(
             vals.append(torsion(p, w).value)
             if len(vals) >= 4 and max(vals[-3:]) - min(vals[-3:]) < tol / 10.0:
                 break
-        msg = f"decomposition {d_idx}: tail spread {{spread:.3e}}"
-        reports.append(ConvergenceReport.of(indices[: len(vals)], vals, tol, msg))
+        reports.append(ConvergenceReport.of(indices[: len(vals)], vals, tol))
     if not reports:
         raise ValueError("a torsion curve needs at least one decomposition")
     return reports

@@ -194,8 +194,8 @@ def test_closed_form_verify(capsys):
     doc = run_json(capsys, "closed-form", "--m-max", "1", "--verify", "--no-meta")
     assert doc["verify"]["checks"] == {
         "matches_closed_form_1e-6": True,
-        "quillen_law_holds": True,
-        "routes_agree": True,
+        "quillen_law_holds_1e-7": True,
+        "routes_agree_1e-6": True,
     }
 
 
@@ -207,6 +207,45 @@ def test_double_limit(capsys):
 def test_bt_check(capsys):
     doc = run_json(capsys, "bt-check", "--verify")
     assert doc["verify"]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counterexample", "--deltas", "1e-2"),
+        ("closed-form", "--m-max", "0"),
+        ("double-limit", "--n-max", "0"),
+        ("bt-check",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_study_checks_its_verdicts_under_their_own_names(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--verify", "--no-meta")
+    doc = json.loads(out)
+    assert doc["verify"]["checks"] == doc["verdicts"]
+    assert rc == (0 if all(doc["verdicts"].values()) else 1), err
+
+
+def test_double_limit_declares_no_limit_from_one_diagonal_entry(capsys):
+    # n = 0 alone: one value is fewer than the Cauchy tail of 4
+    rc, out, _ = run(capsys, "double-limit", "--n-max", "0", "--verify", "--no-meta")
+    doc = json.loads(out)
+    assert doc["results"]["cauchy_report"]["values"] == [pytest.approx(0.0601, abs=1e-4)]
+    assert doc["verify"]["checks"]["diagonal_cauchy"] is False and rc == 1
+
+
+def test_counterexample_verify_fails_when_the_gap_bound_fails(capsys, monkeypatch):
+    row = cli.experiments._cex_row
+
+    def below_the_gap(*args):
+        # the row with a bound a unit below its measured gap
+        r = row(*args)
+        return {**r, "gap_bound": r["torsion_gap"] - 1.0}
+
+    monkeypatch.setattr(cli.experiments, "_cex_row", below_the_gap)
+    rc, out, _ = run(capsys, "counterexample", "--deltas", "1e-2", "--verify", "--no-meta")
+    doc = json.loads(out)
+    assert doc["verify"]["checks"]["gap_bound_holds"] is False and rc == 1
 
 
 def _readme_cli_examples():
@@ -255,10 +294,11 @@ def test_results_keys(capsys):
     assert set(r["diagnostics"]) == {
         "curvature_term", "todd_term", "pair_mu", "pair_todd1", "pair_todd2", "gauge",
     }
-    r = res("bt-check")
-    assert set(r["zhang/gauss"]) == {
-        "indices", "values", "target", "gaps", "rate", "verdict", "message",
-    }
+    report_keys = {"indices", "values", "target", "gaps", "tol", "spread", "verdict"}
+    assert set(res("bt-check")["zhang/gauss"]) == report_keys
+    r = res("double-limit", "--n-max", "0")
+    assert "diagonal" not in r and set(r["cauchy_report"]) == report_keys
+    assert all(set(rep) == report_keys for rep in r["decomposition_reports"])
 
 
 # --- exit codes ---

@@ -54,4 +54,26 @@ def test_a_cli_call_whose_exit_code_differs_is_not_identical(monkeypatch, capsys
     argv = ["--checkout", f"a={ROOT}", "--checkout", f"b={ROOT}", "--seeds", "1"]
     assert compare_values.main(argv) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])["checkouts"]["b"]
-    assert report["cli_calls"] == {"ops": 3, "identical": 1, "errors": []}
+    assert report["cli_calls"] == {
+        "ops": 3, "identical": 1, "errors": [], "differs": ["<exit code>", "<stderr>"],
+    }
+
+
+def test_a_cli_row_names_the_one_nested_key_that_differs(monkeypatch, capsys):
+    row = ["0x1.0p+0"] * 3
+    doc = {"command": "c", "results": {"reports": [{"x": 1.5, "y": [2, 3]}, {"x": 1.5, "y": [2, 3]}]}}
+    moved = json.loads(json.dumps(doc))
+    moved["results"]["reports"][1]["y"][0] = 4
+    base = {"limits": [row], "high_degree": [row], "grid_data": [row],
+            "cli_cold": [[json.dumps(doc)], ["{}\n"]], "cli_calls": [[json.dumps(doc), "", 0]]}
+    other = {**base, "cli_cold": [[json.dumps(moved)], ["{}\n"]], "cli_calls": [[json.dumps(moved), "", 0]]}
+    it = iter([base, other])
+    monkeypatch.setattr(compare_values, "collect", lambda root, seeds: next(it))
+    argv = ["--checkout", f"a={ROOT}", "--checkout", f"b={ROOT}", "--seeds", "1"]
+    assert compare_values.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    report = json.loads(out[-1])["checkouts"]["b"]
+    assert report["cli_cold"]["identical"] == 1 and report["cli_calls"]["identical"] == 0
+    for name in compare_values.CLI_GROUPS:
+        assert report[name]["differs"] == ["results.reports[].y[]"]
+    assert out.count("  differs: results.reports[].y[]") == 2

@@ -193,7 +193,7 @@ def test_double_limit_reuses_grid_diagonal(monkeypatch):
     fam = lambda n: zhang_iterate(fubini_study(1), 2, n)
     vol = lambda n: volume_from_potential(zhang_iterate(fubini_study(2), 2, n))
     for k, n in enumerate((0, 2, 4)):
-        assert res["diagonal"][k] == res["grid"][n][n] == quillen(fam(n), vol(n)).log_quillen
+        assert res["cauchy_report"]["values"][k] == res["grid"][n][n] == quillen(fam(n), vol(n)).log_quillen
 
 
 def test_run_bt_suite():

@@ -147,7 +147,7 @@ def _log_det_convergence(family, indices, target):
     # log det Gram along a family against the target's, tol 1e-3
     w = volume_canonical()
     vals = [gram(family(n), w).log_det for n in indices]
-    return ConvergenceReport.of(indices, vals, 1e-3, "", gram(target, w).log_det)
+    return ConvergenceReport.of(indices, vals, 1e-3, gram(target, w).log_det)
 
 
 def test_gram_convergence_zhang_to_canonical():

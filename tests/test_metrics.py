@@ -737,18 +737,43 @@ def test_grid_malformed_sidecar_is_a_spec_error(tmp_path, capsys, sidecar):
     assert "bad.json" in capsys.readouterr().err
 
 
+_NEGATIVE_DEGREE = "declared positive with degree -"
+_NEGATIVE_ATOM = "is declared positive with a curvature atom of mass -1"
+
+
 @pytest.mark.parametrize(
-    "build",
+    "build, match",
     [
-        pytest.param(lambda: lse(-2, 3.0), id="lse"),
-        pytest.param(lambda: mollified_max(-1, 0.5), id="mollmax"),
-        pytest.param(lambda: RadialPotential(-1, lambda t: -t, True, np.zeros_like), id="hand-built"),
-        pytest.param(lambda: dataclasses.replace(dual(fubini_study(1)), positive=True), id="replaced"),
+        pytest.param(lambda: lse(-2, 3.0), _NEGATIVE_DEGREE, id="lse"),
+        pytest.param(lambda: mollified_max(-1, 0.5), _NEGATIVE_DEGREE, id="mollmax"),
+        pytest.param(
+            lambda: RadialPotential(-1, lambda t: -t, True, np.zeros_like), _NEGATIVE_DEGREE,
+            id="hand-built",
+        ),
+        pytest.param(
+            lambda: dataclasses.replace(dual(fubini_study(1)), positive=True), _NEGATIVE_DEGREE,
+            id="replaced",
+        ),
+        # mass 2 - 1 = 1, the degree, yet the measure has a negative atom
+        pytest.param(
+            lambda: RadialPotential(
+                1, lambda t: 2.0 * _softplus(t) - np.maximum(0.0, t), True,
+                lambda t: 2.0 * logistic_density(t), kinks=(0.0,), curvature_atoms=((0.0, -1),),
+                label="softplus-atom",
+            ),
+            "potential softplus-atom " + _NEGATIVE_ATOM, id="hand-built-atom",
+        ),
+        pytest.param(
+            lambda: dataclasses.replace(tensor(canonical(2), dual(canonical(1))), positive=True),
+            re.escape("potential tensor(canonical:2,dual(canonical:1)) ") + _NEGATIVE_ATOM,
+            id="replaced-tensor",
+        ),
     ],
 )
-def test_a_positive_potential_of_negative_degree_is_refused(build):
-    # a nonnegative curvature measure has nonnegative mass, and its mass is the degree
-    with pytest.raises(ValueError, match="declared positive with degree -"):
+def test_a_positive_potential_of_negative_degree_is_refused(build, match):
+    # a nonnegative curvature measure has nonnegative mass, and its mass is
+    # the degree; nor has it an atom of negative mass
+    with pytest.raises(ValueError, match=match):
         build()
 
 

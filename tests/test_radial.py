@@ -52,7 +52,6 @@ from spheretorsion.radial import (
     RadialMeasure,
     RadialPotential,
     VolumeForm,
-    _fit_rate,
     _normed_pairings,
     _pairings,
     sequence_verdict,
@@ -783,8 +782,9 @@ def test_bedford_taylor_zhang_to_canonical():
     )
     assert rep.verdict == "converged"
     assert rep.target == pytest.approx(bump(0.0), abs=1e-12)
-    # contraction is geometric, the fitted log-rate should be clearly negative
-    assert rep.rate is not None and rep.rate < -0.5
+    # contraction is geometric: each gap is at most e^(-1/2) of the one before
+    # (the measured ratio is 0.25)
+    assert all(b <= math.exp(-0.5) * a for a, b in zip(rep.gaps, rep.gaps[1:]))
 
 
 def test_sequence_verdict_rules():
@@ -797,49 +797,51 @@ def test_sequence_verdict_rules():
 # --- the declaration rule: ConvergenceReport.of ---
 
 
-def test_report_with_target_uses_sequence_verdict_and_fit_rate():
+def test_a_report_holds_the_numbers_its_verdict_reads():
+    names = [f.name for f in dataclasses.fields(ConvergenceReport)]
+    assert names == ["indices", "values", "target", "gaps", "tol", "spread", "verdict"]
+
+
+def test_report_with_target_uses_sequence_verdict():
     idx, vals, target = (1, 2, 3, 4), (1.5, 1.1, 1.01, 1.001), 1.0
     gaps = [abs(v - target) for v in vals]
     for tol in (1e-2, 1e-4):
-        rep = ConvergenceReport.of(idx, vals, tol, "tol={tol:g}", target=target)
+        rep = ConvergenceReport.of(idx, vals, tol, target=target)
         assert rep.gaps == tuple(gaps) and rep.target == target
         assert rep.verdict == sequence_verdict(gaps, tol)
-        assert rep.rate == _fit_rate(idx, gaps)
-        assert rep.message == f"tol={tol:g}"
-    assert ConvergenceReport.of(idx, vals, 1e-2, "", target).verdict == "converged"
-    assert ConvergenceReport.of(idx, vals, 1e-4, "", target).verdict == "inconclusive"
+        # the verdict reads the gaps: a target study has no tail spread
+        assert rep.tol == tol and rep.spread is None
+    assert ConvergenceReport.of(idx, vals, 1e-2, target).verdict == "converged"
+    assert ConvergenceReport.of(idx, vals, 1e-4, target).verdict == "inconclusive"
 
 
 def test_cauchy_report_with_fewer_values_than_the_tail():
-    rep = ConvergenceReport.of((0, 1), (2.0, 2.25), 0.5, "{tail} {spread:.2f}", tail=4)
-    assert rep.verdict == "converged" and rep.message == "2 0.25"
+    # fewer values than the tail declare no limit, however close they are
+    rep = ConvergenceReport.of((0, 1), (2.0, 2.25), 0.5, tail=4)
+    assert rep.verdict == "inconclusive"
+    assert rep.spread == 0.25 and rep.tol == 0.5
     assert rep.gaps == (0.25, 0.0) and rep.target is None
-    # one nonzero gap fits no rate
-    assert rep.rate is None
-    assert ConvergenceReport.of((0, 1), (2.0, 2.25), 0.2, "", tail=4).verdict == "inconclusive"
+    assert ConvergenceReport.of((5,), (1.234,), 1e-6).verdict == "inconclusive"
+    # the tail reached, the same rule declares the limit
+    rep = ConvergenceReport.of((0, 1, 2, 3), (2.0, 2.25, 2.25, 2.0), 0.5, tail=4)
+    assert rep.verdict == "converged" and rep.spread == 0.25
 
 
 def test_cauchy_report_of_a_constant_sequence():
-    rep = ConvergenceReport.of(range(5), [0.5] * 5, 1e-12, "{spread}")
-    assert rep.verdict == "converged" and rep.rate is None
-    assert rep.gaps == (0.0,) * 5 and rep.message == "0.0"
-
-
-def test_cauchy_report_fits_the_rate_without_the_last_value():
-    vals = (1.0 + 2.0**-1, 1.0 + 2.0**-2, 1.0 + 2.0**-3, 1.0)
-    rep = ConvergenceReport.of((1, 2, 3, 4), vals, 1.0, "")
-    assert rep.rate == _fit_rate((1, 2, 3), rep.gaps[:3])
-    assert rep.rate == pytest.approx(-math.log(2.0), rel=1e-12)
+    rep = ConvergenceReport.of(range(5), [0.5] * 5, 1e-12)
+    assert rep.verdict == "converged" and rep.spread == 0.0 and rep.tol == 1e-12
+    assert rep.gaps == (0.0,) * 5
 
 
 def test_empty_study_declares_nothing():
     for target in (None, 1.0):
         with pytest.raises(ValueError, match="at least one index"):
-            ConvergenceReport.of((), (), 1e-6, "", target)
+            ConvergenceReport.of((), (), 1e-6, target)
 
 
 def test_cauchy_tail_spread_equal_to_tol_is_inconclusive():
     # the comparison is strict: a spread of exactly tol does not converge
     vals = (3.0, 1.0, 1.5, 1.25)
-    assert ConvergenceReport.of(range(4), vals, 0.5, "").verdict == "inconclusive"
-    assert ConvergenceReport.of(range(4), vals, 0.5 + 2**-40, "").verdict == "converged"
+    rep = ConvergenceReport.of(range(4), vals, 0.5)
+    assert rep.spread == rep.tol == 0.5 and rep.verdict == "inconclusive"
+    assert ConvergenceReport.of(range(4), vals, 0.5 + 2**-40).verdict == "converged"

@@ -18,9 +18,11 @@ is what `cli_cold` measures, not what these compare), and records stdout,
 stderr and exit code. Every label but the first (the baseline) is then compared
 with it, per group: how many ops are identical (all three values, or the
 stdout byte for byte, and in `cli_calls` stderr and the exit code as
-well), and for
-the in-process workloads the largest |d log_quillen| and |d T| and the
-least and largest ratio of T.err to the baseline's. An op that raises, a
+well); for the CLI groups the sorted JSON paths of stdout that differ in
+any row, list indices collapsed to `[]`, with `<stderr>` and `<exit code>`
+when those differ; and for the in-process workloads the largest
+|d log_quillen| and |d T| and the least and largest ratio of T.err to the
+baseline's. An op that raises, a
 `cli_cold` call that exits nonzero or a `cli_calls` call that raises
 counts as not identical, and its error is printed; in `cli_calls` a
 nonzero exit code is output to compare. Prints one line per label and
@@ -130,25 +132,58 @@ def collect(root: Path, seeds):
     return json.loads(res.stdout.splitlines()[-1])
 
 
+def json_paths(a, b, path=""):
+    """The set of paths at which two JSON values differ, list indices as [].
+
+    A key that only one side has is a path, and so is a list whose length
+    differs; "." is the whole document.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = set()
+        for k in a.keys() | b.keys():
+            sub = f"{path}.{k}" if path else k
+            out |= json_paths(a[k], b[k], sub) if k in a and k in b else {sub}
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return set().union(*(json_paths(x, y, path + "[]") for x, y in zip(a, b)))
+    return set() if a == b else {path or "."}
+
+
+def row_paths(a, b):
+    """What differs between two CLI rows: the JSON paths of stdout, and
+    "<stdout>" (stdout that is not JSON), "<stderr>" or "<exit code>".
+    """
+    try:
+        out = json_paths(json.loads(a[0]), json.loads(b[0]))
+    except ValueError:
+        out = set() if a[0] == b[0] else {"<stdout>"}
+    return out | {tag for tag, x, y in zip(("<stderr>", "<exit code>"), a[1:], b[1:]) if x != y}
+
+
 def compare(base, other):
-    """Per group: ops, identical ops and errors; for an in-process
-    workload also max |d log_quillen|, max |d T| and the T.err ratio range.
+    """Per group: ops, identical ops and errors; for a CLI group also the
+    sorted paths that differ in its non-identical rows (row_paths), and for
+    an in-process workload max |d log_quillen|, max |d T| and the T.err
+    ratio range.
     """
     out = {}
     for name, rows in other.items():
-        same, dq, dt, ratios, errors = 0, 0.0, 0.0, [], []
+        same, dq, dt, ratios, errors, paths = 0, 0.0, 0.0, [], [], set()
         for a, b in zip(base[name], rows):
             if isinstance(a, str) or isinstance(b, str):
                 errors.append(b if isinstance(b, str) else a)
                 continue
             same += a == b
             if name in CLI_GROUPS:
+                paths |= row_paths(a, b)
                 continue
             (qa, ta, ea), (qb, tb, eb) = ([float.fromhex(v) for v in r] for r in (a, b))
             dq, dt = max(dq, abs(qb - qa)), max(dt, abs(tb - ta))
             ratios.append(eb / ea if ea else (1.0 if eb == ea else float("inf")))
         out[name] = {"ops": len(rows), "identical": same, "errors": errors}
-        if name not in CLI_GROUPS:
+        if name in CLI_GROUPS:
+            out[name]["differs"] = sorted(paths)
+        else:
             out[name].update({
                 "max_abs_d_log_quillen": dq,
                 "max_abs_d_T": dt,
@@ -175,6 +210,8 @@ def main(argv=None) -> int:
                 line += (f", max |d log_quillen| {r['max_abs_d_log_quillen']:.3g}, "
                          f"max |d T| {r['max_abs_d_T']:.3g}, T.err ratio {r['T_err_ratio']}")
             print(line)
+            if r.get("differs"):
+                print(f"  differs: {', '.join(r['differs'])}")
             for e in r["errors"]:
                 print(f"  error: {e}")
     raised = {label: sum(isinstance(row, str) for rows in per.values() for row in rows)
