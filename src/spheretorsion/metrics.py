@@ -115,7 +115,7 @@ def _concentration_splits(scale: float) -> tuple:
 
 
 def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
-    """n-th dilation iterate p^{-n} phi(p^n t) of an admissible base.
+    """n-th dilation iterate p^{-n} phi(p^n t) of an admissible base: affine(base, p^n, 0, 1).
 
     Degree and curvature mass are preserved; sup distance to the canonical
     limit contracts exactly by p^{-n}. The iterate's curvature concentrates
@@ -133,18 +133,9 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
         lam = float(p) ** n
     except OverflowError:
         raise ValueError(f"zhang iterate scale p^n = {p}^{n} overflows a float") from None
-    splits = sorted(
-        set(k / lam for k in base.kinks) | set(_concentration_splits(lam))
-    )
-    return RadialPotential(
-        degree=base.degree,
-        phi=lambda t, _l=lam, _f=base.phi: _f(np.asarray(t) * _l) / _l,
-        positive=base.positive,
-        kinks=tuple(splits),
-        curvature_atoms=tuple((loc / lam, mass) for loc, mass in base.curvature_atoms),
-        curvature_density=lambda t, _l=lam, _d=base.curvature_density: _l * _d(np.asarray(t) * _l),
-        label=f"zhang:base={base.label},p={p},n={n}",
-    )
+    q = affine(base, lam, 0.0, 1.0, f"zhang:base={base.label},p={p},n={n}")
+    splits = set(q.kinks) | set(_concentration_splits(lam))
+    return dataclasses.replace(q, kinks=tuple(sorted(splits)))
 
 
 def lse(m: int, a: float) -> RadialPotential:
@@ -223,22 +214,43 @@ def tensor(p1: RadialPotential, p2: RadialPotential) -> RadialPotential:
     )
 
 
-def dual(p: RadialPotential) -> RadialPotential:
-    """Dual metric on O(-degree): potential and curvature change sign.
+def affine(p: RadialPotential, lam: float, s: float, k: float, label: str = "") -> RadialPotential:
+    """The potential k phi(lam t + s) / |lam| + b t: p under an affine change of variable.
 
-    The positive flag is dropped (curvature of the dual of a positive
-    metric is nonpositive); tensor(p, dual(p)) is the flat degree-0 pair.
+    k is the weight of the image's mass: the degree is k deg(p), which must
+    be an integer, the density is k |lam| d(lam t + s), and an atom at l
+    moves to (l - s) / lam with k times its mass, as the kinks move. b is 0
+    for lam > 0 and k deg(p) for lam < 0, so the image stays bounded at
+    -inf. positive is kept for k >= 0 and dropped for k < 0. A lam of 0, or
+    a lam, s or k that is not finite, raises ValueError naming it.
     """
-    dens = p.curvature_density
+    lam, s, k = float(lam), float(s), float(k)
+    if lam == 0 or not all(map(math.isfinite, (lam, s, k))):
+        raise ValueError(f"affine map needs finite lam != 0, s and k, got lam={lam}, s={s}, k={k}")
+    label = label or f"affine({p.label},{lam:g},{s:g},{k:g})"
+    degree = _integer(k * p.degree, f"degree of {label}")
+    f, d, kl, b = p.phi, p.curvature_density, k * abs(lam), degree if lam < 0 else 0
+
+    def phi(t):
+        return k * f(lam * np.asarray(t) + s) / abs(lam)
+
+    if b:
+        # b t is added only where b != 0, so an infinite t never meets 0 * inf
+        phi = lambda t, _phi=phi: _phi(t) + b * np.asarray(t)
     return RadialPotential(
-        degree=-p.degree,
-        phi=lambda t, _f=p.phi: -_f(t),
-        positive=False,
-        kinks=p.kinks,
-        curvature_atoms=tuple((loc, -mass) for loc, mass in p.curvature_atoms),
-        curvature_density=lambda t: -dens(t),
-        label=f"dual({p.label})",
+        degree=degree,
+        phi=phi,
+        positive=p.positive and k >= 0,
+        kinks=tuple(sorted((x - s) / lam for x in p.kinks)),
+        curvature_atoms=tuple(((loc - s) / lam, k * mass) for loc, mass in p.curvature_atoms),
+        curvature_density=lambda t: kl * d(lam * np.asarray(t) + s),
+        label=label,
     )
+
+
+def dual(p: RadialPotential) -> RadialPotential:
+    """Dual metric on O(-degree), affine(p, 1, 0, -1): tensor(p, dual(p)) is flat."""
+    return affine(p, 1, 0, -1, f"dual({p.label})")
 
 
 # --- sup distance ---

@@ -322,13 +322,14 @@ def volume_from_potential(psi: RadialPotential) -> VolumeForm:
 
 
 def sequence_verdict(gaps, tol: float) -> str:
+    """converged, diverged or inconclusive by a study's last 3 gaps; fewer declare nothing."""
     gaps = [abs(g) for g in gaps]
-    if not gaps:
+    if len(gaps) < 3:
         return "inconclusive"
-    tail = gaps[-min(3, len(gaps)):]
-    if gaps[-1] < tol and all(x >= y - 1e-15 for x, y in zip(tail, tail[1:])):
+    a, b, c = gaps[-3:]
+    if c < tol and a >= b - 1e-15 and b >= c - 1e-15:
         return "converged"
-    if len(gaps) >= 3 and gaps[-1] > 10.0 * gaps[0] and gaps[-1] > gaps[-2] > gaps[-3]:
+    if c > 10.0 * gaps[0] and c > b > a:
         return "diverged"
     return "inconclusive"
 

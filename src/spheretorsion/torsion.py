@@ -175,7 +175,7 @@ def volume_anomaly(
     psi + b give the same area measure and the same normalized potential.
     Every curvature mass equals its degree, so the gauge constant
     log norm_1 - log norm_2 contributes its product with (m/2 + 1/3) in
-    closed form, and err charges that coefficient times the relative
+    closed form, and err charges |m/2 + 1/3| times the relative
     errors of the two norms, each its norm row's estimate in the same
     pass; the raw pair_* diagnostics pair psi1 - psi2 itself.
 
@@ -221,7 +221,7 @@ def _volume_term(vals, err: float, p: RadialPotential, norms) -> AnomalyTerm:
             "pair_todd2": r2,
             "gauge": gauge,
         },
-        err=0.5 * float(err) + coef * (e1 / n1 + e2 / n2),
+        err=0.5 * float(err) + abs(coef) * (e1 / n1 + e2 / n2),
     )
 
 

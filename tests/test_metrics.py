@@ -18,12 +18,14 @@ from spheretorsion import (
     NumericalError,
     RadialPotential,
     SpecError,
+    affine,
     canonical,
     counterexample_energy_oracle,
     counterexample_potential,
     dual,
     fs_reference_torsion,
     fubini_study,
+    integrate_line,
     integrate_volume,
     load_grid,
     logistic_density,
@@ -41,6 +43,7 @@ from spheretorsion import (
     zhang_iterate,
 )
 from spheretorsion import cli
+from spheretorsion.radial import _pairings
 from spheretorsion.metrics import _concentration_splits, _monotone_cubic, _ridge, _softplus
 
 from conftest import LOG2
@@ -235,6 +238,82 @@ def test_tensor_with_atoms_keeps_atoms():
     assert np.array_equal(pt.curvature_density(t), np.zeros_like(t))
     assert pt.curvature_atoms == ((0.0, 1.0), (0.0, 2.0))
     assert measure_mass(pt) == 3.0
+
+
+# --- the affine map ---
+
+# (lam, s, k): a dilation with a shift, the inversion, a reflection of
+# weight 2, the dual, a contraction of weight 3 and a slow reflection
+AFFINE_MAPS = [(2, 0.5, 1), (-1, 0, 1), (-3, 1.2, 2), (1, 0, -1), (0.5, -1, 3), (-0.25, 2, 1)]
+# a Gaussian of every scale the images carry: (centre, width)
+GAUSSIANS = [(0.3, 0.7), (-1.1, 0.4), (0.05, 0.1)]
+
+
+@pytest.fixture(scope="module")
+def affine_inputs(tmp_path_factory):
+    # one potential of every catalog kind: densities, atoms, a grid, the
+    # ridge, a tensor and a dilation iterate
+    path = str(tmp_path_factory.mktemp("affine") / "g.csv")
+    write_grid(mollified_max(3, 0.7), path, n=161)
+    fs2 = fubini_study(2)
+    return {
+        "fs3": fubini_study(3),
+        "lse(2,2.5)": lse(2, 2.5),
+        "mollmax(2,0.6)": mollified_max(2, 0.6),
+        "can3": canonical(3),
+        "grid": load_grid(path),
+        "ridge": counterexample_potential(1.0, 1e-2),
+        "tensor": tensor(lse(1, 3.0), zhang_iterate(fs2, 2, 6)),
+        "zhang": zhang_iterate(fs2, 2, 8),
+    }
+
+
+INPUT_NAMES = ["fs3", "lse(2,2.5)", "mollmax(2,0.6)", "can3", "grid", "ridge", "tensor", "zhang"]
+
+
+@pytest.mark.parametrize("lam,s,k", AFFINE_MAPS)
+@pytest.mark.parametrize("name", INPUT_NAMES)
+def test_affine_image_has_mass_k_times_the_degree(affine_inputs, name, lam, s, k):
+    p = affine_inputs[name]
+    q = affine(p, lam, s, k)
+    assert q.degree == k * p.degree
+    assert abs(measure_mass(q) - k * p.degree) <= 1e-9
+
+
+@pytest.mark.parametrize("lam,s,k", [m for m in AFFINE_MAPS if m[0] < 0])
+@pytest.mark.parametrize("name", INPUT_NAMES)
+def test_affine_reflection_pairs_like_its_potential(affine_inputs, name, lam, s, k):
+    # int f dmu_q = int f'' phi_q dt for a Gaussian f: the curvature data of
+    # the image against its phi, each integral held to both estimates
+    q = affine(affine_inputs[name], lam, s, k)
+    for c, w in GAUSSIANS:
+        def f(t):
+            return np.exp(-0.5 * ((t - c) / w) ** 2)
+
+        ((val, err),) = _pairings([((), f, (q,))])
+        want, want_err = integrate_line(
+            lambda t: ((t - c) ** 2 / w**2 - 1) / w**2 * f(t) * q.phi(t), q.kinks
+        )
+        assert abs(val[0] - want) <= max(1e-12, err[0] + want_err), (c, w)
+
+
+def test_affine_refuses_a_degree_that_is_not_an_integer_and_a_degenerate_map():
+    with pytest.raises(ValueError, match="degree of .* must be an integer, got 0.5"):
+        affine(fubini_study(1), 1, 0, 0.5)
+    # a degree-0 potential takes any finite weight
+    assert affine(counterexample_potential(1.0, 1e-2), 1, 0, 0.5).degree == 0
+    for lam, s, k in [(0, 0, 1), (math.inf, 0, 1), (1, math.nan, 1), (1, 0, -math.inf)]:
+        with pytest.raises(ValueError, match="affine map needs finite lam != 0"):
+            affine(fubini_study(1), lam, s, k)
+
+
+def test_affine_keeps_positive_for_k_positive_and_bounds_reflections_at_minus_inf():
+    p = fubini_study(3)
+    assert affine(p, 2, 0.5, 1).positive and affine(p, -3, 1.2, 2).positive
+    assert not affine(p, 1, 0, -1).positive and not affine(p, -1, 0, -1).positive
+    # b = k deg(p) on a reflection: phi(-t) + 3 t of fs_3 tends to 0 at -inf
+    q = affine(p, -1, 0, 1)
+    assert abs(float(q.phi(-40.0))) < 1e-12 and float(q.phi(40.0)) == pytest.approx(120.0)
 
 
 # --- the counterexample family ---

@@ -792,6 +792,20 @@ def test_sequence_verdict_rules():
     assert sequence_verdict([1e-2, 1e-4, 1e-8], 1e-6) == "converged"
     assert sequence_verdict([1e-8, 1e-4, 1e-2, 1e-1], 1e-6) == "diverged"
     assert sequence_verdict([1e-2, 1e-3, 1e-2], 1e-6) == "inconclusive"
+    # fewer than three gaps declare no limit, however small they are
+    assert sequence_verdict([1e-8], 1e-6) == "inconclusive"
+    assert sequence_verdict([1e-3, 1e-8], 1e-6) == "inconclusive"
+
+
+@pytest.mark.parametrize("indices,verdict", [((10,), "inconclusive"), ((9, 10), "inconclusive"),
+                                             ((8, 9, 10), "converged")])
+def test_bedford_taylor_check_needs_three_members_to_converge(indices, verdict):
+    # bt-check's study: the gap at n = 10 is 3.1e-6, below tol, but alone or
+    # with one more member it is no study
+    fam = lambda n: zhang_iterate(fubini_study(1), 2, n)
+    gauss = lambda t: np.exp(-np.asarray(t, dtype=float) ** 2)
+    rep = bedford_taylor_check(fam, canonical(1), gauss, indices=indices, tol=1e-5)
+    assert rep.verdict == verdict
 
 
 # --- the declaration rule: ConvergenceReport.of ---

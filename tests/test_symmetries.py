@@ -13,14 +13,15 @@ with a moved Dirichlet or Todd slot of the bundle anomaly, or a moved mu_p
 slot of the volume anomaly, fails the dilation cases, and the constant
 shifts of test_torsion do not see the mu_p slot.
 
-translate and invert live here only; the program has no such API.
+translate and invert are the program's one affine map, metrics.affine, at
+(lam, s, k) = (1, s, 1) and (-1, 0, 1).
 """
 
 import pytest
 
 from spheretorsion import (
-    RadialPotential,
     VolumeForm,
+    affine,
     canonical,
     counterexample_potential,
     fubini_study,
@@ -35,33 +36,18 @@ from spheretorsion import (
 )
 
 
-def _pullback(p: RadialPotential, u, u_inv, linear: float, label: str) -> RadialPotential:
-    # phi(u(t)) + linear t for an isometry u of the line: the curvature is
-    # the density at u(t), and the kinks and atoms sit at u_inv of their own
-    d = p.curvature_density
-    return RadialPotential(
-        degree=p.degree,
-        phi=lambda t: p.phi(u(t)) + linear * t,
-        positive=p.positive,
-        kinks=tuple(sorted(u_inv(k) for k in p.kinks)),
-        curvature_atoms=tuple((u_inv(loc), mass) for loc, mass in p.curvature_atoms),
-        curvature_density=lambda t: d(u(t)),
-        label=label,
-    )
-
-
 def translate(p, s: float):
     """The pullback by t -> t + s; a volume is its psi pulled back."""
     if isinstance(p, VolumeForm):
         return VolumeForm(translate(p.psi, s))
-    return _pullback(p, lambda t: t + s, lambda k: k - s, 0.0, f"{p.label}@{s:+g}")
+    return affine(p, 1, s, 1, f"{p.label}@{s:+g}")
 
 
 def invert(p):
     """The pullback by t -> -t, plus degree * t; a volume is its psi pulled back."""
     if isinstance(p, VolumeForm):
         return VolumeForm(invert(p.psi))
-    return _pullback(p, lambda t: -t, lambda k: -k, float(p.degree), f"{p.label}@inv")
+    return affine(p, -1, 0, 1, f"{p.label}@inv")
 
 
 # the probe pairs: smooth, soft-max and mollified bundles over the round, a

@@ -41,6 +41,7 @@ from spheretorsion import (
     SPECTRUM_SCALE,
     NumericalError,
     RadialPotential,
+    affine,
     bundle_anomaly,
     canonical,
     counterexample_potential,
@@ -773,6 +774,15 @@ def test_gram_and_volume_anomaly_charge_the_norm_err(w):
     assert V.err - exact.err == pytest.approx((3 + 1 / 3) * sum(e / n for n, e in norms))
 
 
+@pytest.mark.parametrize("p", [dual(fubini_study(1)), dual(fubini_study(2)), dual(lse(3, 2.0))],
+                         ids=lambda p: p.label)
+def test_volume_anomaly_err_is_nonnegative_at_negative_degree(p):
+    # the gauge coefficient m/2 + 1/3 is negative for m <= -1: err charges
+    # its absolute value, as every other estimate is charged
+    V = volume_anomaly(p, volume_from_potential(lse(2, 3.0)), WFS)
+    assert V.err >= 0
+
+
 def _grid(tmp_path, p, n):
     path = str(tmp_path / f"{p.label.replace(':', '_')}.csv")
     write_grid(p, path, n=n)
@@ -812,15 +822,15 @@ def test_fused_chain_matches_the_single_term_paths(tmp_path):
 
 def _bump_potential(bracketed):
     # (1 - d) fs_1 + d times a dilation iterate at scale 2^20, moved to 3.1
-    d, s = 1e-4, 3.1
-    z, f1 = zhang_iterate(lse(1, 1.0), 2, 20), fubini_study(1)
+    d = 1e-4
+    z, f1 = affine(zhang_iterate(lse(1, 1.0), 2, 20), 1, -3.1, 1), fubini_study(1)
     return RadialPotential(
         degree=1,
-        phi=lambda t: (1.0 - d) * f1.phi(t) + d * z.phi(t - s),
+        phi=lambda t: (1.0 - d) * f1.phi(t) + d * z.phi(t),
         positive=True,
-        kinks=tuple(k + s for k in z.kinks) if bracketed else (),
+        kinks=z.kinks if bracketed else (),
         curvature_density=lambda t: (1.0 - d) * f1.curvature_density(t)
-        + d * z.curvature_density(t - s),
+        + d * z.curvature_density(t),
         label="bump",
     )
 

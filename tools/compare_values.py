@@ -48,8 +48,9 @@ CLI_GROUPS = ("cli_cold", "cli_calls")
 # --n-max 16), the ridge, a volume anomaly, a gram closed-form check, a
 # mass check that pairs against atoms alone, a point command whose check
 # fails (exit 1), a spec error and a usage error (exit 2), a bundle
-# anomaly's cocycle through a pivot that is neither input, and a Gram
-# whose determinant underflows (log_det -5171.9)
+# anomaly's cocycle through a pivot that is neither input, a Gram whose
+# determinant underflows (log_det -5171.9), and two dilation iterates at
+# scales p^n that are not powers of two, where p^-n is inexact
 EXTRA_CALLS = (
     "double-limit --n-max 16 --verify",
     "counterexample --c 0.7,1.3 --deltas 1e-2,1e-4 --eps 0.3 --gamma 0.02 --verify",
@@ -62,6 +63,8 @@ EXTRA_CALLS = (
     "anomaly --kind bundle --metric lse:m=2,a=3 --metric2 mollmax:m=2,eps=0.5 "
     "--volume canonical --verify",
     "gram --metric fs:100",
+    "zhang --base fs:2 --p 3 --n 6 --verify",
+    "quillen --metric zhang:base=mollmax:m=2,eps=0.5,p=7,n=12 --volume zhang:base=fs:2,p=3,n=16",
 )
 
 
