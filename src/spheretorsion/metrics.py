@@ -310,7 +310,7 @@ def sup_distance(p1: RadialPotential, p2: RadialPotential) -> float:
 
 
 def _quintic(w, f0, d0, s0, f1, d1, s1):
-    # two-point Taylor quintic on [0,w], returned in the scaled variable u = x/w
+    # two-point Taylor quintic on [0,w]: its coefficients in u = x/w, lowest first
     A = np.array(
         [
             [1, 0, 0, 0, 0, 0],
@@ -323,58 +323,29 @@ def _quintic(w, f0, d0, s0, f1, d1, s1):
         dtype=float,
     )
     rhs = np.array([f0, d0 * w, s0 * w * w, f1, d1 * w, s1 * w * w], dtype=float)
-    return np.polynomial.Polynomial(np.linalg.solve(A, rhs))
+    return np.linalg.solve(A, rhs)
 
 
-class PiecewiseRadial:
-    """f(r) stored piecewise as polynomials q(u), u = (r-a)/w on [a, a+w].
+def _horner(c, u):
+    # the polynomial with coefficients c (lowest first, last axis) at u
+    y = c[..., -1] + u * 0
+    for j in range(c.shape[-1] - 2, -1, -1):
+        y = c[..., j] + y * u
+    return y
 
-    Exposes values and the exact weighted Dirichlet integral
-    int r f'(r)^2 dr computed piece by piece with polynomial antiderivatives
-    (degree <= 9, no quadrature error at all).
-    """
 
-    def __init__(self, pieces):
-        # pieces: list of (a, w, Polynomial in u)
-        self.pieces = [(float(a), float(w), q) for a, w, q in pieces]
-        self.r_lo = self.pieces[0][0]
-        self.r_hi = self.pieces[-1][0] + self.pieces[-1][1]
-        self.breaks = [a for a, _, _ in self.pieces] + [self.r_hi]
-
-    def _locate(self, r):
-        idx = np.searchsorted(self.breaks, r, side="right") - 1
-        return np.clip(idx, 0, len(self.pieces) - 1)
-
-    def _eval(self, r, order, inside):
-        # zero outside; each piece evaluates its own nodes
-        out = np.zeros(r.shape)
-        idx = self._locate(r)
-        for k, (a, w, q) in enumerate(self.pieces):
-            sel = inside & (idx == k)
-            if np.any(sel):
-                out[sel] = q.deriv(order)((r[sel] - a) / w) / w**order
-        return out[()]
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return self._eval(r, 0, (r >= self.r_lo) & (r <= self.r_hi))
-
-    def deriv(self, r, order=1):
-        r = np.asarray(r, dtype=float)
-        return self._eval(r, order, (r > self.r_lo) & (r < self.r_hi))
-
-    def weighted_dirichlet(self):
-        """Exact int r f'(r)^2 dr, per piece and total."""
-        parts = []
-        for a, w, q in self.pieces:
-            dq = q.deriv()
-            integrand = (np.polynomial.Polynomial([a, w]) * dq * dq).integ()
-            parts.append((integrand(1.0) - integrand(0.0)) / w)
-        return float(sum(parts)), parts
+def _deriv(c):
+    # coefficients of d/du along the last axis
+    return c[..., 1:] * np.arange(1, c.shape[-1])
 
 
 def _ridge(c: float, delta: float, eps: float, gamma: float | None) -> tuple:
-    """((c, delta, eps, gamma) as checked floats, f) of the ridge f_{c,delta}, f exact in r."""
+    """((c, delta, eps, gamma), a, w, coef) of the ridge f_{c,delta}, f exact in r.
+
+    Piece k is f(r) = sum_j coef[k, j] u**j, u = (r - a[k]) / w[k], for
+    a[k] <= r < a[k + 1]; f vanishes outside [a[0], a[6] + w[6]]. coef is
+    (7, 6), lowest first, zero-padded past each piece's own degree.
+    """
     if gamma is None:
         gamma = min(0.01, (eps - delta) / 8.0)
     c, delta, eps, gamma = float(c), float(delta), float(eps), float(gamma)
@@ -395,16 +366,17 @@ def _ridge(c: float, delta: float, eps: float, gamma: float | None) -> tuple:
     wL = min(delta, (1.0 - eps) / 2.0)
     w1 = min(delta, (r3 - r2) / 2.0)
     w2 = min(delta, (r5 - r4) / 2.0)
-    pieces = [
-        (r1 - wL, wL, _quintic(wL, 0, 0, 0, 0, s, 0)),
-        (r1, delta, np.polynomial.Polynomial([0.0, h])),
-        (r2, w1, _quintic(w1, h, s, 0, h, 0, 0)),
-        (r2 + w1, (r5 - w2) - (r2 + w1), np.polynomial.Polynomial([h])),
-        (r5 - w2, w2, _quintic(w2, h, 0, 0, h, -s, 0)),
-        (r5, delta, np.polynomial.Polynomial([h, -h])),
-        (r6, delta, _quintic(delta, 0, -s, 0, 0, 0, 0)),
-    ]
-    return (c, delta, eps, gamma), PiecewiseRadial(pieces)
+    a = np.array([r1 - wL, r1, r2, r2 + w1, r5 - w2, r5, r6])
+    w = np.array([wL, delta, w1, (r5 - w2) - (r2 + w1), w2, delta, delta])
+    coef = np.zeros((7, 6))
+    coef[0] = _quintic(wL, 0, 0, 0, 0, s, 0)
+    coef[1, :2] = 0.0, h
+    coef[2] = _quintic(w1, h, s, 0, h, 0, 0)
+    coef[3, 0] = h
+    coef[4] = _quintic(w2, h, 0, 0, h, -s, 0)
+    coef[5, :2] = h, -h
+    coef[6] = _quintic(delta, 0, -s, 0, 0, 0, 0)
+    return (c, delta, eps, gamma), a, w, coef
 
 
 def counterexample_potential(
@@ -421,20 +393,34 @@ def counterexample_potential(
     gamma None is min(0.01, (eps - delta) / 8), and
     counterexample_energy_oracle of the same parameters gives the exact energy.
     """
-    (c, delta, eps, gamma), pw = _ridge(c, delta, eps, gamma)
-    kinks = tuple(2.0 * math.log(b) for b in pw.breaks)
+    (c, delta, eps, gamma), a, w, coef = _ridge(c, delta, eps, gamma)
+    r_lo, r_hi = a[0], a[-1] + w[-1]
+    tables = (coef, _deriv(coef), _deriv(_deriv(coef)))
+    # w**order per piece in Python floats (C pow), which can differ from
+    # numpy's w * w in the last bit (CONVENTIONS section 8)
+    scales = np.array([[x**order for x in w.tolist()] for order in range(3)])
+    kinks = tuple(2.0 * math.log(b) for b in (*a, r_hi))
     t_lo, t_hi = kinks[0] - 1.0, kinks[-1] + 1.0
 
-    def phi(t, _pw=pw):
+    def f(r, order):
+        # d^order f / dr^order, every node on its own piece in one pass; nodes off
+        # the support (closed for the value, open otherwise) read 0, undivided
+        inside = (r >= r_lo) & (r <= r_hi) if order == 0 else (r > r_lo) & (r < r_hi)
+        rc = np.clip(r, r_lo, r_hi)
+        k = np.searchsorted(a, rc, side="right") - 1
+        y = _horner(tables[order][k], (rc - a[k]) / w[k])
+        return np.divide(y, scales[order][k], out=np.zeros_like(y), where=inside)[()]
+
+    def phi(t):
         # constant outside the junction range; clip before exponentiating
         tc = np.clip(np.asarray(t, dtype=float), t_lo, t_hi)
-        return _pw(np.exp(0.5 * tc))
+        return f(np.exp(0.5 * tc), 0)
 
-    def dens(t, _pw=pw):
+    def dens(t):
         # t-density of dd^c f for radial f: (r^2 f'' + r f')/4 at r = e^{t/2}
         tc = np.clip(np.asarray(t, dtype=float), t_lo, t_hi)
         r = np.exp(0.5 * tc)
-        return 0.25 * (r * r * _pw.deriv(r, 2) + r * _pw.deriv(r, 1))
+        return 0.25 * (r * r * f(r, 2) + r * f(r, 1))
 
     return RadialPotential(
         degree=0,
@@ -457,8 +443,16 @@ def counterexample_energy_oracle(
     resulting paired value -(2 c^2 + R). Polynomial antiderivatives only,
     so this is an independent oracle for the quadrature route.
     """
-    (c, delta, eps, gamma), pw = _ridge(c, delta, eps, gamma)
-    total, parts = pw.weighted_dirichlet()
+    (c, delta, eps, gamma), a, w, coef = _ridge(c, delta, eps, gamma)
+    parts = []
+    for ak, wk, q in zip(a, w, coef):
+        # int r f'^2 dr over the piece = int_0^1 (a + w u) q'(u)^2 du / w; the
+        # padding adds only exact zero terms (a padded row's q' has <= 1 nonzero)
+        dq = _deriv(q)
+        p = np.convolve(np.convolve([ak, wk], dq), dq)
+        anti = np.concatenate(([0.0], p / np.arange(1, p.size + 1)))
+        parts.append((_horner(anti, 1.0) - _horner(anti, 0.0)) / wk)
+    total = float(sum(parts))
     # pieces 1 and 5 are the ramps
     ramps = parts[1] + parts[5]
     glue = total - ramps

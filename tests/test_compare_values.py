@@ -15,9 +15,9 @@ def test_a_checkout_compared_with_itself_is_identical_on_every_op(capsys):
     lines = capsys.readouterr().out.splitlines()
     report = json.loads(lines[-1])["checkouts"]["b"]
     # a round of each workload: 36 limits, 36 high_degree, 9 grid_data and 5
-    # cli_cold ops, and the 10 README examples and 12 further calls once
+    # cli_cold ops, and the 10 README examples and 13 further calls once
     assert {w: r["ops"] for w, r in report.items()} == {
-        "limits": 36, "high_degree": 36, "grid_data": 9, "cli_cold": 5, "cli_calls": 22
+        "limits": 36, "high_degree": 36, "grid_data": 9, "cli_cold": 5, "cli_calls": 23
     }
     for name, r in report.items():
         assert r["identical"] == r["ops"] and not r["errors"]

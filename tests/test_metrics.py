@@ -44,7 +44,15 @@ from spheretorsion import (
 )
 from spheretorsion import cli
 from spheretorsion.radial import _pairings
-from spheretorsion.metrics import _concentration_splits, _monotone_cubic, _ridge, _softplus
+from spheretorsion.metrics import (
+    _concentration_splits,
+    _deriv,
+    _horner,
+    _monotone_cubic,
+    _quintic,
+    _ridge,
+    _softplus,
+)
 
 from conftest import LOG2
 
@@ -348,16 +356,17 @@ def test_counterexample_shape():
 
 
 def test_counterexample_junctions_are_c2():
-    # exact endpoint data of the stored polynomials; finite differences are
+    # exact endpoint data of the coefficient table; finite differences are
     # useless here, the quintic third derivative scales like s / delta^2
-    pieces = _ridge(1.0, 1e-3, 0.2, None)[1].pieces
-    for (a1, w1, q1), (a2, w2, q2) in zip(pieces[:-1], pieces[1:]):
-        assert a2 == pytest.approx(a1 + w1, abs=1e-15)
-        for order in (0, 1, 2):
-            lo = q1.deriv(order)(1.0) / w1**order if order else q1(1.0)
-            hi = q2.deriv(order)(0.0) / w2**order if order else q2(0.0)
+    _, a, w, coef = _ridge(1.0, 1e-3, 0.2, None)
+    tables = (coef, _deriv(coef), _deriv(_deriv(coef)))
+    for k in range(6):
+        assert a[k + 1] == pytest.approx(a[k] + w[k], abs=1e-15)
+        for order, table in enumerate(tables):
+            lo = _horner(table[k], 1.0) / w[k] ** order
+            hi = _horner(table[k + 1], 0.0) / w[k + 1] ** order
             scale = max(1.0, abs(lo), abs(hi))
-            assert abs(hi - lo) / scale < 1e-7, (a2, order, lo, hi)
+            assert abs(hi - lo) / scale < 1e-7, (a[k + 1], order, lo, hi)
 
 
 def test_counterexample_ramp_energy_is_exactly_2c2():
@@ -394,6 +403,121 @@ def test_counterexample_oracle_takes_the_ridge_parameters():
 def test_counterexample_mass_is_zero():
     # degree 0: the ridge carries no net curvature
     assert abs(measure_mass(counterexample_potential(1.0, 1e-3))) < 1e-8
+
+
+class _PolynomialRidge:
+    """The ridge as numpy.polynomial pieces, with their evaluator and exact energy.
+
+    The representation the coefficient table replaced, kept here so that the
+    table's values can be checked against it bit for bit.
+    """
+
+    def __init__(self, c, delta, eps, gamma):
+        P = np.polynomial.Polynomial
+        h, s = c * math.sqrt(delta), c / math.sqrt(delta)
+        r1, r2 = 1.0 - eps, 1.0 - eps + delta
+        r3, r4 = 1.0 - gamma, 1.0 + gamma
+        r5, r6 = 1.0 + eps - delta, 1.0 + eps
+        wL = min(delta, (1.0 - eps) / 2.0)
+        w1 = min(delta, (r3 - r2) / 2.0)
+        w2 = min(delta, (r5 - r4) / 2.0)
+        self.pieces = [
+            (r1 - wL, wL, P(_quintic(wL, 0, 0, 0, 0, s, 0))),
+            (r1, delta, P([0.0, h])),
+            (r2, w1, P(_quintic(w1, h, s, 0, h, 0, 0))),
+            (r2 + w1, (r5 - w2) - (r2 + w1), P([h])),
+            (r5 - w2, w2, P(_quintic(w2, h, 0, 0, h, -s, 0))),
+            (r5, delta, P([h, -h])),
+            (r6, delta, P(_quintic(delta, 0, -s, 0, 0, 0, 0))),
+        ]
+        self.r_lo = self.pieces[0][0]
+        self.r_hi = self.pieces[-1][0] + self.pieces[-1][1]
+        self.breaks = [a for a, _, _ in self.pieces] + [self.r_hi]
+
+    def _eval(self, r, order, inside):
+        out = np.zeros(r.shape)
+        idx = np.clip(np.searchsorted(self.breaks, r, side="right") - 1, 0, 6)
+        for k, (a, w, q) in enumerate(self.pieces):
+            sel = inside & (idx == k)
+            if np.any(sel):
+                out[sel] = q.deriv(order)((r[sel] - a) / w) / w**order
+        return out[()]
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        return self._eval(r, 0, (r >= self.r_lo) & (r <= self.r_hi))
+
+    def deriv(self, r, order=1):
+        r = np.asarray(r, dtype=float)
+        return self._eval(r, order, (r > self.r_lo) & (r < self.r_hi))
+
+    def weighted_dirichlet(self):
+        parts = []
+        for a, w, q in self.pieces:
+            dq = q.deriv()
+            integrand = (np.polynomial.Polynomial([a, w]) * dq * dq).integ()
+            parts.append((integrand(1.0) - integrand(0.0)) / w)
+        return float(sum(parts)), parts
+
+
+def _hex(x):
+    return [float.hex(v) for v in np.atleast_1d(x).tolist()]
+
+
+@pytest.mark.parametrize(
+    "c, delta, eps, gamma",
+    [(1.0, 1e-2, 0.2, None), (1.0, 1e-3, 0.2, None), (1.0, 1e-4, 0.2, None),
+     (1.3, 1e-5, 0.2, None), (0.7, 1e-2, 0.3, 0.02),
+     # a delta whose square by C pow is not the rounded delta * delta
+     (1.0, 0.0004224439596487956, 0.2, None)],
+)
+def test_ridge_table_matches_the_polynomial_pieces_bit_for_bit(c, delta, eps, gamma):
+    # the table is a change of representation only: phi, the density and
+    # every oracle field keep their bits
+    params = _ridge(c, delta, eps, gamma)[0]
+    pw = _PolynomialRidge(*params)
+    pot = counterexample_potential(c, delta, eps, gamma)
+    kinks = np.array([2.0 * math.log(b) for b in pw.breaks])
+    assert pot.kinks == tuple(kinks)
+    t_lo, t_hi = kinks[0] - 1.0, kinks[-1] + 1.0
+
+    def phi(t):
+        return pw(np.exp(0.5 * np.clip(np.asarray(t, dtype=float), t_lo, t_hi)))
+
+    def dens(t):
+        r = np.exp(0.5 * np.clip(np.asarray(t, dtype=float), t_lo, t_hi))
+        return 0.25 * (r * r * pw.deriv(r, 2) + r * pw.deriv(r, 1))
+
+    # a dense grid over the clip range, about 100 nodes on each narrow piece
+    # and on either side of it, the kinks and their neighbouring floats, and the clip bounds
+    near = (kinks[:, None] + 8.0 * delta * np.linspace(-1.0, 1.0, 801)).ravel()
+    ts = np.concatenate((
+        np.linspace(t_lo - 0.5, t_hi + 0.5, 20001), near, kinks,
+        np.nextafter(kinks, -np.inf), np.nextafter(kinks, np.inf), [t_lo, t_hi],
+    ))
+    assert _hex(pot.phi(ts)) == _hex(phi(ts))
+    assert _hex(pot.curvature_density(ts)) == _hex(dens(ts))
+    for t in (*kinks[[0, 3, 6]], 0.0, t_hi + 1.0):
+        got_phi, got_dens = pot.phi(float(t)), pot.curvature_density(float(t))
+        assert type(got_phi) is type(got_dens) is np.float64
+        assert _hex(got_phi) == _hex(phi(float(t))) and _hex(got_dens) == _hex(dens(float(t)))
+
+    total, parts = pw.weighted_dirichlet()
+    ramps = parts[1] + parts[5]
+    want = {"c": params[0], "delta": params[1], "eps": params[2], "gamma": params[3],
+            "weighted_dirichlet": total, "ramp_part": ramps, "ramp_exact": 2.0 * params[0] ** 2,
+            "glue_remainder": total - ramps, "dirichlet_term": -total}
+    got = counterexample_energy_oracle(c, delta, eps, gamma)
+    assert got.keys() == want.keys()
+    assert {k: float.hex(v) for k, v in got.items()} == {k: float.hex(v) for k, v in want.items()}
+
+
+def test_ridge_of_vanishing_width_is_evaluated_off_its_pieces_without_a_warning():
+    # w**2 underflows to 0 at delta = 1e-200; only nodes on a piece divide by it
+    pot = counterexample_potential(1.0, 1e-200)
+    ts = np.linspace(-1.0, 1.0, 10001)
+    assert np.all(pot.curvature_density(ts) == 0.0)
+    assert float(np.max(pot.phi(ts))) == pytest.approx(1e-100, rel=1e-12)
 
 
 # --- grids ---

@@ -273,6 +273,20 @@ def test_counterexample_call_does_not_load_numpy_ma():
     assert res.returncode == 0, res.stderr
 
 
+def test_ridge_calls_do_not_load_numpy_polynomial():
+    # the ridge is a coefficient table evaluated in plain numpy
+    code = (
+        "import sys\n"
+        "from spheretorsion import cli\n"
+        "argv = ['torsion', '--metric', 'cex:c=1,delta=1e-3', '--volume', 'fs', '--no-meta']\n"
+        "assert cli.main(argv) == 0\n"
+        "assert cli.main(['counterexample', '--c', '1.0', '--no-meta']) == 0\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
+    )
+    res = _run_child(code)
+    assert res.returncode == 0, res.stderr
+
+
 def test_reference_default_scale_is_geometric():
     assert SPECTRUM_SCALE == math.pi
     assert fs_reference_torsion(0).value == pytest.approx(

@@ -49,8 +49,10 @@ CLI_GROUPS = ("cli_cold", "cli_calls")
 # mass check that pairs against atoms alone, a point command whose check
 # fails (exit 1), a spec error and a usage error (exit 2), a bundle
 # anomaly's cocycle through a pivot that is neither input, a Gram whose
-# determinant underflows (log_det -5171.9), and two dilation iterates at
-# scales p^n that are not powers of two, where p^-n is inexact
+# determinant underflows (log_det -5171.9), two dilation iterates at
+# scales p^n that are not powers of two, where p^-n is inexact, and the
+# ridge at delta = 1e-5, where its node rounding is worst (exit 1 on
+# mass_equals_degree_1e-9)
 EXTRA_CALLS = (
     "double-limit --n-max 16 --verify",
     "counterexample --c 0.7,1.3 --deltas 1e-2,1e-4 --eps 0.3 --gamma 0.02 --verify",
@@ -65,6 +67,7 @@ EXTRA_CALLS = (
     "gram --metric fs:100",
     "zhang --base fs:2 --p 3 --n 6 --verify",
     "quillen --metric zhang:base=mollmax:m=2,eps=0.5,p=7,n=12 --volume zhang:base=fs:2,p=3,n=16",
+    "torsion --metric cex:c=1,delta=1e-5 --volume fs --verify",
 )
 
 
