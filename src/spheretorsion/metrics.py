@@ -120,9 +120,10 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
     Degree and curvature mass are preserved; sup distance to the canonical
     limit contracts exactly by p^{-n}. The iterate's curvature concentrates
     at t = 0 with width p^{-n}, so above p^n = 16 the kink list carries
-    bracket points at the octaves 2^k p^{-n}, k = 0..9: without them the
-    quadrature walks straight over the bump and silently drops the whole
-    mass, and with them the first kernel pass settles every bracket panel.
+    the bracket points affine adds at the octaves 2^k p^{-n}, k = 0..9:
+    without them the quadrature walks straight over the bump and silently
+    drops the whole mass, and with them the first kernel pass settles every
+    bracket panel.
     """
     p, n = _integer(p, "zhang iterate p"), _integer(n, "zhang iterate n")
     if p < 2:
@@ -133,9 +134,7 @@ def zhang_iterate(base: RadialPotential, p: int, n: int) -> RadialPotential:
         lam = float(p) ** n
     except OverflowError:
         raise ValueError(f"zhang iterate scale p^n = {p}^{n} overflows a float") from None
-    q = affine(base, lam, 0.0, 1.0, f"zhang:base={base.label},p={p},n={n}")
-    splits = set(q.kinks) | set(_concentration_splits(lam))
-    return dataclasses.replace(q, kinks=tuple(sorted(splits)))
+    return affine(base, lam, 0.0, 1.0, f"zhang:base={base.label},p={p},n={n}")
 
 
 def lse(m: int, a: float) -> RadialPotential:
@@ -219,10 +218,13 @@ def affine(p: RadialPotential, lam: float, s: float, k: float, label: str = "") 
 
     k is the weight of the image's mass: the degree is k deg(p), which must
     be an integer, the density is k |lam| d(lam t + s), and an atom at l
-    moves to (l - s) / lam with k times its mass, as the kinks move. b is 0
-    for lam > 0 and k deg(p) for lam < 0, so the image stays bounded at
-    -inf. positive is kept for k >= 0 and dropped for k < 0. A lam of 0, or
-    a lam, s or k that is not finite, raises ValueError naming it.
+    moves to (l - s) / lam with k times its mass, as the kinks move. A map
+    compressing by |lam| > 16 squeezes what p does near 0 into a width
+    1/|lam| about -s/lam, so there the kinks also bracket -s/lam at the
+    octaves 2^k / |lam|, k = 0..9, as lse brackets its bump for a > 16. b
+    is 0 for lam > 0 and k deg(p) for lam < 0, so the image stays bounded
+    at -inf. positive is kept for k >= 0 and dropped for k < 0. A lam of 0,
+    or a lam, s or k that is not finite, raises ValueError naming it.
     """
     lam, s, k = float(lam), float(s), float(k)
     if lam == 0 or not all(map(math.isfinite, (lam, s, k))):
@@ -237,11 +239,14 @@ def affine(p: RadialPotential, lam: float, s: float, k: float, label: str = "") 
     if b:
         # b t is added only where b != 0, so an infinite t never meets 0 * inf
         phi = lambda t, _phi=phi: _phi(t) + b * np.asarray(t)
+    kinks = {(x - s) / lam for x in p.kinks} | {
+        x - s / lam for x in _concentration_splits(abs(lam))
+    }
     return RadialPotential(
         degree=degree,
         phi=phi,
         positive=p.positive and k >= 0,
-        kinks=tuple(sorted((x - s) / lam for x in p.kinks)),
+        kinks=tuple(sorted(kinks)),
         curvature_atoms=tuple(((loc - s) / lam, k * mass) for loc, mass in p.curvature_atoms),
         curvature_density=lambda t: kl * d(lam * np.asarray(t) + s),
         label=label,

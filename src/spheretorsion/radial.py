@@ -110,8 +110,10 @@ def _pairings(blocks):
     curvature_density of its potential, and all rows are integrated against
     dt by one _LEBESGUE.integrate call. At the curvature_atoms only the
     blocks holding a row paired against atoms are evaluated, and only those
-    rows weighed by the masses; their sum comes first and the kernel values
-    are added to it. The kinks of every potential evaluated and every
+    rows weighed by the masses; their sum comes first, and the kernel
+    values are added to it. A sum that is not finite raises NumericalError
+    naming the measure and the atom's t, as a line part that is not finite
+    does in the kernel. The kinks of every potential evaluated and every
     potential paired split the line. Returns (values, err parts) per block.
     """
     pots = {id(q): q for qs, _, _ in blocks for q in qs}
@@ -130,7 +132,7 @@ def _pairings(blocks):
         for loc, m in q.curvature_atoms:
             mass = np.zeros(end)
             mass[owned[key]] = m
-            atoms.append((loc, mass))
+            atoms.append((loc, mass, q))
     atom_rows = sorted({i for key, q in paired.items() if q.curvature_atoms for i in owned[key]})
     atom_blocks = [s for s in spans if any(s[0].start <= i < s[0].stop for i in atom_rows)]
     splits = [s for q in {**pots, **paired}.values() for s in q.kinks]
@@ -155,9 +157,14 @@ def _pairings(blocks):
     # the atoms first: their values at the locations times the mass vectors
     acc = np.zeros(end)
     if atoms:
-        locs, masses = zip(*atoms)
+        locs, masses, owners = zip(*atoms)
         y = rows(np.array(locs), atom_blocks)
-        acc[atom_rows] = (np.array(masses).T[atom_rows] * y[atom_rows]).sum(axis=-1)
+        terms = np.array(masses).T[atom_rows] * y[atom_rows]
+        acc[atom_rows] = terms.sum(axis=-1)
+        if not np.isfinite(acc).all():
+            j = (~np.isfinite(terms)).any(axis=0).argmax()
+            name = owners[j].label or "<anon>"
+            raise NumericalError(f"pairing against {name} is not finite at its atom t = {locs[j]}")
     vals, err = _LEBESGUE.integrate(weighed, splits)
     acc = acc + vals
     return [(acc[span], err.parts[span]) for span, _, _ in spans]

@@ -567,13 +567,10 @@ def test_the_sweeps_take_no_jobs(capsys, argv):
 @pytest.mark.parametrize(
     "argv", [("bt-check", "--tol", "-1"), ("double-limit", "--tol", "nan")], ids=lambda a: a[0]
 )
-def test_a_bad_study_tol_is_refused_before_any_kernel_call(capsys, monkeypatch, argv):
-    def no_kernel(f, iv):
-        raise AssertionError("the kernel ran")
-
-    monkeypatch.setattr(quadrature, "quad", no_kernel)
+def test_a_bad_study_tol_is_refused_before_any_kernel_call(capsys, kernel, argv):
     rc, out, err = run(capsys, *argv, "--verify", "--no-meta")
     assert rc == 2 and out == "" and "--tol must be positive and finite" in err
+    assert not kernel.passes
 
 
 def test_env_config(capsys, tmp_path, monkeypatch):

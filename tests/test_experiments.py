@@ -156,14 +156,11 @@ def _counting(calls, fn):
     return wrapper
 
 
-def test_counterexample_row_is_one_kernel_call(monkeypatch):
+def test_counterexample_row_is_one_kernel_call(kernel):
     # T, the Gram and K of a row all come from one transfer chain; the flat
     # metric on the round volume is the reference pair at m = 0, no call at all
-    radial = importlib.import_module("spheretorsion.radial")
-    calls = []
-    monkeypatch.setattr(radial, "integrate_line", _counting(calls, radial.integrate_line))
     run_counterexample(deltas=(1e-2,))
-    assert len(calls) == 1
+    assert len(kernel.calls) == 1
 
 
 # --- double limit and weak convergence ---

@@ -187,6 +187,26 @@ def test_zhang_iterate_carries_bracket_splits_when_sharp():
     assert max(sharp.kinks) == pytest.approx(512.0 / 2.0**14, abs=0)
 
 
+def test_zhang_iterate_builds_its_potential_once(monkeypatch):
+    # affine brackets the compressed bump itself, so no second potential
+    # is built only to add the octaves
+    base, post_init, built = lse(2, 3.0), RadialPotential.__post_init__, []
+    monkeypatch.setattr(
+        RadialPotential, "__post_init__", lambda self: built.append(1) or post_init(self)
+    )
+    assert zhang_iterate(base, 2, 8).kinks == _concentration_splits(2.0**8)
+    assert len(built) == 1
+
+
+def test_affine_brackets_a_compression_by_more_than_16():
+    # fs_2 dilated by 2^8 is lse(2, 2^8), kinks included; a shift moves the
+    # brackets with the image -s/lam of 0, and at |lam| <= 16 there are none
+    assert affine(fubini_study(2), 2.0**8, 0, 1).kinks == lse(2, 2.0**8).kinks
+    shifted = affine(fubini_study(2), -(2.0**8), 1.0, 1).kinks
+    assert shifted == tuple(x + 2.0**-8 for x in lse(2, 2.0**8).kinks)
+    assert affine(fubini_study(2), -16, 1.0, 1).kinks == ()
+
+
 def test_concentration_splits_gate():
     assert _concentration_splits(8.0) == ()
     assert _concentration_splits(16.0) == ()

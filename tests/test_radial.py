@@ -224,18 +224,11 @@ def test_pairings_pair_each_row_like_its_measure_alone():
         assert abs(row - pair(smooth_test_fn, p)) < 1e-13
 
 
-def test_pairings_of_atoms_alone_make_one_kernel_call(monkeypatch):
+def test_pairings_of_atoms_alone_make_one_kernel_call(kernel):
     # the rows are weighed by the zero density like any other, in the one
     # kernel call every pairing makes, which adds exactly 0 to the atom sums
-    calls = []
-
-    def recording(f, splits, _integrate=radial.integrate_line):
-        calls.append(splits)
-        return _integrate(f, splits)
-
-    monkeypatch.setattr("spheretorsion.radial.integrate_line", recording)
     ((vals, parts),) = _pairings([((), smooth_test_fn, [canonical(2), canonical(3)])])
-    assert len(calls) == 1
+    assert len(kernel.calls) == 1
     assert vals.tolist() == [2.0 * smooth_test_fn(0.0), 3.0 * smooth_test_fn(0.0)]
     assert not parts.any()
 
@@ -249,25 +242,40 @@ def test_a_pairing_against_atoms_alone_evaluates_its_integrand_on_the_line():
             pair(lambda t: np.exp(t * t), canonical(2))
 
 
-def test_pairings_integrate_each_row_times_its_density_in_one_call(monkeypatch):
+def _nan_at_0(p):
+    """p with phi nan at t = 0, which no quadrature node reaches: an atom's t only."""
+    return dataclasses.replace(p, phi=lambda t: np.where(t == 0.0, np.nan, p.phi(t)))
+
+
+@pytest.mark.parametrize(
+    "run, measure",
+    [
+        (lambda: pair(lambda t: np.where(t == 0.0, np.inf, 1.0), canonical(1)), "canonical:1"),
+        (lambda: pair(lambda t: np.where(t == 0.0, np.nan, 1.0), canonical(1)), "canonical:1"),
+        (lambda: bundle_anomaly(_nan_at_0(lse(1, 2.0)), fubini_study(1), volume_canonical()),
+         "canonical:2"),
+    ],
+    ids=["inf", "nan", "anomaly-phi-nan"],
+)
+def test_a_pairing_not_finite_at_an_atom_raises(run, measure):
+    # the atom sum is checked as the line part is: the value is not
+    # returned as inf or nan, and the error names the measure and the atom
+    with pytest.raises(NumericalError, match=f"{measure} is not finite at its atom t = 0.0"):
+        run()
+
+
+def test_pairings_integrate_each_row_times_its_density_in_one_call(kernel):
     # _pairings makes one RadialMeasure.integrate call, against dt; its
     # integrand returns each row times its own density: 1 for a dt row and
     # 0 for a row paired against atoms alone
-    calls = []
-
-    def recording_integrate(self, f, splits, _integrate=radial.RadialMeasure.integrate):
-        calls.append((self, f))
-        return _integrate(self, f, splits)
-
-    monkeypatch.setattr(radial.RadialMeasure, "integrate", recording_integrate)
     mm, fs = mollified_max(1, 0.3), fubini_study(3)
     _pairings([((), smooth_test_fn, [canonical(2), None, mm, fs, mm])])
-    ((dt, f),) = calls
+    (call,) = kernel.measured
     t = np.linspace(-3.0, 3.0, 41)
-    assert dt is radial._LEBESGUE
+    assert call.measure is radial._LEBESGUE
     d = [p.curvature_density(t) for p in (mm, fs)]
     want = np.array([np.zeros_like(t), np.ones_like(t), d[0], d[1], d[0]]) * smooth_test_fn(t)
-    assert np.array_equal(f(t), want)
+    assert np.array_equal(call.f(t), want)
 
 
 @pytest.mark.parametrize("p", [mollified_max(1, 0.3), canonical(2), fubini_study(3)])
@@ -331,16 +339,9 @@ def test_an_f_that_keeps_its_arrays_gives_the_same_value_on_every_call(integral)
     ids=["pair", "measure_mass", "integrate_volume-fs", "integrate_volume-lazy", "gram",
          "bundle_anomaly", "volume_anomaly", "quillen"],
 )
-def test_every_pairing_makes_one_kernel_call_through_the_measure(run, monkeypatch):
-    kernel, measure = [], []
-    line, integrate = radial.integrate_line, radial.RadialMeasure.integrate
-    monkeypatch.setattr(radial, "integrate_line", lambda *a: kernel.append(a) or line(*a))
-    monkeypatch.setattr(
-        radial.RadialMeasure, "integrate",
-        lambda self, *a, **kw: measure.append(a) or integrate(self, *a, **kw),
-    )
+def test_every_pairing_makes_one_kernel_call_through_the_measure(run, kernel):
     run()
-    assert len(kernel) == len(measure) == 1
+    assert len(kernel.calls) == len(kernel.measured) == 1
 
 
 def test_catalog_densities_vanish_outside_their_outermost_kinks(tmp_path):
@@ -588,25 +589,18 @@ def test_integrate_line_fails_loudly_on_a_tail_it_cannot_evaluate():
             integrate_line(lambda t: np.exp(t) / np.cosh(t) ** 2)
 
 
-def test_integrate_line_falls_back_on_the_half_line_its_graded_parts_overflow(monkeypatch):
+def test_integrate_line_falls_back_on_the_half_line_its_graded_parts_overflow(kernel):
     # e^{t/8} overflows past t = 5678: the outer nodes of the graded right
     # half line reach t = 7370 and read inf * 0 there, where its quarters
     # (out to t = 1841) did not, so that half line alone is evaluated again
     # whole, then refined once
-    passes = []
-
-    def recording_quad(f, iv, _quad=quadrature.quad):
-        passes.append(iv.copy())
-        return _quad(f, iv)
-
-    monkeypatch.setattr(quadrature, "quad", recording_quad)
     f = lambda t: np.exp(t / 8.0) * np.exp(-t / 8.0 - 16.0 * t * t)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, _ = integrate_line(f)
     assert abs(got - math.sqrt(math.pi) / 4.0) <= 1e-15
-    assert [iv.shape[1] for iv in passes] == [14, 1, 4]
-    assert passes[1][:3, 0].tolist() == [0.0, 1.0, 1.0]
+    assert [p.table.shape[1] for p in kernel.passes] == [14, 1, 4]
+    assert kernel.passes[1].table[:3, 0].tolist() == [0.0, 1.0, 1.0]
     with np.errstate(over="raise"):
         assert integrate_line(f)[0] == got
 
@@ -635,22 +629,15 @@ U1 = [0.0625, 0.125, 0.1875, 0.25, 0.5, 0.75, 1.0]
     ],
     ids=["line", "near-duplicate-chain"],
 )
-def test_integrate_line_first_pass_table(monkeypatch, f, splits, table, value, err):
+def test_integrate_line_first_pass_table(kernel, f, splits, table, value, err):
     # the first pass's interval table, rows (a, b, kind, base): the finite
     # panels in order, then each half line's seven graded u-parts, exactly;
     # and the value and estimate. Those go through BLAS sums and numpy's
     # SIMD exp and cos, whose last bits differ between CPUs and
     # builds: noise of 2 ulp on every node moves the value by at most 2 ulp
     # and the estimate, a difference of two rules, by up to 1e-5 relative
-    passes = []
-
-    def recording_quad(f, iv, _quad=quadrature.quad):
-        passes.append(iv.copy())
-        return _quad(f, iv)
-
-    monkeypatch.setattr(quadrature, "quad", recording_quad)
     got, est = integrate_line(f, splits=splits)
-    assert passes[0].tolist() == table
+    assert kernel.passes[0].table.tolist() == table
     assert got == pytest.approx(float.fromhex(value), rel=1e-15, abs=0.0)
     assert est == pytest.approx(float.fromhex(err), rel=1e-4, abs=0.0)
 

@@ -25,6 +25,7 @@ import ast
 import dataclasses
 import gc
 import importlib
+import json
 import math
 import os
 import re
@@ -51,7 +52,6 @@ from spheretorsion import (
     generalized_quillen_limit,
     generalized_torsion_curve,
     gram,
-    integrate_line,
     integrate_volume,
     load_grid,
     logistic_density,
@@ -157,63 +157,75 @@ def test_closed_form_accurate_at_high_degree(m):
     assert drift < 1e-12 and drift <= got.err
 
 
-def _run_child(code):
-    # a fresh interpreter that imports spheretorsion from where this one did
+# the paths the import budget covers, run in this order by one child
+# interpreter, each a block of code. The evaluation chain loads no mpmath
+# and no scipy: load_grid builds its monotone cubic in numpy, and scipy is a
+# test oracle only. Every CLI call, the two sweeps included, runs in
+# process. sup_distance dedupes without np.unique, whose first call imports
+# numpy.ma. The ridge is a coefficient table evaluated in plain numpy.
+BUDGET_PATHS = {
+    "import": "import spheretorsion as st\nfrom spheretorsion import cli, experiments",
+    "chain": (
+        "st.quillen(st.canonical(2), st.volume_canonical())\n"
+        "st.quillen(st.lse(3, 5.0), st.volume_canonical())\n"
+        "st.torsion(st.lse(1, 4.0), st.volume_fs())\n"
+        "experiments.canonical_quillen_law(3)"
+    ),
+    "cli-torsion": "assert cli.main(['torsion', '--metric', 'fs:20', '--no-meta']) == 0",
+    "grid": (
+        "st.write_grid(st.fubini_study(3), 'fs3.csv', n=41)\n"
+        "st.write_grid(st.fubini_study(2), 'fs2.csv', n=41)\n"
+        "assert cli.main(['torsion', '--metric', 'grid:fs3.csv', '--no-meta']) == 0\n"
+        "argv = ['quillen', '--metric', 'grid:fs3.csv', '--volume', 'grid:fs2.csv', '--no-meta']\n"
+        "assert cli.main(argv) == 0"
+    ),
+    "sweeps": (
+        "assert cli.main(['closed-form', '--m-max', '1', '--no-meta']) == 0\n"
+        "assert cli.main(['counterexample', '--deltas', '1e-2', '--no-meta']) == 0"
+    ),
+    "counterexample": "assert cli.main(['counterexample', '--c', '1.0', '--no-meta']) == 0",
+    "ridge": (
+        "argv = ['torsion', '--metric', 'cex:c=1,delta=1e-3', '--volume', 'fs', '--no-meta']\n"
+        "assert cli.main(argv) == 0"
+    ),
+}
+# the modules no path may load; a module counts as loaded with any submodule
+BUDGET = ("mpmath", "scipy", "concurrent.futures.process", "multiprocessing", "numpy.ma",
+          "numpy.polynomial")
+_BUDGET_CHILD = """
+import json, sys
+paths, budget = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+first, scope = dict.fromkeys(budget), {}
+for name, code in paths.items():
+    exec(code, scope)
+    for mod in budget:
+        if first[mod] is None and any(m == mod or m.startswith(mod + '.') for m in sys.modules):
+            first[mod] = name
+print(json.dumps(first))
+"""
+
+
+@pytest.fixture(scope="module")
+def first_loads(tmp_path_factory):
+    """The first path of BUDGET_PATHS that loaded each module of BUDGET, or None.
+
+    One fresh interpreter, importing spheretorsion from where this one did,
+    runs every path in a temporary directory.
+    """
     src = os.path.dirname(os.path.dirname(spheretorsion.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    res = subprocess.run(
+        [sys.executable, "-c", _BUDGET_CHILD, json.dumps(BUDGET_PATHS), json.dumps(BUDGET)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        cwd=tmp_path_factory.mktemp("budget"),
     )
-
-
-def test_evaluation_chain_does_not_load_mpmath():
-    code = (
-        "import sys\n"
-        "import spheretorsion as st\n"
-        "from spheretorsion import cli, experiments\n"
-        "st.quillen(st.canonical(2), st.volume_canonical())\n"
-        "st.torsion(st.lse(1, 4.0), st.volume_fs())\n"
-        "experiments.canonical_quillen_law(3)\n"
-        "assert cli.main(['torsion', '--metric', 'fs:20', '--no-meta']) == 0\n"
-        "assert 'mpmath' not in sys.modules\n"
-    )
-    res = _run_child(code)
     assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
 
 
-def test_import_does_not_load_scipy():
-    code = (
-        "import sys\n"
-        "import spheretorsion as st\n"
-        "from spheretorsion import cli\n"
-        "st.quillen(st.lse(3, 5.0), st.volume_canonical())\n"
-        "assert cli.main(['torsion', '--metric', 'fs:20', '--no-meta']) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
-    )
-    res = _run_child(code)
-    assert res.returncode == 0, res.stderr
-
-
-def test_grid_path_does_not_load_scipy(tmp_path):
-    # load_grid builds its monotone cubic in numpy; scipy is a test oracle only
-    h, w = str(tmp_path / "fs3.csv"), str(tmp_path / "fs2.csv")
-    code = (
-        "import sys\n"
-        "import spheretorsion as st\n"
-        "from spheretorsion import cli\n"
-        f"h, w = {h!r}, {w!r}\n"
-        "st.write_grid(st.fubini_study(3), h, n=41)\n"
-        "st.write_grid(st.fubini_study(2), w, n=41)\n"
-        "assert cli.main(['torsion', '--metric', 'grid:' + h, '--no-meta']) == 0\n"
-        "argv = ['quillen', '--metric', 'grid:' + h, '--volume', 'grid:' + w, '--no-meta']\n"
-        "assert cli.main(argv) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
-    )
-    res = _run_child(code)
-    assert res.returncode == 0, res.stderr
+@pytest.mark.parametrize("module", BUDGET)
+def test_no_budget_path_loads(first_loads, module):
+    assert first_loads[module] is None
 
 
 def test_runtime_depends_on_numpy_only():
@@ -243,48 +255,6 @@ def test_runtime_depends_on_numpy_only():
 
     assert names(project["dependencies"]) == ["numpy"]
     assert "scipy" in names(project["optional-dependencies"]["dev"])
-
-
-def test_cli_call_does_not_load_process_pool():
-    # every call, the two sweeps included, runs in process
-    code = (
-        "import sys\n"
-        "from spheretorsion import cli\n"
-        "assert cli.main(['torsion', '--metric', 'fs:20', '--no-meta']) == 0\n"
-        "assert cli.main(['closed-form', '--m-max', '1', '--no-meta']) == 0\n"
-        "assert cli.main(['counterexample', '--deltas', '1e-2', '--no-meta']) == 0\n"
-        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
-        "loaded = [m for m in pool if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
-    )
-    res = _run_child(code)
-    assert res.returncode == 0, res.stderr
-
-
-def test_counterexample_call_does_not_load_numpy_ma():
-    # sup_distance dedupes without np.unique, whose first call imports numpy.ma
-    code = (
-        "import sys\n"
-        "from spheretorsion import cli\n"
-        "assert cli.main(['counterexample', '--c', '1.0', '--no-meta']) == 0\n"
-        "assert 'numpy.ma' not in sys.modules\n"
-    )
-    res = _run_child(code)
-    assert res.returncode == 0, res.stderr
-
-
-def test_ridge_calls_do_not_load_numpy_polynomial():
-    # the ridge is a coefficient table evaluated in plain numpy
-    code = (
-        "import sys\n"
-        "from spheretorsion import cli\n"
-        "argv = ['torsion', '--metric', 'cex:c=1,delta=1e-3', '--volume', 'fs', '--no-meta']\n"
-        "assert cli.main(argv) == 0\n"
-        "assert cli.main(['counterexample', '--c', '1.0', '--no-meta']) == 0\n"
-        "assert 'numpy.polynomial' not in sys.modules\n"
-    )
-    res = _run_child(code)
-    assert res.returncode == 0, res.stderr
 
 
 def test_reference_default_scale_is_geometric():
@@ -525,53 +495,97 @@ def test_torsion_deterministic():
     assert a == b
 
 
-def test_each_anomaly_term_is_one_kernel_call(monkeypatch):
-    radial = importlib.import_module("spheretorsion.radial")
-    p, w = lse(2, 9.0), volume_from_potential(lse(2, 4.0))
-    calls = []
+# the smooth metrics of the high-degree study, as families in the degree m:
+# lse(m, a) for a in [1, 9], and dilation iterates lse(m, a0 2^n) of
+# sharpness a0 2^n in [1, 12]
+SMOOTH = {
+    "fs": fubini_study,
+    "lse-1": lambda m: lse(m, 1.0),
+    "lse-9": lambda m: lse(m, 9.0),
+    "zhang-1": lambda m: zhang_iterate(lse(m, 0.5), 2, 1),
+    "zhang-12": lambda m: zhang_iterate(lse(m, 1.5), 2, 3),
+}
+# the members of the limits sequences, as families in the degree m
+LIMITS_TWINS = {
+    "lse": lambda m: lse(m, 1.5 * 3.0**15),
+    "zhang": lambda m: zhang_iterate(lse(m, 1.5), 2, 20),
+    "mollmax": lambda m: mollified_max(m, 1.5 * 2.0**-20),
+    "lse-sharp-twin": lambda m: lse(m, 1.5 * 3.0**20),
+    "zhang-sharp-twin": lambda m: zhang_iterate(lse(m, 1.5), 2, 28),
+}
+P9, W4 = lse(2, 9.0), volume_from_potential(lse(2, 4.0))
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return integrate_line(*args, **kwargs)
+# the chain's kernel pins: a call and its arguments, its kernel calls, its
+# passes, and whether its first pass runs on the unsplit line's table built
+# at import (None without a pass)
+KERNEL_PINS = [
+    # each anomaly term is one kernel call
+    pytest.param(gram, (P9, W4), 1, 1, True, id="gram"),
+    pytest.param(bundle_anomaly, (P9, fubini_study(2), W4), 1, 1, True, id="bundle_anomaly"),
+    pytest.param(volume_anomaly, (P9, W4, WFS), 1, 1, True, id="volume_anomaly"),
+    # the Gram and the two anomaly terms share one stacked pairing
+    pytest.param(quillen, (P9, W4), 1, 1, True, id="quillen"),
+    pytest.param(torsion, (P9, W4), 1, 1, True, id="torsion"),
+    # the reference pair runs the same chain
+    pytest.param(quillen, (fubini_study(2), WFS), 1, 1, True, id="reference"),
+    # the first pass already holds each half line graded as the first round
+    # of refinement would cut it, and each bracket panel an octave
+    pytest.param(quillen, (fubini_study(6), WFS), 1, 1, True, id="fs6-fs"),
+    pytest.param(quillen, (fubini_study(24), WFS), 1, 1, True, id="fs24-fs"),
+    pytest.param(quillen, (lse(12, 4.5), WCAN), 1, 1, True, id="lse12-can"),
+    # a smooth metric: every split is 0 (the atom of canonical_2 alone), so
+    # the kernel is handed the whole line's first-pass table built at import
+    *(
+        pytest.param(quillen, (fam(m), w), 1, 1, True, id=f"{name}-{m}-{wid}")
+        for name, fam in SMOOTH.items()
+        for m in (6, 24)
+        for wid, w in (("fs", WFS), ("canonical", WCAN))
+    ),
+    # integrated alone, a limits volume's norm converges in the graded first pass
+    *(
+        pytest.param(_normed_pairings, ([], (volume_from_potential(fam(2)),)), 1, 1, False,
+                     id=f"norm-{name}")
+        for name, fam in LIMITS_TWINS.items()
+    ),
+    # a limits member on its degree-2 twin's volume: building the volume
+    # integrates nothing, and its norm is a row of quillen's own pass; on
+    # the sharp twins the octave brackets hold every cut near the bump, so
+    # no round is left
+    *(
+        pytest.param(volume_from_potential, (fam(2),), 0, 0, None, id=f"volume-{name}")
+        for name, fam in LIMITS_TWINS.items()
+    ),
+    *(
+        pytest.param(quillen, (fam(1), volume_from_potential(fam(2))), 1, 1, False,
+                     id=f"op-{name}")
+        for name, fam in LIMITS_TWINS.items()
+    ),
+]
 
-    monkeypatch.setattr(radial, "integrate_line", counting)
-    for run, want in (
-        (lambda: gram(p, w), 1),
-        (lambda: bundle_anomaly(p, fubini_study(2), w), 1),
-        (lambda: volume_anomaly(p, w, WFS), 1),
-        # the Gram and the two anomaly terms share one stacked pairing
-        (lambda: quillen(p, w), 1),
-        (lambda: torsion(p, w), 1),
-        # the reference pair runs the same chain
-        (lambda: quillen(fubini_study(2), WFS), 1),
-    ):
-        calls.clear()
-        run()
-        assert len(calls) == want
+
+@pytest.mark.parametrize("fn, args, calls, passes, unsplit", KERNEL_PINS)
+def test_kernel_calls_and_passes(kernel, fn, args, calls, passes, unsplit):
+    fn(*args)
+    assert (len(kernel.calls), len(kernel.passes)) == (calls, passes)
+    assert (kernel.passes[0].unsplit if kernel.passes else None) is unsplit
 
 
-def test_chain_evaluates_the_fs_volume_once_per_round(monkeypatch):
+def test_chain_evaluates_the_fs_volume_once_per_round(kernel, monkeypatch):
     # lse(15, 3), fs_15 and fs_2 need one logistic_density each per round:
     # the caller's volume_fs() is the chain's reference volume, so its fs_2
     # row is shared, not evaluated a second time
     metrics = importlib.import_module("spheretorsion.metrics")
-    quadrature = importlib.import_module("spheretorsion.quadrature")
-    base, rounds, dens, passes = lse(15, 3.0), [], [], []
+    base, rounds, dens = lse(15, 3.0), [], []
     p = dataclasses.replace(base, phi=lambda t: rounds.append(1) or base.phi(t))
 
     def counting(t):
         dens.append(1)
         return logistic_density(t)
 
-    def counting_quad(f, iv, _quad=quadrature.quad):
-        passes.append(1)
-        return _quad(f, iv)
-
     monkeypatch.setattr(metrics, "logistic_density", counting)
-    monkeypatch.setattr(quadrature, "quad", counting_quad)
     quillen(p, volume_fs())
     # the first pass holds the half lines already graded, and no round is left
-    assert len(passes) == len(rounds) == 1
+    assert len(kernel.passes) == len(rounds) == 1
     assert len(dens) == 3 * len(rounds)
     assert volume_fs() is WFS and WFS.psi is fubini_study(2)
 
@@ -596,8 +610,9 @@ def test_chain_evaluates_no_block_at_an_atom_it_does_not_pair():
     ids=["lse-lazy", "fs-canonical", "canonical-fs", "zhang-mollmax"],
 )
 def test_the_chain_leaves_no_reference_cycle(case):
-    # every result is freed by reference counting alone: with the cycle
-    # collector off, nothing is left for it to find
+    # every result is freed by reference counting alone: once the first
+    # runs have been collected, the cycle collector finds nothing after a
+    # second run of every call with it off
     p, w = case()
     runs = [
         lambda: quillen(p, w),
@@ -609,80 +624,14 @@ def test_the_chain_leaves_no_reference_cycle(case):
     ]
     for run in runs:
         run()
-        gc.collect()
-        gc.disable()
-        try:
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
             run()
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
-
-
-def _passes(monkeypatch, run):
-    """The kernel passes run() makes."""
-    quadrature = importlib.import_module("spheretorsion.quadrature")
-    passes = []
-
-    def counting_quad(f, iv, _quad=quadrature.quad):
-        passes.append(1)
-        return _quad(f, iv)
-
-    monkeypatch.setattr(quadrature, "quad", counting_quad)
-    run()
-    return len(passes)
-
-
-@pytest.mark.parametrize(
-    "case",
-    [
-        lambda: (fubini_study(6), WFS),
-        lambda: (fubini_study(24), WFS),
-        lambda: (lse(12, 4.5), WCAN),
-        # the sharp members on their degree-2 twin's volume: the octave
-        # brackets hold every cut near the bump, so no round is left
-        lambda: (lse(1, 1.5 * 3.0**20), volume_from_potential(lse(2, 1.5 * 3.0**20))),
-        lambda: (
-            zhang_iterate(lse(1, 1.5), 2, 28),
-            volume_from_potential(zhang_iterate(lse(2, 1.5), 2, 28)),
-        ),
-    ],
-    ids=["fs6-fs", "fs24-fs", "lse12-can", "lse1-sharp-twin", "zhang1-sharp-twin"],
-)
-def test_quillen_kernel_passes(monkeypatch, case):
-    # the first pass already holds each half line graded as the first round
-    # of refinement would cut it, and each bracket panel an octave
-    p, w = case()
-    assert _passes(monkeypatch, lambda: quillen(p, w)) == 1
-
-
-# the smooth metrics of the high-degree study, as families in the degree m:
-# lse(m, a) for a in [1, 9], and dilation iterates lse(m, a0 2^n) of
-# sharpness a0 2^n in [1, 12]
-SMOOTH = {
-    "fs": fubini_study,
-    "lse-1": lambda m: lse(m, 1.0),
-    "lse-9": lambda m: lse(m, 9.0),
-    "zhang-1": lambda m: zhang_iterate(lse(m, 0.5), 2, 1),
-    "zhang-12": lambda m: zhang_iterate(lse(m, 1.5), 2, 3),
-}
-
-
-@pytest.mark.parametrize("w", [WFS, WCAN], ids=["fs", "canonical"])
-@pytest.mark.parametrize("m", [6, 24])
-@pytest.mark.parametrize("fam", SMOOTH.values(), ids=SMOOTH.keys())
-def test_a_smooth_metric_takes_one_pass_on_the_unsplit_table(monkeypatch, fam, m, w):
-    # every split is 0 (the atom of canonical_2 alone), so the kernel is
-    # handed the whole line's first-pass table built at import
-    quadrature = importlib.import_module("spheretorsion.quadrature")
-    tables = []
-
-    def recording_quad(f, iv, _quad=quadrature.quad):
-        tables.append(iv)
-        return _quad(f, iv)
-
-    monkeypatch.setattr(quadrature, "quad", recording_quad)
-    quillen(fam(m), w)
-    assert len(tables) == 1 and tables[0] is quadrature._UNSPLIT_IV
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("m", (150, 300))
@@ -693,33 +642,6 @@ def test_reference_pair_lands_on_the_reference_torsion_above_degree_100(m):
     t = torsion(fubini_study(m), WFS)
     with mp.workdps(50):
         assert abs(mpf(t.value) - _fs_pair_mp(m)[1]) <= 1e-9
-
-
-# the members of the limits sequences, as families in the degree m
-LIMITS_TWINS = {
-    "lse": lambda m: lse(m, 1.5 * 3.0**15),
-    "zhang": lambda m: zhang_iterate(lse(m, 1.5), 2, 20),
-    "mollmax": lambda m: mollified_max(m, 1.5 * 2.0**-20),
-    "lse-sharp-twin": lambda m: lse(m, 1.5 * 3.0**20),
-    "zhang-sharp-twin": lambda m: zhang_iterate(lse(m, 1.5), 2, 28),
-}
-
-
-@pytest.mark.parametrize("fam", LIMITS_TWINS.values(), ids=LIMITS_TWINS.keys())
-def test_volume_normalization_takes_one_kernel_pass(monkeypatch, fam):
-    # integrated alone, the norm converges in the graded first pass
-    w = volume_from_potential(fam(2))
-    assert _passes(monkeypatch, lambda: _normed_pairings([], (w,))) == 1
-
-
-@pytest.mark.parametrize("fam", LIMITS_TWINS.values(), ids=LIMITS_TWINS.keys())
-def test_a_limits_op_takes_one_kernel_pass(monkeypatch, fam):
-    # a member on its degree-2 twin's volume: building the volume integrates
-    # nothing, and its norm is a row of quillen's own pass
-    p, psi = fam(1), fam(2)
-    assert _passes(monkeypatch, lambda: volume_from_potential(psi)) == 0
-    op = lambda: quillen(p, volume_from_potential(psi))
-    assert _passes(monkeypatch, op) == 1
 
 
 def test_results_do_not_depend_on_what_the_volume_did_before():
